@@ -19,7 +19,7 @@ from deepicf.evaluation import (EvalReport, ItemKnnModel, evaluate,
                                 rank_test_item)
 from deepicf.model import (ModelConfig, ModelParams, Variant, backward,
                            init_params, predict_logit, score_items)
-from deepicf.training import (AdagradState, TrainReport, adagrad_step, fit,
+from deepicf.training import (AdagradState, TrainReport, apply_batch, fit,
                               loss_with_reg, pretrain_and_init, train_epoch)
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "DeepIcfError", "EvalError", "EvalReport", "Interaction",
     "InteractionDataset",
     "ItemKnnModel", "LooSplit", "ModelConfig", "ModelError", "ModelParams",
-    "TrainReport", "TrainingDiverged", "Variant", "adagrad_step", "backward",
+    "TrainReport", "TrainingDiverged", "Variant", "apply_batch", "backward",
     "evaluate", "fit", "init_params", "item_knn_fit_and_score",
     "item_pop_scorer", "leave_one_out_split", "load_split", "loss_with_reg",
     "metrics_at_k", "model_scorer_factory", "parse_interactions",

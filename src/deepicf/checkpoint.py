@@ -3,55 +3,56 @@
 Layout: the magic line ``DICF1``, one ASCII header line
 ``U I variant k k_prime L alpha beta``, one line of hidden-layer sizes
 (empty when the tower has depth 0), then raw little-endian float64 arrays
-in fixed order: target embeddings, history embeddings, user biases, item
-biases, output weights, then (W_l, b_l) per layer, then the attention
-weight/bias/output triple for the attention variant. Loading a saved file
-reproduces every array bit for bit, which is what makes the pre-training
-handoff exact.
+in :func:`deepicf.model.param_layout` order: target embeddings, history
+embeddings, user biases, item biases, output weights, then (W_l, b_l) per
+layer, then the attention weight/bias/output triple for the attention
+variant. Loading a saved file reproduces every array bit for bit, which
+is what makes the pre-training handoff exact. Files are written under a
+temporary name and moved into place, so a failed save leaves the previous
+file intact.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
+import os
+
 import numpy as np
 
-from deepicf.errors import CheckpointError
-from deepicf.model import ModelConfig, ModelParams, Variant
+from deepicf.errors import CheckpointError, ConfigError
+from deepicf.model import ModelConfig, ModelParams, Variant, param_layout
 
 MAGIC = b"DICF1\n"
 
 
-def _array_specs(config, num_users, num_items):
-    specs = [("target_embed", (num_items, config.k)),
-             ("history_embed", (num_items, config.k)),
-             ("user_bias", (num_users,)),
-             ("item_bias", (num_items,)),
-             ("output_weights", (config.output_dim,))]
-    prev = config.k
-    for layer, d in enumerate(config.layer_sizes):
-        specs.append((f"W{layer}", (d, prev)))
-        specs.append((f"b{layer}", (d,)))
-        prev = d
-    if config.uses_attention:
-        specs.extend([("att_weight", (config.k_prime, config.k)),
-                      ("att_bias", (config.k_prime,)),
-                      ("att_out", (config.k_prime,))])
-    return specs
-
-
 def save_checkpoint(path, params, config, num_users=None, num_items=None):
-    """Write parameters with enough header to rebuild the model shape."""
+    """Write parameters with enough header to rebuild the model shape.
+
+    The bytes go to a temporary file in the target directory, which then
+    replaces ``path`` in one step.
+    """
     num_users = params.num_users if num_users is None else num_users
     num_items = params.num_items if num_items is None else num_items
     header = (f"{num_users} {num_items} {config.variant.value} {config.k} "
               f"{config.k_prime} {config.num_layers} "
               f"{float(config.alpha)!r} {float(config.beta)!r}\n")
     sizes = " ".join(str(d) for d in config.layer_sizes) + "\n"
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(header.encode("ascii"))
-        f.write(sizes.encode("ascii"))
-        for arr in params.arrays():
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(header.encode("ascii"))
+            f.write(sizes.encode("ascii"))
+            for name, _, _ in param_layout(config, num_users, num_items):
+                f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -59,56 +60,57 @@ def load_checkpoint(path):
 
     The returned config carries the architecture fields from the header
     and defaults for the training-only fields. Payload length must match
-    the header shapes exactly.
+    the header shapes exactly; every defect is a :class:`CheckpointError`
+    naming ``path``.
     """
     with open(path, "rb") as f:
         magic = f.readline()
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        header = f.readline().decode("ascii").split()
-        if len(header) != 8:
-            raise CheckpointError(f"{path}: malformed header line")
-        sizes_line = f.readline().decode("ascii").strip()
+        header_line = f.readline()
+        sizes_line = f.readline()
         payload = f.read()
     try:
+        header = header_line.decode("ascii").split()
+        sizes = sizes_line.decode("ascii").split()
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"{path}: header is not ASCII: {err}")
+    if len(header) != 8:
+        raise CheckpointError(f"{path}: malformed header line")
+    try:
         num_users, num_items = int(header[0]), int(header[1])
-        variant = Variant.parse(header[2])
         k, k_prime, depth = int(header[3]), int(header[4]), int(header[5])
         alpha, beta = float(header[6]), float(header[7])
-        layer_sizes = tuple(int(d) for d in sizes_line.split()) if sizes_line else ()
-    except (ValueError, IndexError) as err:
+        layer_sizes = tuple(int(d) for d in sizes)
+    except ValueError as err:
         raise CheckpointError(f"{path}: unreadable header: {err}")
+    if num_users < 1 or num_items < 1:
+        raise CheckpointError(
+            f"{path}: header needs at least one user and one item,"
+            f" got U={num_users} I={num_items}")
     if len(layer_sizes) != depth:
         raise CheckpointError(
             f"{path}: header says L={depth} but lists {len(layer_sizes)} sizes")
-    config = ModelConfig(variant=variant, k=k, k_prime=k_prime,
-                         num_layers=depth, layer_sizes=layer_sizes,
-                         alpha=alpha, beta=beta)
+    try:
+        config = ModelConfig(variant=Variant.parse(header[2]), k=k,
+                             k_prime=k_prime, num_layers=depth,
+                             layer_sizes=layer_sizes, alpha=alpha, beta=beta)
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: {err}") from err
 
-    specs = _array_specs(config, num_users, num_items)
-    expected = sum(int(np.prod(shape)) for _, shape in specs) * 8
+    layout = param_layout(config, num_users, num_items)
+    expected = sum(math.prod(shape) for _, shape, _ in layout) * 8
     if len(payload) != expected:
         raise CheckpointError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    arrays = {}
+    params = ModelParams()
     offset = 0
-    for name, shape in specs:
-        count = int(np.prod(shape))
-        arrays[name] = np.frombuffer(
+    for name, shape, _ in layout:
+        count = math.prod(shape)
+        params[name] = np.frombuffer(
             payload, dtype="<f8", count=count, offset=offset
         ).reshape(shape).copy()
         offset += count * 8
-
-    weights = [arrays[f"W{i}"] for i in range(depth)]
-    biases = [arrays[f"b{i}"] for i in range(depth)]
-    params = ModelParams(
-        target_embed=arrays["target_embed"],
-        history_embed=arrays["history_embed"],
-        user_bias=arrays["user_bias"], item_bias=arrays["item_bias"],
-        output_weights=arrays["output_weights"],
-        layer_weights=weights, layer_biases=biases,
-        att_weight=arrays.get("att_weight"), att_bias=arrays.get("att_bias"),
-        att_out=arrays.get("att_out"))
     return params, config, num_users, num_items
 
 
@@ -118,13 +120,7 @@ def save_text(path, params, config):
         f.write(f"variant {config.variant.value} k {config.k} "
                 f"k_prime {config.k_prime} L {config.num_layers} "
                 f"alpha {config.alpha!r} beta {config.beta!r}\n")
-        names = ["target_embed", "history_embed", "user_bias", "item_bias",
-                 "output_weights"]
-        for layer in range(config.num_layers):
-            names.extend([f"W{layer}", f"b{layer}"])
-        if config.uses_attention:
-            names.extend(["att_weight", "att_bias", "att_out"])
-        for name, arr in zip(names, params.arrays()):
+        for name, arr in params.items():
             f.write(f"# {name} shape {'x'.join(map(str, arr.shape))}\n")
             for row in np.atleast_2d(arr):
                 f.write(" ".join(repr(float(x)) for x in row) + "\n")

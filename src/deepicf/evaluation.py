@@ -117,6 +117,11 @@ class ItemKnnModel:
     the user's history (all neighbors by default; ``top_n`` truncates each
     candidate's similarity row to its strongest entries, diagonal
     excluded).
+
+    The similarity matrix is computed once: the co-occurrence counts are
+    scaled in place by ``1/sqrt(|users(j)|)`` per column, with the
+    diagonal zeroed and any ``top_n`` truncation applied per row; the
+    row factor ``1/sqrt(|users(i)|)`` is applied at scoring time.
     """
 
     def __init__(self, train, top_n=None):
@@ -133,29 +138,29 @@ class ItemKnnModel:
         incidence = sp.csr_matrix(
             (np.ones(len(rows)), (rows, cols)),
             shape=(num_users, num_items))
-        self._cooccur = (incidence.T @ incidence).tocsr()
+        sim = (incidence.T @ incidence).tocsr()
         counts = np.asarray(incidence.sum(axis=0)).ravel()
         inv_sqrt = np.zeros(num_items)
         active = counts > 0
         inv_sqrt[active] = 1.0 / np.sqrt(counts[active])
+        # One row at a time, so that no second nonzero-sized array is built:
+        # the matrix can be nearly dense.
+        for i in range(num_items):
+            lo, hi = sim.indptr[i], sim.indptr[i + 1]
+            cols, vals = sim.indices[lo:hi], sim.data[lo:hi]
+            vals *= inv_sqrt[cols]
+            vals[cols == i] = 0.0
+            if top_n is not None and top_n < vals.size:
+                vals[np.argsort(-vals, kind="stable")[top_n:]] = 0.0
+        self._sim = sim
         self._inv_sqrt = inv_sqrt
 
     def similarity_row(self, item):
         """Dense similarity row of one item, diagonal zeroed, optionally
         truncated to the strongest ``top_n`` neighbors."""
-        row = np.asarray(self._cooccur[item].todense()).ravel()
-        row = row * (self._inv_sqrt[item] * self._inv_sqrt)
-        row[item] = 0.0
-        if self.top_n is not None and self.top_n < row.size:
-            keep = np.argpartition(row, -self.top_n)[-self.top_n:]
-            truncated = np.zeros_like(row)
-            truncated[keep] = row[keep]
-            row = truncated
-        return row
+        return self._sim[item].toarray().ravel() * self._inv_sqrt[item]
 
     def similarity(self, i, j):
-        if i == j:
-            return 0.0
         return float(self.similarity_row(i)[j])
 
     def scorer_factory(self):
@@ -164,22 +169,8 @@ class ItemKnnModel:
 
             def scorer(items):
                 items = np.asarray(items, dtype=np.int64)
-                if hist.size == 0:
-                    return np.zeros(items.shape[0])
-                if self.top_n is None:
-                    sub = self._cooccur[items][:, hist].toarray()
-                    weighted = sub * self._inv_sqrt[hist][None, :]
-                    scores = weighted.sum(axis=1) * self._inv_sqrt[items]
-                    # a candidate inside the history would pick up its own
-                    # diagonal entry; the predictor ignores the diagonal
-                    for pos in np.nonzero(np.isin(items, hist))[0]:
-                        c = int(items[pos])
-                        scores[pos] -= (self._cooccur[c, c]
-                                        * self._inv_sqrt[c] * self._inv_sqrt[c])
-                    return scores
-                return np.array([
-                    float(self.similarity_row(int(c))[hist].sum())
-                    for c in items])
+                sub = self._sim[items][:, hist].toarray()
+                return sub.sum(axis=1) * self._inv_sqrt[items]
             return scorer
         return factory
 

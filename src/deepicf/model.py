@@ -7,6 +7,9 @@ the target-item embedding and each history-item embedding, a pooling step
 softmax), an optional ReLU tower over the pooled vector, and a linear
 prediction layer with user and item biases.
 
+The tensors of a variant are declared once, by :func:`param_layout`;
+parameters, the flat views used by the gradient checks, the optimizer
+state and the checkpoint format are all derived from that list.
 Parameters are mutable numpy arrays; training is single-writer, while any
 number of evaluators may read a parameter set concurrently.
 """
@@ -14,7 +17,8 @@ number of evaluators may read a parameter set concurrently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,56 +130,63 @@ class ModelConfig:
         return self.variant is not Variant.FISM
 
 
-@dataclass
-class ModelParams:
-    """All trainable tensors for one model instance."""
+def param_layout(config, num_users, num_items):
+    """Every tensor the variant carries, as ordered ``(name, shape,
+    trained)`` triples in ``DICF1`` checkpoint order: target and history
+    embeddings, user and item biases, the output vector, ``W{l}`` and
+    ``b{l}`` per tower layer, then the attention weight, bias and output
+    vector. FISM's output vector is fixed to all-ones and not trained."""
+    k = config.k
+    layout = [("target_embed", (num_items, k), True),
+              ("history_embed", (num_items, k), True),
+              ("user_bias", (num_users,), True),
+              ("item_bias", (num_items,), True),
+              ("output_weights", (config.output_dim,),
+               config.trains_output_weights)]
+    prev = k
+    for layer, d in enumerate(config.layer_sizes):
+        layout += [(f"W{layer}", (d, prev), True), (f"b{layer}", (d,), True)]
+        prev = d
+    if config.uses_attention:
+        layout += [("att_weight", (config.k_prime, k), True),
+                   ("att_bias", (config.k_prime,), True),
+                   ("att_out", (config.k_prime,), True)]
+    return layout
 
-    target_embed: np.ndarray        # (I, k) embeddings of the item being scored
-    history_embed: np.ndarray       # (I, k) embeddings of interacted items
-    user_bias: np.ndarray           # (U,)
-    item_bias: np.ndarray           # (I,)
-    output_weights: np.ndarray      # (d_L,) prediction-layer weights
-    layer_weights: list = field(default_factory=list)   # W_l: (d_l, d_{l-1})
-    layer_biases: list = field(default_factory=list)    # b_l: (d_l,)
-    att_weight: np.ndarray | None = None    # (k', k)
-    att_bias: np.ndarray | None = None      # (k',)
-    att_out: np.ndarray | None = None       # (k',)
+
+class ModelParams(dict):
+    """Every tensor of one model instance: an ordered name -> array mapping
+    in :func:`param_layout` order."""
+
+    @property
+    def layer_weights(self):
+        """Tower weight matrices W_l: (d_l, d_{l-1}), bottom layer first."""
+        return [a for name, a in self.items() if name[0] == "W"]
+
+    @property
+    def layer_biases(self):
+        """Tower biases b_l: (d_l,), bottom layer first."""
+        return [a for name, a in self.items() if name[0] == "b"]
 
     @property
     def num_users(self):
-        return self.user_bias.shape[0]
+        return self["user_bias"].shape[0]
 
     @property
     def num_items(self):
-        return self.item_bias.shape[0]
+        return self["item_bias"].shape[0]
 
     def clone(self):
-        return ModelParams(
-            target_embed=self.target_embed.copy(),
-            history_embed=self.history_embed.copy(),
-            user_bias=self.user_bias.copy(),
-            item_bias=self.item_bias.copy(),
-            output_weights=self.output_weights.copy(),
-            layer_weights=[w.copy() for w in self.layer_weights],
-            layer_biases=[b.copy() for b in self.layer_biases],
-            att_weight=None if self.att_weight is None else self.att_weight.copy(),
-            att_bias=None if self.att_bias is None else self.att_bias.copy(),
-            att_out=None if self.att_out is None else self.att_out.copy(),
-        )
+        return ModelParams((name, a.copy()) for name, a in self.items())
 
     def arrays(self):
         """Every array the variant carries, in checkpoint order."""
-        out = [self.target_embed, self.history_embed, self.user_bias,
-               self.item_bias, self.output_weights]
-        for w, b in zip(self.layer_weights, self.layer_biases):
-            out.extend([w, b])
-        if self.att_weight is not None:
-            out.extend([self.att_weight, self.att_bias, self.att_out])
-        return out
+        return list(self.values())
 
 
 def init_params(config, num_users, num_items, rng):
-    """Fresh parameters: weights ~ Gaussian(0, 0.01), biases zero.
+    """Fresh parameters: weights ~ Gaussian(0, 0.01), biases zero, and
+    FISM's fixed output vector all-ones.
 
     The draw order (target embeddings, history embeddings, tower weights,
     output weights, attention weights) is fixed so a seed fully determines
@@ -183,29 +194,18 @@ def init_params(config, num_users, num_items, rng):
     """
     if num_users <= 0 or num_items <= 0:
         raise ModelError("need at least one user and one item")
-    k = config.k
-    target = rng.normal(0.0, INIT_STD, size=(num_items, k))
-    history = rng.normal(0.0, INIT_STD, size=(num_items, k))
-    weights, biases = [], []
-    prev = k
-    for d in config.layer_sizes:
-        weights.append(rng.normal(0.0, INIT_STD, size=(d, prev)))
-        biases.append(np.zeros(d))
-        prev = d
-    if config.trains_output_weights:
-        out = rng.normal(0.0, INIT_STD, size=config.output_dim)
-    else:
-        out = np.ones(config.output_dim)
-    att_w = att_b = att_h = None
-    if config.uses_attention:
-        att_w = rng.normal(0.0, INIT_STD, size=(config.k_prime, k))
-        att_b = np.zeros(config.k_prime)
-        att_h = rng.normal(0.0, INIT_STD, size=config.k_prime)
-    return ModelParams(
-        target_embed=target, history_embed=history,
-        user_bias=np.zeros(num_users), item_bias=np.zeros(num_items),
-        output_weights=out, layer_weights=weights, layer_biases=biases,
-        att_weight=att_w, att_bias=att_b, att_out=att_h)
+    layout = param_layout(config, num_users, num_items)
+    drawn = {}
+    for name, shape, trained in sorted(
+            layout, key=lambda spec: (spec[0].startswith("att"),
+                                      spec[0] == "output_weights")):
+        if not trained:
+            drawn[name] = np.ones(shape)
+        elif name.endswith("bias") or name[0] == "b":
+            drawn[name] = np.zeros(shape)
+        else:
+            drawn[name] = rng.normal(0.0, INIT_STD, size=shape)
+    return ModelParams((name, drawn[name]) for name, _, _ in layout)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def pairwise_interactions(params, history, item):
     masked out. Returns (masked history indices, the (n, k) matrix)."""
     hist = np.asarray(history, dtype=np.int64)
     hist = hist[hist != item]
-    return hist, params.history_embed[hist] * params.target_embed[item]
+    return hist, params["history_embed"][hist] * params["target_embed"][item]
 
 
 def pool_average(pairwise, alpha):
@@ -312,8 +312,9 @@ def predict_logit(params, config, history, user, item):
     n = pairwise.shape[0]
     att = None
     if config.uses_attention:
-        att = attention_forward(pairwise, params.att_weight, params.att_bias,
-                                params.att_out, config.beta)
+        att = attention_forward(pairwise, params["att_weight"],
+                                params["att_bias"], params["att_out"],
+                                config.beta)
         pooled = att.pooled
         scale = 1.0
     else:
@@ -321,8 +322,8 @@ def predict_logit(params, config, history, user, item):
         pooled = scale * pairwise.sum(axis=0) if n else np.zeros(config.k)
     out, pres, acts = mlp_forward(pooled, params.layer_weights,
                                   params.layer_biases)
-    logit = float(params.output_weights @ out
-                  + params.user_bias[user] + params.item_bias[item])
+    logit = float(params["output_weights"] @ out
+                  + params["user_bias"][user] + params["item_bias"][item])
     cache = ForwardCache(user=user, item=item, hist=hist, pairwise=pairwise,
                          pool_scale=scale, attention=att, pooled=pooled,
                          layer_pres=pres, layer_acts=acts, logit=logit)
@@ -351,22 +352,23 @@ def score_items(params, config, history, user, items):
     if n == 0:
         pooled = np.zeros((num, config.k))
     elif config.uses_attention:
-        v = params.history_embed[hist][None, :, :] * params.target_embed[items][:, None, :]
-        pre = v @ params.att_weight.T + params.att_bias
-        scores = relu(pre) @ params.att_out                 # (num, n)
+        v = (params["history_embed"][hist][None, :, :]
+             * params["target_embed"][items][:, None, :])
+        pre = v @ params["att_weight"].T + params["att_bias"]
+        scores = relu(pre) @ params["att_out"]              # (num, n)
         weights = np.empty_like(scores)
         for r in range(num):
             weights[r] = softmax_beta(scores[r], config.beta)
         pooled = np.einsum("cn,cnk->ck", weights, v)
     else:
         scale = 1.0 if config.alpha == 0.0 else float(n) ** -config.alpha
-        qsum = params.history_embed[hist].sum(axis=0)
-        pooled = scale * (params.target_embed[items] * qsum)
+        qsum = params["history_embed"][hist].sum(axis=0)
+        pooled = scale * (params["target_embed"][items] * qsum)
     out = pooled
     for w, b in zip(params.layer_weights, params.layer_biases):
         out = relu(out @ w.T + b)
-    return (out @ params.output_weights
-            + params.user_bias[user] + params.item_bias[items])
+    return (out @ params["output_weights"]
+            + params["user_bias"][user] + params["item_bias"][items])
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +377,16 @@ def score_items(params, config, history, user, items):
 
 @dataclass
 class Grads:
-    """Per-instance gradients, sparse over the touched embedding rows."""
+    """Gradients keyed by tensor name, as in :func:`param_layout`.
 
-    user: int
-    item: int
-    d_target: np.ndarray            # gradient of the target item's embedding row
-    hist: np.ndarray                # history rows receiving gradients
-    d_history: np.ndarray           # (n, k), aligned with hist
-    d_user_bias: float
-    d_item_bias: float
-    d_output: np.ndarray | None
-    d_layer_w: list
-    d_layer_b: list
-    d_att_weight: np.ndarray | None = None
-    d_att_bias: np.ndarray | None = None
-    d_att_out: np.ndarray | None = None
+    ``rows`` maps each of the two embedding tables and the two bias
+    vectors to ``(rows, values)`` over just the rows an instance touched
+    (a plain int for a single row); ``dense`` holds the whole-tensor
+    gradients of every other trained tensor.
+    """
+
+    rows: dict
+    dense: dict
 
 
 def backward(params, config, cache, dlogit):
@@ -406,28 +403,24 @@ def backward(params, config, cache, dlogit):
     k = config.k
     n = cache.hist.size
 
-    d_output = None
+    dense = {}
     if config.trains_output_weights:
         top = cache.layer_acts[-1] if cache.layer_acts else cache.pooled
-        d_output = dlogit * top
-    d_vec = dlogit * params.output_weights
+        dense["output_weights"] = dlogit * top
+    d_vec = dlogit * params["output_weights"]
 
-    d_layer_w, d_layer_b = [], []
-    for layer in range(len(params.layer_weights) - 1, -1, -1):
+    for layer in reversed(range(config.num_layers)):
         # ReLU subgradient at exactly 0 is taken as 0
         d_pre = d_vec * (cache.layer_pres[layer] > 0.0)
         below = cache.layer_acts[layer - 1] if layer > 0 else cache.pooled
-        d_layer_w.append(np.outer(d_pre, below))
-        d_layer_b.append(d_pre)
-        d_vec = params.layer_weights[layer].T @ d_pre
-    d_layer_w.reverse()
-    d_layer_b.reverse()
+        dense[f"W{layer}"] = np.outer(d_pre, below)
+        dense[f"b{layer}"] = d_pre
+        d_vec = params[f"W{layer}"].T @ d_pre
 
-    d_att_w = d_att_b = d_att_h = None
     if config.uses_attention:
-        d_att_w = np.zeros_like(params.att_weight)
-        d_att_b = np.zeros_like(params.att_bias)
-        d_att_h = np.zeros_like(params.att_out)
+        dense["att_weight"] = np.zeros_like(params["att_weight"])
+        dense["att_bias"] = np.zeros_like(params["att_bias"])
+        dense["att_out"] = np.zeros_like(params["att_out"])
 
     if n == 0:
         d_target = np.zeros(k)
@@ -438,109 +431,70 @@ def backward(params, config, cache, dlogit):
         d_weights = cache.pairwise @ d_vec                 # (n,)
         d_pair = att.weights[:, None] * d_vec[None, :]     # direct path
         d_scores = softmax_beta_vjp(att.scores, config.beta, d_weights)
-        d_hidden = d_scores[:, None] * params.att_out[None, :]
-        d_att_h = att.hidden.T @ d_scores
+        d_hidden = d_scores[:, None] * params["att_out"][None, :]
+        dense["att_out"] = att.hidden.T @ d_scores
         d_pre = d_hidden * (att.pre > 0.0)
-        d_att_w = d_pre.T @ cache.pairwise
-        d_att_b = d_pre.sum(axis=0)
-        d_pair = d_pair + d_pre @ params.att_weight        # attention path
-        d_target = (d_pair * params.history_embed[cache.hist]).sum(axis=0)
-        d_history = d_pair * params.target_embed[cache.item][None, :]
+        dense["att_weight"] = d_pre.T @ cache.pairwise
+        dense["att_bias"] = d_pre.sum(axis=0)
+        d_pair = d_pair + d_pre @ params["att_weight"]     # attention path
+        d_target = (d_pair * params["history_embed"][cache.hist]).sum(axis=0)
+        d_history = d_pair * params["target_embed"][cache.item][None, :]
     else:
         d_pool = cache.pool_scale * d_vec
-        d_target = d_pool * params.history_embed[cache.hist].sum(axis=0)
+        d_target = d_pool * params["history_embed"][cache.hist].sum(axis=0)
         d_history = np.broadcast_to(
-            d_pool * params.target_embed[cache.item], (n, k))
+            d_pool * params["target_embed"][cache.item], (n, k))
 
-    return Grads(
-        user=cache.user, item=cache.item,
-        d_target=d_target, hist=cache.hist, d_history=d_history,
-        d_user_bias=dlogit, d_item_bias=dlogit,
-        d_output=d_output, d_layer_w=d_layer_w, d_layer_b=d_layer_b,
-        d_att_weight=d_att_w, d_att_bias=d_att_b, d_att_out=d_att_h)
+    return Grads(rows={"target_embed": (cache.item, d_target),
+                       "history_embed": (cache.hist, d_history),
+                       "user_bias": (cache.user, dlogit),
+                       "item_bias": (cache.item, dlogit)},
+                 dense=dense)
 
 
 # ---------------------------------------------------------------------------
 # Flat parameter views, used by the finite-difference gradient checks
 # ---------------------------------------------------------------------------
 
-def _trainable_shapes(config, num_users, num_items):
-    shapes = [("target_embed", (num_items, config.k)),
-              ("history_embed", (num_items, config.k)),
-              ("user_bias", (num_users,)),
-              ("item_bias", (num_items,))]
-    if config.trains_output_weights:
-        shapes.append(("output_weights", (config.output_dim,)))
-    prev = config.k
-    for layer, d in enumerate(config.layer_sizes):
-        shapes.append((f"layer_weights[{layer}]", (d, prev)))
-        shapes.append((f"layer_biases[{layer}]", (d,)))
-        prev = d
-    if config.uses_attention:
-        shapes.extend([("att_weight", (config.k_prime, config.k)),
-                       ("att_bias", (config.k_prime,)),
-                       ("att_out", (config.k_prime,))])
-    return shapes
-
-
 def flatten_params(params, config):
-    """Concatenate the variant's trainable tensors into one vector."""
-    parts = [params.target_embed, params.history_embed, params.user_bias,
-             params.item_bias]
-    if config.trains_output_weights:
-        parts.append(params.output_weights)
-    for w, b in zip(params.layer_weights, params.layer_biases):
-        parts.extend([w, b])
-    if config.uses_attention:
-        parts.extend([params.att_weight, params.att_bias, params.att_out])
-    return np.concatenate([p.ravel() for p in parts])
+    """Concatenate the variant's trained tensors into one vector."""
+    layout = param_layout(config, params.num_users, params.num_items)
+    return np.concatenate([params[name].ravel()
+                           for name, _, trained in layout if trained])
 
 
 def params_from_flat(theta, config, num_users, num_items):
     """Rebuild parameters as views into a flat vector, so perturbing one
     coordinate of ``theta`` perturbs exactly one model weight."""
-    pieces = {}
+    params = ModelParams()
     offset = 0
-    for name, shape in _trainable_shapes(config, num_users, num_items):
-        size = int(np.prod(shape))
-        pieces[name] = theta[offset:offset + size].reshape(shape)
+    for name, shape, trained in param_layout(config, num_users, num_items):
+        if not trained:
+            params[name] = np.ones(shape)
+            continue
+        size = math.prod(shape)
+        params[name] = theta[offset:offset + size].reshape(shape)
         offset += size
     if offset != theta.size:
         raise ModelError(
             f"flat vector has {theta.size} entries, expected {offset}")
-    weights = [pieces[f"layer_weights[{i}]"] for i in range(config.num_layers)]
-    biases = [pieces[f"layer_biases[{i}]"] for i in range(config.num_layers)]
-    out = (pieces["output_weights"] if config.trains_output_weights
-           else np.ones(config.output_dim))
-    return ModelParams(
-        target_embed=pieces["target_embed"],
-        history_embed=pieces["history_embed"],
-        user_bias=pieces["user_bias"], item_bias=pieces["item_bias"],
-        output_weights=out, layer_weights=weights, layer_biases=biases,
-        att_weight=pieces.get("att_weight"), att_bias=pieces.get("att_bias"),
-        att_out=pieces.get("att_out"))
+    return params
 
 
 def flatten_grads(grads, config, num_users, num_items):
-    """Scatter a sparse :class:`Grads` into the flat layout of
+    """Scatter :class:`Grads` into the flat layout of
     :func:`flatten_params`, for direct comparison with the oracle."""
-    d_target = np.zeros((num_items, config.k))
-    d_target[grads.item] = grads.d_target
-    d_history = np.zeros((num_items, config.k))
-    if grads.hist.size:
-        d_history[grads.hist] = grads.d_history
-    d_ub = np.zeros(num_users)
-    d_ub[grads.user] = grads.d_user_bias
-    d_ib = np.zeros(num_items)
-    d_ib[grads.item] = grads.d_item_bias
-    parts = [d_target, d_history, d_ub, d_ib]
-    if config.trains_output_weights:
-        parts.append(grads.d_output)
-    for w, b in zip(grads.d_layer_w, grads.d_layer_b):
-        parts.extend([w, b])
-    if config.uses_attention:
-        parts.extend([grads.d_att_weight, grads.d_att_bias, grads.d_att_out])
-    return np.concatenate([p.ravel() for p in parts])
+    parts = []
+    for name, shape, trained in param_layout(config, num_users, num_items):
+        if name in grads.rows:
+            full = np.zeros(shape)
+            np.add.at(full, *grads.rows[name])
+        elif trained:
+            full = grads.dense[name]
+        else:
+            continue
+        parts.append(full.ravel())
+    return np.concatenate(parts)
 
 
 def fism_config(config):

@@ -2,8 +2,11 @@
 negative sampling, L2 regularization on the tower weights, and the
 FISM-to-deep-variant embedding pre-training pipeline.
 
-The update loop is single-writer: one process mutates a parameter set.
-Periodic evaluation runs on the same (momentarily quiescent) parameters.
+The Adagrad state holds one accumulator per parameter tensor, keyed like
+the parameters, and :func:`apply_batch` is the one update for every
+variant and batch size. The update loop is single-writer: one process
+mutates a parameter set. Periodic evaluation runs on the same
+(momentarily quiescent) parameters.
 """
 
 from __future__ import annotations
@@ -25,147 +28,66 @@ log = logging.getLogger(__name__)
 ADAGRAD_EPSILON = 1e-8
 
 
-class AdagradState:
-    """Running sums of squared gradients, mirroring the parameter layout.
+class AdagradState(dict):
+    """Running sums of squared gradients: one accumulator per parameter
+    tensor, under the tensor's name.
 
     Accumulators never decrease; updates touch only the entries that
-    received a gradient from the current instance, so embedding rows
-    outside the instance's history keep their state untouched.
+    received a gradient, so embedding rows outside the batch's histories
+    keep their state untouched.
     """
 
     def __init__(self, params, lr, epsilon=ADAGRAD_EPSILON):
+        super().__init__({name: np.zeros_like(a) for name, a in params.items()})
         self.lr = float(lr)
         self.epsilon = float(epsilon)
-        self.target_embed = np.zeros_like(params.target_embed)
-        self.history_embed = np.zeros_like(params.history_embed)
-        self.user_bias = np.zeros_like(params.user_bias)
-        self.item_bias = np.zeros_like(params.item_bias)
-        self.output_weights = np.zeros_like(params.output_weights)
-        self.layer_weights = [np.zeros_like(w) for w in params.layer_weights]
-        self.layer_biases = [np.zeros_like(b) for b in params.layer_biases]
-        self.att_weight = (None if params.att_weight is None
-                           else np.zeros_like(params.att_weight))
-        self.att_bias = (None if params.att_bias is None
-                         else np.zeros_like(params.att_bias))
-        self.att_out = (None if params.att_out is None
-                        else np.zeros_like(params.att_out))
 
 
-def _dense_update(param, acc, grad, lr, eps):
-    acc += grad * grad
-    param -= lr * grad / (np.sqrt(acc) + eps)
+def _sum_rows(pairs, row_shape):
+    """Merge ``(rows, values)`` pairs into one pair with unique rows, each
+    the sum of its values in order of appearance.
 
-
-def adagrad_step(state, params, grads):
-    """One Adagrad update: acc += g^2 then theta -= lr*g/(sqrt(acc)+eps),
-    elementwise over exactly the entries this instance touched."""
-    lr, eps = state.lr, state.epsilon
-    i, u = grads.item, grads.user
-
-    g = grads.d_target
-    acc = state.target_embed[i]
-    acc += g * g
-    params.target_embed[i] -= lr * g / (np.sqrt(acc) + eps)
-
-    rows = grads.hist
-    if rows.size:
-        g = grads.d_history
-        acc = state.history_embed  # history rows are unique per instance
-        acc[rows] += g * g
-        params.history_embed[rows] -= lr * g / (np.sqrt(acc[rows]) + eps)
-
-    g = grads.d_user_bias
-    state.user_bias[u] += g * g
-    params.user_bias[u] -= lr * g / (math.sqrt(state.user_bias[u]) + eps)
-
-    g = grads.d_item_bias
-    state.item_bias[i] += g * g
-    params.item_bias[i] -= lr * g / (math.sqrt(state.item_bias[i]) + eps)
-
-    if grads.d_output is not None:
-        _dense_update(params.output_weights, state.output_weights,
-                      grads.d_output, lr, eps)
-    for layer in range(len(grads.d_layer_w)):
-        _dense_update(params.layer_weights[layer], state.layer_weights[layer],
-                      grads.d_layer_w[layer], lr, eps)
-        _dense_update(params.layer_biases[layer], state.layer_biases[layer],
-                      grads.d_layer_b[layer], lr, eps)
-    if grads.d_att_weight is not None:
-        _dense_update(params.att_weight, state.att_weight,
-                      grads.d_att_weight, lr, eps)
-        _dense_update(params.att_bias, state.att_bias, grads.d_att_bias, lr, eps)
-        _dense_update(params.att_out, state.att_out, grads.d_att_out, lr, eps)
+    Values are added one pair at a time, so no batch-sized copy of the
+    history gradients is built.
+    """
+    index = [np.atleast_1d(rows) for rows, _ in pairs]
+    unique, inverse = np.unique(np.concatenate(index), return_inverse=True)
+    summed = np.zeros((unique.size,) + row_shape)
+    start = 0
+    for rows, (_, values) in zip(index, pairs):
+        np.add.at(summed, inverse[start:start + rows.size], values)
+        start += rows.size
+    return unique, summed
 
 
 def apply_batch(state, params, batch):
-    """Apply a list of per-instance gradients as one summed update.
+    """One Adagrad step on the summed gradients of a list of :class:`Grads`:
+    acc += g^2 then theta -= lr*g/(sqrt(acc)+eps), elementwise over exactly
+    the entries the batch touched.
 
-    With batch size 1 this is exactly :func:`adagrad_step`; larger batches
-    merge row gradients first so each touched entry is updated once.
+    A single instance is applied as it is: its rows are unique, since a
+    training history holds each item once. A batch of more than one
+    instance first sums the rows each sparse tensor received, so every
+    touched row is updated once.
     """
     if len(batch) == 1:
-        adagrad_step(state, params, batch[0])
-        return
-    target_rows, history_rows = {}, {}
-    user_rows, item_rows = {}, {}
-    d_output = None
-    d_layer_w = [np.zeros_like(w) for w in params.layer_weights]
-    d_layer_b = [np.zeros_like(b) for b in params.layer_biases]
-    d_att_w = d_att_b = d_att_h = None
-    for g in batch:
-        if g.item in target_rows:
-            target_rows[g.item] = target_rows[g.item] + g.d_target
-        else:
-            target_rows[g.item] = g.d_target
-        for row, vec in zip(g.hist.tolist(), g.d_history):
-            if row in history_rows:
-                history_rows[row] = history_rows[row] + vec
-            else:
-                history_rows[row] = vec
-        user_rows[g.user] = user_rows.get(g.user, 0.0) + g.d_user_bias
-        item_rows[g.item] = item_rows.get(g.item, 0.0) + g.d_item_bias
-        if g.d_output is not None:
-            d_output = g.d_output if d_output is None else d_output + g.d_output
-        for layer in range(len(g.d_layer_w)):
-            d_layer_w[layer] += g.d_layer_w[layer]
-            d_layer_b[layer] += g.d_layer_b[layer]
-        if g.d_att_weight is not None:
-            if d_att_w is None:
-                d_att_w = g.d_att_weight.copy()
-                d_att_b = g.d_att_bias.copy()
-                d_att_h = g.d_att_out.copy()
-            else:
-                d_att_w += g.d_att_weight
-                d_att_b += g.d_att_bias
-                d_att_h += g.d_att_out
-
+        rows, dense = batch[0].rows, batch[0].dense
+    else:
+        rows = {name: _sum_rows([g.rows[name] for g in batch],
+                                params[name].shape[1:])
+                for name in batch[0].rows}
+        dense = {name: sum(g.dense[name] for g in batch)
+                 for name in batch[0].dense}
     lr, eps = state.lr, state.epsilon
-    for i, g in target_rows.items():
-        acc = state.target_embed[i]
+    for name, (index, g) in rows.items():
+        acc = state[name][index] + g * g
+        state[name][index] = acc
+        params[name][index] -= lr * g / (np.sqrt(acc) + eps)
+    # whole tensors update in place, without indexing a copy back
+    for name, g in dense.items():
+        acc = state[name]
         acc += g * g
-        params.target_embed[i] -= lr * g / (np.sqrt(acc) + eps)
-    for j, g in history_rows.items():
-        acc = state.history_embed[j]
-        acc += g * g
-        params.history_embed[j] -= lr * g / (np.sqrt(acc) + eps)
-    for u, g in user_rows.items():
-        state.user_bias[u] += g * g
-        params.user_bias[u] -= lr * g / (math.sqrt(state.user_bias[u]) + eps)
-    for i, g in item_rows.items():
-        state.item_bias[i] += g * g
-        params.item_bias[i] -= lr * g / (math.sqrt(state.item_bias[i]) + eps)
-    if d_output is not None:
-        _dense_update(params.output_weights, state.output_weights, d_output,
-                      lr, eps)
-    for layer in range(len(d_layer_w)):
-        _dense_update(params.layer_weights[layer], state.layer_weights[layer],
-                      d_layer_w[layer], lr, eps)
-        _dense_update(params.layer_biases[layer], state.layer_biases[layer],
-                      d_layer_b[layer], lr, eps)
-    if d_att_w is not None:
-        _dense_update(params.att_weight, state.att_weight, d_att_w, lr, eps)
-        _dense_update(params.att_bias, state.att_bias, d_att_b, lr, eps)
-        _dense_update(params.att_out, state.att_out, d_att_h, lr, eps)
+        params[name] -= lr * g / (np.sqrt(acc) + eps)
 
 
 def loss_with_reg(logit, label, params, config, cache=None):
@@ -183,10 +105,10 @@ def loss_with_reg(logit, label, params, config, cache=None):
         for w in params.layer_weights:
             loss += lam * float((w * w).sum())
         if config.reg_embeddings and cache is not None:
-            p = params.target_embed[cache.item]
+            p = params["target_embed"][cache.item]
             loss += lam * float(p @ p)
             if cache.hist.size:
-                q = params.history_embed[cache.hist]
+                q = params["history_embed"][cache.hist]
                 loss += lam * float((q * q).sum())
     return loss, dlogit
 
@@ -196,14 +118,13 @@ def add_l2_grads(grads, params, config):
     lam = config.l2
     if lam <= 0.0:
         return grads
-    for layer in range(len(grads.d_layer_w)):
-        grads.d_layer_w[layer] = (grads.d_layer_w[layer]
-                                  + 2.0 * lam * params.layer_weights[layer])
+    for layer in range(config.num_layers):
+        name = f"W{layer}"
+        grads.dense[name] = grads.dense[name] + 2.0 * lam * params[name]
     if config.reg_embeddings:
-        grads.d_target = grads.d_target + 2.0 * lam * params.target_embed[grads.item]
-        if grads.hist.size:
-            grads.d_history = (grads.d_history
-                               + 2.0 * lam * params.history_embed[grads.hist])
+        for name in ("target_embed", "history_embed"):
+            rows, values = grads.rows[name]
+            grads.rows[name] = (rows, values + 2.0 * lam * params[name][rows])
     return grads
 
 
@@ -334,8 +255,8 @@ def pretrain_and_init(config, split, on_epoch=None):
     rng = rng_from_seed(config.seed, "init")
     params = init_params(config, split.train.num_users,
                          split.train.num_items, rng)
-    params.target_embed[:] = fism_params.target_embed
-    params.history_embed[:] = fism_params.history_embed
+    params["target_embed"][:] = fism_params["target_embed"]
+    params["history_embed"][:] = fism_params["history_embed"]
     log.info("pre-training done; embeddings copied into %s",
              config.variant.value)
     return params

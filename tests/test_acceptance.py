@@ -116,16 +116,16 @@ def test_criterion_2_recovery_identities():
         flat = rng.normal(0.0, 0.5,
                           size=flatten_params(params, cfg_deep).size)
         params = params_from_flat(flat, cfg_deep, 2, num_items)
-        params.output_weights[:] = 1.0
-        params.user_bias[:] = 0.0
-        params.item_bias[:] = 0.0
+        params["output_weights"][:] = 1.0
+        params["user_bias"][:] = 0.0
+        params["item_bias"][:] = 0.0
         size = int(rng.integers(2, 8))
         hist = rng.choice(num_items, size=size, replace=False)
         item = int(hist[0])  # the target is part of the consumed set
         logit, _ = predict_logit(params, cfg_deep, hist, 0, item)
         masked = [int(j) for j in hist if j != item]
         want = (len(masked) ** -0.5) * sum(
-            float(params.target_embed[item] @ params.history_embed[j])
+            float(params["target_embed"][item] @ params["history_embed"][j])
             for j in masked)
         worst = max(worst, abs(logit - want))
     assert worst < 1e-12
@@ -139,9 +139,9 @@ def test_criterion_2_recovery_identities():
         params = init_params(cfg_att, 2, num_items, rng)
         flat = rng.normal(0.0, 0.5, size=flatten_params(params, cfg_att).size)
         params = params_from_flat(flat, cfg_att, 2, num_items)
-        params.output_weights[:] = 1.0
-        params.user_bias[:] = 0.0
-        params.item_bias[:] = 0.0
+        params["output_weights"][:] = 1.0
+        params["user_bias"][:] = 0.0
+        params["item_bias"][:] = 0.0
         size = int(rng.integers(2, 8))
         hist = rng.choice(num_items, size=size, replace=False)
         item = int(hist[0])
@@ -149,13 +149,13 @@ def test_criterion_2_recovery_identities():
         masked = [int(j) for j in hist if j != item]
         scores = []
         for j in masked:
-            v = params.history_embed[j] * params.target_embed[item]
-            hidden = np.maximum(params.att_weight @ v + params.att_bias, 0.0)
-            scores.append(float(params.att_out @ hidden))
+            v = params["history_embed"][j] * params["target_embed"][item]
+            hidden = np.maximum(params["att_weight"] @ v + params["att_bias"], 0.0)
+            scores.append(float(params["att_out"] @ hidden))
         denom = sum(math.exp(s) for s in scores) ** beta
         want = sum(math.exp(s) / denom
-                   * float(params.target_embed[item]
-                           @ params.history_embed[j])
+                   * float(params["target_embed"][item]
+                           @ params["history_embed"][j])
                    for j, s in zip(masked, scores))
         worst_att = max(worst_att, abs(logit - want))
     assert worst_att < 1e-12

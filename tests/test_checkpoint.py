@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,11 @@ from deepicf.checkpoint import load_checkpoint, save_checkpoint, save_text
 from deepicf.errors import CheckpointError
 from deepicf.model import ModelConfig, Variant, init_params
 from deepicf.numerics import rng_from_seed
+
+# sha256 of the DICF1 bytes written by test_file_bytes_are_pinned; pins
+# the file format
+GOLDEN_SHA256 = ("1c27d32d2f536c967106d513bb34b661"
+                 "172ec0bb3dda6d119204ad26e417344d")
 
 CONFIGS = [
     ModelConfig(variant=Variant.FISM, k=5, alpha=0.3),
@@ -20,8 +26,8 @@ CONFIGS = [
 def test_round_trip_is_bit_identical(tmp_path, config):
     params = init_params(config, 7, 11, rng_from_seed(1))
     # make the payload non-trivial everywhere
-    params.user_bias[:] = rng_from_seed(2).normal(size=7)
-    params.item_bias[:] = rng_from_seed(3).normal(size=11)
+    params["user_bias"][:] = rng_from_seed(2).normal(size=7)
+    params["item_bias"][:] = rng_from_seed(3).normal(size=11)
     first = tmp_path / "a.ckpt"
     save_checkpoint(first, params, config)
     loaded, cfg2, num_users, num_items = load_checkpoint(first)
@@ -71,3 +77,61 @@ def test_text_export_smoke(tmp_path):
     text = out.read_text()
     assert "# target_embed shape 4x6" in text
     assert "# att_out shape 4" in text
+
+
+def test_file_bytes_are_pinned(tmp_path):
+    config = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3,
+                         num_layers=2, beta=0.7)
+    params = init_params(config, 3, 5, rng_from_seed(11))
+    params["user_bias"][:] = rng_from_seed(12).normal(size=3)
+    params["item_bias"][:] = rng_from_seed(13).normal(size=5)
+    path = tmp_path / "golden.ckpt"
+    save_checkpoint(path, params, config)
+    blob = path.read_bytes()
+    assert len(blob) == 918
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
+
+
+def test_non_ascii_header_rejected(tmp_path):
+    path = tmp_path / "n.ckpt"
+    path.write_bytes("DICF1\n1 1 FISM 2 2 0 0.0 0.5\u00e9\n\n".encode("utf-8"))
+    with pytest.raises(CheckpointError, match="not ASCII") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_negative_user_count_rejected(tmp_path):
+    # U=-2 with I=3, k=4 makes the shapes add up to exactly 232 bytes
+    path = tmp_path / "u.ckpt"
+    path.write_bytes(b"DICF1\n-2 3 FISM 4 8 0 0.0 0.5\n\n" + bytes(232))
+    with pytest.raises(CheckpointError, match="U=-2") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("header", [
+    b"1 1 FISM 2 2 1 0.0 0.5\n4\n",       # FISM with a tower
+    b"1 1 FISM 0 2 0 0.0 0.5\n\n",        # k=0
+    b"1 1 FISM 2 2 0 nan 0.5\n\n",        # alpha=nan
+    b"1 1 NCF 2 2 0 0.0 0.5\n\n",         # unknown variant
+], ids=["fism-tower", "k0", "alpha-nan", "variant"])
+def test_header_rejected_by_config_names_file(tmp_path, header):
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(b"DICF1\n" + header)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_failed_save_leaves_previous_file(tmp_path):
+    config = CONFIGS[0]
+    params = init_params(config, 3, 4, rng_from_seed(0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, config)
+    before = path.read_bytes()
+    broken = params.clone()
+    broken["item_bias"] = np.array(["x"] * 4)   # fails after earlier arrays
+    with pytest.raises(ValueError):
+        save_checkpoint(path, broken, config)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -184,10 +184,10 @@ class TestRecommendCommand:
         cfg = ModelConfig(variant=Variant.FISM, k=4)
         params = init_params(cfg, split.train.num_users,
                              split.train.num_items, rng_from_seed(0))
-        params.target_embed[:] = 0.0
-        params.history_embed[:] = 0.0
+        params["target_embed"][:] = 0.0
+        params["history_embed"][:] = 0.0
         best = 17
-        params.item_bias[best] = 3.0
+        params["item_bias"][best] = 3.0
         save_checkpoint(workdir / "bias.ckpt", params, cfg)
         user = split.train.user_ids[0]
         assert best not in set(split.train.history_items(0).tolist())

@@ -124,10 +124,10 @@ class TestEvaluate:
         cfg = ModelConfig(variant=Variant.FISM, k=6)
         params = init_params(cfg, small_split.train.num_users,
                              small_split.train.num_items, rng_from_seed(5))
-        params.target_embed[:] = rng_from_seed(6).normal(
-            0, 0.5, params.target_embed.shape)
-        params.history_embed[:] = rng_from_seed(7).normal(
-            0, 0.5, params.history_embed.shape)
+        params["target_embed"][:] = rng_from_seed(6).normal(
+            0, 0.5, params["target_embed"].shape)
+        params["history_embed"][:] = rng_from_seed(7).normal(
+            0, 0.5, params["history_embed"].shape)
         raw = model_scorer_factory(params, cfg, small_split)
 
         def squashed(user):
@@ -191,15 +191,19 @@ class TestItemKnn:
         assert model.similarity(2, 0) == 0.0
         assert np.array_equal(model.similarity_row(2), np.zeros(3))
 
-    def test_scores_sum_history_similarities(self):
+    @pytest.mark.parametrize("top_n", [None, 2])
+    def test_scores_sum_history_similarities(self, top_n):
         ds = synthetic_dataset(num_users=12, num_items=40, seed=9)
-        model, factory = item_knn_fit_and_score(ds)
+        model, factory = item_knn_fit_and_score(ds, top_n=top_n)
         user = 3
         hist = ds.history_items(user)
+        # the last candidate is from the user's own history: it scores as
+        # the sum over the rest of the history, without self-similarity
         cands = np.array([i for i in range(40)
-                          if i not in set(hist.tolist())][:10])
+                          if i not in set(hist.tolist())][:10]
+                         + [int(hist[0])])
         got = factory(user)(cands)
-        want = [sum(model.similarity(int(c), int(j)) for j in hist)
+        want = [sum(model.similarity(int(c), int(j)) for j in hist if j != c)
                 for c in cands]
         assert np.abs(got - np.array(want)).max() < 1e-12
 
@@ -243,11 +247,11 @@ class TestCheckpointOracleEquivalence:
         params = init_params(cfg, small_split.train.num_users,
                              small_split.train.num_items, rng_from_seed(8))
         rng = rng_from_seed(9)
-        params.target_embed[:] = rng.normal(0, 0.5, params.target_embed.shape)
-        params.history_embed[:] = rng.normal(0, 0.5,
-                                             params.history_embed.shape)
-        params.user_bias[:] = rng.normal(0, 0.1, params.user_bias.shape)
-        params.item_bias[:] = rng.normal(0, 0.1, params.item_bias.shape)
+        params["target_embed"][:] = rng.normal(0, 0.5, params["target_embed"].shape)
+        params["history_embed"][:] = rng.normal(0, 0.5,
+                                             params["history_embed"].shape)
+        params["user_bias"][:] = rng.normal(0, 0.1, params["user_bias"].shape)
+        params["item_bias"][:] = rng.normal(0, 0.1, params["item_bias"].shape)
         path = tmp_path / "fism.ckpt"
         save_checkpoint(path, params, cfg)
         loaded, loaded_cfg, _, _ = load_checkpoint(path)
@@ -262,12 +266,12 @@ class TestCheckpointOracleEquivalence:
             out = []
             for c in items.tolist():
                 masked = [j for j in hist.tolist() if j != c]
-                total = sum(float(params.target_embed[c]
-                                  @ params.history_embed[j])
+                total = sum(float(params["target_embed"][c]
+                                  @ params["history_embed"][j])
                             for j in masked)
                 scale = len(masked) ** -0.5 if masked else 1.0
-                out.append(scale * total + float(params.user_bias[user])
-                           + float(params.item_bias[c]))
+                out.append(scale * total + float(params["user_bias"][user])
+                           + float(params["item_bias"][c]))
             return np.asarray(out)
 
         for user, rank in report.per_user:

@@ -24,12 +24,12 @@ def tiny_params(config, num_users, num_items, rng, scale=0.4):
 
 def inner_product_oracle(params, hist, item, alpha, with_bias=True):
     hist = [j for j in hist if j != item]
-    total = sum(float(params.target_embed[item] @ params.history_embed[j])
+    total = sum(float(params["target_embed"][item] @ params["history_embed"][j])
                 for j in hist)
     scale = len(hist) ** -alpha if hist else 1.0
     out = scale * total
     if with_bias:
-        out += float(params.user_bias[0]) + float(params.item_bias[item])
+        out += float(params["user_bias"][0]) + float(params["item_bias"][item])
     return out
 
 
@@ -39,13 +39,13 @@ def attention_oracle(params, hist, item, beta):
         return 0.0
     scores = []
     for j in hist:
-        v = params.history_embed[j] * params.target_embed[item]
-        hidden = np.maximum(params.att_weight @ v + params.att_bias, 0.0)
-        scores.append(float(params.att_out @ hidden))
+        v = params["history_embed"][j] * params["target_embed"][item]
+        hidden = np.maximum(params["att_weight"] @ v + params["att_bias"], 0.0)
+        scores.append(float(params["att_out"] @ hidden))
     denom = sum(math.exp(s) for s in scores) ** beta
     return sum(
         math.exp(s) / denom
-        * float(params.target_embed[item] @ params.history_embed[j])
+        * float(params["target_embed"][item] @ params["history_embed"][j])
         for j, s in zip(hist, scores))
 
 
@@ -87,22 +87,22 @@ class TestInit:
         cfg = ModelConfig(variant=Variant.DEEPICF_A, k=6, k_prime=4,
                           num_layers=2, layer_sizes=(5, 3))
         p = init_params(cfg, 4, 7, rng_from_seed(0))
-        assert np.array_equal(p.user_bias, np.zeros(4))
-        assert np.array_equal(p.item_bias, np.zeros(7))
-        assert np.array_equal(p.att_bias, np.zeros(4))
+        assert np.array_equal(p["user_bias"], np.zeros(4))
+        assert np.array_equal(p["item_bias"], np.zeros(7))
+        assert np.array_equal(p["att_bias"], np.zeros(4))
         assert [w.shape for w in p.layer_weights] == [(5, 6), (3, 5)]
-        assert p.output_weights.shape == (3,)
+        assert p["output_weights"].shape == (3,)
 
     def test_fism_output_weights_are_ones(self):
         cfg = ModelConfig(variant=Variant.FISM, k=5)
         p = init_params(cfg, 3, 4, rng_from_seed(0))
-        assert np.array_equal(p.output_weights, np.ones(5))
+        assert np.array_equal(p["output_weights"], np.ones(5))
 
     def test_gaussian_statistics(self):
         cfg = ModelConfig(variant=Variant.DEEPICF, k=10, num_layers=0)
         p = init_params(cfg, 2, 500, rng_from_seed(12))
-        sample = np.concatenate([p.target_embed.ravel(),
-                                 p.history_embed.ravel()])
+        sample = np.concatenate([p["target_embed"].ravel(),
+                                 p["history_embed"].ravel()])
         assert sample.size == 10_000
         assert abs(sample.mean()) < 0.001
         assert abs(sample.std() - 0.01) < 0.002
@@ -112,8 +112,8 @@ class TestForwardPieces:
     def test_pairwise_hand_value(self):
         cfg = ModelConfig(variant=Variant.FISM, k=2)
         p = init_params(cfg, 1, 2, rng_from_seed(0))
-        p.history_embed[1] = [3.0, 4.0]
-        p.target_embed[0] = [1.0, 2.0]
+        p["history_embed"][1] = [3.0, 4.0]
+        p["target_embed"][0] = [1.0, 2.0]
         hist, v = pairwise_interactions(p, [1], 0)
         assert hist.tolist() == [1]
         assert np.array_equal(v, [[3.0, 8.0]])
@@ -121,7 +121,7 @@ class TestForwardPieces:
     def test_pairwise_zero_target_annihilates(self):
         cfg = ModelConfig(variant=Variant.FISM, k=3)
         p = init_params(cfg, 1, 4, rng_from_seed(1))
-        p.target_embed[2] = 0.0
+        p["target_embed"][2] = 0.0
         _, v = pairwise_interactions(p, [0, 1, 3], 2)
         assert np.array_equal(v, np.zeros((3, 3)))
 
@@ -203,10 +203,10 @@ class TestPredict:
     def test_fism_hand_logit(self):
         cfg = ModelConfig(variant=Variant.FISM, k=2, alpha=0.0)
         p = init_params(cfg, 1, 2, rng_from_seed(0))
-        p.history_embed[1] = [3.0, 4.0]
-        p.target_embed[0] = [1.0, 2.0]
-        p.user_bias[:] = 0.0
-        p.item_bias[:] = 0.0
+        p["history_embed"][1] = [3.0, 4.0]
+        p["target_embed"][0] = [1.0, 2.0]
+        p["user_bias"][:] = 0.0
+        p["item_bias"][:] = 0.0
         logit, _ = predict_logit(p, cfg, [1], 0, 0)
         assert logit == pytest.approx(11.0, abs=1e-12)
 
@@ -215,8 +215,8 @@ class TestPredict:
     def test_empty_history_is_bias_only(self, variant, layers):
         cfg = ModelConfig(variant=variant, k=4, k_prime=3, num_layers=layers)
         p = init_params(cfg, 2, 3, rng_from_seed(4))
-        p.user_bias[0] = 0.3
-        p.item_bias[1] = -0.1
+        p["user_bias"][0] = 0.3
+        p["item_bias"][1] = -0.1
         logit, _ = predict_logit(p, cfg, [], 0, 1)
         assert logit == pytest.approx(0.2, abs=1e-12)
 
@@ -281,9 +281,9 @@ class TestRecoveryIdentities:
                           alpha=0.5)
         for _ in range(200):
             p, _ = tiny_params(cfg, 2, 10, rng, scale=0.5)
-            p.output_weights[:] = 1.0
-            p.user_bias[:] = 0.0
-            p.item_bias[:] = 0.0
+            p["output_weights"][:] = 1.0
+            p["user_bias"][:] = 0.0
+            p["item_bias"][:] = 0.0
             hist = rng.choice(10, size=rng.integers(1, 7), replace=False)
             item = int(rng.integers(10))
             logit, _ = predict_logit(p, cfg, hist, 0, item)
@@ -297,9 +297,9 @@ class TestRecoveryIdentities:
                           num_layers=0, beta=0.6)
         for _ in range(200):
             p, _ = tiny_params(cfg, 2, 10, rng, scale=0.5)
-            p.output_weights[:] = 1.0
-            p.user_bias[:] = 0.0
-            p.item_bias[:] = 0.0
+            p["output_weights"][:] = 1.0
+            p["user_bias"][:] = 0.0
+            p["item_bias"][:] = 0.0
             hist = rng.choice(10, size=rng.integers(1, 7), replace=False)
             item = int(rng.integers(10))
             logit, _ = predict_logit(p, cfg, hist, 0, item)
@@ -319,14 +319,16 @@ class TestBackward:
     def test_fism_item_bias_gradient_scalar_oracle(self):
         cfg = ModelConfig(variant=Variant.FISM, k=2, alpha=0.0)
         p = init_params(cfg, 1, 2, rng_from_seed(0))
-        p.history_embed[1] = [3.0, 4.0]
-        p.target_embed[0] = [1.0, 2.0]
+        p["history_embed"][1] = [3.0, 4.0]
+        p["target_embed"][0] = [1.0, 2.0]
         logit, cache = predict_logit(p, cfg, [1], 0, 0)
         _, dlogit = bce_from_logit(logit, 1)
         grads = backward(p, cfg, cache, dlogit)
         want = -1.0 / (1.0 + math.exp(11.0))  # sigmoid(11) - 1
-        assert grads.d_item_bias == pytest.approx(-1.67e-5, rel=1e-2)
-        assert grads.d_item_bias == pytest.approx(want, rel=1e-12)
+        row, d_item_bias = grads.rows["item_bias"]
+        assert row == 0
+        assert d_item_bias == pytest.approx(-1.67e-5, rel=1e-2)
+        assert d_item_bias == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("variant,layers,beta", [
         (Variant.FISM, 0, 0.5),

@@ -5,11 +5,11 @@ import pytest
 
 from deepicf.data import leave_one_out_split
 from deepicf.errors import ConfigError, TrainingDiverged
-from deepicf.model import (ModelConfig, Variant, backward, flatten_grads,
-                           flatten_params, init_params, params_from_flat,
-                           predict_logit)
+from deepicf.model import (ModelConfig, ModelParams, Variant, backward,
+                           flatten_grads, flatten_params, init_params,
+                           params_from_flat, predict_logit)
 from deepicf.numerics import bce_from_logit, finite_diff_grad, rng_from_seed
-from deepicf.training import (AdagradState, adagrad_step, add_l2_grads, fit,
+from deepicf.training import (AdagradState, add_l2_grads, apply_batch, fit,
                               loss_with_reg, pretrain_and_init, train_epoch)
 
 from conftest import make_dataset, synthetic_dataset
@@ -22,35 +22,35 @@ def one_param_setup(grad_value):
     state = AdagradState(params, lr=0.01)
     _, cache = predict_logit(params, cfg, [1], 0, 0)
     grads = backward(params, cfg, cache, 1.0)
-    grads.d_target = np.array([grad_value])
-    grads.d_history = np.zeros((1, 1))
-    grads.d_user_bias = 0.0
-    grads.d_item_bias = 0.0
+    grads.rows["target_embed"] = (0, np.array([grad_value]))
+    grads.rows["history_embed"] = (np.array([1]), np.zeros((1, 1)))
+    grads.rows["user_bias"] = (0, 0.0)
+    grads.rows["item_bias"] = (0, 0.0)
     return cfg, params, state, grads
 
 
 class TestAdagrad:
     def test_first_step_magnitude_is_about_lr(self):
         _, params, state, grads = one_param_setup(2.0)
-        before = float(params.target_embed[0, 0])
-        adagrad_step(state, params, grads)
-        delta = float(params.target_embed[0, 0]) - before
+        before = float(params["target_embed"][0, 0])
+        apply_batch(state, params, [grads])
+        delta = float(params["target_embed"][0, 0]) - before
         assert delta == pytest.approx(-0.01 * 2.0 / (2.0 + 1e-8), rel=1e-9)
 
     def test_zero_gradient_changes_nothing(self):
         _, params, state, grads = one_param_setup(0.0)
-        before = params.target_embed.copy()
-        adagrad_step(state, params, grads)
-        assert np.array_equal(params.target_embed, before)
-        assert np.array_equal(state.target_embed, np.zeros_like(before))
+        before = params["target_embed"].copy()
+        apply_batch(state, params, [grads])
+        assert np.array_equal(params["target_embed"], before)
+        assert np.array_equal(state["target_embed"], np.zeros_like(before))
 
     def test_repeated_gradient_damps(self):
         _, params, state, grads = one_param_setup(2.0)
-        x0 = float(params.target_embed[0, 0])
-        adagrad_step(state, params, grads)
-        x1 = float(params.target_embed[0, 0])
-        adagrad_step(state, params, grads)
-        x2 = float(params.target_embed[0, 0])
+        x0 = float(params["target_embed"][0, 0])
+        apply_batch(state, params, [grads])
+        x1 = float(params["target_embed"][0, 0])
+        apply_batch(state, params, [grads])
+        x2 = float(params["target_embed"][0, 0])
         assert abs(x2 - x1) < abs(x1 - x0)
 
     def test_accumulators_never_decrease(self):
@@ -61,23 +61,22 @@ class TestAdagrad:
         params = init_params(cfg, split.train.num_users,
                              split.train.num_items, rng_from_seed(1))
         state = AdagradState(params, lr=cfg.lr)
-        prev = [a.copy() for a in
-                (state.target_embed, state.history_embed, state.user_bias,
-                 state.item_bias, state.output_weights)]
+        names = ("target_embed", "history_embed", "user_bias", "item_bias",
+                 "output_weights")
+        prev = [state[name].copy() for name in names]
         for epoch in range(3):
             train_epoch(params, cfg, split, state, rng_from_seed(2, epoch))
-            now = [state.target_embed, state.history_embed, state.user_bias,
-                   state.item_bias, state.output_weights]
+            now = [state[name] for name in names]
             for old, new in zip(prev, now):
                 assert np.all(new >= old)
             prev = [a.copy() for a in now]
 
     def test_untouched_rows_keep_their_state(self):
         _, params, state, grads = one_param_setup(1.0)
-        other_row = params.target_embed[1].copy()
-        adagrad_step(state, params, grads)
-        assert np.array_equal(params.target_embed[1], other_row)
-        assert np.array_equal(state.target_embed[1], np.zeros(1))
+        other_row = params["target_embed"][1].copy()
+        apply_batch(state, params, [grads])
+        assert np.array_equal(params["target_embed"][1], other_row)
+        assert np.array_equal(state["target_embed"][1], np.zeros(1))
 
 
 class TestLossWithReg:
@@ -102,10 +101,10 @@ class TestLossWithReg:
         _, cache = predict_logit(params, cfg, [0, 2], 1, 3)
         grads = backward(params, cfg, cache, 0.0)
         add_l2_grads(grads, params, cfg)
-        assert np.array_equal(grads.d_target, np.zeros(3))
-        assert np.array_equal(grads.d_history, np.zeros((2, 3)))
+        assert np.array_equal(grads.rows["target_embed"][1], np.zeros(3))
+        assert np.array_equal(grads.rows["history_embed"][1], np.zeros((2, 3)))
         # tower weights do receive the 2*lambda*W term
-        assert np.allclose(grads.d_layer_w[0],
+        assert np.allclose(grads.dense["W0"],
                            0.4 * params.layer_weights[0], atol=1e-15)
 
     def test_embedding_reg_matches_finite_differences_when_enabled(self):
@@ -179,7 +178,7 @@ class TestTrainEpoch:
                           epochs=3, seed=2)
         params = init_params(cfg, split.train.num_users,
                              split.train.num_items, rng_from_seed(0))
-        params.target_embed[0, 0] = np.inf
+        params["target_embed"][0, 0] = np.inf
         state = AdagradState(params, lr=cfg.lr)
         with pytest.raises(TrainingDiverged) as err:
             train_epoch(params, cfg, split, state, rng_from_seed(4))
@@ -193,8 +192,8 @@ class TestTrainEpoch:
                           epochs=5, seed=2)
         params = init_params(cfg, split.train.num_users,
                              split.train.num_items, rng_from_seed(0))
-        params.target_embed[:] = 1e200
-        params.history_embed[:] = 1e200
+        params["target_embed"][:] = 1e200
+        params["history_embed"][:] = 1e200
         with pytest.raises(TrainingDiverged) as err:
             fit(cfg, split, params=params)
         assert err.value.epoch == 1
@@ -224,6 +223,34 @@ class TestTrainEpoch:
         for a, b in zip(*results):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("variant,layers", [
+        (Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 1)])
+    def test_summed_batch_matches_dense_step(self, variant, layers):
+        num_users, num_items, lr = 3, 9, 0.05
+        cfg = ModelConfig(variant=variant, k=4, k_prime=3, num_layers=layers,
+                          alpha=0.0 if variant is Variant.DEEPICF_A else 0.5)
+        rng = rng_from_seed(13)
+        params = init_params(cfg, num_users, num_items, rng)
+        flat = rng.normal(0.0, 0.4, size=flatten_params(params, cfg).size)
+        params = params_from_flat(flat, cfg, num_users, num_items).clone()
+        # (user, history, item, label): targets 2 and 5 repeat, history
+        # rows 0, 1 and 4 are shared, and 5 is also a history row
+        instances = [(0, [0, 1, 4], 2, 1), (1, [1, 4, 5, 7], 2, 0),
+                     (0, [0, 1, 4], 5, 0), (2, [0, 4, 8], 5, 1),
+                     (1, [1, 4, 5, 7], 3, 1)]
+        batch, total = [], np.zeros_like(flat)
+        for user, hist, item, label in instances:
+            logit, cache = predict_logit(params, cfg, hist, user, item)
+            grads = backward(params, cfg, cache, bce_from_logit(logit, label)[1])
+            batch.append(grads)
+            total += flatten_grads(grads, cfg, num_users, num_items)
+        state = AdagradState(params, lr=lr)
+        apply_batch(state, params, batch)
+        acc = total * total
+        want = flat - lr * total / (np.sqrt(acc) + state.epsilon)
+        assert np.array_equal(flatten_params(params, cfg), want)
+        assert np.array_equal(flatten_params(ModelParams(state), cfg), acc)
+
     def test_overfits_a_separable_toy_problem(self):
         # two disjoint item cliques; plenty of capacity should drive the
         # training loss to nearly zero
@@ -248,15 +275,15 @@ class TestPretraining:
         from deepicf.model import fism_config
         companion = fism_config(cfg)
         fism_params, _ = fit(companion, small_split, seed_labels=("pretrain",))
-        assert np.array_equal(params.target_embed, fism_params.target_embed)
-        assert np.array_equal(params.history_embed, fism_params.history_embed)
+        assert np.array_equal(params["target_embed"], fism_params["target_embed"])
+        assert np.array_equal(params["history_embed"], fism_params["history_embed"])
         # everything else is freshly initialized, not copied
         fresh = init_params(cfg, small_split.train.num_users,
                             small_split.train.num_items,
                             rng_from_seed(cfg.seed, "init"))
-        assert np.array_equal(params.att_weight, fresh.att_weight)
-        assert np.array_equal(params.output_weights, fresh.output_weights)
-        assert np.array_equal(params.user_bias, np.zeros_like(params.user_bias))
+        assert np.array_equal(params["att_weight"], fresh["att_weight"])
+        assert np.array_equal(params["output_weights"], fresh["output_weights"])
+        assert np.array_equal(params["user_bias"], np.zeros_like(params["user_bias"]))
 
     def test_zero_epoch_pretrain_copies_random_embeddings(self, small_split):
         cfg = ModelConfig(variant=Variant.DEEPICF, k=5, num_layers=1,
@@ -266,7 +293,7 @@ class TestPretraining:
         untrained = init_params(fism_config(cfg), small_split.train.num_users,
                                 small_split.train.num_items,
                                 rng_from_seed(cfg.seed, "pretrain", "init"))
-        assert np.array_equal(params.target_embed, untrained.target_embed)
+        assert np.array_equal(params["target_embed"], untrained["target_embed"])
 
     def test_rejects_fism(self, small_split):
         cfg = ModelConfig(variant=Variant.FISM, k=4)

@@ -19,7 +19,7 @@ from deepicf.config import load_config
 from deepicf.errors import CheckpointError, DataError, DeepIcfError, TrainingDiverged
 from deepicf.evaluation import (evaluate, item_knn_fit_and_score,
                                 item_pop_scorer, model_scorer_factory)
-from deepicf.model import Variant, predict_logit, score_items
+from deepicf.model import Variant, forward, score_items
 from deepicf.training import fit, pretrain_and_init
 
 log = logging.getLogger("deepicf")
@@ -153,12 +153,11 @@ def cmd_recommend(args):
         item = int(candidates[pos])
         print(f"{rank}\t{train.item_ids[item]}\t{scores[pos]:.6f}")
     if config.variant is Variant.DEEPICF_A and hist.size:
-        for pos in order:
-            item = int(candidates[pos])
-            _, cache = predict_logit(params, config, hist, user, item)
+        top = candidates[order]
+        cache = forward(params, config, hist, user, top)
+        for item, weights, keep in zip(top.tolist(), cache.weights, cache.keep):
             print(f"# attention {train.item_ids[item]}")
-            for j, weight in zip(cache.hist.tolist(),
-                                 cache.attention.weights.tolist()):
+            for j, weight in zip(hist[keep].tolist(), weights[keep].tolist()):
                 print(f"{train.item_ids[j]}\t{weight:.6f}")
     return 0
 

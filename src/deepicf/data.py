@@ -219,7 +219,10 @@ class LooSplit:
     eval_negatives: list = field(repr=False)
     seed: int | None = None
 
-    def validate(self):
+    def validate(self, where=lambda user, part: f"user {user}"):
+        """Check the split's invariants; raise :class:`DataError` on the
+        first violation. ``where(user, part)`` names the source of a
+        user's ``part`` ("test" or "negatives") in the message."""
         tr = self.train
         if self.test_items.shape != (tr.num_users,):
             raise DataError("one test item per user required")
@@ -229,13 +232,16 @@ class LooSplit:
             hist = set(tr.history_items(u).tolist())
             t = int(self.test_items[u])
             if t in hist:
-                raise DataError(f"user {u}: test item {t} in training history")
+                raise DataError(
+                    f"{where(u, 'test')}: test item {t} in training history")
             negs = self.eval_negatives[u]
             if np.unique(negs).size != negs.size:
-                raise DataError(f"user {u}: duplicate evaluation negatives")
+                raise DataError(
+                    f"{where(u, 'negatives')}: duplicate evaluation negatives")
             bad = hist.union([t]).intersection(negs.tolist())
             if bad:
-                raise DataError(f"user {u}: negatives overlap history: {bad}")
+                raise DataError(f"{where(u, 'negatives')}: negatives overlap"
+                                f" history or test item: {sorted(bad)}")
         return self
 
 
@@ -424,7 +430,12 @@ def _read_idmap(path):
 
 
 def load_split(prefix):
-    """Read split files written by :func:`save_split`."""
+    """Read split files written by :func:`save_split` and validate them.
+
+    Every defect (a malformed row, an index out of range, a user listed
+    twice or not at all, negatives that overlap the history) is a
+    :class:`DataError` naming the file and line.
+    """
     prefix = str(prefix)
     user_ids, item_ids = _read_idmap(prefix + ".idmap")
     num_users, num_items = len(user_ids), len(item_ids)
@@ -439,8 +450,10 @@ def load_split(prefix):
             parts = line.split("\t")
             if len(parts) != 4:
                 raise DataError(f"{prefix}.train: line {lineno}: bad row {line!r}")
-            u, i, _rating, ts = parts
-            u, i, ts = int(u), int(i), int(ts)
+            try:
+                u, i, ts = int(parts[0]), int(parts[1]), int(parts[3])
+            except ValueError:
+                raise DataError(f"{prefix}.train: line {lineno}: bad row {line!r}")
             if not (0 <= u < num_users and 0 <= i < num_items):
                 raise DataError(f"{prefix}.train: line {lineno}: index out of range")
             items_per_user[u].append(i)
@@ -449,33 +462,50 @@ def load_split(prefix):
     train = InteractionDataset(user_ids, item_ids, items_per_user,
                                times_per_user)
 
-    test_items = np.full(num_users, -1, dtype=np.int64)
-    with open(prefix + ".test", encoding="utf-8") as f:
+    test_rows, test_lines = _read_user_rows(prefix + ".test", num_users,
+                                            num_items, single=True)
+    negatives, negative_lines = _read_user_rows(prefix + ".negatives",
+                                                num_users, num_items)
+    lines = {"test": test_lines, "negatives": negative_lines}
+    split = LooSplit(train=train,
+                     test_items=np.concatenate(test_rows).astype(np.int64),
+                     eval_negatives=negatives, seed=None)
+    return split.validate(
+        where=lambda u, part: f"{prefix}.{part}: line {lines[part][u]}")
+
+
+def _read_user_rows(path, num_users, num_items, single=False):
+    """Rows ``user TAB item [TAB item ...]`` of a ``.test`` (``single``: one
+    item per row) or ``.negatives`` file: exactly one row per user, every
+    index in range. Returns the per-user item arrays and line numbers."""
+    rows = [None] * num_users
+    lines = [0] * num_users
+    with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
             if not line:
                 continue
             try:
-                u, i = (int(p) for p in line.split("\t"))
+                user, *items = [int(p) for p in line.split("\t")]
             except ValueError:
-                raise DataError(f"{prefix}.test: line {lineno}: bad row {line!r}")
-            test_items[u] = i
-    if (test_items < 0).any():
-        raise DataError(f"{prefix}.test: missing test item for some users")
-
-    negatives = [None] * num_users
-    with open(prefix + ".negatives", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = [int(p) for p in line.split("\t")]
-            u, negs = parts[0], parts[1:]
-            if not negs:
-                raise DataError(f"{prefix}.negatives: line {lineno}: no negatives")
-            negatives[u] = np.asarray(negs, dtype=np.int64)
-    if any(n is None for n in negatives):
-        raise DataError(f"{prefix}.negatives: missing rows for some users")
-
-    return LooSplit(train=train, test_items=test_items,
-                    eval_negatives=negatives, seed=None)
+                raise DataError(f"{path}: line {lineno}: bad row {line!r}")
+            if not items or (single and len(items) != 1):
+                raise DataError(f"{path}: line {lineno}: expected"
+                                f" {'one item' if single else 'items'}"
+                                f" after the user, got {line!r}")
+            if not 0 <= user < num_users:
+                raise DataError(f"{path}: line {lineno}: user index {user}"
+                                f" outside [0, {num_users})")
+            if rows[user] is not None:
+                raise DataError(f"{path}: line {lineno}: user {user} already"
+                                f" listed on line {lines[user]}")
+            bad = [i for i in items if not 0 <= i < num_items]
+            if bad:
+                raise DataError(f"{path}: line {lineno}: item index {bad[0]}"
+                                f" outside [0, {num_items})")
+            rows[user] = np.asarray(items, dtype=np.int64)
+            lines[user] = lineno
+    missing = [u for u, row in enumerate(rows) if row is None]
+    if missing:
+        raise DataError(f"{path}: no row for user {missing[0]}")
+    return rows, lines

@@ -7,6 +7,13 @@ the target-item embedding and each history-item embedding, a pooling step
 softmax), an optional ReLU tower over the pooled vector, and a linear
 prediction layer with user and item biases.
 
+:func:`forward` is the one implementation of that skeleton. It scores a
+user's history against one item or a whole candidate set, each candidate
+masked out of the history by its own row of a mask; training's
+:func:`predict_logit` and ranking's :func:`score_items` are calls of it.
+:func:`backward` differentiates its cache for the one item that training
+scores at a time.
+
 The tensors of a variant are declared once, by :func:`param_layout`;
 parameters, the flat views used by the gradient checks, the optimizer
 state and the checkpoint format are all derived from that list.
@@ -159,16 +166,6 @@ class ModelParams(dict):
     in :func:`param_layout` order."""
 
     @property
-    def layer_weights(self):
-        """Tower weight matrices W_l: (d_l, d_{l-1}), bottom layer first."""
-        return [a for name, a in self.items() if name[0] == "W"]
-
-    @property
-    def layer_biases(self):
-        """Tower biases b_l: (d_l,), bottom layer first."""
-        return [a for name, a in self.items() if name[0] == "b"]
-
-    @property
     def num_users(self):
         return self["user_bias"].shape[0]
 
@@ -209,171 +206,110 @@ def init_params(config, num_users, num_items, rng):
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
+# Forward and backward
 # ---------------------------------------------------------------------------
-
-def pairwise_interactions(params, history, item):
-    """Elementwise products q_j * p_i over the history with the target item
-    masked out. Returns (masked history indices, the (n, k) matrix)."""
-    hist = np.asarray(history, dtype=np.int64)
-    hist = hist[hist != item]
-    return hist, params["history_embed"][hist] * params["target_embed"][item]
-
-
-def pool_average(pairwise, alpha):
-    """Sum the interaction vectors scaled by |set|^-alpha.
-
-    alpha=0 gives plain sum pooling, alpha=1 the mean. An empty set pools
-    to the zero vector (the normalizer is defined as 1 to avoid 0**0).
-    """
-    n = pairwise.shape[0]
-    if n == 0:
-        return np.zeros(pairwise.shape[1])
-    scale = 1.0 if alpha == 0.0 else float(n) ** -alpha
-    return scale * pairwise.sum(axis=0)
-
-
-@dataclass
-class AttentionCache:
-    pre: np.ndarray       # (n, k') hidden pre-activations
-    hidden: np.ndarray    # (n, k') ReLU outputs
-    scores: np.ndarray    # (n,)
-    weights: np.ndarray   # (n,) beta-softmax weights
-    pooled: np.ndarray    # (k,)
-
-
-def attention_forward(pairwise, att_weight, att_bias, att_out, beta):
-    """Score each interaction vector with the one-hidden-layer attention
-    net, normalize with the beta-smoothed softmax, and pool. The history
-    length normalizer is omitted here by convention (alpha = 0)."""
-    n, k = pairwise.shape
-    if n == 0:
-        empty = np.empty((0, att_weight.shape[0]))
-        return AttentionCache(pre=empty, hidden=empty, scores=np.empty(0),
-                              weights=np.empty(0), pooled=np.zeros(k))
-    pre = pairwise @ att_weight.T + att_bias
-    hidden = relu(pre)
-    scores = hidden @ att_out
-    weights = softmax_beta(scores, beta)
-    pooled = weights @ pairwise
-    return AttentionCache(pre=pre, hidden=hidden, scores=scores,
-                          weights=weights, pooled=pooled)
-
-
-def pool_attention(pairwise, att_weight, att_bias, att_out, beta):
-    """Attention pooling; returns (pooled vector, attention weights)."""
-    cache = attention_forward(pairwise, att_weight, att_bias, att_out, beta)
-    return cache.pooled, cache.weights
-
-
-def mlp_forward(x, weights, biases):
-    """ReLU tower over the pooled vector. Returns the final activation and
-    the per-layer (pre-activation, activation) lists; depth 0 is the
-    identity."""
-    pres, acts = [], []
-    out = x
-    for w, b in zip(weights, biases):
-        if w.shape[1] != out.shape[0]:
-            raise ModelError(
-                f"layer expects input of size {w.shape[1]}, got {out.shape[0]}")
-        pre = w @ out + b
-        out = relu(pre)
-        pres.append(pre)
-        acts.append(out)
-    return out, pres, acts
-
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs, captured during prediction."""
+    """One user's forward pass over ``items``, which is one item index or
+    an array of candidates. Every per-candidate array has the candidates'
+    shape as its leading axes (written ``...``), so one item gives plain
+    vectors and scalars."""
 
     user: int
-    item: int
-    hist: np.ndarray            # masked history indices
-    pairwise: np.ndarray        # (n, k)
-    pool_scale: float           # |set|^-alpha (1.0 for attention/empty)
-    attention: AttentionCache | None
-    pooled: np.ndarray
-    layer_pres: list
+    items: object                # one item index, or an array of them
+    hist: np.ndarray             # (n,) history indices
+    keep: np.ndarray             # (..., n) False where the candidate is in the history
+    hist_embed: np.ndarray       # (n, k) gathered history embeddings
+    target: np.ndarray           # (..., k) target embeddings
+    pool_scale: object           # (..., 1) |kept history|^-alpha, or 1.0
+    hist_sum: np.ndarray | None  # (..., k) sum of the kept history rows
+    pairwise: np.ndarray | None  # (..., n, k) products, attention only
+    att_pre: np.ndarray | None   # (..., n, k') attention hidden pre-activations
+    att_hidden: np.ndarray | None
+    scores: np.ndarray | None    # (..., n) attention scores
+    weights: np.ndarray | None   # (..., n) beta-softmax weights, 0 where masked
+    pooled: np.ndarray           # (..., k)
+    layer_pres: list             # per tower layer, (..., d_l)
     layer_acts: list
-    logit: float
+    logit: object                # (...)
+
+
+def forward(params, config, history, user, items):
+    """The forward pass of every variant, for one user's training history
+    and a candidate set.
+
+    Each candidate is masked out of the history by its own row of
+    ``keep``, so a leaked copy of an item cannot influence its own score.
+    The elementwise products of the target and history embeddings are
+    pooled, with the |set|^-alpha normalized sum or with the attention
+    net and its beta-smoothed softmax (history-length normalizer omitted,
+    alpha = 0), then passed through the ReLU tower and the prediction
+    layer. Indices are not range-checked here.
+    """
+    hist = np.asarray(history, dtype=np.int64)
+    keep = hist != np.asarray(items)[..., None]
+    q = params["history_embed"][hist]
+    p = params["target_embed"][items]
+    hist_sum = pairwise = att_pre = att_hidden = scores = weights = None
+    if config.uses_attention:
+        scale = 1.0
+        pairwise = q * p[..., None, :]
+        att_pre = pairwise @ params["att_weight"].T + params["att_bias"]
+        att_hidden = relu(att_pre)
+        scores = att_hidden @ params["att_out"]
+        weights = (softmax_beta(scores, config.beta, keep) if hist.size
+                   else np.zeros(scores.shape))
+        pooled = (weights[..., None, :] @ pairwise)[..., 0, :]
+    else:
+        # alpha=0 is plain sum pooling; an empty set pools to zero, with
+        # the normalizer defined as 1 to avoid 0**-alpha
+        scale = (1.0 if config.alpha == 0.0 else
+                 np.maximum(keep.sum(axis=-1, keepdims=True), 1) ** -config.alpha)
+        hist_sum = keep @ q
+        pooled = scale * (p * hist_sum)
+    out = pooled
+    pres, acts = [], []
+    for layer in range(config.num_layers):
+        w = params[f"W{layer}"]
+        if w.shape[1] != out.shape[-1]:
+            raise ModelError(
+                f"layer expects input of size {w.shape[1]}, got {out.shape[-1]}")
+        pre = out @ w.T + params[f"b{layer}"]
+        out = relu(pre)
+        pres.append(pre)
+        acts.append(out)
+    logit = (out @ params["output_weights"] + params["user_bias"][user]
+             + params["item_bias"][items])
+    return ForwardCache(
+        user=user, items=items, hist=hist, keep=keep, hist_embed=q, target=p,
+        pool_scale=scale, hist_sum=hist_sum, pairwise=pairwise,
+        att_pre=att_pre, att_hidden=att_hidden, scores=scores,
+        weights=weights, pooled=pooled, layer_pres=pres, layer_acts=acts,
+        logit=logit)
 
 
 def predict_logit(params, config, history, user, item):
     """Forward pass for one (user, item) pair given the user's stored
-    training history. The target item is always masked out of the history,
-    so a leaked copy of the item cannot influence its own score. Returns
-    (logit, cache)."""
+    training history. Returns (logit, cache)."""
     if not 0 <= user < params.num_users:
         raise ModelError(f"user index {user} outside [0, {params.num_users})")
     if not 0 <= item < params.num_items:
         raise ModelError(f"item index {item} outside [0, {params.num_items})")
-    hist, pairwise = pairwise_interactions(params, history, item)
-    n = pairwise.shape[0]
-    att = None
-    if config.uses_attention:
-        att = attention_forward(pairwise, params["att_weight"],
-                                params["att_bias"], params["att_out"],
-                                config.beta)
-        pooled = att.pooled
-        scale = 1.0
-    else:
-        scale = 1.0 if (n == 0 or config.alpha == 0.0) else float(n) ** -config.alpha
-        pooled = scale * pairwise.sum(axis=0) if n else np.zeros(config.k)
-    out, pres, acts = mlp_forward(pooled, params.layer_weights,
-                                  params.layer_biases)
-    logit = float(params["output_weights"] @ out
-                  + params["user_bias"][user] + params["item_bias"][item])
-    cache = ForwardCache(user=user, item=item, hist=hist, pairwise=pairwise,
-                         pool_scale=scale, attention=att, pooled=pooled,
-                         layer_pres=pres, layer_acts=acts, logit=logit)
-    return logit, cache
+    cache = forward(params, config, history, user, item)
+    return float(cache.logit), cache
 
 
 def score_items(params, config, history, user, items):
-    """Vectorized forward pass over many candidate items for one user.
-
-    Equivalent to calling :func:`predict_logit` per item (verified by
-    tests); used by the evaluation harness and the recommender, where the
-    candidate set never overlaps the history. Falls back to the scalar
-    path when it does.
-    """
+    """Logits of many candidate items for one user, from one forward pass;
+    used by the evaluation harness and the recommender."""
     items = np.atleast_1d(np.asarray(items, dtype=np.int64))
     if items.size == 0:
         return np.empty(0)
     if items.min() < 0 or items.max() >= params.num_items:
         raise ModelError("item index out of range")
-    hist = np.asarray(history, dtype=np.int64)
-    if hist.size and np.isin(items, hist).any():
-        return np.array([predict_logit(params, config, hist, user, int(i))[0]
-                         for i in items])
-    n = hist.size
-    num = items.shape[0]
-    if n == 0:
-        pooled = np.zeros((num, config.k))
-    elif config.uses_attention:
-        v = (params["history_embed"][hist][None, :, :]
-             * params["target_embed"][items][:, None, :])
-        pre = v @ params["att_weight"].T + params["att_bias"]
-        scores = relu(pre) @ params["att_out"]              # (num, n)
-        weights = np.empty_like(scores)
-        for r in range(num):
-            weights[r] = softmax_beta(scores[r], config.beta)
-        pooled = np.einsum("cn,cnk->ck", weights, v)
-    else:
-        scale = 1.0 if config.alpha == 0.0 else float(n) ** -config.alpha
-        qsum = params["history_embed"][hist].sum(axis=0)
-        pooled = scale * (params["target_embed"][items] * qsum)
-    out = pooled
-    for w, b in zip(params.layer_weights, params.layer_biases):
-        out = relu(out @ w.T + b)
-    return (out @ params["output_weights"]
-            + params["user_bias"][user] + params["item_bias"][items])
+    return forward(params, config, history, user, items).logit
 
-
-# ---------------------------------------------------------------------------
-# Backward
-# ---------------------------------------------------------------------------
 
 @dataclass
 class Grads:
@@ -390,18 +326,19 @@ class Grads:
 
 
 def backward(params, config, cache, dlogit):
-    """Exact analytic gradients for every parameter the variant trains.
+    """Exact analytic gradients for every parameter the variant trains, at
+    the forward cache of one item (the shape training passes).
 
     Chain rule through the prediction layer, the ReLU tower, the pooling
     step, and the pairwise products. For attention pooling the full
     softmax Jacobian is applied: the beta exponent on the shared
     denominator couples all weights, so each score receives
     ``w_r * d_r - beta * g_r * <d, w>`` where g is the plain softmax of the
-    same scores.
+    same scores. The history rows masked out of the pool get no gradient.
     """
+    if cache.keep.ndim != 1:
+        raise ModelError("backward takes the forward cache of one item")
     dlogit = float(dlogit)
-    k = config.k
-    n = cache.hist.size
 
     dense = {}
     if config.trains_output_weights:
@@ -417,38 +354,30 @@ def backward(params, config, cache, dlogit):
         dense[f"b{layer}"] = d_pre
         d_vec = params[f"W{layer}"].T @ d_pre
 
+    rows = cache.hist[cache.keep]
     if config.uses_attention:
-        dense["att_weight"] = np.zeros_like(params["att_weight"])
-        dense["att_bias"] = np.zeros_like(params["att_bias"])
-        dense["att_out"] = np.zeros_like(params["att_out"])
-
-    if n == 0:
-        d_target = np.zeros(k)
-        d_history = np.zeros((0, k))
-    elif config.uses_attention:
-        att = cache.attention
-        # pooled = sum_t w_t v_t
-        d_weights = cache.pairwise @ d_vec                 # (n,)
-        d_pair = att.weights[:, None] * d_vec[None, :]     # direct path
-        d_scores = softmax_beta_vjp(att.scores, config.beta, d_weights)
-        d_hidden = d_scores[:, None] * params["att_out"][None, :]
-        dense["att_out"] = att.hidden.T @ d_scores
-        d_pre = d_hidden * (att.pre > 0.0)
+        # pooled = sum_t w_t v_t; masked rows carry w_t = 0 throughout
+        d_weights = cache.pairwise @ d_vec
+        d_scores = softmax_beta_vjp(cache.scores, cache.weights, config.beta,
+                                    d_weights, cache.keep)
+        dense["att_out"] = cache.att_hidden.T @ d_scores
+        d_pre = np.outer(d_scores, params["att_out"]) * (cache.att_pre > 0.0)
         dense["att_weight"] = d_pre.T @ cache.pairwise
         dense["att_bias"] = d_pre.sum(axis=0)
-        d_pair = d_pair + d_pre @ params["att_weight"]     # attention path
-        d_target = (d_pair * params["history_embed"][cache.hist]).sum(axis=0)
-        d_history = d_pair * params["target_embed"][cache.item][None, :]
+        # direct path through the weights, then the attention path
+        d_pair = np.outer(cache.weights, d_vec) + d_pre @ params["att_weight"]
+        d_target = (d_pair * cache.hist_embed).sum(axis=0)
+        d_history = d_pair[cache.keep] * cache.target
     else:
         d_pool = cache.pool_scale * d_vec
-        d_target = d_pool * params["history_embed"][cache.hist].sum(axis=0)
-        d_history = np.broadcast_to(
-            d_pool * params["target_embed"][cache.item], (n, k))
+        d_target = d_pool * cache.hist_sum
+        d_history = np.broadcast_to(d_pool * cache.target,
+                                    (rows.size, config.k))
 
-    return Grads(rows={"target_embed": (cache.item, d_target),
-                       "history_embed": (cache.hist, d_history),
+    return Grads(rows={"target_embed": (cache.items, d_target),
+                       "history_embed": (rows, d_history),
                        "user_bias": (cache.user, dlogit),
-                       "item_bias": (cache.item, dlogit)},
+                       "item_bias": (cache.items, dlogit)},
                  dense=dense)
 
 

@@ -1,7 +1,8 @@
 """Deterministic numeric kernels: stable sigmoid and log loss, the
-beta-smoothed softmax used by attention pooling, seeded RNG plumbing, and
-a central finite-difference helper that serves as the gradient oracle in
-the test suite.
+beta-smoothed softmax used by attention pooling (row-wise over the last
+axis, with an optional mask, and its vector-Jacobian product), seeded RNG
+plumbing, and a central finite-difference helper that serves as the
+gradient oracle in the test suite.
 
 Everything here is a pure function of its inputs; all arithmetic is done
 in 64-bit floats.
@@ -71,8 +72,9 @@ def bce_from_logit(logit, label):
     return loss, sigmoid(x) - label
 
 
-def softmax_beta(scores, beta):
-    """Softmax variant whose denominator is raised to ``beta`` in [0, 1].
+def softmax_beta(scores, beta, mask=None):
+    """Softmax variant whose denominator is raised to ``beta`` in [0, 1],
+    row by row over the last axis.
 
     Computes ``w_t = exp(s_t) / (sum_u exp(s_u)) ** beta``. With beta=1
     this is the standard softmax (evaluated with the usual max-shift, which
@@ -80,46 +82,72 @@ def softmax_beta(scores, beta):
     result is elementwise exp.
 
     For beta < 1 the max-shift trick is *not* an identity, so the exact
-    convention is: when max|s| <= 30 the formula is evaluated directly in
-    float64 (no shift, no bias); for larger scores it falls back to the
-    log-domain form ``exp(s_t - beta * logsumexp(s))``, which is the
-    shift-consistent rewrite of the same quantity, with the final exponent
-    clamped to the float64-representable range so the output stays finite
-    (the clamp only engages where the true value over- or underflows).
+    convention is: when max|s| <= 30 over a row the formula is evaluated
+    directly in float64 (no shift, no bias); for a row with larger scores
+    it falls back to the log-domain form ``exp(s_t - beta * logsumexp(s))``,
+    which is the shift-consistent rewrite of the same quantity, with the
+    final exponent clamped to the float64-representable range so the
+    output stays finite (the clamp only engages where the true value over-
+    or underflows).
+
+    ``mask``, broadcastable to the scores, leaves out the entries where it
+    is False: they get weight 0 and take no part in the row's sums, its
+    maximum or its choice of branch. A row with no entry left is all zeros.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a non-empty 1-D array")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
+    if s.ndim == 0 or s.shape[-1] == 0:
+        raise ValueError("scores must have a non-empty last axis")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta!r}")
+    bad = ~np.isfinite(s)
+    if mask is not None:
+        bad &= mask
+    if bad.any():
+        raise ValueError("scores must be finite")
+    live = s if mask is None else np.where(mask, s, -np.inf)
     if beta == 1.0:
-        e = np.exp(s - s.max())
-        return e / e.sum()
-    if np.abs(s).max() <= _DIRECT_SCORE_BOUND:
-        e = np.exp(s)
-        return e / e.sum() ** beta
-    m = s.max()
-    lse = m + math.log(np.exp(s - m).sum())
-    return np.exp(np.clip(s - beta * lse, _LOG_TINY, _LOG_HUGE))
+        return _softmax(live)
+    top = np.max(np.abs(s), axis=-1, keepdims=True, initial=0.0,
+                 where=True if mask is None else mask)
+    direct = top <= _DIRECT_SCORE_BOUND
+    all_direct = direct.all()
+    e = np.exp(live if all_direct else np.where(direct, live, -np.inf))
+    weights = e / _nonzero(e.sum(axis=-1, keepdims=True)) ** beta
+    if all_direct:
+        return weights
+    m = np.where(direct, 0.0, live.max(axis=-1, keepdims=True))
+    lse = m + np.log(_nonzero(np.exp(live - m).sum(axis=-1, keepdims=True)))
+    logw = np.exp(np.clip(live - beta * lse, _LOG_TINY, _LOG_HUGE))
+    return np.where(direct, weights, np.where(live > -np.inf, logw, 0.0))
 
 
-def softmax_beta_vjp(scores, beta, d_weights):
-    """Vector-Jacobian product of :func:`softmax_beta` at ``scores``.
+def _nonzero(total):
+    """Row sums with 0 (a row whose entries are all masked) read as 1."""
+    return np.where(total > 0.0, total, 1.0)
+
+
+def _softmax(live):
+    """Plain softmax over the last axis, with -inf entries at weight 0."""
+    m = live.max(axis=-1, keepdims=True, initial=-np.inf)
+    e = np.exp(live - np.where(m > -np.inf, m, 0.0))
+    return e / _nonzero(e.sum(axis=-1, keepdims=True))
+
+
+def softmax_beta_vjp(scores, weights, beta, d_weights, mask=None):
+    """Vector-Jacobian product of :func:`softmax_beta` at ``scores``, given
+    the ``weights`` it returned there (with the same ``mask``).
 
     With ``w = softmax_beta(s, beta)`` and ``g = softmax(s)`` the Jacobian
     is ``dw_t/ds_r = w_t * (delta_tr - beta * g_r)``: the beta exponent on
     the shared denominator couples every weight to every score. Returns
     the gradient with respect to the scores given a cotangent on the
-    weights.
+    weights; masked entries get 0.
     """
     s = np.asarray(scores, dtype=np.float64)
     d = np.asarray(d_weights, dtype=np.float64)
-    w = softmax_beta(s, beta)
-    e = np.exp(s - s.max())
-    g = e / e.sum()
-    return w * d - beta * g * float(np.dot(d, w))
+    g = _softmax(s if mask is None else np.where(mask, s, -np.inf))
+    inner = (d * weights).sum(axis=-1, keepdims=True)
+    return weights * d - beta * g * inner
 
 
 def relu(x):

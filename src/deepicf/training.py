@@ -102,14 +102,14 @@ def loss_with_reg(logit, label, params, config, cache=None):
     loss, dlogit = bce_from_logit(logit, label)
     lam = config.l2
     if lam > 0.0:
-        for w in params.layer_weights:
+        for layer in range(config.num_layers):
+            w = params[f"W{layer}"]
             loss += lam * float((w * w).sum())
         if config.reg_embeddings and cache is not None:
-            p = params["target_embed"][cache.item]
+            p = cache.target
+            q = cache.hist_embed[cache.keep]
             loss += lam * float(p @ p)
-            if cache.hist.size:
-                q = params["history_embed"][cache.hist]
-                loss += lam * float((q * q).sum())
+            loss += lam * float((q * q).sum())
     return loss, dlogit
 
 

@@ -60,8 +60,8 @@ def _random_instances(cfg, rng, count):
         label = int(rng.integers(2))
         logit, cache = predict_logit(params, cfg, hist, user, item)
         pres = list(cache.layer_pres)
-        if cache.attention is not None:
-            pres.append(cache.attention.pre)
+        if cache.att_pre is not None:
+            pres.append(cache.att_pre)
         closest = min((np.abs(p).min() for p in pres if p.size), default=1.0)
         if closest < 1e-3 or abs(logit) > 12.0:
             continue

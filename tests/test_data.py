@@ -1,12 +1,15 @@
 import filecmp
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deepicf.data import (leave_one_out_split, load_split, parse_interactions,
                           sample_training_instances, save_split)
-from deepicf.errors import DataError
+from deepicf.errors import DataError, DeepIcfError
 from deepicf.numerics import rng_from_seed
 
 from conftest import make_dataset, synthetic_dataset, synthetic_lines
@@ -154,6 +157,85 @@ class TestSampling:
         assert not np.all(np.diff(stream[:, 0]) >= 0)
 
 
+@pytest.fixture()
+def saved_split(tmp_path):
+    """A small split saved under ``tmp_path / "sp"``: (prefix, split)."""
+    split = leave_one_out_split(
+        synthetic_dataset(num_users=6, num_items=60, seed=9), seed=4,
+        num_negatives=5)
+    save_split(split, tmp_path / "sp")
+    return tmp_path / "sp", split
+
+
+def _set_token(lines, row, col, value):
+    tokens = lines[row].split("\t")
+    tokens[col] = str(value)
+    lines[row] = "\t".join(tokens)
+
+
+def _history_item(split, user):
+    return int(split.train.history_items(user)[0])
+
+
+# (file, 0-based row, mutation): each makes one defect on that row
+SPLIT_FILE_DEFECTS = {
+    "negatives-non-integer":
+        ("negatives", 2, lambda lines, sp: _set_token(lines, 2, 3, "x")),
+    "negatives-user-out-of-range":
+        ("negatives", 1, lambda lines, sp: _set_token(
+            lines, 1, 0, sp.train.num_users)),
+    "test-user-out-of-range":
+        ("test", 1, lambda lines, sp: _set_token(
+            lines, 1, 0, sp.train.num_users + 3)),
+    "test-user-minus-one":
+        ("test", 3, lambda lines, sp: _set_token(lines, 3, 0, -1)),
+    "test-item-out-of-range":
+        ("test", 0, lambda lines, sp: _set_token(
+            lines, 0, 1, sp.train.num_items)),
+    "negatives-item-out-of-range":
+        ("negatives", 4, lambda lines, sp: _set_token(
+            lines, 4, -1, sp.train.num_items)),
+    "negatives-negative-item":
+        ("negatives", 0, lambda lines, sp: _set_token(lines, 0, 2, -3)),
+    "test-user-twice":
+        ("test", 2, lambda lines, sp: lines.__setitem__(2, lines[1])),
+    "negatives-user-twice":
+        ("negatives", 5, lambda lines, sp: lines.__setitem__(5, lines[0])),
+    "negatives-overlap-history":
+        ("negatives", 2, lambda lines, sp: _set_token(
+            lines, 2, 1, _history_item(sp, 2))),
+    "test-item-in-history":
+        ("test", 4, lambda lines, sp: _set_token(
+            lines, 4, 1, _history_item(sp, 4))),
+}
+
+
+_TOKENS = st.one_of(st.integers(-3, 70), st.integers(-2 ** 70, 2 ** 70),
+                    st.sampled_from(["x", "", " ", "1.5", "0x1"]))
+_EDITS = st.one_of(
+    st.tuples(st.just("swap"), st.integers(0, 99), st.integers(0, 99),
+              st.integers(0, 99)),
+    st.tuples(st.just("set"), st.integers(0, 99), st.integers(0, 99), _TOKENS),
+    st.tuples(st.just("dup"), st.integers(0, 99)),
+    st.tuples(st.just("drop"), st.integers(0, 99)))
+
+
+def _apply_edit(lines, edit):
+    kind, row = edit[0], edit[1] % len(lines)
+    tokens = lines[row].split("\t")
+    if kind == "swap":
+        a, b = edit[2] % len(tokens), edit[3] % len(tokens)
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+        lines[row] = "\t".join(tokens)
+    elif kind == "set":
+        tokens[edit[2] % len(tokens)] = str(edit[3])
+        lines[row] = "\t".join(tokens)
+    elif kind == "dup":
+        lines.insert(row, lines[row])
+    elif len(lines) > 1:
+        del lines[row]
+
+
 class TestSplitFiles:
     def test_round_trip(self, tmp_path):
         ds = synthetic_dataset(num_users=20, num_items=300, seed=6)
@@ -193,6 +275,41 @@ class TestSplitFiles:
         assert tab.item_ids == colon.item_ids
         for u in range(tab.num_users):
             assert np.array_equal(tab.history_items(u), colon.history_items(u))
+
+    @pytest.mark.parametrize("defect", sorted(SPLIT_FILE_DEFECTS))
+    def test_defect_names_file_and_line(self, saved_split, defect):
+        prefix, split = saved_split
+        part, row, mutate = SPLIT_FILE_DEFECTS[defect]
+        path = prefix.parent / f"sp.{part}"
+        lines = path.read_text().splitlines()
+        mutate(lines, split)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError,
+                           match=re.escape(f"sp.{part}: line {row + 1}:")):
+            load_split(prefix)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(part=st.sampled_from(["test", "negatives"]),
+           edits=st.lists(_EDITS, min_size=1, max_size=4))
+    def test_mutated_split_loads_valid_or_raises(self, saved_split, part,
+                                                  edits):
+        prefix, _ = saved_split
+        originals = {p: (prefix.parent / f"sp.{p}").read_text()
+                     for p in ("test", "negatives")}
+        lines = originals[part].splitlines()
+        for edit in edits:
+            _apply_edit(lines, edit)
+        path = prefix.parent / f"sp.{part}"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            try:
+                split = load_split(prefix)
+            except DeepIcfError:
+                return
+            split.validate()
+        finally:
+            path.write_text(originals[part])
 
 
 class TestFromInteractions:

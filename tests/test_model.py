@@ -5,10 +5,8 @@ import pytest
 
 from deepicf.errors import ConfigError, ModelError
 from deepicf.model import (ModelConfig, Variant, backward, flatten_grads,
-                           flatten_params, init_params, mlp_forward,
-                           pairwise_interactions, params_from_flat,
-                           pool_attention, pool_average, predict_logit,
-                           score_items, tower_layer_sizes)
+                           flatten_params, init_params, params_from_flat,
+                           predict_logit, score_items, tower_layer_sizes)
 from deepicf.numerics import bce_from_logit, finite_diff_grad, rng_from_seed
 
 
@@ -22,31 +20,58 @@ def tiny_params(config, num_users, num_items, rng, scale=0.4):
 
 # straight-line oracles, recomputed from the closed-form predictors
 
-def inner_product_oracle(params, hist, item, alpha, with_bias=True):
+def tower_oracle(params, pooled, layers):
+    """The ReLU tower and the output vector over a pooled vector, as plain
+    loops over units."""
+    out = [float(x) for x in pooled]
+    for layer in range(layers):
+        w, b = params[f"W{layer}"], params[f"b{layer}"]
+        out = [max(sum(float(w[r, c]) * out[c] for c in range(len(out)))
+                   + float(b[r]), 0.0)
+               for r in range(len(b))]
+    return sum(float(h) * x for h, x in zip(params["output_weights"], out))
+
+
+def inner_product_oracle(params, hist, item, alpha, with_bias=True,
+                         layers=0, user=0):
     hist = [j for j in hist if j != item]
-    total = sum(float(params["target_embed"][item] @ params["history_embed"][j])
-                for j in hist)
     scale = len(hist) ** -alpha if hist else 1.0
-    out = scale * total
+    p = params["target_embed"][item]
+    pooled = [scale * sum(float(p[c] * params["history_embed"][j][c])
+                          for j in hist)
+              for c in range(p.size)]
+    out = tower_oracle(params, pooled, layers)
     if with_bias:
-        out += float(params["user_bias"][0]) + float(params["item_bias"][item])
+        out += float(params["user_bias"][user]) + float(params["item_bias"][item])
     return out
 
 
-def attention_oracle(params, hist, item, beta):
+def attention_oracle(params, hist, item, beta, with_bias=True, layers=0,
+                     user=0):
     hist = [j for j in hist if j != item]
-    if not hist:
-        return 0.0
+    p = params["target_embed"][item]
     scores = []
     for j in hist:
-        v = params["history_embed"][j] * params["target_embed"][item]
+        v = params["history_embed"][j] * p
         hidden = np.maximum(params["att_weight"] @ v + params["att_bias"], 0.0)
         scores.append(float(params["att_out"] @ hidden))
     denom = sum(math.exp(s) for s in scores) ** beta
-    return sum(
-        math.exp(s) / denom
-        * float(params["target_embed"][item] @ params["history_embed"][j])
-        for j, s in zip(hist, scores))
+    pooled = [sum(math.exp(s) / denom
+                  * float(p[c] * params["history_embed"][j][c])
+                  for j, s in zip(hist, scores))
+              for c in range(p.size)]
+    out = tower_oracle(params, pooled, layers)
+    if with_bias:
+        out += float(params["user_bias"][user]) + float(params["item_bias"][item])
+    return out
+
+
+def logit_oracle(params, cfg, hist, user, item):
+    if cfg.uses_attention:
+        return attention_oracle(params, hist, item, cfg.beta,
+                                layers=cfg.num_layers, user=user)
+    return inner_product_oracle(params, hist, item, cfg.alpha,
+                                layers=cfg.num_layers, user=user)
 
 
 class TestConfig:
@@ -90,7 +115,7 @@ class TestInit:
         assert np.array_equal(p["user_bias"], np.zeros(4))
         assert np.array_equal(p["item_bias"], np.zeros(7))
         assert np.array_equal(p["att_bias"], np.zeros(4))
-        assert [w.shape for w in p.layer_weights] == [(5, 6), (3, 5)]
+        assert [p[f"W{l}"].shape for l in range(2)] == [(5, 6), (3, 5)]
         assert p["output_weights"].shape == (3,)
 
     def test_fism_output_weights_are_ones(self):
@@ -108,53 +133,81 @@ class TestInit:
         assert abs(sample.std() - 0.01) < 0.002
 
 
+def hand_params(cfg, num_items, **arrays):
+    """Zero-bias parameters with the named tensors or rows set by hand:
+    ``arrays`` maps a tensor name to an array, or to {row: values}."""
+    params = init_params(cfg, 1, num_items, rng_from_seed(0))
+    for name, value in arrays.items():
+        if isinstance(value, dict):
+            for row, values in value.items():
+                params[name][row] = values
+        else:
+            params[name] = np.asarray(value, dtype=np.float64)
+    return params
+
+
 class TestForwardPieces:
     def test_pairwise_hand_value(self):
         cfg = ModelConfig(variant=Variant.FISM, k=2)
-        p = init_params(cfg, 1, 2, rng_from_seed(0))
-        p["history_embed"][1] = [3.0, 4.0]
-        p["target_embed"][0] = [1.0, 2.0]
-        hist, v = pairwise_interactions(p, [1], 0)
-        assert hist.tolist() == [1]
-        assert np.array_equal(v, [[3.0, 8.0]])
+        p = hand_params(cfg, 2, history_embed={1: [3.0, 4.0]},
+                        target_embed={0: [1.0, 2.0]})
+        _, cache = predict_logit(p, cfg, [1], 0, 0)
+        assert cache.hist[cache.keep].tolist() == [1]
+        assert np.array_equal(cache.pooled, [3.0, 8.0])
 
     def test_pairwise_zero_target_annihilates(self):
         cfg = ModelConfig(variant=Variant.FISM, k=3)
         p = init_params(cfg, 1, 4, rng_from_seed(1))
         p["target_embed"][2] = 0.0
-        _, v = pairwise_interactions(p, [0, 1, 3], 2)
-        assert np.array_equal(v, np.zeros((3, 3)))
+        logit, cache = predict_logit(p, cfg, [0, 1, 3], 0, 2)
+        assert np.array_equal(cache.pooled, np.zeros(3))
+        assert logit == 0.0
 
     def test_pairwise_excludes_target(self):
         cfg = ModelConfig(variant=Variant.FISM, k=2)
         p = init_params(cfg, 1, 3, rng_from_seed(2))
-        hist, v = pairwise_interactions(p, [1], 1)
-        assert hist.size == 0 and v.shape == (0, 2)
+        _, cache = predict_logit(p, cfg, [1], 0, 1)
+        assert cache.hist[cache.keep].size == 0
+        assert np.array_equal(cache.pooled, np.zeros(2))
 
     def test_pool_average_alphas(self):
-        v = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(pool_average(v, 0.0), [4.0, 6.0])
-        assert np.allclose(pool_average(v, 1.0), [2.0, 3.0], atol=1e-15)
-        assert np.allclose(pool_average(v, 0.5), [2.828427, 4.242641],
-                           atol=1e-6)
+        # a target of ones makes the pairwise products the history rows
+        arrays = dict(target_embed={0: [1.0, 1.0]},
+                      history_embed={1: [1.0, 2.0], 2: [3.0, 4.0]})
+        pooled = {}
+        for alpha in (0.0, 1.0, 0.5):
+            cfg = ModelConfig(variant=Variant.FISM, k=2, alpha=alpha)
+            _, cache = predict_logit(hand_params(cfg, 3, **arrays), cfg,
+                                     [1, 2], 0, 0)
+            pooled[alpha] = cache.pooled
+        assert np.array_equal(pooled[0.0], [4.0, 6.0])
+        assert np.allclose(pooled[1.0], [2.0, 3.0], atol=1e-15)
+        assert np.allclose(pooled[0.5], [2.828427, 4.242641], atol=1e-6)
 
     def test_pool_average_empty_is_zero(self):
-        assert np.array_equal(pool_average(np.empty((0, 3)), 0.7), np.zeros(3))
+        cfg = ModelConfig(variant=Variant.FISM, k=3, alpha=0.7)
+        p = init_params(cfg, 1, 2, rng_from_seed(0))
+        _, cache = predict_logit(p, cfg, [], 0, 1)
+        assert np.array_equal(cache.pooled, np.zeros(3))
 
     def test_pool_attention_symmetry(self):
-        v = np.array([[0.5, -1.0], [0.5, -1.0]])
-        w = np.array([[0.3, 0.2], [-0.1, 0.4]])
-        pooled, weights = pool_attention(v, w, np.zeros(2),
-                                         np.array([1.0, -2.0]), 1.0)
-        assert np.allclose(weights, [0.5, 0.5], atol=1e-15)
-        assert np.allclose(pooled, v[0], atol=1e-15)
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=2, k_prime=2, beta=1.0)
+        p = hand_params(cfg, 3, target_embed={0: [1.0, 1.0]},
+                        history_embed={1: [0.5, -1.0], 2: [0.5, -1.0]},
+                        att_weight=[[0.3, 0.2], [-0.1, 0.4]],
+                        att_bias=np.zeros(2), att_out=[1.0, -2.0])
+        _, cache = predict_logit(p, cfg, [1, 2], 0, 0)
+        assert np.allclose(cache.weights, [0.5, 0.5], atol=1e-15)
+        assert np.allclose(cache.pooled, [0.5, -1.0], atol=1e-15)
 
     def test_pool_attention_zero_scorer_is_uniform(self):
         rng = rng_from_seed(5)
-        v = rng.normal(size=(4, 3))
-        w = rng.normal(size=(2, 3))
-        _, weights = pool_attention(v, w, np.zeros(2), np.zeros(2), 1.0)
-        assert np.allclose(weights, 0.25, atol=1e-15)
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=3, k_prime=2, beta=1.0)
+        p = hand_params(cfg, 5, history_embed=rng.normal(size=(5, 3)),
+                        att_weight=rng.normal(size=(2, 3)),
+                        att_bias=np.zeros(2), att_out=np.zeros(2))
+        _, cache = predict_logit(p, cfg, [1, 2, 3, 4], 0, 0)
+        assert np.allclose(cache.weights, 0.25, atol=1e-15)
 
     def test_pool_attention_matches_straight_line_recompute(self):
         rng = rng_from_seed(8)
@@ -168,35 +221,59 @@ class TestForwardPieces:
         denom = sum(math.exp(s) for s in scores) ** beta
         weights = np.array([math.exp(s) / denom for s in scores])
         expect = sum(a * row for a, row in zip(weights, v))
-        pooled, got_w = pool_attention(v, w, b, h, beta)
+        # a target of ones makes the pairwise products the history rows
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3, beta=beta)
+        p = hand_params(cfg, 6, target_embed={0: np.ones(4)},
+                        history_embed={1 + t: row for t, row in enumerate(v)},
+                        att_weight=w, att_bias=b, att_out=h)
+        _, cache = predict_logit(p, cfg, [1, 2, 3, 4, 5], 0, 0)
+        got_w = cache.weights
         assert (got_w >= 0).all()
         assert np.abs(got_w - weights).max() < 1e-12
-        assert np.abs(pooled - expect).max() < 1e-12
+        assert np.abs(cache.pooled - expect).max() < 1e-12
 
     def test_mlp_depth_zero_is_identity(self):
-        x = np.array([1.0, -2.0])
-        out, pres, acts = mlp_forward(x, [], [])
-        assert out is x and pres == [] and acts == []
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=2, num_layers=0)
+        p = hand_params(cfg, 2, target_embed={0: [1.0, 1.0]},
+                        history_embed={1: [1.0, -2.0]},
+                        output_weights=[0.5, 2.0])
+        logit, cache = predict_logit(p, cfg, [1], 0, 0)
+        assert cache.layer_pres == [] and cache.layer_acts == []
+        assert logit == -3.5
 
     def test_mlp_positive_diagonal_passes_through(self):
-        x = np.array([1.0, 2.0])
-        out, _, _ = mlp_forward(x, [np.diag([2.0, 3.0])], [np.zeros(2)])
-        assert np.array_equal(out, [2.0, 6.0])
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=2, num_layers=1,
+                          layer_sizes=(2,))
+        p = hand_params(cfg, 2, target_embed={0: [1.0, 1.0]},
+                        history_embed={1: [1.0, 2.0]},
+                        W0=np.diag([2.0, 3.0]), b0=np.zeros(2))
+        _, cache = predict_logit(p, cfg, [1], 0, 0)
+        assert np.array_equal(cache.layer_acts[-1], [2.0, 6.0])
 
     def test_mlp_two_layers_match_composition(self):
         rng = rng_from_seed(3)
         x = rng.normal(size=4)
         w1, b1 = rng.normal(size=(3, 4)), rng.normal(size=3)
         w2, b2 = rng.normal(size=(2, 3)), rng.normal(size=2)
-        out, _, acts = mlp_forward(x, [w1, w2], [b1, b2])
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=4, num_layers=2,
+                          layer_sizes=(3, 2))
+        p = hand_params(cfg, 2, target_embed={0: np.ones(4)},
+                        history_embed={1: x}, W0=w1, b0=b1, W1=w2, b1=b2)
+        _, cache = predict_logit(p, cfg, [1], 0, 0)
         e1 = np.maximum(w1 @ x + b1, 0.0)
         e2 = np.maximum(w2 @ e1 + b2, 0.0)
-        assert np.array_equal(out, e2)
-        assert np.array_equal(acts[0], e1)
+        assert np.array_equal(cache.pooled, x)
+        assert np.array_equal(cache.layer_acts[-1], e2)
+        assert np.array_equal(cache.layer_acts[0], e1)
 
     def test_mlp_shape_mismatch_raises(self):
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=3, num_layers=1,
+                          layer_sizes=(2,))
+        p = hand_params(cfg, 2, W0=np.zeros((2, 4)))
         with pytest.raises(ModelError):
-            mlp_forward(np.zeros(3), [np.zeros((2, 4))], [np.zeros(2)])
+            predict_logit(p, cfg, [1], 0, 0)
+        with pytest.raises(ModelError):
+            score_items(p, cfg, [1], 0, [0])
 
 
 class TestPredict:
@@ -259,10 +336,13 @@ class TestPredict:
                           alpha=0.0 if variant is Variant.DEEPICF_A else 0.3)
         p, _ = tiny_params(cfg, 3, 12, rng_from_seed(9))
         hist = np.array([0, 2, 5])
-        items = np.array([1, 3, 4, 6, 7, 8, 9, 10, 11])
+        # 0, 2 and 5 are inside the history, the others outside
+        items = np.array([1, 3, 4, 6, 7, 8, 9, 10, 11, 0, 2, 5])
         batched = score_items(p, cfg, hist, 1, items)
         scalar = [predict_logit(p, cfg, hist, 1, int(i))[0] for i in items]
         assert np.abs(batched - np.array(scalar)).max() < 1e-12
+        oracle = [logit_oracle(p, cfg, hist.tolist(), 1, int(i)) for i in items]
+        assert np.abs(batched - np.array(oracle)).max() < 1e-12
 
     def test_batched_scoring_handles_history_overlap(self):
         cfg = ModelConfig(variant=Variant.DEEPICF, k=4, num_layers=1)
@@ -272,6 +352,8 @@ class TestPredict:
         batched = score_items(p, cfg, hist, 0, items)
         scalar = [predict_logit(p, cfg, hist, 0, int(i))[0] for i in items]
         assert np.abs(batched - np.array(scalar)).max() < 1e-12
+        oracle = [logit_oracle(p, cfg, hist.tolist(), 0, int(i)) for i in items]
+        assert np.abs(batched - np.array(oracle)).max() < 1e-12
 
 
 class TestRecoveryIdentities:

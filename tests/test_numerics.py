@@ -130,11 +130,38 @@ class TestSoftmaxBeta:
         s = np.asarray(scores, dtype=np.float64)
         rng = np.random.default_rng(seed)
         cot = rng.normal(size=s.size)
-        got = softmax_beta_vjp(s, beta, cot)
+        got = softmax_beta_vjp(s, softmax_beta(s, beta), beta, cot)
         fd = finite_diff_grad(lambda t: float(cot @ softmax_beta(t, beta)),
                               s, h=1e-6)
         scale = max(np.abs(got).max(), np.abs(fd).max(), 1.0)
         assert np.abs(got - fd).max() / scale < 1e-6
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    def test_masked_rows_match_per_row_calls(self, seed, beta):
+        # rows of 7 scores at scale 20, so some rows take the log-domain
+        # branch and some the direct one; row 0 hides a huge masked score,
+        # which must not move it off the direct branch, and row 1 is
+        # masked out entirely
+        rng = np.random.default_rng(seed)
+        s = rng.normal(0.0, 20.0, size=(6, 7))
+        mask = rng.random((6, 7)) < 0.8
+        s[0] = rng.uniform(-5.0, 5.0, size=7)
+        s[0, 3], mask[0, 3] = 500.0, False
+        mask[1] = False
+        cot = rng.normal(size=(6, 7))
+        got = softmax_beta(s, beta, mask)
+        got_vjp = softmax_beta_vjp(s, got, beta, cot, mask)
+        for r in range(6):
+            want, want_vjp = np.zeros(7), np.zeros(7)
+            keep = mask[r]
+            if keep.any():
+                want[keep] = softmax_beta(s[r, keep], beta)
+                want_vjp[keep] = softmax_beta_vjp(s[r, keep], want[keep],
+                                                  beta, cot[r, keep])
+            assert np.array_equal(got[r], want)
+            assert np.array_equal(got_vjp[r], want_vjp)
 
 
 class TestFiniteDiff:

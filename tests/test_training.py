@@ -91,7 +91,7 @@ class TestLossWithReg:
         cfg = ModelConfig(variant=Variant.DEEPICF, k=1, num_layers=1,
                           layer_sizes=(1,), l2=0.1)
         params = init_params(cfg, 1, 1, rng_from_seed(0))
-        params.layer_weights[0][:] = 2.0
+        params["W0"][:] = 2.0
         loss, _ = loss_with_reg(40.0, 1, params, cfg)  # saturated-correct
         assert loss == pytest.approx(0.4, abs=1e-12)
 
@@ -105,9 +105,12 @@ class TestLossWithReg:
         assert np.array_equal(grads.rows["history_embed"][1], np.zeros((2, 3)))
         # tower weights do receive the 2*lambda*W term
         assert np.allclose(grads.dense["W0"],
-                           0.4 * params.layer_weights[0], atol=1e-15)
+                           0.4 * params["W0"], atol=1e-15)
 
-    def test_embedding_reg_matches_finite_differences_when_enabled(self):
+    # item 3 is outside the history; item 2 is inside it and masked out,
+    # so its history row must get neither penalty nor gradient
+    @pytest.mark.parametrize("item", [3, 2])
+    def test_embedding_reg_matches_finite_differences_when_enabled(self, item):
         num_users, num_items = 2, 5
         cfg = ModelConfig(variant=Variant.DEEPICF, k=3, num_layers=1,
                           l2=0.05, reg_embeddings=True)
@@ -116,7 +119,7 @@ class TestLossWithReg:
         flat = rng.normal(0, 0.4, size=flatten_params(params, cfg).size)
         params = params_from_flat(flat, cfg, num_users, num_items)
         hist = np.array([0, 2, 4])
-        user, item, label = 1, 3, 1
+        user, label = 1, 1
 
         def loss_of(theta):
             view = params_from_flat(theta, cfg, num_users, num_items)
@@ -126,6 +129,7 @@ class TestLossWithReg:
         logit, cache = predict_logit(params, cfg, hist, user, item)
         _, dlogit = loss_with_reg(logit, label, params, cfg, cache)
         grads = add_l2_grads(backward(params, cfg, cache, dlogit), params, cfg)
+        assert item not in grads.rows["history_embed"][0].tolist()
         analytic = flatten_grads(grads, cfg, num_users, num_items)
         numeric = finite_diff_grad(loss_of, flat, h=1e-5)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)

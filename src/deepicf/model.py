@@ -350,7 +350,7 @@ def backward(params, config, cache, dlogit):
         # ReLU subgradient at exactly 0 is taken as 0
         d_pre = d_vec * (cache.layer_pres[layer] > 0.0)
         below = cache.layer_acts[layer - 1] if layer > 0 else cache.pooled
-        dense[f"W{layer}"] = np.outer(d_pre, below)
+        dense[f"W{layer}"] = d_pre[:, None] * below
         dense[f"b{layer}"] = d_pre
         d_vec = params[f"W{layer}"].T @ d_pre
 
@@ -361,18 +361,17 @@ def backward(params, config, cache, dlogit):
         d_scores = softmax_beta_vjp(cache.scores, cache.weights, config.beta,
                                     d_weights, cache.keep)
         dense["att_out"] = cache.att_hidden.T @ d_scores
-        d_pre = np.outer(d_scores, params["att_out"]) * (cache.att_pre > 0.0)
+        d_pre = d_scores[:, None] * params["att_out"] * (cache.att_pre > 0.0)
         dense["att_weight"] = d_pre.T @ cache.pairwise
         dense["att_bias"] = d_pre.sum(axis=0)
         # direct path through the weights, then the attention path
-        d_pair = np.outer(cache.weights, d_vec) + d_pre @ params["att_weight"]
+        d_pair = cache.weights[:, None] * d_vec + d_pre @ params["att_weight"]
         d_target = (d_pair * cache.hist_embed).sum(axis=0)
         d_history = d_pair[cache.keep] * cache.target
     else:
         d_pool = cache.pool_scale * d_vec
         d_target = d_pool * cache.hist_sum
-        d_history = np.broadcast_to(d_pool * cache.target,
-                                    (rows.size, config.k))
+        d_history = np.repeat((d_pool * cache.target)[None], rows.size, axis=0)
 
     return Grads(rows={"target_embed": (cache.items, d_target),
                        "history_embed": (rows, d_history),

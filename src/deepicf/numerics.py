@@ -48,12 +48,19 @@ def sigmoid(x):
     finite. Accepts scalars or arrays.
     """
     arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 0:
+        return _sigmoid_float(float(arr))
     z = np.exp(-np.abs(arr))
     out = np.where(arr >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-    out = np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
+
+
+def _sigmoid_float(x):
+    """:func:`sigmoid` of one Python float, with the same operations in
+    plain float arithmetic; the training loop calls it once per instance."""
+    z = float(np.exp(-abs(x)))
+    out = 1.0 / (1.0 + z) if x >= 0.0 else z / (1.0 + z)
+    return min(max(out, _SIGMOID_LO), _SIGMOID_HI)
 
 
 def bce_from_logit(logit, label):
@@ -69,7 +76,7 @@ def bce_from_logit(logit, label):
     if not math.isfinite(x):
         raise ValueError(f"logit must be finite, got {x!r}")
     loss = max(x, 0.0) - x * label + math.log1p(math.exp(-abs(x)))
-    return loss, sigmoid(x) - label
+    return loss, _sigmoid_float(x) - label
 
 
 def softmax_beta(scores, beta, mask=None):

@@ -34,13 +34,39 @@ class AdagradState(dict):
 
     Accumulators never decrease; updates touch only the entries that
     received a gradient, so embedding rows outside the batch's histories
-    keep their state untouched.
+    keep their state untouched. The accumulators are views into one
+    buffer, in parameter order, so the whole-tensor gradients of a batch
+    update their accumulators with one vector operation.
     """
 
     def __init__(self, params, lr, epsilon=ADAGRAD_EPSILON):
-        super().__init__({name: np.zeros_like(a) for name, a in params.items()})
+        self.buffer = np.zeros(sum(a.size for a in params.values()))
+        self.offsets = {}
+        start = 0
+        for name, a in params.items():
+            self.offsets[name] = start
+            self[name] = self.buffer[start:start + a.size].reshape(a.shape)
+            start += a.size
         self.lr = float(lr)
         self.epsilon = float(epsilon)
+        self._spans = {}
+
+    def span(self, grads):
+        """Where the accumulators of the tensors in ``grads`` sit in the
+        buffer: ``(start, stop, places)``, ``places`` holding each name
+        with its ``(begin, end)`` relative to ``start``. A tensor inside
+        the span without a gradient gets g = 0 there, which changes
+        nothing."""
+        key = tuple(grads)
+        plan = self._spans.get(key)
+        if plan is None:
+            start = min(self.offsets[name] for name in key)
+            stop = max(self.offsets[name] + self[name].size for name in key)
+            places = [(name, self.offsets[name] - start,
+                       self.offsets[name] - start + self[name].size)
+                      for name in key]
+            plan = self._spans[key] = (start, stop, places)
+        return plan
 
 
 def _sum_rows(pairs, row_shape):
@@ -83,11 +109,19 @@ def apply_batch(state, params, batch):
         acc = state[name][index] + g * g
         state[name][index] = acc
         params[name][index] -= lr * g / (np.sqrt(acc) + eps)
-    # whole tensors update in place, without indexing a copy back
-    for name, g in dense.items():
-        acc = state[name]
-        acc += g * g
-        params[name] -= lr * g / (np.sqrt(acc) + eps)
+    if not dense:
+        return
+    # the whole tensors as one span of the state buffer
+    start, stop, places = state.span(dense)
+    g = np.zeros(stop - start)
+    for name, begin, end in places:
+        g[begin:end] = dense[name].ravel()
+    acc = state.buffer[start:stop]
+    acc += g * g
+    step = lr * g / (np.sqrt(acc) + eps)
+    for name, begin, end in places:
+        theta = params[name]
+        theta -= step[begin:end].reshape(theta.shape)
 
 
 def loss_with_reg(logit, label, params, config, cache=None):

@@ -78,6 +78,28 @@ class TestAdagrad:
         assert np.array_equal(params["target_embed"][1], other_row)
         assert np.array_equal(state["target_embed"][1], np.zeros(1))
 
+    def test_tensors_without_gradient_keep_params_and_state(self):
+        # the whole-tensor update spans output_weights..b1; W0 and b0 lie
+        # inside that span but receive no gradient
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=4, num_layers=2, lr=0.05)
+        params = init_params(cfg, 2, 5, rng_from_seed(0))
+        state = AdagradState(params, lr=cfg.lr)
+        _, cache = predict_logit(params, cfg, [1, 2], 0, 3)
+        grads = backward(params, cfg, cache, 1.0)
+        for name in ("W0", "b0"):
+            del grads.dense[name]
+        before = params.clone()
+        apply_batch(state, params, [grads])
+        for name in ("W0", "b0"):
+            assert np.array_equal(params[name], before[name])
+            assert np.array_equal(state[name], np.zeros_like(before[name]))
+        for name in ("output_weights", "W1", "b1"):
+            g = grads.dense[name]
+            assert np.array_equal(state[name], g * g)
+            assert np.array_equal(
+                params[name],
+                before[name] - cfg.lr * g / (np.sqrt(g * g) + state.epsilon))
+
 
 class TestLossWithReg:
     def test_lambda_zero_is_pure_bce(self):

@@ -432,9 +432,10 @@ def _read_idmap(path):
 def load_split(prefix):
     """Read split files written by :func:`save_split` and validate them.
 
-    Every defect (a malformed row, an index out of range, a user listed
-    twice or not at all, negatives that overlap the history) is a
-    :class:`DataError` naming the file and line.
+    Every defect (a malformed row, an index or timestamp out of range, an
+    item repeated in a history, a user listed twice or not at all,
+    negatives that overlap the history) is a :class:`DataError` naming
+    the file and line.
     """
     prefix = str(prefix)
     user_ids, item_ids = _read_idmap(prefix + ".idmap")
@@ -456,8 +457,16 @@ def load_split(prefix):
                 raise DataError(f"{prefix}.train: line {lineno}: bad row {line!r}")
             if not (0 <= u < num_users and 0 <= i < num_items):
                 raise DataError(f"{prefix}.train: line {lineno}: index out of range")
+            if not 0 <= ts < 2 ** 63:
+                raise DataError(f"{prefix}.train: line {lineno}: timestamp {ts}"
+                                f" outside [0, 2**63)")
             items_per_user[u].append(i)
             times_per_user[u].append(ts)
+    for u, items in enumerate(items_per_user):
+        if len(set(items)) < len(items):
+            lineno = _repeated_row(prefix + ".train", u)
+            raise DataError(f"{prefix}.train: line {lineno}: user {u} lists"
+                            f" an item a second time")
 
     train = InteractionDataset(user_ids, item_ids, items_per_user,
                                times_per_user)
@@ -472,6 +481,19 @@ def load_split(prefix):
                      eval_negatives=negatives, seed=None)
     return split.validate(
         where=lambda u, part: f"{prefix}.{part}: line {lines[part][u]}")
+
+
+def _repeated_row(path, user):
+    """Line number of the first ``.train`` row that repeats an item of
+    ``user``, in a file whose rows have all parsed."""
+    seen = set()
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            parts = line.split("\t")
+            if len(parts) == 4 and int(parts[0]) == user:
+                if int(parts[1]) in seen:
+                    return lineno
+                seen.add(int(parts[1]))
 
 
 def _read_user_rows(path, num_users, num_items, single=False):

@@ -118,10 +118,11 @@ class ItemKnnModel:
     candidate's similarity row to its strongest entries, diagonal
     excluded).
 
-    The similarity matrix is computed once: the co-occurrence counts are
-    scaled in place by ``1/sqrt(|users(j)|)`` per column, with the
-    diagonal zeroed and any ``top_n`` truncation applied per row; the
-    row factor ``1/sqrt(|users(i)|)`` is applied at scoring time.
+    The similarity matrix is held dense: on real logs the co-occurrence
+    product is nearly full. It is computed once, with each column scaled
+    by ``1/sqrt(|users(j)|)``, the diagonal zeroed and any ``top_n``
+    truncation applied per row; the row factor ``1/sqrt(|users(i)|)`` is
+    applied at scoring time.
     """
 
     def __init__(self, train, top_n=None):
@@ -129,36 +130,28 @@ class ItemKnnModel:
             raise EvalError(f"top_n must be >= 1, got {top_n}")
         self.train = train
         self.top_n = top_n
-        num_users, num_items = train.num_users, train.num_items
-        rows, cols = [], []
-        for u in range(num_users):
-            items = train.history_items(u)
-            rows.extend([u] * items.size)
-            cols.extend(items.tolist())
+        hists = train.item_arrays()
+        indptr = np.cumsum([0] + [h.size for h in hists])
         incidence = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(num_users, num_items))
-        sim = (incidence.T @ incidence).tocsr()
-        counts = np.asarray(incidence.sum(axis=0)).ravel()
-        inv_sqrt = np.zeros(num_items)
+            (np.ones(indptr[-1]), np.concatenate(hists), indptr),
+            shape=(train.num_users, train.num_items))
+        counts = train.item_counts()
+        inv_sqrt = np.zeros(train.num_items)
         active = counts > 0
         inv_sqrt[active] = 1.0 / np.sqrt(counts[active])
-        # One row at a time, so that no second nonzero-sized array is built:
-        # the matrix can be nearly dense.
-        for i in range(num_items):
-            lo, hi = sim.indptr[i], sim.indptr[i + 1]
-            cols, vals = sim.indices[lo:hi], sim.data[lo:hi]
-            vals *= inv_sqrt[cols]
-            vals[cols == i] = 0.0
-            if top_n is not None and top_n < vals.size:
-                vals[np.argsort(-vals, kind="stable")[top_n:]] = 0.0
+        sim = (incidence.T @ incidence).toarray()
+        sim *= inv_sqrt
+        np.fill_diagonal(sim, 0.0)
+        if top_n is not None:
+            for row in sim:
+                row[np.argsort(-row, kind="stable")[top_n:]] = 0.0
         self._sim = sim
         self._inv_sqrt = inv_sqrt
 
     def similarity_row(self, item):
         """Dense similarity row of one item, diagonal zeroed, optionally
         truncated to the strongest ``top_n`` neighbors."""
-        return self._sim[item].toarray().ravel() * self._inv_sqrt[item]
+        return self._sim[item] * self._inv_sqrt[item]
 
     def similarity(self, i, j):
         return float(self.similarity_row(i)[j])
@@ -169,8 +162,8 @@ class ItemKnnModel:
 
             def scorer(items):
                 items = np.asarray(items, dtype=np.int64)
-                sub = self._sim[items][:, hist].toarray()
-                return sub.sum(axis=1) * self._inv_sqrt[items]
+                return (self._sim[np.ix_(items, hist)].sum(axis=1)
+                        * self._inv_sqrt[items])
             return scorer
         return factory
 

@@ -224,7 +224,6 @@ class ForwardCache:
     target: np.ndarray           # (..., k) target embeddings
     pool_scale: object           # (..., 1) |kept history|^-alpha, or 1.0
     hist_sum: np.ndarray | None  # (..., k) sum of the kept history rows
-    pairwise: np.ndarray | None  # (..., n, k) products, attention only
     att_pre: np.ndarray | None   # (..., n, k') attention hidden pre-activations
     att_hidden: np.ndarray | None
     scores: np.ndarray | None    # (..., n) attention scores
@@ -244,23 +243,26 @@ def forward(params, config, history, user, items):
     The elementwise products of the target and history embeddings are
     pooled, with the |set|^-alpha normalized sum or with the attention
     net and its beta-smoothed softmax (history-length normalizer omitted,
-    alpha = 0), then passed through the ReLU tower and the prediction
-    layer. Indices are not range-checked here.
+    alpha = 0; the products enter it linearly, so they are never formed),
+    then passed through the ReLU tower and the prediction layer. The user
+    index is range-checked here, the item indices by the callers.
     """
+    if not 0 <= user < params.num_users:
+        raise ModelError(f"user index {user} outside [0, {params.num_users})")
     hist = np.asarray(history, dtype=np.int64)
     keep = hist != np.asarray(items)[..., None]
     q = params["history_embed"][hist]
     p = params["target_embed"][items]
-    hist_sum = pairwise = att_pre = att_hidden = scores = weights = None
+    hist_sum = att_pre = att_hidden = scores = weights = None
     if config.uses_attention:
         scale = 1.0
-        pairwise = q * p[..., None, :]
-        att_pre = pairwise @ params["att_weight"].T + params["att_bias"]
+        att_pre = (q @ (p[..., :, None] * params["att_weight"].T)
+                   + params["att_bias"])
         att_hidden = relu(att_pre)
         scores = att_hidden @ params["att_out"]
         weights = (softmax_beta(scores, config.beta, keep) if hist.size
                    else np.zeros(scores.shape))
-        pooled = (weights[..., None, :] @ pairwise)[..., 0, :]
+        pooled = p * (weights @ q)
     else:
         # alpha=0 is plain sum pooling; an empty set pools to zero, with
         # the normalizer defined as 1 to avoid 0**-alpha
@@ -283,17 +285,14 @@ def forward(params, config, history, user, items):
              + params["item_bias"][items])
     return ForwardCache(
         user=user, items=items, hist=hist, keep=keep, hist_embed=q, target=p,
-        pool_scale=scale, hist_sum=hist_sum, pairwise=pairwise,
-        att_pre=att_pre, att_hidden=att_hidden, scores=scores,
-        weights=weights, pooled=pooled, layer_pres=pres, layer_acts=acts,
-        logit=logit)
+        pool_scale=scale, hist_sum=hist_sum, att_pre=att_pre,
+        att_hidden=att_hidden, scores=scores, weights=weights, pooled=pooled,
+        layer_pres=pres, layer_acts=acts, logit=logit)
 
 
 def predict_logit(params, config, history, user, item):
     """Forward pass for one (user, item) pair given the user's stored
     training history. Returns (logit, cache)."""
-    if not 0 <= user < params.num_users:
-        raise ModelError(f"user index {user} outside [0, {params.num_users})")
     if not 0 <= item < params.num_items:
         raise ModelError(f"item index {item} outside [0, {params.num_items})")
     cache = forward(params, config, history, user, item)
@@ -357,12 +356,12 @@ def backward(params, config, cache, dlogit):
     rows = cache.hist[cache.keep]
     if config.uses_attention:
         # pooled = sum_t w_t v_t; masked rows carry w_t = 0 throughout
-        d_weights = cache.pairwise @ d_vec
+        d_weights = cache.hist_embed @ (cache.target * d_vec)
         d_scores = softmax_beta_vjp(cache.scores, cache.weights, config.beta,
                                     d_weights, cache.keep)
         dense["att_out"] = cache.att_hidden.T @ d_scores
         d_pre = d_scores[:, None] * params["att_out"] * (cache.att_pre > 0.0)
-        dense["att_weight"] = d_pre.T @ cache.pairwise
+        dense["att_weight"] = (d_pre.T @ cache.hist_embed) * cache.target
         dense["att_bias"] = d_pre.sum(axis=0)
         # direct path through the weights, then the attention path
         d_pair = cache.weights[:, None] * d_vec + d_pre @ params["att_weight"]

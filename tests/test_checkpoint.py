@@ -3,10 +3,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deepicf.checkpoint import load_checkpoint, save_checkpoint, save_text
 from deepicf.errors import CheckpointError
-from deepicf.model import ModelConfig, Variant, init_params
+from deepicf.model import ModelConfig, Variant, init_params, score_items
 from deepicf.numerics import rng_from_seed
 
 # sha256 of the DICF1 bytes written by test_file_bytes_are_pinned; pins
@@ -135,3 +137,53 @@ def test_failed_save_leaves_previous_file(tmp_path):
         save_checkpoint(path, broken, config)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+_HEADER_TOKENS = st.one_of(
+    st.integers(-3, 12), st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from(["nan", "-1", "inf", "-0.0", "1e308", "x", "",
+                     "FISM", "DeepICF", "DeepICF_A", "é", "\x00\xff"]))
+_HEADER_EDITS = st.one_of(
+    st.tuples(st.just("swap"), st.integers(0, 1), st.integers(0, 9),
+              st.integers(0, 9)),
+    st.tuples(st.just("drop"), st.integers(0, 1), st.integers(0, 9)),
+    st.tuples(st.just("set"), st.integers(0, 1), st.integers(0, 9),
+              _HEADER_TOKENS))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(_HEADER_EDITS, max_size=4),
+       cut=st.integers(0, 40))
+def test_mutated_checkpoint_loads_and_scores_or_raises(tmp_path, edits, cut):
+    """Swapped, dropped or replaced tokens on the header and sizes lines,
+    and a truncated payload: the file loads and scores, or is a
+    CheckpointError."""
+    config = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3,
+                         num_layers=2, beta=0.7)
+    path = tmp_path / "f.ckpt"
+    save_checkpoint(path, init_params(config, 3, 5, rng_from_seed(11)),
+                    config)
+    magic, header, sizes, payload = path.read_bytes().split(b"\n", 3)
+    lines = [line.decode("ascii").split(" ") for line in (header, sizes)]
+    for kind, line, a, *rest in edits:
+        tokens = lines[line]
+        if not tokens:
+            continue
+        a %= len(tokens)
+        if kind == "swap":
+            b = rest[0] % len(tokens)
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+        elif kind == "drop":
+            del tokens[a]
+        else:
+            tokens[a] = str(rest[0])
+    path.write_bytes(b"\n".join(
+        [magic] + [" ".join(t).encode("utf-8") for t in lines]
+        + [payload[:len(payload) - cut]]))
+    try:
+        params, cfg, _, num_items = load_checkpoint(path)
+    except CheckpointError:
+        return
+    scores = score_items(params, cfg, [0], 0, [num_items - 1])
+    assert scores.shape == (1,)

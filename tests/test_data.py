@@ -207,6 +207,12 @@ SPLIT_FILE_DEFECTS = {
     "test-item-in-history":
         ("test", 4, lambda lines, sp: _set_token(
             lines, 4, 1, _history_item(sp, 4))),
+    "train-duplicate-row":
+        ("train", 3, lambda lines, sp: lines.insert(3, lines[2])),
+    "train-negative-timestamp":
+        ("train", 4, lambda lines, sp: _set_token(lines, 4, 3, -1)),
+    "train-huge-timestamp":
+        ("train", 1, lambda lines, sp: _set_token(lines, 1, 3, 2 ** 70)),
 }
 
 
@@ -290,13 +296,13 @@ class TestSplitFiles:
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(part=st.sampled_from(["test", "negatives"]),
+    @given(part=st.sampled_from(["train", "test", "negatives"]),
            edits=st.lists(_EDITS, min_size=1, max_size=4))
     def test_mutated_split_loads_valid_or_raises(self, saved_split, part,
                                                   edits):
         prefix, _ = saved_split
         originals = {p: (prefix.parent / f"sp.{p}").read_text()
-                     for p in ("test", "negatives")}
+                     for p in ("train", "test", "negatives")}
         lines = originals[part].splitlines()
         for edit in edits:
             _apply_edit(lines, edit)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,38 @@ class TestItemKnn:
         assert (row_trim > 0).sum() <= 2
         kept = np.nonzero(row_trim)[0]
         assert np.all(row_trim[kept] == row_full[kept])
+
+    def test_matches_set_oracle(self):
+        # item 6 is untouched; in row 0, items 3 and 4 tie at the top_n=2 cut
+        histories = [[0, 1, 3], [0, 1], [0, 1, 4], [0, 1], [3, 2, 5], [4, 2]]
+        ds = make_dataset([[(i, t) for t, i in enumerate(h)]
+                           for h in histories], num_items=7)
+        users = [{u for u, h in enumerate(histories) if i in h}
+                 for i in range(7)]
+
+        def cosine(i, j):
+            if i == j or not users[i] or not users[j]:
+                return 0.0
+            return (len(users[i] & users[j])
+                    / math.sqrt(len(users[i]) * len(users[j])))
+
+        full = ItemKnnModel(ds)
+        trimmed = ItemKnnModel(ds, top_n=2)
+        for i in range(7):
+            want = [cosine(i, j) for j in range(7)]
+            for j in range(7):
+                assert abs(full.similarity(i, j) - want[j]) <= 1e-12
+            assert full.similarity(i, i) == 0.0
+            assert full.similarity(i, 6) == full.similarity(6, i) == 0.0
+            # the 2 largest entries of the full row, ties to the lower index
+            row = full.similarity_row(i)
+            kept = sorted(range(7), key=lambda j: (-row[j], j))[:2]
+            assert np.array_equal(
+                trimmed.similarity_row(i),
+                np.where(np.isin(np.arange(7), kept), row, 0.0))
+        # row 0 is 1.0 at item 1, then the tie: item 3 is kept, item 4 not
+        assert full.similarity(0, 3) == full.similarity(0, 4) > 0.0
+        assert np.nonzero(trimmed.similarity_row(0))[0].tolist() == [1, 3]
 
     def test_symmetry(self):
         ds = synthetic_dataset(num_users=10, num_items=30, seed=2)

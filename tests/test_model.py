@@ -326,6 +326,11 @@ class TestPredict:
             predict_logit(p, cfg, [0], 5, 1)
         with pytest.raises(ModelError):
             predict_logit(p, cfg, [0], 0, 3)
+        # user -1 must not wrap around to the last user, nor user 2 escape
+        # as an IndexError
+        for user in (-1, 2):
+            with pytest.raises(ModelError, match="user index"):
+                score_items(p, cfg, [0], user, [1])
 
     @pytest.mark.parametrize("variant,layers,beta", [
         (Variant.FISM, 0, 0.5), (Variant.DEEPICF, 2, 0.5),

@@ -7,8 +7,8 @@ with hand-derived gradients, a leave-one-out ranking harness, and the
 ItemPop/ItemKNN heuristic baselines.
 """
 
-from deepicf.data import (Interaction, InteractionDataset, LooSplit,
-                          leave_one_out_split, load_split, parse_interactions,
+from deepicf.data import (InteractionDataset, LooSplit, leave_one_out_split,
+                          load_split, parse_interactions,
                           sample_training_instances, save_split)
 from deepicf.errors import (CheckpointError, ConfigError, DataError,
                             DeepIcfError, EvalError, ModelError,
@@ -26,8 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdagradState", "CheckpointError", "ConfigError", "DataError",
-    "DeepIcfError", "EvalError", "EvalReport", "Interaction",
-    "InteractionDataset",
+    "DeepIcfError", "EvalError", "EvalReport", "InteractionDataset",
     "ItemKnnModel", "LooSplit", "ModelConfig", "ModelError", "ModelParams",
     "TrainReport", "TrainingDiverged", "Variant", "apply_batch", "backward",
     "evaluate", "fit", "init_params", "item_knn_fit_and_score",

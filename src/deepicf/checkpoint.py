@@ -26,14 +26,13 @@ from deepicf.model import ModelConfig, ModelParams, Variant, param_layout
 MAGIC = b"DICF1\n"
 
 
-def save_checkpoint(path, params, config, num_users=None, num_items=None):
+def save_checkpoint(path, params, config):
     """Write parameters with enough header to rebuild the model shape.
 
     The bytes go to a temporary file in the target directory, which then
     replaces ``path`` in one step.
     """
-    num_users = params.num_users if num_users is None else num_users
-    num_items = params.num_items if num_items is None else num_items
+    num_users, num_items = params.num_users, params.num_items
     header = (f"{num_users} {num_items} {config.variant.value} {config.k} "
               f"{config.k_prime} {config.num_layers} "
               f"{float(config.alpha)!r} {float(config.beta)!r}\n")

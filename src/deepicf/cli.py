@@ -26,7 +26,7 @@ log = logging.getLogger("deepicf")
 
 
 def cmd_split(args):
-    with open(args.input, encoding="utf-8") as f:
+    with data.open_text(args.input) as f:
         dataset = data.parse_interactions(f, fmt=args.format)
     split = data.leave_one_out_split(dataset, seed=args.seed)
     data.save_split(split, args.split)
@@ -103,6 +103,18 @@ def cmd_pretrain(args):
     return _run_training(args, force_pretrain=True)
 
 
+def _load_model(path, split):
+    """(params, config) of the checkpoint at ``path``, which must be sized
+    for the users and items of ``split``."""
+    params, config, num_users, num_items = ckpt.load_checkpoint(path)
+    if (num_users, num_items) != (split.train.num_users,
+                                  split.train.num_items):
+        raise CheckpointError(
+            f"{path}: checkpoint is for {num_users} users x {num_items} items,"
+            f" split has {split.train.num_users} x {split.train.num_items}")
+    return params, config
+
+
 def cmd_eval(args):
     split = data.load_split(args.split)
     if args.scorer == "itempop":
@@ -112,12 +124,7 @@ def cmd_eval(args):
     else:
         if args.checkpoint is None:
             raise CheckpointError("--checkpoint is required for the model scorer")
-        params, config, num_users, num_items = ckpt.load_checkpoint(args.checkpoint)
-        if (num_users, num_items) != (split.train.num_users,
-                                      split.train.num_items):
-            raise CheckpointError(
-                f"checkpoint is for {num_users} users x {num_items} items,"
-                f" split has {split.train.num_users} x {split.train.num_items}")
+        params, config = _load_model(args.checkpoint, split)
         factory = model_scorer_factory(params, config, split)
     report = evaluate(factory, split, k=args.k)
     if args.metrics:
@@ -128,10 +135,7 @@ def cmd_eval(args):
 
 def cmd_recommend(args):
     split = data.load_split(args.split)
-    params, config, num_users, num_items = ckpt.load_checkpoint(args.checkpoint)
-    if (num_users, num_items) != (split.train.num_users,
-                                  split.train.num_items):
-        raise CheckpointError("checkpoint and split shapes do not match")
+    params, config = _load_model(args.checkpoint, split)
     train = split.train
     user = train.user_index.get(args.user)
     if user is None:
@@ -160,6 +164,13 @@ def cmd_recommend(args):
             for j, weight in zip(hist[keep].tolist(), weights[keep].tolist()):
                 print(f"{train.item_ids[j]}\t{weight:.6f}")
     return 0
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -192,7 +203,7 @@ def build_parser():
     p = sub.add_parser("eval", help="rank held-out items and report HR/NDCG")
     p.add_argument("--checkpoint")
     p.add_argument("--split", required=True, metavar="PREFIX")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--scorer", choices=["model", "itempop", "itemknn"],
                    default="model")
     p.add_argument("--metrics", help="write per-user ranks as CSV")
@@ -202,7 +213,8 @@ def build_parser():
     p.add_argument("user", help="raw user id")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", required=True, metavar="PREFIX")
-    p.add_argument("--k", type=int, default=10, help="number of items")
+    p.add_argument("--k", type=_positive_int, default=10,
+                   help="number of items")
     p.set_defaults(func=cmd_recommend)
     return parser
 

@@ -6,6 +6,7 @@ Unknown keys are errors so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+from deepicf.data import open_text
 from deepicf.errors import ConfigError
 from deepicf.model import ModelConfig, Variant
 
@@ -74,7 +75,7 @@ def parse_config_lines(lines, source="<config>"):
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as f:
+    with open_text(path, error=ConfigError) as f:
         return parse_config_lines(f, source=str(path))
 
 

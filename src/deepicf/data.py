@@ -8,7 +8,9 @@ single-threaded.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,64 +23,6 @@ log = logging.getLogger(__name__)
 SEPARATORS = {"tab": "\t", "double_colon": "::"}
 
 NUM_EVAL_NEGATIVES = 99
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """One raw log line. The rating is carried through but never used in
-    prediction: implicit feedback treats any observed entry as positive."""
-
-    user: str
-    item: str
-    rating: float
-    timestamp: int
-
-
-class _DatasetBuilder:
-    """Accumulates raw records into dense-indexed histories.
-
-    Dense ids follow first appearance; duplicate (user, item) pairs keep
-    the latest timestamp, with later records winning ties. Ratings are
-    accepted but dropped: the implicit setting treats any observed entry
-    as positive.
-    """
-
-    def __init__(self):
-        self.user_ids, self.item_ids = [], []
-        self.user_index, self.item_index = {}, {}
-        self._slots = []          # per user: item -> position in history
-        self.items_per_user, self.times_per_user = [], []
-        self.raw = 0
-
-    def add(self, user_raw, item_raw, timestamp):
-        self.raw += 1
-        u = self.user_index.get(user_raw)
-        if u is None:
-            u = len(self.user_ids)
-            self.user_index[user_raw] = u
-            self.user_ids.append(user_raw)
-            self._slots.append({})
-            self.items_per_user.append([])
-            self.times_per_user.append([])
-        i = self.item_index.get(item_raw)
-        if i is None:
-            i = len(self.item_ids)
-            self.item_index[item_raw] = i
-            self.item_ids.append(item_raw)
-        slot = self._slots[u].get(i)
-        if slot is None:
-            self._slots[u][i] = len(self.items_per_user[u])
-            self.items_per_user[u].append(i)
-            self.times_per_user[u].append(timestamp)
-        elif timestamp >= self.times_per_user[u][slot]:
-            self.times_per_user[u][slot] = timestamp
-
-    def build(self):
-        if self.raw == 0:
-            raise DataError("empty input: no interactions found")
-        return InteractionDataset(self.user_ids, self.item_ids,
-                                  self.items_per_user, self.times_per_user,
-                                  raw_interactions=self.raw)
 
 
 class InteractionDataset:
@@ -146,21 +90,6 @@ class InteractionDataset:
         return np.bincount(np.concatenate(self._items),
                            minlength=self.num_items)
 
-    def users_with_fewer_than(self, n):
-        return [u for u, a in enumerate(self._items) if a.size < n]
-
-    @classmethod
-    def from_interactions(cls, interactions):
-        """Build a dataset from :class:`Interaction` records, with the same
-        dense-id assignment and latest-wins dedup as the file parser."""
-        builder = _DatasetBuilder()
-        for rec in interactions:
-            if rec.timestamp < 0:
-                raise DataError(f"negative timestamp {rec.timestamp}"
-                                f" for ({rec.user!r}, {rec.item!r})")
-            builder.add(rec.user, rec.item, int(rec.timestamp))
-        return builder.build()
-
 
 def parse_interactions(lines, fmt="tab"):
     """Parse an interaction log into an :class:`InteractionDataset`.
@@ -178,7 +107,11 @@ def parse_interactions(lines, fmt="tab"):
         raise DataError(
             f"unknown format {fmt!r}; expected one of {sorted(SEPARATORS)}")
 
-    builder = _DatasetBuilder()
+    # Dicts keep first-seen order, which gives the dense ids: raw user ->
+    # {item -> latest timestamp}, where an updated key keeps its place in
+    # the history, and raw item -> dense item id.
+    histories, item_index = {}, {}
+    raw = 0
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if not line:
@@ -196,15 +129,23 @@ def parse_interactions(lines, fmt="tab"):
             raise DataError(f"line {lineno}: bad rating/timestamp in {line!r}")
         if ts < 0:
             raise DataError(f"line {lineno}: negative timestamp {ts}")
-        builder.add(user_raw, item_raw, ts)
+        raw += 1
+        hist = histories.setdefault(user_raw, {})
+        i = item_index.setdefault(item_raw, len(item_index))
+        if ts >= hist.get(i, -1):
+            hist[i] = ts
 
-    ds = builder.build()
-    thin = ds.users_with_fewer_than(2)
+    if raw == 0:
+        raise DataError("empty input: no interactions found")
+    ds = InteractionDataset(list(histories), list(item_index),
+                            [list(h) for h in histories.values()],
+                            [list(h.values()) for h in histories.values()],
+                            raw_interactions=raw)
     log.info(
         "parsed %d raw interactions: %d users, %d items, %d after dedup"
         " (%d users with <2 interactions cannot be split)",
-        ds.raw_interactions, ds.num_users, ds.num_items, ds.num_interactions,
-        len(thin))
+        raw, ds.num_users, ds.num_items, ds.num_interactions,
+        sum(len(h) < 2 for h in histories.values()))
     return ds
 
 
@@ -368,6 +309,30 @@ def sample_training_instances(train, num_negatives, rng):
 # Split file formats: <prefix>.train/.test/.negatives/.idmap
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def open_text(path, error=DataError):
+    """Open ``path`` as UTF-8 text for reading. Bytes that are not UTF-8,
+    met anywhere in the ``with`` body, raise ``error`` naming the file and
+    the first line that holds them."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            lineno = _undecodable_line(path)
+            where = f"{path}: line {lineno}" if lineno else str(path)
+            raise error(f"{where}: not UTF-8 text") from None
+
+
+def _undecodable_line(path):
+    """Number of the first line of ``path`` that holds bytes which are not
+    UTF-8, with lines split as the text reader splits them; None if no
+    line does."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if re.search("[\udc80-\udcff]", line):
+                return lineno
+
+
 def save_split(split, prefix):
     """Write the four split files next to ``prefix``.
 
@@ -401,18 +366,16 @@ def save_split(split, prefix):
 
 
 def _read_idmap(path):
-    users, items = [], []
+    # section header -> {raw id: line number}, in dense-id order
+    sections = {"#users": {}, "#items": {}}
     section = None
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            if line == "#users":
-                section = users
-                continue
-            if line == "#items":
-                section = items
+            if line in sections:
+                section = sections[line]
                 continue
             if section is None:
                 raise DataError(f"{path}: line {lineno}: missing section header")
@@ -423,7 +386,11 @@ def _read_idmap(path):
                 raise DataError(f"{path}: line {lineno}: bad idmap entry {line!r}")
             if dense != len(section):
                 raise DataError(f"{path}: line {lineno}: ids out of order")
-            section.append(raw_id)
+            if raw_id in section:
+                raise DataError(f"{path}: line {lineno}: raw id {raw_id!r}"
+                                f" already listed on line {section[raw_id]}")
+            section[raw_id] = lineno
+    users, items = (list(sections[h]) for h in ("#users", "#items"))
     if not users or not items:
         raise DataError(f"{path}: empty idmap section")
     return users, items
@@ -443,7 +410,7 @@ def load_split(prefix):
 
     items_per_user = [[] for _ in range(num_users)]
     times_per_user = [[] for _ in range(num_users)]
-    with open(prefix + ".train", encoding="utf-8") as f:
+    with open_text(prefix + ".train") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
             if not line:
@@ -502,7 +469,7 @@ def _read_user_rows(path, num_users, num_items, single=False):
     index in range. Returns the per-user item arrays and line numbers."""
     rows = [None] * num_users
     lines = [0] * num_users
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
             if not line:

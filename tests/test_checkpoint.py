@@ -42,7 +42,7 @@ def test_round_trip_is_bit_identical(tmp_path, config):
         assert np.array_equal(a, b)
     # save(load(save(x))) reproduces the same bytes
     second = tmp_path / "b.ckpt"
-    save_checkpoint(second, loaded, cfg2, num_users, num_items)
+    save_checkpoint(second, loaded, cfg2)
     assert filecmp.cmp(first, second, shallow=False)
 
 

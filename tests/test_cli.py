@@ -25,6 +25,15 @@ seed = 11
 """
 
 
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit that argparse
+    raises for a bad argument."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     log = tmp_path / "log.tsv"
@@ -177,6 +186,15 @@ class TestEvalCommand:
         assert rc == 1
         assert "checkpoint is for" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_rejected_before_ranking(self, workdir, capsys, k):
+        rc = exit_code(["eval", "--split", str(workdir / "sp"),
+                        "--scorer", "itempop", "--k", k])
+        assert rc != 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--k" in err
+
 
 class TestRecommendCommand:
     def test_bias_only_model_recommends_global_best(self, workdir, capsys):
@@ -252,6 +270,33 @@ class TestRecommendCommand:
         assert "unknown user 'nobody'" in err
         assert "u0" in err
 
+    def test_shape_mismatch_names_both_shapes(self, workdir, capsys):
+        split = load_split(workdir / "sp")
+        cfg = ModelConfig(variant=Variant.FISM, k=4)
+        save_checkpoint(workdir / "tiny.ckpt",
+                        init_params(cfg, 3, 5, rng_from_seed(0)), cfg)
+        rc = main(["recommend", split.train.user_ids[0], "--checkpoint",
+                   str(workdir / "tiny.ckpt"), "--split", str(workdir / "sp")])
+        assert rc == 1
+        assert (f"checkpoint is for 3 users x 5 items, split has"
+                f" {split.train.num_users} x {split.train.num_items}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_rejected_before_printing(self, workdir, capsys, k):
+        split = load_split(workdir / "sp")
+        cfg = ModelConfig(variant=Variant.FISM, k=4)
+        params = init_params(cfg, split.train.num_users,
+                             split.train.num_items, rng_from_seed(0))
+        save_checkpoint(workdir / "f.ckpt", params, cfg)
+        rc = exit_code(["recommend", split.train.user_ids[0], "--checkpoint",
+                        str(workdir / "f.ckpt"), "--split", str(workdir / "sp"),
+                        "--k", k])
+        assert rc != 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--k" in err
+
 
 def test_console_entry_point_subprocess(tmp_path):
     log = tmp_path / "log.tsv"
@@ -269,6 +314,23 @@ def test_console_entry_point_subprocess(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("HR@10=")
+
+
+@pytest.mark.parametrize("name", ["log.tsv", "model.cfg", "sp.idmap",
+                                  "sp.train", "sp.test", "sp.negatives"])
+def test_non_utf8_byte_names_file_and_line(workdir, capsys, name):
+    path = workdir / name
+    lines = path.read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    argv = {"log.tsv": ["split", str(path), "--split", str(workdir / "sp2")],
+            "model.cfg": ["train", "--config", str(path), "--split",
+                          str(workdir / "sp"), "--checkpoint",
+                          str(workdir / "m.ckpt")],
+            }.get(name, ["eval", "--split", str(workdir / "sp"),
+                         "--scorer", "itempop"])
+    assert main(argv) == 1
+    assert f"{name}: line 3: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestMetricsCsv:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from deepicf.data import (leave_one_out_split, load_split, parse_interactions,
-                          sample_training_instances, save_split)
+from deepicf.data import (leave_one_out_split, load_split, open_text,
+                          parse_interactions, sample_training_instances,
+                          save_split)
 from deepicf.errors import DataError, DeepIcfError
 from deepicf.numerics import rng_from_seed
 
@@ -213,6 +214,13 @@ SPLIT_FILE_DEFECTS = {
         ("train", 4, lambda lines, sp: _set_token(lines, 4, 3, -1)),
     "train-huge-timestamp":
         ("train", 1, lambda lines, sp: _set_token(lines, 1, 3, 2 ** 70)),
+    # .idmap rows: "#users", the 6 users, "#items" (row 7), then the items
+    "idmap-user-twice":
+        ("idmap", 3, lambda lines, sp: _set_token(
+            lines, 3, 0, sp.train.user_ids[0])),
+    "idmap-item-twice":
+        ("idmap", 10, lambda lines, sp: _set_token(
+            lines, 10, 0, sp.train.item_ids[1])),
 }
 
 
@@ -240,6 +248,25 @@ def _apply_edit(lines, edit):
         lines.insert(row, lines[row])
     elif len(lines) > 1:
         del lines[row]
+
+
+class TestOpenText:
+    def test_bad_line_counted_as_the_reader_counts(self, tmp_path):
+        # a lone CR ends a line for the text reader, so the byte is on line 3
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\rb\n\xff\n")
+        with pytest.raises(DataError) as err:
+            with open_text(path) as f:
+                f.read()
+        assert str(err.value) == f"{path}: line 3: not UTF-8 text"
+
+    def test_no_bad_line_leaves_line_out(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"ok\n")
+        with pytest.raises(DataError) as err:
+            with open_text(path):
+                b"\xff".decode("utf-8")
+        assert str(err.value) == f"{path}: not UTF-8 text"
 
 
 class TestSplitFiles:
@@ -296,13 +323,13 @@ class TestSplitFiles:
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(part=st.sampled_from(["train", "test", "negatives"]),
+    @given(part=st.sampled_from(["train", "test", "negatives", "idmap"]),
            edits=st.lists(_EDITS, min_size=1, max_size=4))
     def test_mutated_split_loads_valid_or_raises(self, saved_split, part,
                                                   edits):
         prefix, _ = saved_split
         originals = {p: (prefix.parent / f"sp.{p}").read_text()
-                     for p in ("train", "test", "negatives")}
+                     for p in ("train", "test", "negatives", "idmap")}
         lines = originals[part].splitlines()
         for edit in edits:
             _apply_edit(lines, edit)
@@ -317,23 +344,3 @@ class TestSplitFiles:
         finally:
             path.write_text(originals[part])
 
-
-class TestFromInteractions:
-    def test_matches_parser(self):
-        from deepicf.data import Interaction, InteractionDataset
-        records = [Interaction("u", "a", 1.0, 3),
-                   Interaction("u", "a", 2.0, 7),
-                   Interaction("v", "b", 1.0, 1),
-                   Interaction("u", "b", 5.0, 2)]
-        ds = InteractionDataset.from_interactions(records)
-        parsed = parse("u\ta\t1\t3\nu\ta\t2\t7\nv\tb\t1\t1\nu\tb\t5\t2\n")
-        assert ds.user_ids == parsed.user_ids
-        assert ds.item_ids == parsed.item_ids
-        for u in range(ds.num_users):
-            assert ds.history_pairs(u) == parsed.history_pairs(u)
-
-    def test_rejects_negative_timestamp(self):
-        from deepicf.data import Interaction, InteractionDataset
-        with pytest.raises(DataError, match="negative"):
-            InteractionDataset.from_interactions(
-                [Interaction("u", "a", 1.0, -1)])

@@ -41,7 +41,7 @@ def _metrics_writer(path):
         return None
     needs_header = True
     try:
-        with open(path, encoding="utf-8") as f:
+        with data.open_text(path, error=DeepIcfError) as f:
             needs_header = f.read(1) == ""
     except FileNotFoundError:
         pass

@@ -99,7 +99,9 @@ def parse_interactions(lines, fmt="tab"):
     (user, item) pairs collapse to the entry with the latest timestamp
     (later lines win ties). Dense indices follow first appearance order.
     Blank lines are ignored; anything else malformed is an error naming
-    the line number.
+    the line number, after the file name when ``lines`` is an open file.
+    A raw id may not hold a tab, which the split's ``.idmap`` file uses as
+    its separator.
     """
     try:
         sep = SEPARATORS[fmt]
@@ -112,6 +114,11 @@ def parse_interactions(lines, fmt="tab"):
     # the history, and raw item -> dense item id.
     histories, item_index = {}, {}
     raw = 0
+    source = getattr(lines, "name", None)
+
+    def where(lineno):
+        return f"{source}: line {lineno}" if source else f"line {lineno}"
+
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if not line:
@@ -119,16 +126,19 @@ def parse_interactions(lines, fmt="tab"):
         parts = line.split(sep)
         if len(parts) != 4 or any(p == "" for p in parts):
             raise DataError(
-                f"line {lineno}: expected user{sep!r}item{sep!r}rating"
+                f"{where(lineno)}: expected user{sep!r}item{sep!r}rating"
                 f"{sep!r}timestamp, got {line!r}")
         user_raw, item_raw, rating_raw, ts_raw = parts
         try:
             float(rating_raw)
             ts = int(ts_raw)
         except ValueError:
-            raise DataError(f"line {lineno}: bad rating/timestamp in {line!r}")
+            raise DataError(f"{where(lineno)}: bad rating/timestamp in {line!r}")
         if ts < 0:
-            raise DataError(f"line {lineno}: negative timestamp {ts}")
+            raise DataError(f"{where(lineno)}: negative timestamp {ts}")
+        if "\t" in user_raw or "\t" in item_raw:
+            raw_id = user_raw if "\t" in user_raw else item_raw
+            raise DataError(f"{where(lineno)}: raw id {raw_id!r} holds a tab")
         raw += 1
         hist = histories.setdefault(user_raw, {})
         i = item_index.setdefault(item_raw, len(item_index))

@@ -11,8 +11,9 @@ prediction layer with user and item biases.
 user's history against one item or a whole candidate set, each candidate
 masked out of the history by its own row of a mask; training's
 :func:`predict_logit` and ranking's :func:`score_items` are calls of it.
-:func:`backward` differentiates its cache for the one item that training
-scores at a time.
+:func:`backward` differentiates its cache, for one item or for the
+candidates of one user that a training batch scores together, and returns
+their summed gradients.
 
 The tensors of a variant are declared once, by :func:`param_layout`;
 parameters, the flat views used by the gradient checks, the optimizer
@@ -290,13 +291,18 @@ def forward(params, config, history, user, items):
         layer_pres=pres, layer_acts=acts, logit=logit)
 
 
-def predict_logit(params, config, history, user, item):
-    """Forward pass for one (user, item) pair given the user's stored
-    training history. Returns (logit, cache)."""
-    if not 0 <= item < params.num_items:
-        raise ModelError(f"item index {item} outside [0, {params.num_items})")
-    cache = forward(params, config, history, user, item)
-    return float(cache.logit), cache
+def predict_logit(params, config, history, user, items):
+    """Forward pass for one user, given the stored training history, and
+    one item index or an array of candidates, each range-checked.
+    Returns ``(logit, cache)``: the logit is a float for one item and an
+    array shaped like ``items`` otherwise."""
+    low, high = ((items, items) if isinstance(items, int)
+                 else (items.min(), items.max()))
+    if low < 0 or high >= params.num_items:
+        raise ModelError(f"item index {low if low < 0 else high} outside "
+                         f"[0, {params.num_items})")
+    cache = forward(params, config, history, user, items)
+    return cache.logit, cache
 
 
 def score_items(params, config, history, user, items):
@@ -315,9 +321,9 @@ class Grads:
     """Gradients keyed by tensor name, as in :func:`param_layout`.
 
     ``rows`` maps each of the two embedding tables and the two bias
-    vectors to ``(rows, values)`` over just the rows an instance touched
-    (a plain int for a single row); ``dense`` holds the whole-tensor
-    gradients of every other trained tensor.
+    vectors to ``(rows, values)`` over just the rows a forward cache
+    touched, each row once (a plain int for a single row); ``dense`` holds
+    the whole-tensor gradients of every other trained tensor.
     """
 
     rows: dict
@@ -325,58 +331,110 @@ class Grads:
 
 
 def backward(params, config, cache, dlogit):
-    """Exact analytic gradients for every parameter the variant trains, at
-    the forward cache of one item (the shape training passes).
+    """Exact analytic gradients of the loss summed over the candidates of
+    a forward cache, for every parameter the variant trains.
+
+    ``dlogit`` is the loss gradient at each logit, shaped like the
+    candidates: a float for one item, or an array for a candidate array.
+    Every whole-tensor gradient is summed over the candidates. A history
+    row collects the gradient of every candidate that keeps it in its
+    pool, and a candidate that repeats has its target row and item bias
+    merged, so no row appears twice in the result. One item keeps the
+    one-item shapes throughout: a plain target index and float biases.
 
     Chain rule through the prediction layer, the ReLU tower, the pooling
     step, and the pairwise products. For attention pooling the full
     softmax Jacobian is applied: the beta exponent on the shared
     denominator couples all weights, so each score receives
     ``w_r * d_r - beta * g_r * <d, w>`` where g is the plain softmax of the
-    same scores. The history rows masked out of the pool get no gradient.
+    same scores. The history rows masked out of every pool get no
+    gradient. As in the forward pass, the attention variant never forms
+    the ``(..., n, k)`` products: their gradients are folded through
+    ``M = d_pre^T q``, of shape ``(..., k', k)``.
     """
-    if cache.keep.ndim != 1:
-        raise ModelError("backward takes the forward cache of one item")
-    dlogit = float(dlogit)
+    one = cache.keep.ndim == 1
+    q, p = cache.hist_embed, cache.target
 
     dense = {}
     if config.trains_output_weights:
         top = cache.layer_acts[-1] if cache.layer_acts else cache.pooled
-        dense["output_weights"] = dlogit * top
-    d_vec = dlogit * params["output_weights"]
+        dense["output_weights"] = np.dot(dlogit, top)
+    d_vec = np.multiply.outer(dlogit, params["output_weights"])
 
     for layer in reversed(range(config.num_layers)):
         # ReLU subgradient at exactly 0 is taken as 0
         d_pre = d_vec * (cache.layer_pres[layer] > 0.0)
         below = cache.layer_acts[layer - 1] if layer > 0 else cache.pooled
-        dense[f"W{layer}"] = d_pre[:, None] * below
-        dense[f"b{layer}"] = d_pre
-        d_vec = params[f"W{layer}"].T @ d_pre
+        dense[f"W{layer}"] = _outer_total(d_pre, below, one)
+        dense[f"b{layer}"] = _total(d_pre, one)
+        d_vec = d_pre @ params[f"W{layer}"]
 
-    rows = cache.hist[cache.keep]
+    kept = cache.keep if one else np.logical_or.reduce(cache.keep)
+    rows = cache.hist[kept]
     if config.uses_attention:
         # pooled = sum_t w_t v_t; masked rows carry w_t = 0 throughout
-        d_weights = cache.hist_embed @ (cache.target * d_vec)
+        w_att = params["att_weight"]
+        k_att, k = w_att.shape
+        dp = d_vec * p
         d_scores = softmax_beta_vjp(cache.scores, cache.weights, config.beta,
-                                    d_weights, cache.keep)
-        dense["att_out"] = cache.att_hidden.T @ d_scores
-        d_pre = d_scores[:, None] * params["att_out"] * (cache.att_pre > 0.0)
-        dense["att_weight"] = (d_pre.T @ cache.hist_embed) * cache.target
-        dense["att_bias"] = d_pre.sum(axis=0)
+                                    dp @ q.T, cache.keep)
+        dense["att_out"] = (cache.att_hidden.reshape(-1, k_att).T
+                            @ d_scores.reshape(-1))
+        d_pre = d_scores[..., None] * params["att_out"] * (cache.att_pre > 0.0)
+        m = np.swapaxes(d_pre, -1, -2) @ q
+        dense["att_weight"] = _total(m * p[..., None, :], one)
+        # summed over candidates and rows as one product: a reduction
+        # along the long axis is many times slower
+        flat = d_pre.reshape(-1, k_att)
+        dense["att_bias"] = np.ones(flat.shape[0]) @ flat
         # direct path through the weights, then the attention path
-        d_pair = cache.weights[:, None] * d_vec + d_pre @ params["att_weight"]
-        d_target = (d_pair * cache.hist_embed).sum(axis=0)
-        d_history = d_pair[cache.keep] * cache.target
+        d_target = d_vec * (cache.weights @ q) + (m * w_att).sum(axis=-2)
+        w_scaled = (w_att * p[..., None, :]).reshape(-1, k)
+        d_history = (_outer_total(cache.weights, dp, one)
+                     + np.swapaxes(d_pre, 0, -2).reshape(-1, w_scaled.shape[0])
+                     @ w_scaled)[kept]
     else:
         d_pool = cache.pool_scale * d_vec
         d_target = d_pool * cache.hist_sum
-        d_history = np.repeat((d_pool * cache.target)[None], rows.size, axis=0)
+        # each candidate adds its d_pool * p to every row it keeps
+        spread = d_pool * p
+        d_history = (np.repeat(spread[None], rows.size, axis=0) if one
+                     else np.dot(cache.keep[:, kept].T, spread))
 
-    return Grads(rows={"target_embed": (cache.items, d_target),
+    if one:
+        items, d_items, d_user = cache.items, float(dlogit), float(dlogit)
+    else:
+        items, d_target, d_items = _merge_repeats(cache.items, d_target, dlogit)
+        d_user = dlogit.sum()
+    return Grads(rows={"target_embed": (items, d_target),
                        "history_embed": (rows, d_history),
-                       "user_bias": (cache.user, dlogit),
-                       "item_bias": (cache.items, dlogit)},
+                       "user_bias": (cache.user, d_user),
+                       "item_bias": (items, d_items)},
                  dense=dense)
+
+
+def _total(x, one):
+    """``x`` summed over its candidate axis, which one item does not have."""
+    return x if one else np.add.reduce(x)
+
+
+def _outer_total(a, b, one):
+    """The outer products of ``a`` and ``b`` summed over the candidates."""
+    return np.multiply.outer(a, b) if one else np.dot(a.T, b)
+
+
+def _merge_repeats(items, *values):
+    """``items`` with every repeat dropped, and each array of ``values``
+    summed over the candidates of each remaining item."""
+    unique, inverse = np.unique(items, return_inverse=True)
+    if unique.size == items.size:
+        return (items, *values)
+    merged = []
+    for v in values:
+        total = np.zeros((unique.size,) + v.shape[1:])
+        np.add.at(total, inverse, v)
+        merged.append(total)
+    return (unique, *merged)
 
 
 # ---------------------------------------------------------------------------

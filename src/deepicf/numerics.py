@@ -57,24 +57,31 @@ def sigmoid(x):
 
 def _sigmoid_float(x):
     """:func:`sigmoid` of one Python float, with the same operations in
-    plain float arithmetic; the training loop calls it once per instance."""
+    plain float arithmetic, for the loss of a single training instance."""
     z = float(np.exp(-abs(x)))
     out = 1.0 / (1.0 + z) if x >= 0.0 else z / (1.0 + z)
     return min(max(out, _SIGMOID_LO), _SIGMOID_HI)
 
 
 def bce_from_logit(logit, label):
-    """Binary cross-entropy of a raw logit against a 0/1 label.
+    """Binary cross-entropy of a raw logit against a 0/1 label, or of an
+    array of logits against their labels, elementwise.
 
     Returns ``(loss, dloss_dlogit)``. The loss uses the stable form
     ``max(x, 0) - x*y + log1p(exp(-|x|))`` and the gradient is exactly
-    ``sigmoid(logit) - label``.
+    ``sigmoid(logit) - label``. A non-finite logit gives a non-finite
+    loss, which the caller detects.
     """
+    if isinstance(logit, np.ndarray):
+        y = np.asarray(label)
+        if not np.isin(y, (0, 1)).all():
+            raise ValueError(f"labels must be 0 or 1, got {label!r}")
+        loss = (np.maximum(logit, 0.0) - logit * y
+                + np.log1p(np.exp(-np.abs(logit))))
+        return loss, sigmoid(logit) - y
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label!r}")
     x = float(logit)
-    if not math.isfinite(x):
-        raise ValueError(f"logit must be finite, got {x!r}")
     loss = max(x, 0.0) - x * label + math.log1p(math.exp(-abs(x)))
     return loss, _sigmoid_float(x) - label
 

@@ -91,10 +91,9 @@ def apply_batch(state, params, batch):
     acc += g^2 then theta -= lr*g/(sqrt(acc)+eps), elementwise over exactly
     the entries the batch touched.
 
-    A single instance is applied as it is: its rows are unique, since a
-    training history holds each item once. A batch of more than one
-    instance first sums the rows each sparse tensor received, so every
-    touched row is updated once.
+    A single :class:`Grads` is applied as it is, since :func:`backward`
+    returns each row once. A batch of more than one first sums the rows
+    each sparse tensor received, so every touched row is updated once.
     """
     if len(batch) == 1:
         rows, dense = batch[0].rows, batch[0].dense
@@ -125,13 +124,15 @@ def apply_batch(state, params, batch):
 
 
 def loss_with_reg(logit, label, params, config, cache=None):
-    """Instance loss: binary cross-entropy plus the L2 penalty.
+    """Loss of one instance, or of each candidate of a group, elementwise:
+    binary cross-entropy plus the L2 penalty.
 
     By default the penalty covers only the tower weight matrices, which is
     where overfitting concentrates; with ``reg_embeddings`` enabled (and a
-    forward cache available) the touched embedding rows are penalized too.
-    Returns (loss, dloss_dlogit); regularization gradients are added
-    separately by :func:`add_l2_grads`.
+    forward cache available) each candidate's target row and the history
+    rows it keeps are penalized too. Returns (loss, dloss_dlogit), shaped
+    like the logit; regularization gradients are added separately by
+    :func:`add_l2_grads`.
     """
     loss, dlogit = bce_from_logit(logit, label)
     lam = config.l2
@@ -140,65 +141,98 @@ def loss_with_reg(logit, label, params, config, cache=None):
             w = params[f"W{layer}"]
             loss += lam * float((w * w).sum())
         if config.reg_embeddings and cache is not None:
-            p = cache.target
-            q = cache.hist_embed[cache.keep]
-            loss += lam * float(p @ p)
-            loss += lam * float((q * q).sum())
+            p, q = cache.target, cache.hist_embed
+            loss += lam * (p * p).sum(axis=-1)
+            loss += lam * (cache.keep @ (q * q).sum(axis=-1))
     return loss, dlogit
 
 
-def add_l2_grads(grads, params, config):
-    """Add 2*lambda*theta to the gradients covered by the L2 policy."""
+def add_l2_grads(grads, params, config, cache=None):
+    """Add 2*lambda*theta to the gradients covered by the L2 policy, once
+    for each instance whose loss carries the penalty: each candidate of
+    ``cache`` counts for the tower weights and its target row, and for
+    every history row it keeps. Without a cache the gradients are those of
+    one item."""
     lam = config.l2
     if lam <= 0.0:
         return grads
+    group = cache is not None and cache.keep.ndim > 1
+    count = cache.keep.shape[0] if group else 1
     for layer in range(config.num_layers):
         name = f"W{layer}"
-        grads.dense[name] = grads.dense[name] + 2.0 * lam * params[name]
+        grads.dense[name] = grads.dense[name] + 2.0 * lam * count * params[name]
     if config.reg_embeddings:
-        for name in ("target_embed", "history_embed"):
+        for name, masked in (("target_embed", False), ("history_embed", True)):
             rows, values = grads.rows[name]
-            grads.rows[name] = (rows, values + 2.0 * lam * params[name][rows])
+            uses = 1.0
+            if group:
+                # candidates whose target the row is; the others keep it
+                uses = (np.asarray(rows)[:, None] == cache.items).sum(axis=1)
+                uses = (count - uses if masked else uses)[:, None]
+            grads.rows[name] = (rows, values + 2.0 * lam * uses * params[name][rows])
     return grads
+
+
+def _user_groups(instances, stream, start, stop):
+    """The instances ``stream[start:stop]`` grouped by user, in order of
+    first appearance: ``(positions, user, items, labels)`` per group. A
+    group of one instance keeps its item and label as plain ints; a larger
+    group carries them as arrays, in stream order."""
+    groups = {}
+    for at in range(start, min(stop, len(stream))):
+        groups.setdefault(stream[at][0], []).append(at)
+    for user, at in groups.items():
+        if len(at) == 1:
+            yield at, user, stream[at[0]][1], stream[at[0]][2]
+        else:
+            block = instances[at]
+            yield at, user, block[:, 1], block[:, 2]
 
 
 def train_epoch(params, config, split, opt_state, rng):
     """One pass over freshly sampled, shuffled training instances.
 
-    Per instance: forward, loss, analytic backward, Adagrad step. Returns
-    the mean per-instance loss. A non-finite loss aborts immediately with
-    the offending instance in the exception.
+    The stream is cut into update batches of ``batch_size`` instances.
+    Parameters are fixed within a batch, so its instances are grouped by
+    user: one forward pass scores a user's candidates, and one analytic
+    backward pass returns their summed gradients, to which one Adagrad
+    step per batch applies. Returns the mean per-instance loss. A
+    non-finite logit or loss aborts immediately, naming the first
+    offending instance in stream order in the exception.
     """
     instances = sample_training_instances(split.train, config.num_negatives, rng)
     if instances.shape[0] == 0:
         return 0.0
     histories = split.train.item_arrays()
+    stream = instances.tolist()
     total = 0.0
-    batch = []
-    for u, i, label in instances.tolist():
-        hist = histories[u]
-        logit, cache = predict_logit(params, config, hist, u, i)
-        if not math.isfinite(logit):
+    for start in range(0, len(stream), config.batch_size):
+        batch, failed = [], []
+        for at, user, items, labels in _user_groups(
+                instances, stream, start, start + config.batch_size):
+            logit, cache = predict_logit(params, config, histories[user],
+                                         user, items)
+            loss, dlogit = loss_with_reg(logit, labels, params, config, cache)
+            group_loss = loss if len(at) == 1 else float(loss.sum())
+            if not math.isfinite(group_loss):
+                # a non-finite logit gives a non-finite loss
+                bad = int(np.flatnonzero(~np.isfinite(loss))[0])
+                failed.append((at[bad], float(np.reshape(logit, -1)[bad])))
+            if failed:
+                continue
+            total += group_loss
+            batch.append(add_l2_grads(backward(params, config, cache, dlogit),
+                                      params, config, cache))
+        if failed:
+            at, logit = min(failed)
+            u, i, label = stream[at]
+            what = "logit" if not math.isfinite(logit) else "loss"
             raise TrainingDiverged(
-                f"non-finite logit on instance (user={u}, item={i}, "
+                f"non-finite {what} on instance (user={u}, item={i}, "
                 f"label={label}): logit={logit!r}",
                 instance=(u, i, label), logit=logit)
-        loss, dlogit = loss_with_reg(logit, label, params, config, cache)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(
-                f"non-finite loss on instance (user={u}, item={i}, "
-                f"label={label}): logit={logit!r}",
-                instance=(u, i, label), logit=logit)
-        total += loss
-        grads = add_l2_grads(backward(params, config, cache, dlogit),
-                             params, config)
-        batch.append(grads)
-        if len(batch) >= config.batch_size:
-            apply_batch(opt_state, params, batch)
-            batch = []
-    if batch:
         apply_batch(opt_state, params, batch)
-    return total / instances.shape[0]
+    return total / len(stream)
 
 
 @dataclass

@@ -1,0 +1,50 @@
+"""The per-instance training loop, kept as the oracle of the grouped
+``deepicf.training.train_epoch``.
+
+Each instance runs its own forward pass, loss, backward pass and L2 terms
+through the one-item paths of the package, and ``batch_size`` of their
+gradients make one Adagrad step. Install it in place of the grouped loop
+with ``monkeypatch.setattr(deepicf.training, "train_epoch", train_epoch)``
+so that ``fit`` drives it.
+"""
+
+import math
+
+from deepicf.data import sample_training_instances
+from deepicf.errors import TrainingDiverged
+from deepicf.model import backward, predict_logit
+from deepicf.training import add_l2_grads, apply_batch, loss_with_reg
+
+
+def train_epoch(params, config, split, opt_state, rng):
+    """One epoch as a loop over instances in stream order; returns the mean
+    per-instance loss and raises :class:`TrainingDiverged` at the first
+    non-finite logit or loss."""
+    instances = sample_training_instances(split.train, config.num_negatives, rng)
+    if instances.shape[0] == 0:
+        return 0.0
+    histories = split.train.item_arrays()
+    total = 0.0
+    batch = []
+    for u, i, label in instances.tolist():
+        logit, cache = predict_logit(params, config, histories[u], u, i)
+        if not math.isfinite(logit):
+            raise TrainingDiverged(
+                f"non-finite logit on instance (user={u}, item={i}, "
+                f"label={label}): logit={logit!r}",
+                instance=(u, i, label), logit=logit)
+        loss, dlogit = loss_with_reg(logit, label, params, config, cache)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(
+                f"non-finite loss on instance (user={u}, item={i}, "
+                f"label={label}): logit={logit!r}",
+                instance=(u, i, label), logit=logit)
+        total += loss
+        batch.append(add_l2_grads(backward(params, config, cache, dlogit),
+                                  params, config))
+        if len(batch) >= config.batch_size:
+            apply_batch(opt_state, params, batch)
+            batch = []
+    if batch:
+        apply_batch(opt_state, params, batch)
+    return total / instances.shape[0]

@@ -73,6 +73,17 @@ class TestSplitCommand:
         split = load_split(tmp_path / "sp")
         assert "loner" not in split.train.user_ids
 
+    def test_raw_id_with_tab_fails_before_writing(self, tmp_path, capsys):
+        # a tab in a raw id would make the written .idmap unreadable
+        log = tmp_path / "tabsp.log"
+        log.write_text("a\tb::i1::5::1\na\tb::i2::5::2\nc::i1::5::3\n"
+                       "c::i2::4::4\n", encoding="utf-8")
+        rc = main(["split", str(log), "--format", "double_colon",
+                   "--split", str(tmp_path / "tabsp")])
+        assert rc == 1
+        assert f"{log}: line 1: raw id" in capsys.readouterr().err
+        assert not (tmp_path / "tabsp.idmap").exists()
+
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("u\ti\t1\n")
@@ -334,6 +345,17 @@ def test_non_utf8_byte_names_file_and_line(workdir, capsys, name):
 
 
 class TestMetricsCsv:
+    def test_non_utf8_metrics_file_names_the_file(self, workdir, capsys):
+        csv_path = workdir / "m.csv"
+        csv_path.write_bytes(b"\xff\xfeepoch\n")
+        rc = main(["train", "--config", str(workdir / "model.cfg"),
+                   "--split", str(workdir / "sp"),
+                   "--checkpoint", str(workdir / "m.ckpt"),
+                   "--metrics", str(csv_path)])
+        assert rc == 1
+        assert f"{csv_path}: line 1: not UTF-8 text" in capsys.readouterr().err
+        assert csv_path.read_bytes() == b"\xff\xfeepoch\n"
+
     def test_eval_every_populates_columns_and_appends(self, workdir):
         cfg_file = workdir / "ev.cfg"
         cfg_file.write_text(BASE_CONFIG.replace("epochs = 3", "epochs = 2")

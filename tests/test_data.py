@@ -63,6 +63,16 @@ class TestParse:
             parse("u\ta\t1\t1\nv\ta\t1\t1\nv\tb\t1\t2\n")
         assert "1 users with <2 interactions" in caplog.text
 
+    # the .idmap file separates a raw id from its dense id with a tab
+    @pytest.mark.parametrize("line", ["a\tb::i1::5::2", "u::i\t1::5::2"])
+    def test_raw_id_with_tab_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "tab.log"
+        path.write_text(f"u::i0::5::1\n{line}\n", encoding="utf-8")
+        with open_text(path) as f, pytest.raises(DataError) as err:
+            parse_interactions(f, fmt="double_colon")
+        assert str(err.value).startswith(f"{path}: line 2: raw id ")
+        assert "holds a tab" in str(err.value)
+
 
 class TestLeaveOneOut:
     def test_latest_interaction_held_out(self):

@@ -417,6 +417,46 @@ class TestBackward:
         assert d_item_bias == pytest.approx(-1.67e-5, rel=1e-2)
         assert d_item_bias == pytest.approx(want, rel=1e-12)
 
+    # a group's summed loss: 5 repeats, and 2 and 0 sit in the history,
+    # each masked out of its own pool only
+    @pytest.mark.parametrize("variant,layers", [
+        (Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 1)])
+    def test_group_gradients_match_finite_differences(self, variant, layers):
+        num_users, num_items = 4, 9
+        cfg = ModelConfig(variant=variant, k=5, k_prime=3, num_layers=layers,
+                          alpha=0.0 if variant is Variant.DEEPICF_A else 0.5)
+        p, flat = tiny_params(cfg, num_users, num_items,
+                              rng_from_seed(31, variant.value))
+        hist, user = np.array([0, 2, 4, 7]), 3
+        items = np.array([2, 5, 8, 5, 0])
+        labels = np.array([1, 0, 0, 0, 1])
+
+        def loss_of(theta):
+            view = params_from_flat(theta, cfg, num_users, num_items)
+            logit, _ = predict_logit(view, cfg, hist, user, items)
+            return bce_from_logit(logit, labels)[0].sum()
+
+        logit, cache = predict_logit(p, cfg, hist, user, items)
+        _, dlogit = bce_from_logit(logit, labels)
+        grads = backward(p, cfg, cache, dlogit)
+        assert sorted(grads.rows["target_embed"][0].tolist()) == [0, 2, 5, 8]
+        assert sorted(grads.rows["history_embed"][0].tolist()) == [0, 2, 4, 7]
+        analytic = flatten_grads(grads, cfg, num_users, num_items)
+        numeric = finite_diff_grad(loss_of, flat, h=1e-5)
+        scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
+        assert np.abs(analytic - numeric).max() / scale < 1e-4
+
+    def test_row_masked_by_every_candidate_gets_no_gradient(self):
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3)
+        p, _ = tiny_params(cfg, 2, 6, rng_from_seed(12))
+        _, cache = predict_logit(p, cfg, [1, 3, 4], 0, np.array([3, 3]))
+        grads = backward(p, cfg, cache, np.array([0.5, -0.25]))
+        rows, values = grads.rows["history_embed"]
+        assert rows.tolist() == [1, 4] and values.shape == (2, 4)
+        assert grads.rows["target_embed"][0].tolist() == [3]
+        assert grads.rows["item_bias"][1].tolist() == [0.25]
+        assert grads.rows["user_bias"][1] == 0.25
+
     @pytest.mark.parametrize("variant,layers,beta", [
         (Variant.FISM, 0, 0.5),
         (Variant.DEEPICF, 1, 0.5), (Variant.DEEPICF, 3, 0.5),

@@ -72,6 +72,25 @@ class TestBceFromLogit:
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
             bce_from_logit(0.0, 2)
+        with pytest.raises(ValueError):
+            bce_from_logit(np.zeros(2), np.array([1, 2]))
+
+    def test_array_matches_scalar_elementwise(self):
+        logits = np.array([-60.0, -3.0, -1e-9, 0.0, 0.7, 40.0])
+        labels = np.array([0, 1, 0, 1, 1, 0])
+        loss, grad = bce_from_logit(logits, labels)
+        for x, y, l, g in zip(logits, labels, loss, grad):
+            want_loss, want_grad = bce_from_logit(float(x), int(y))
+            assert l == pytest.approx(want_loss, rel=1e-15, abs=1e-300)
+            assert g == pytest.approx(want_grad, rel=1e-15, abs=1e-300)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("logit", [math.inf, -math.inf, math.nan])
+    def test_non_finite_logit_gives_non_finite_loss(self, logit):
+        for label in (0, 1):
+            assert not math.isfinite(bce_from_logit(logit, label)[0])
+            loss, _ = bce_from_logit(np.array([0.0, logit]), np.array([1, label]))
+            assert math.isfinite(loss[0]) and not math.isfinite(loss[1])
 
 
 class TestSoftmaxBeta:

@@ -3,16 +3,39 @@ import math
 import numpy as np
 import pytest
 
-from deepicf.data import leave_one_out_split
+import deepicf.training
+from deepicf.data import leave_one_out_split, sample_training_instances
 from deepicf.errors import ConfigError, TrainingDiverged
 from deepicf.model import (ModelConfig, ModelParams, Variant, backward,
                            flatten_grads, flatten_params, init_params,
                            params_from_flat, predict_logit)
 from deepicf.numerics import bce_from_logit, finite_diff_grad, rng_from_seed
-from deepicf.training import (AdagradState, add_l2_grads, apply_batch, fit,
-                              loss_with_reg, pretrain_and_init, train_epoch)
+from deepicf.training import (ADAGRAD_EPSILON, AdagradState, add_l2_grads,
+                              apply_batch, fit, loss_with_reg,
+                              pretrain_and_init, train_epoch)
 
+import per_instance
 from conftest import make_dataset, synthetic_dataset
+
+# Grouping an update batch by user changes only the order in which the
+# batch's gradients are summed, so they agree with the per-instance sums
+# to this relative tolerance.
+SUM_ORDER_RTOL = 1e-12
+
+
+def fit_per_instance(cfg, split):
+    """``fit`` driven by the per-instance oracle loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deepicf.training, "train_epoch", per_instance.train_epoch)
+        return fit(cfg, split)
+
+
+def assert_params_close(got, want, rtol):
+    """Every array of ``got`` within ``rtol`` of ``want``, relative to the
+    largest magnitude in the array."""
+    for name, value in want.items():
+        err = np.abs(got[name] - value).max()
+        assert err <= rtol * np.abs(value).max(), (name, err)
 
 
 def one_param_setup(grad_value):
@@ -239,15 +262,17 @@ class TestTrainEpoch:
             assert np.all(np.isfinite(arr))
 
     def test_batch_of_one_matches_plain_steps(self, split):
-        results = []
-        for batch_size in (1, 1):
-            cfg = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3,
-                              num_layers=1, lr=0.05, num_negatives=2,
-                              epochs=2, seed=6, batch_size=batch_size)
-            params, _ = fit(cfg, split)
-            results.append([a.copy() for a in params.arrays()])
-        for a, b in zip(*results):
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3,
+                          num_layers=1, lr=0.05, num_negatives=2,
+                          epochs=2, seed=6, batch_size=1)
+        results = [fit(cfg, split) for _ in range(2)]
+        for a, b in zip(results[0][0].arrays(), results[1][0].arrays()):
             assert np.array_equal(a, b)
+        # each batch of one is one plain per-instance step
+        want, want_report = fit_per_instance(cfg, split)
+        assert_params_close(results[0][0], want, SUM_ORDER_RTOL)
+        for got, oracle in zip(results[0][1].epochs, want_report.epochs):
+            assert got.loss == pytest.approx(oracle.loss, rel=SUM_ORDER_RTOL)
 
     @pytest.mark.parametrize("variant,layers", [
         (Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 1)])
@@ -290,6 +315,142 @@ class TestTrainEpoch:
                           epochs=150, seed=1)
         _, report = fit(cfg, split)
         assert report.epochs[-1].loss < 0.05
+
+
+# One Adagrad step moves a coordinate by lr * g / (sqrt(acc) + eps). Where a
+# batch's gradient cancels to near zero (two positives and two negatives
+# at logits near 0, say), that step scales a rounding difference in g by
+# up to lr / eps, so sums taken in another order move later parameters by
+# up to that factor more than the sums themselves differ.
+def adagrad_rtol(cfg):
+    return SUM_ORDER_RTOL * cfg.lr / ADAGRAD_EPSILON
+
+
+GROUP_CASES = [(Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 1)]
+
+
+def group_config(variant, layers, reg, **kwargs):
+    return ModelConfig(variant=variant, k=4, k_prime=3, num_layers=layers,
+                       alpha=0.0 if variant is Variant.DEEPICF_A else 0.5,
+                       l2=0.01 if reg else 0.0, reg_embeddings=reg, **kwargs)
+
+
+class TestGroupedTraining:
+    @pytest.fixture()
+    def split(self):
+        return leave_one_out_split(
+            synthetic_dataset(num_users=12, num_items=60, seed=5),
+            seed=1, num_negatives=10)
+
+    @pytest.mark.parametrize("reg", [False, True], ids=["l2=0", "l2+emb"])
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("variant,layers", GROUP_CASES)
+    def test_fit_matches_per_instance_oracle(self, split, variant, layers,
+                                             batch_size, reg):
+        cfg = group_config(variant, layers, reg, lr=0.05, num_negatives=3,
+                           epochs=2, seed=6, batch_size=batch_size)
+        params, report = fit(cfg, split)
+        want, want_report = fit_per_instance(cfg, split)
+        # batches of one sum nothing; larger ones reorder the sums
+        rtol = SUM_ORDER_RTOL if batch_size == 1 else adagrad_rtol(cfg)
+        assert_params_close(params, want, rtol)
+        losses = [e.loss for e in report.epochs]
+        want_losses = [e.loss for e in want_report.epochs]
+        assert losses[0] == pytest.approx(want_losses[0], rel=SUM_ORDER_RTOL)
+        assert losses == pytest.approx(want_losses, rel=rtol)
+
+    @pytest.mark.parametrize("reg", [False, True], ids=["l2=0", "l2+emb"])
+    @pytest.mark.parametrize("variant,layers", GROUP_CASES)
+    def test_group_sums_the_per_instance_gradients(self, variant, layers,
+                                                   reg):
+        num_users, num_items = 3, 9
+        cfg = group_config(variant, layers, reg)
+        rng = rng_from_seed(17, variant.value)
+        params = init_params(cfg, num_users, num_items, rng)
+        flat = rng.normal(0.0, 0.4, size=flatten_params(params, cfg).size)
+        params = params_from_flat(flat, cfg, num_users, num_items)
+        hist, user = np.array([0, 2, 4, 7]), 1
+        # 5 repeats; 2 and 0 sit in the history, each masking its own row
+        items = np.array([2, 5, 8, 5, 0, 3])
+        labels = np.array([1, 0, 0, 0, 1, 0])
+
+        total, magnitude, want_loss = 0.0, 0.0, 0.0
+        for item, label in zip(items.tolist(), labels.tolist()):
+            logit, cache = predict_logit(params, cfg, hist, user, item)
+            loss, dlogit = loss_with_reg(logit, label, params, cfg, cache)
+            grads = add_l2_grads(backward(params, cfg, cache, dlogit),
+                                 params, cfg)
+            one = flatten_grads(grads, cfg, num_users, num_items)
+            total, magnitude = total + one, magnitude + np.abs(one)
+            want_loss += loss
+
+        logit, cache = predict_logit(params, cfg, hist, user, items)
+        loss, dlogit = loss_with_reg(logit, labels, params, cfg, cache)
+        grads = add_l2_grads(backward(params, cfg, cache, dlogit),
+                             params, cfg, cache)
+        for name in ("target_embed", "history_embed", "item_bias"):
+            rows = np.atleast_1d(grads.rows[name][0])
+            assert np.unique(rows).size == rows.size, name
+        got = flatten_grads(grads, cfg, num_users, num_items)
+        assert np.all(np.abs(got - total) <= SUM_ORDER_RTOL * magnitude)
+        assert loss.sum() == pytest.approx(want_loss, rel=SUM_ORDER_RTOL)
+
+    # the penalties count each target once per candidate and each history
+    # row once per candidate that keeps it in its pool
+    @pytest.mark.parametrize("variant,layers", GROUP_CASES)
+    def test_group_regularized_loss_matches_finite_differences(
+            self, variant, layers):
+        num_users, num_items = 3, 9
+        cfg = group_config(variant, layers, reg=True)
+        rng = rng_from_seed(23, variant.value)
+        params = init_params(cfg, num_users, num_items, rng)
+        flat = rng.normal(0.0, 0.4, size=flatten_params(params, cfg).size)
+        params = params_from_flat(flat, cfg, num_users, num_items)
+        hist, user = np.array([0, 2, 4, 7]), 2
+        items, labels = np.array([2, 5, 5, 0, 8]), np.array([1, 0, 0, 1, 0])
+
+        def loss_of(theta):
+            view = params_from_flat(theta, cfg, num_users, num_items)
+            logit, cache = predict_logit(view, cfg, hist, user, items)
+            return loss_with_reg(logit, labels, view, cfg, cache)[0].sum()
+
+        logit, cache = predict_logit(params, cfg, hist, user, items)
+        _, dlogit = loss_with_reg(logit, labels, params, cfg, cache)
+        grads = add_l2_grads(backward(params, cfg, cache, dlogit), params,
+                             cfg, cache)
+        analytic = flatten_grads(grads, cfg, num_users, num_items)
+        numeric = finite_diff_grad(loss_of, flat, h=1e-5)
+        scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
+        assert np.abs(analytic - numeric).max() / scale < 1e-4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_first_instance_in_stream_order(self, split):
+        stream = sample_training_instances(split.train, 2,
+                                           rng_from_seed(4)).tolist()
+        first_user = stream[0][0]
+        # an item whose first instance in the stream belongs to another
+        # user than the stream's first, while a later one belongs to that
+        # first user, whose group is scored first
+        for bad in range(split.train.num_items):
+            users = [u for u, i, _ in stream[:256] if i == bad]
+            if users and users[0] != first_user and first_user in users:
+                break
+        else:
+            pytest.fail("no item splits its instances that way")
+        named = {}
+        for batch_size in (1, 256):
+            cfg = ModelConfig(variant=Variant.FISM, k=4, lr=0.1,
+                              num_negatives=2, seed=2, batch_size=batch_size)
+            params = init_params(cfg, split.train.num_users,
+                                 split.train.num_items, rng_from_seed(0))
+            params["target_embed"][bad, 0] = np.inf
+            state = AdagradState(params, lr=cfg.lr)
+            with pytest.raises(TrainingDiverged) as err:
+                train_epoch(params, cfg, split, state, rng_from_seed(4))
+            named[batch_size] = err.value
+        at = next(t for t, (_, i, _) in enumerate(stream) if i == bad)
+        assert named[256].instance == named[1].instance == tuple(stream[at])
+        assert str(named[256]) == str(named[1])
 
 
 class TestPretraining:

@@ -13,7 +13,7 @@ masked out of the history by its own row of a mask; training's
 :func:`predict_logit` and ranking's :func:`score_items` are calls of it.
 :func:`backward` differentiates its cache, for one item or for the
 candidates of one user that a training batch scores together, and returns
-their summed gradients.
+the gradients of their summed loss.
 
 The tensors of a variant are declared once, by :func:`param_layout`;
 parameters, the flat views used by the gradient checks, the optimizer
@@ -322,8 +322,9 @@ class Grads:
 
     ``rows`` maps each of the two embedding tables and the two bias
     vectors to ``(rows, values)`` over just the rows a forward cache
-    touched, each row once (a plain int for a single row); ``dense`` holds
-    the whole-tensor gradients of every other trained tensor.
+    touched: each history row once, and a target row and item bias per
+    candidate (a plain int for one item); ``dense`` holds the whole-tensor
+    gradients of every other trained tensor.
     """
 
     rows: dict
@@ -338,9 +339,9 @@ def backward(params, config, cache, dlogit):
     candidates: a float for one item, or an array for a candidate array.
     Every whole-tensor gradient is summed over the candidates. A history
     row collects the gradient of every candidate that keeps it in its
-    pool, and a candidate that repeats has its target row and item bias
-    merged, so no row appears twice in the result. One item keeps the
-    one-item shapes throughout: a plain target index and float biases.
+    pool. Target rows and item biases come one per candidate, so a
+    candidate that repeats repeats there too. One item keeps the one-item
+    shapes throughout: a plain target index and float biases.
 
     Chain rule through the prediction layer, the ReLU tower, the pooling
     step, and the pairwise products. For attention pooling the full
@@ -358,8 +359,8 @@ def backward(params, config, cache, dlogit):
     dense = {}
     if config.trains_output_weights:
         top = cache.layer_acts[-1] if cache.layer_acts else cache.pooled
-        dense["output_weights"] = np.dot(dlogit, top)
-    d_vec = np.multiply.outer(dlogit, params["output_weights"])
+        dense["output_weights"] = dlogit * top if one else np.dot(dlogit, top)
+    d_vec = (dlogit if one else dlogit[:, None]) * params["output_weights"]
 
     for layer in reversed(range(config.num_layers)):
         # ReLU subgradient at exactly 0 is taken as 0
@@ -402,14 +403,13 @@ def backward(params, config, cache, dlogit):
                      else np.dot(cache.keep[:, kept].T, spread))
 
     if one:
-        items, d_items, d_user = cache.items, float(dlogit), float(dlogit)
+        d_items = d_user = float(dlogit)
     else:
-        items, d_target, d_items = _merge_repeats(cache.items, d_target, dlogit)
-        d_user = dlogit.sum()
-    return Grads(rows={"target_embed": (items, d_target),
+        d_items, d_user = dlogit, dlogit.sum()
+    return Grads(rows={"target_embed": (cache.items, d_target),
                        "history_embed": (rows, d_history),
                        "user_bias": (cache.user, d_user),
-                       "item_bias": (items, d_items)},
+                       "item_bias": (cache.items, d_items)},
                  dense=dense)
 
 
@@ -420,21 +420,7 @@ def _total(x, one):
 
 def _outer_total(a, b, one):
     """The outer products of ``a`` and ``b`` summed over the candidates."""
-    return np.multiply.outer(a, b) if one else np.dot(a.T, b)
-
-
-def _merge_repeats(items, *values):
-    """``items`` with every repeat dropped, and each array of ``values``
-    summed over the candidates of each remaining item."""
-    unique, inverse = np.unique(items, return_inverse=True)
-    if unique.size == items.size:
-        return (items, *values)
-    merged = []
-    for v in values:
-        total = np.zeros((unique.size,) + v.shape[1:])
-        np.add.at(total, inverse, v)
-        merged.append(total)
-    return (unique, *merged)
+    return a[:, None] * b if one else np.dot(a.T, b)
 
 
 # ---------------------------------------------------------------------------

@@ -74,16 +74,20 @@ def _sum_rows(pairs, row_shape):
     the sum of its values in order of appearance.
 
     Values are added one pair at a time, so no batch-sized copy of the
-    history gradients is built.
+    history gradients is built. Each is added entry by entry into the
+    flat sum: ``np.add.at`` over whole rows is several times slower.
     """
     index = [np.atleast_1d(rows) for rows, _ in pairs]
     unique, inverse = np.unique(np.concatenate(index), return_inverse=True)
-    summed = np.zeros((unique.size,) + row_shape)
+    width = math.prod(row_shape)
+    summed = np.zeros(unique.size * width)
+    columns = np.arange(width)
     start = 0
     for rows, (_, values) in zip(index, pairs):
-        np.add.at(summed, inverse[start:start + rows.size], values)
+        at = inverse[start:start + rows.size, None] * width + columns
+        np.add.at(summed, at.ravel(), np.ravel(values))
         start += rows.size
-    return unique, summed
+    return unique, summed.reshape((unique.size,) + row_shape)
 
 
 def apply_batch(state, params, batch):
@@ -91,11 +95,13 @@ def apply_batch(state, params, batch):
     acc += g^2 then theta -= lr*g/(sqrt(acc)+eps), elementwise over exactly
     the entries the batch touched.
 
-    A single :class:`Grads` is applied as it is, since :func:`backward`
-    returns each row once. A batch of more than one first sums the rows
-    each sparse tensor received, so every touched row is updated once.
+    The gradients of one item, whose item bias gradient is a float, are
+    applied as they are, since they hold each row once. Any other batch
+    first sums the rows each sparse tensor received (a candidate that
+    repeats in a group, or a row that several groups touch), so every
+    touched row is updated once.
     """
-    if len(batch) == 1:
+    if len(batch) == 1 and isinstance(batch[0].rows["item_bias"][1], float):
         rows, dense = batch[0].rows, batch[0].dense
     else:
         rows = {name: _sum_rows([g.rows[name] for g in batch],
@@ -150,9 +156,9 @@ def loss_with_reg(logit, label, params, config, cache=None):
 def add_l2_grads(grads, params, config, cache=None):
     """Add 2*lambda*theta to the gradients covered by the L2 policy, once
     for each instance whose loss carries the penalty: each candidate of
-    ``cache`` counts for the tower weights and its target row, and for
-    every history row it keeps. Without a cache the gradients are those of
-    one item."""
+    ``cache`` counts for the tower weights, for its own target row entry,
+    and for every history row it keeps. Without a cache the gradients are
+    those of one item."""
     lam = config.l2
     if lam <= 0.0:
         return grads
@@ -162,13 +168,13 @@ def add_l2_grads(grads, params, config, cache=None):
         name = f"W{layer}"
         grads.dense[name] = grads.dense[name] + 2.0 * lam * count * params[name]
     if config.reg_embeddings:
-        for name, masked in (("target_embed", False), ("history_embed", True)):
+        kept_by = 1.0
+        if group:
+            # the number of candidates that keep each kept history row
+            kept_by = cache.keep.sum(axis=0)
+            kept_by = kept_by[kept_by > 0][:, None]
+        for name, uses in (("target_embed", 1.0), ("history_embed", kept_by)):
             rows, values = grads.rows[name]
-            uses = 1.0
-            if group:
-                # candidates whose target the row is; the others keep it
-                uses = (np.asarray(rows)[:, None] == cache.items).sum(axis=1)
-                uses = (count - uses if masked else uses)[:, None]
             grads.rows[name] = (rows, values + 2.0 * lam * uses * params[name][rows])
     return grads
 
@@ -215,9 +221,12 @@ def train_epoch(params, config, split, opt_state, rng):
             loss, dlogit = loss_with_reg(logit, labels, params, config, cache)
             group_loss = loss if len(at) == 1 else float(loss.sum())
             if not math.isfinite(group_loss):
-                # a non-finite logit gives a non-finite loss
-                bad = int(np.flatnonzero(~np.isfinite(loss))[0])
-                failed.append((at[bad], float(np.reshape(logit, -1)[bad])))
+                # a non-finite logit gives a non-finite loss, while finite
+                # losses may sum to inf, as the epoch total may
+                bad = np.flatnonzero(~np.isfinite(loss))
+                if bad.size:
+                    failed.append((at[bad[0]],
+                                   float(np.reshape(logit, -1)[bad[0]])))
             if failed:
                 continue
             total += group_loss

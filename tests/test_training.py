@@ -10,8 +10,8 @@ from deepicf.model import (ModelConfig, ModelParams, Variant, backward,
                            flatten_grads, flatten_params, init_params,
                            params_from_flat, predict_logit)
 from deepicf.numerics import bce_from_logit, finite_diff_grad, rng_from_seed
-from deepicf.training import (ADAGRAD_EPSILON, AdagradState, add_l2_grads,
-                              apply_batch, fit, loss_with_reg,
+from deepicf.training import (ADAGRAD_EPSILON, AdagradState, _sum_rows,
+                              add_l2_grads, apply_batch, fit, loss_with_reg,
                               pretrain_and_init, train_epoch)
 
 import per_instance
@@ -122,6 +122,23 @@ class TestAdagrad:
             assert np.array_equal(
                 params[name],
                 before[name] - cfg.lr * g / (np.sqrt(g * g) + state.epsilon))
+
+    @pytest.mark.parametrize("row_shape", [(), (5,)])
+    def test_row_sums_equal_row_by_row_sums(self, row_shape):
+        rng = rng_from_seed(3)
+        index = [np.array([4, 1, 4]), 1, np.array([0, 4, 6]), 6]
+        pairs = [(rows, rng.normal(size=np.shape(rows) + row_shape))
+                 for rows in index]
+        unique, inverse = np.unique(np.hstack(index), return_inverse=True)
+        want = np.zeros((unique.size,) + row_shape)
+        start = 0
+        for rows, values in pairs:
+            size = np.size(rows)
+            np.add.at(want, inverse[start:start + size], values)
+            start += size
+        rows, got = _sum_rows(pairs, row_shape)
+        assert np.array_equal(rows, unique)
+        assert np.array_equal(got, want)
 
 
 class TestLossWithReg:
@@ -359,6 +376,26 @@ class TestGroupedTraining:
         assert losses[0] == pytest.approx(want_losses[0], rel=SUM_ORDER_RTOL)
         assert losses == pytest.approx(want_losses, rel=rtol)
 
+    # with epsilon = 1 a step scales a rounding difference in g by at most
+    # lr, so two epochs of batches of 256 hold the sums' own tolerance
+    @pytest.mark.parametrize("reg", [False, True], ids=["l2=0", "l2+emb"])
+    @pytest.mark.parametrize("variant,layers", GROUP_CASES)
+    def test_epochs_match_oracle_where_steps_do_not_amplify(
+            self, split, variant, layers, reg):
+        cfg = group_config(variant, layers, reg, lr=0.05, num_negatives=3,
+                           seed=6, batch_size=256)
+        runs = []
+        for epoch_of in (train_epoch, per_instance.train_epoch):
+            params = init_params(cfg, split.train.num_users,
+                                 split.train.num_items, rng_from_seed(6))
+            state = AdagradState(params, lr=cfg.lr, epsilon=1.0)
+            losses = [epoch_of(params, cfg, split, state, rng_from_seed(6, e))
+                      for e in (1, 2)]
+            runs.append((params, losses))
+        (params, losses), (want, want_losses) = runs
+        assert_params_close(params, want, SUM_ORDER_RTOL)
+        assert losses == pytest.approx(want_losses, rel=SUM_ORDER_RTOL)
+
     @pytest.mark.parametrize("reg", [False, True], ids=["l2=0", "l2+emb"])
     @pytest.mark.parametrize("variant,layers", GROUP_CASES)
     def test_group_sums_the_per_instance_gradients(self, variant, layers,
@@ -374,12 +411,13 @@ class TestGroupedTraining:
         items = np.array([2, 5, 8, 5, 0, 3])
         labels = np.array([1, 0, 0, 0, 1, 0])
 
-        total, magnitude, want_loss = 0.0, 0.0, 0.0
+        singles, total, magnitude, want_loss = [], 0.0, 0.0, 0.0
         for item, label in zip(items.tolist(), labels.tolist()):
             logit, cache = predict_logit(params, cfg, hist, user, item)
             loss, dlogit = loss_with_reg(logit, label, params, cfg, cache)
             grads = add_l2_grads(backward(params, cfg, cache, dlogit),
                                  params, cfg)
+            singles.append(grads)
             one = flatten_grads(grads, cfg, num_users, num_items)
             total, magnitude = total + one, magnitude + np.abs(one)
             want_loss += loss
@@ -388,12 +426,20 @@ class TestGroupedTraining:
         loss, dlogit = loss_with_reg(logit, labels, params, cfg, cache)
         grads = add_l2_grads(backward(params, cfg, cache, dlogit),
                              params, cfg, cache)
-        for name in ("target_embed", "history_embed", "item_bias"):
-            rows = np.atleast_1d(grads.rows[name][0])
-            assert np.unique(rows).size == rows.size, name
+        rows = grads.rows["history_embed"][0]
+        assert np.unique(rows).size == rows.size
         got = flatten_grads(grads, cfg, num_users, num_items)
         assert np.all(np.abs(got - total) <= SUM_ORDER_RTOL * magnitude)
         assert loss.sum() == pytest.approx(want_loss, rel=SUM_ORDER_RTOL)
+        # one step on the group's gradients alone sums the repeated
+        # candidate's rows as one on the per-instance gradients does;
+        # epsilon = 1 keeps the step from scaling up rounding differences
+        stepped = []
+        for batch in ([grads], singles):
+            theta = params.clone()
+            apply_batch(AdagradState(theta, lr=0.05, epsilon=1.0), theta, batch)
+            stepped.append(theta)
+        assert_params_close(*stepped, SUM_ORDER_RTOL)
 
     # the penalties count each target once per candidate and each history
     # row once per candidate that keeps it in its pool
@@ -422,6 +468,20 @@ class TestGroupedTraining:
         numeric = finite_diff_grad(loss_of, flat, h=1e-5)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
         assert np.abs(analytic - numeric).max() / scale < 1e-4
+
+    # every negative's loss is about 1e308, so two in one group sum to inf
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_losses_summing_to_inf_do_not_diverge(self, split):
+        cfg = ModelConfig(variant=Variant.FISM, k=4, lr=0.1, num_negatives=2,
+                          seed=2, batch_size=256)
+        losses = []
+        for epoch_of in (train_epoch, per_instance.train_epoch):
+            params = init_params(cfg, split.train.num_users,
+                                 split.train.num_items, rng_from_seed(0))
+            params["item_bias"][:] = 1e308
+            state = AdagradState(params, lr=cfg.lr)
+            losses.append(epoch_of(params, cfg, split, state, rng_from_seed(4)))
+        assert losses == [math.inf, math.inf]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_first_instance_in_stream_order(self, split):

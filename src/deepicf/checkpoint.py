@@ -112,14 +112,3 @@ def load_checkpoint(path):
         offset += count * 8
     return params, config, num_users, num_items
 
-
-def save_text(path, params, config):
-    """Human-readable dump of every tensor, for debugging only."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"variant {config.variant.value} k {config.k} "
-                f"k_prime {config.k_prime} L {config.num_layers} "
-                f"alpha {config.alpha!r} beta {config.beta!r}\n")
-        for name, arr in params.items():
-            f.write(f"# {name} shape {'x'.join(map(str, arr.shape))}\n")
-            for row in np.atleast_2d(arr):
-                f.write(" ".join(repr(float(x)) for x in row) + "\n")

@@ -76,9 +76,6 @@ class InteractionDataset:
     def history_times(self, user):
         return self._times[user]
 
-    def history_pairs(self, user):
-        return list(zip(self._items[user].tolist(), self._times[user].tolist()))
-
     def item_arrays(self):
         """Per-user item index arrays, indexable by dense user id."""
         return self._items

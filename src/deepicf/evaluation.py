@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from deepicf.errors import EvalError
 from deepicf.model import score_items
@@ -113,48 +112,40 @@ class ItemKnnModel:
 
     ``sim(i, j) = |users(i) & users(j)| / sqrt(|users(i)| * |users(j)|)``,
     with items that nobody interacted with pinned at similarity 0. A
-    user's score for a candidate sums the similarities to every item in
-    the user's history (all neighbors by default; ``top_n`` truncates each
-    candidate's similarity row to its strongest entries, diagonal
-    excluded).
+    user's score for a candidate sums the similarities to every other item
+    in the user's history.
 
     The similarity matrix is held dense: on real logs the co-occurrence
-    product is nearly full. It is computed once, with each column scaled
-    by ``1/sqrt(|users(j)|)``, the diagonal zeroed and any ``top_n``
-    truncation applied per row; the row factor ``1/sqrt(|users(i)|)`` is
-    applied at scoring time.
+    counts are nearly full. Row ``i`` counts, per item, the users that
+    hold it together with ``i``: one ``bincount`` over the histories that
+    hold ``i``. Each column is then scaled by ``1/sqrt(|users(j)|)`` and
+    the diagonal zeroed; the row factor ``1/sqrt(|users(i)|)`` is applied
+    at scoring time.
     """
 
-    def __init__(self, train, top_n=None):
-        if top_n is not None and top_n < 1:
-            raise EvalError(f"top_n must be >= 1, got {top_n}")
+    def __init__(self, train):
         self.train = train
-        self.top_n = top_n
-        hists = train.item_arrays()
-        indptr = np.cumsum([0] + [h.size for h in hists])
-        incidence = sp.csr_matrix(
-            (np.ones(indptr[-1]), np.concatenate(hists), indptr),
-            shape=(train.num_users, train.num_items))
+        num_items = train.num_items
+        holders = [[] for _ in range(num_items)]
+        for hist in train.item_arrays():
+            for item in hist.tolist():
+                holders[item].append(hist)
+        sim = np.zeros((num_items, num_items))
+        for item, hists in enumerate(holders):
+            if hists:
+                sim[item] = np.bincount(np.concatenate(hists),
+                                        minlength=num_items)
         counts = train.item_counts()
-        inv_sqrt = np.zeros(train.num_items)
+        inv_sqrt = np.zeros(num_items)
         active = counts > 0
         inv_sqrt[active] = 1.0 / np.sqrt(counts[active])
-        sim = (incidence.T @ incidence).toarray()
         sim *= inv_sqrt
         np.fill_diagonal(sim, 0.0)
-        if top_n is not None:
-            for row in sim:
-                row[np.argsort(-row, kind="stable")[top_n:]] = 0.0
         self._sim = sim
         self._inv_sqrt = inv_sqrt
 
-    def similarity_row(self, item):
-        """Dense similarity row of one item, diagonal zeroed, optionally
-        truncated to the strongest ``top_n`` neighbors."""
-        return self._sim[item] * self._inv_sqrt[item]
-
     def similarity(self, i, j):
-        return float(self.similarity_row(i)[j])
+        return float(self._sim[i, j] * self._inv_sqrt[i])
 
     def scorer_factory(self):
         def factory(user):
@@ -168,9 +159,9 @@ class ItemKnnModel:
         return factory
 
 
-def item_knn_fit_and_score(train, top_n=None):
+def item_knn_fit_and_score(train):
     """Fit the cosine model and return (model, scorer factory)."""
-    model = ItemKnnModel(train, top_n=top_n)
+    model = ItemKnnModel(train)
     return model, model.scorer_factory()
 
 

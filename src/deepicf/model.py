@@ -16,8 +16,8 @@ candidates of one user that a training batch scores together, and returns
 the gradients of their summed loss.
 
 The tensors of a variant are declared once, by :func:`param_layout`;
-parameters, the flat views used by the gradient checks, the optimizer
-state and the checkpoint format are all derived from that list.
+parameters, the optimizer state and the checkpoint format are all
+derived from that list.
 Parameters are mutable numpy arrays; training is single-writer, while any
 number of evaluators may read a parameter set concurrently.
 """
@@ -25,7 +25,6 @@ number of evaluators may read a parameter set concurrently.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,10 +175,6 @@ class ModelParams(dict):
 
     def clone(self):
         return ModelParams((name, a.copy()) for name, a in self.items())
-
-    def arrays(self):
-        """Every array the variant carries, in checkpoint order."""
-        return list(self.values())
 
 
 def init_params(config, num_users, num_items, rng):
@@ -421,51 +416,6 @@ def _total(x, one):
 def _outer_total(a, b, one):
     """The outer products of ``a`` and ``b`` summed over the candidates."""
     return a[:, None] * b if one else np.dot(a.T, b)
-
-
-# ---------------------------------------------------------------------------
-# Flat parameter views, used by the finite-difference gradient checks
-# ---------------------------------------------------------------------------
-
-def flatten_params(params, config):
-    """Concatenate the variant's trained tensors into one vector."""
-    layout = param_layout(config, params.num_users, params.num_items)
-    return np.concatenate([params[name].ravel()
-                           for name, _, trained in layout if trained])
-
-
-def params_from_flat(theta, config, num_users, num_items):
-    """Rebuild parameters as views into a flat vector, so perturbing one
-    coordinate of ``theta`` perturbs exactly one model weight."""
-    params = ModelParams()
-    offset = 0
-    for name, shape, trained in param_layout(config, num_users, num_items):
-        if not trained:
-            params[name] = np.ones(shape)
-            continue
-        size = math.prod(shape)
-        params[name] = theta[offset:offset + size].reshape(shape)
-        offset += size
-    if offset != theta.size:
-        raise ModelError(
-            f"flat vector has {theta.size} entries, expected {offset}")
-    return params
-
-
-def flatten_grads(grads, config, num_users, num_items):
-    """Scatter :class:`Grads` into the flat layout of
-    :func:`flatten_params`, for direct comparison with the oracle."""
-    parts = []
-    for name, shape, trained in param_layout(config, num_users, num_items):
-        if name in grads.rows:
-            full = np.zeros(shape)
-            np.add.at(full, *grads.rows[name])
-        elif trained:
-            full = grads.dense[name]
-        else:
-            continue
-        parts.append(full.ravel())
-    return np.concatenate(parts)
 
 
 def fism_config(config):

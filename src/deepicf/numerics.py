@@ -1,8 +1,7 @@
 """Deterministic numeric kernels: stable sigmoid and log loss, the
 beta-smoothed softmax used by attention pooling (row-wise over the last
-axis, with an optional mask, and its vector-Jacobian product), seeded RNG
-plumbing, and a central finite-difference helper that serves as the
-gradient oracle in the test suite.
+axis, with an optional mask, and its vector-Jacobian product) and seeded
+RNG plumbing.
 
 Everything here is a pure function of its inputs; all arithmetic is done
 in 64-bit floats.
@@ -21,7 +20,6 @@ __all__ = [
     "softmax_beta",
     "softmax_beta_vjp",
     "relu",
-    "finite_diff_grad",
     "rng_from_seed",
 ]
 
@@ -167,33 +165,6 @@ def softmax_beta_vjp(scores, weights, beta, d_weights, mask=None):
 def relu(x):
     """Rectifier max(x, 0). The derivative at 0 is taken to be 0."""
     return np.maximum(x, 0.0)
-
-
-def finite_diff_grad(f, theta, h=1e-5):
-    """Central-difference gradient of a scalar function of a 1-D vector.
-
-    Evaluates ``(f(theta + h*e_t) - f(theta - h*e_t)) / (2h)`` one
-    coordinate at a time. Raises if any function value is non-finite.
-    Intended as an independent oracle for analytic gradients in tests.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1:
-        raise ValueError("theta must be a 1-D vector")
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h!r}")
-    work = theta.copy()
-    grad = np.empty_like(work)
-    for t in range(work.size):
-        orig = work[t]
-        work[t] = orig + h
-        fp = float(f(work))
-        work[t] = orig - h
-        fm = float(f(work))
-        work[t] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise ValueError(f"f is non-finite near coordinate {t}")
-        grad[t] = (fp - fm) / (2.0 * h)
-    return grad
 
 
 def _label_entropy(label):

@@ -20,14 +20,14 @@ from deepicf.data import (InteractionDataset, LooSplit, leave_one_out_split,
 from deepicf.evaluation import (evaluate, item_pop_scorer,
                                 model_scorer_factory, metrics_at_k,
                                 rank_test_item)
-from deepicf.model import (ModelConfig, Variant, backward, flatten_grads,
-                           flatten_params, init_params, params_from_flat,
+from deepicf.model import (ModelConfig, Variant, backward, init_params,
                            predict_logit)
-from deepicf.numerics import (bce_from_logit, finite_diff_grad, rng_from_seed,
-                              softmax_beta)
+from deepicf.numerics import bce_from_logit, rng_from_seed, softmax_beta
 from deepicf.training import fit, pretrain_and_init
 
 from conftest import ml1m_ratings_path, synthetic_lines
+from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
+                       params_from_flat)
 
 
 def ok(criterion, detail):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from deepicf.checkpoint import load_checkpoint, save_checkpoint, save_text
+from deepicf.checkpoint import load_checkpoint, save_checkpoint
 from deepicf.errors import CheckpointError
 from deepicf.model import ModelConfig, Variant, init_params, score_items
 from deepicf.numerics import rng_from_seed
@@ -37,7 +37,7 @@ def test_round_trip_is_bit_identical(tmp_path, config):
     assert cfg2.variant == config.variant
     assert cfg2.layer_sizes == config.layer_sizes
     assert cfg2.alpha == config.alpha and cfg2.beta == config.beta
-    for a, b in zip(params.arrays(), loaded.arrays()):
+    for a, b in zip(params.values(), loaded.values()):
         assert a.dtype == b.dtype == np.float64
         assert np.array_equal(a, b)
     # save(load(save(x))) reproduces the same bytes
@@ -69,16 +69,6 @@ def test_header_layer_count_mismatch_rejected(tmp_path):
     path.write_bytes(b"DICF1\n1 1 DeepICF 2 2 2 0.0 0.5\n4\n")
     with pytest.raises(CheckpointError, match="L=2"):
         load_checkpoint(path)
-
-
-def test_text_export_smoke(tmp_path):
-    config = CONFIGS[2]
-    params = init_params(config, 3, 4, rng_from_seed(5))
-    out = tmp_path / "dump.txt"
-    save_text(out, params, config)
-    text = out.read_text()
-    assert "# target_embed shape 4x6" in text
-    assert "# att_out shape 4" in text
 
 
 def test_file_bytes_are_pinned(tmp_path):

@@ -1,10 +1,13 @@
 import filecmp
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepicf
 from deepicf.checkpoint import load_checkpoint, save_checkpoint
 from deepicf.cli import main
 from deepicf.data import load_split
@@ -122,7 +125,7 @@ class TestTrainCommand:
                                              "seed": 11}),
                             num_users, num_items,
                             rng_from_seed(11, "init"))
-        for a, b in zip(params.arrays(), fresh.arrays()):
+        for a, b in zip(params.values(), fresh.values()):
             assert np.array_equal(a, b)
 
     def test_pretrain_alias_logs_two_phases(self, workdir, caplog):
@@ -325,6 +328,35 @@ def test_console_entry_point_subprocess(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("HR@10=")
+
+
+NO_SCIPY_SCRIPT = """\
+import sys
+sys.modules["scipy"] = None          # any later `import scipy` fails
+import deepicf as d
+from conftest import synthetic_dataset
+
+split = d.leave_one_out_split(synthetic_dataset(), seed=3)
+d.ItemKnnModel(split.train)
+config = d.ModelConfig(variant="DeepICF_A", k=4, k_prime=3, num_layers=1,
+                       epochs=1, batch_size=8, eval_every=1)
+params, report = d.fit(config, split)
+assert len(report.epochs) == 1
+assert sys.modules["scipy"] is None
+print("ok")
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(deepicf.__file__).resolve().parents[1]
+    path = [str(src_dir), str(tests_dir), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 @pytest.mark.parametrize("name", ["log.tsv", "model.cfg", "sp.idmap",

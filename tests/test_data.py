@@ -24,19 +24,22 @@ class TestParse:
     def test_singleton(self):
         ds = parse("u1\ti1\t1\t5\n")
         assert (ds.num_users, ds.num_items) == (1, 1)
-        assert ds.history_pairs(0) == [(0, 5)]
+        assert ds.history_items(0).tolist() == [0]
+        assert ds.history_times(0).tolist() == [5]
         assert ds.raw_interactions == 1
 
     def test_latest_wins_dedup(self):
         ds = parse("u\ta\t1\t3\nu\ta\t1\t7\nu\tb\t1\t1\n")
-        assert ds.history_pairs(0) == [(0, 7), (1, 1)]
+        assert ds.history_items(0).tolist() == [0, 1]
+        assert ds.history_times(0).tolist() == [7, 1]
         assert ds.raw_interactions == 3
         assert ds.num_interactions == 2
 
     def test_double_colon_format(self):
         ds = parse("1::20::4::100\n1::30::3::101\n", fmt="double_colon")
         assert ds.num_users == 1
-        assert ds.history_pairs(0) == [(0, 100), (1, 101)]
+        assert ds.history_items(0).tolist() == [0, 1]
+        assert ds.history_times(0).tolist() == [100, 101]
 
     def test_dense_ids_follow_first_appearance(self):
         ds = parse("b\tx\t1\t1\na\ty\t1\t2\nb\ty\t1\t3\n")

@@ -191,12 +191,11 @@ class TestItemKnn:
         ds = make_dataset([[(0, 1), (1, 2)]], num_items=3)
         model = ItemKnnModel(ds)
         assert model.similarity(2, 0) == 0.0
-        assert np.array_equal(model.similarity_row(2), np.zeros(3))
+        assert [model.similarity(2, j) for j in range(3)] == [0.0] * 3
 
-    @pytest.mark.parametrize("top_n", [None, 2])
-    def test_scores_sum_history_similarities(self, top_n):
+    def test_scores_sum_history_similarities(self):
         ds = synthetic_dataset(num_users=12, num_items=40, seed=9)
-        model, factory = item_knn_fit_and_score(ds, top_n=top_n)
+        model, factory = item_knn_fit_and_score(ds)
         user = 3
         hist = ds.history_items(user)
         # the last candidate is from the user's own history: it scores as
@@ -209,47 +208,53 @@ class TestItemKnn:
                 for c in cands]
         assert np.abs(got - np.array(want)).max() < 1e-12
 
-    def test_top_n_neighbors_knob(self):
-        ds = synthetic_dataset(num_users=12, num_items=40, seed=9)
-        full = ItemKnnModel(ds)
-        trimmed = ItemKnnModel(ds, top_n=2)
-        row_full = full.similarity_row(5)
-        row_trim = trimmed.similarity_row(5)
-        assert (row_trim > 0).sum() <= 2
-        kept = np.nonzero(row_trim)[0]
-        assert np.all(row_trim[kept] == row_full[kept])
-
     def test_matches_set_oracle(self):
-        # item 6 is untouched; in row 0, items 3 and 4 tie at the top_n=2 cut
-        histories = [[0, 1, 3], [0, 1], [0, 1, 4], [0, 1], [3, 2, 5], [4, 2]]
-        ds = make_dataset([[(i, t) for t, i in enumerate(h)]
-                           for h in histories], num_items=7)
-        users = [{u for u, h in enumerate(histories) if i in h}
-                 for i in range(7)]
+        # item 6 is untouched; in row 0, items 3 and 4 tie
+        hand = [[0, 1, 3], [0, 1], [0, 1, 4], [0, 1], [3, 2, 5], [4, 2]]
+        inputs = [(hand, 7)]
+        # synthetic logs plus one single-item user and one untouched item
+        for seed in (1, 2, 9):
+            ds = synthetic_dataset(num_users=12, num_items=40, seed=seed)
+            histories = [h.tolist() for h in ds.item_arrays()] + [[0]]
+            inputs.append((histories, ds.num_items + 1))
+        for histories, num_items in inputs:
+            ds = make_dataset([[(i, t) for t, i in enumerate(h)]
+                               for h in histories], num_items=num_items)
+            model = ItemKnnModel(ds)
+            if histories is hand:
+                # row 0 is 1.0 at item 1, then the tie
+                assert model.similarity(0, 1) == 1.0
+                assert model.similarity(0, 3) == model.similarity(0, 4) > 0.0
+            users = [{u for u, h in enumerate(histories) if i in h}
+                     for i in range(num_items)]
 
-        def cosine(i, j):
-            if i == j or not users[i] or not users[j]:
-                return 0.0
-            return (len(users[i] & users[j])
-                    / math.sqrt(len(users[i]) * len(users[j])))
+            def cosine(i, j):
+                if i == j or not users[i] or not users[j]:
+                    return 0.0
+                return (len(users[i] & users[j])
+                        / math.sqrt(len(users[i]) * len(users[j])))
 
-        full = ItemKnnModel(ds)
-        trimmed = ItemKnnModel(ds, top_n=2)
-        for i in range(7):
-            want = [cosine(i, j) for j in range(7)]
-            for j in range(7):
-                assert abs(full.similarity(i, j) - want[j]) <= 1e-12
-            assert full.similarity(i, i) == 0.0
-            assert full.similarity(i, 6) == full.similarity(6, i) == 0.0
-            # the 2 largest entries of the full row, ties to the lower index
-            row = full.similarity_row(i)
-            kept = sorted(range(7), key=lambda j: (-row[j], j))[:2]
-            assert np.array_equal(
-                trimmed.similarity_row(i),
-                np.where(np.isin(np.arange(7), kept), row, 0.0))
-        # row 0 is 1.0 at item 1, then the tie: item 3 is kept, item 4 not
-        assert full.similarity(0, 3) == full.similarity(0, 4) > 0.0
-        assert np.nonzero(trimmed.similarity_row(0))[0].tolist() == [1, 3]
+            # the same formula over dense co-occurrence counts X.T @ X
+            incidence = np.zeros((len(histories), num_items))
+            for u, h in enumerate(histories):
+                incidence[u, h] = 1.0
+            counts = incidence.sum(axis=0)
+            inv_sqrt = np.zeros(num_items)
+            inv_sqrt[counts > 0] = 1.0 / np.sqrt(counts[counts > 0])
+            exact = (incidence.T @ incidence) * inv_sqrt
+            np.fill_diagonal(exact, 0.0)
+            exact *= inv_sqrt[:, None]
+
+            untouched = num_items - 1
+            assert not users[untouched]
+            for i in range(num_items):
+                for j in range(num_items):
+                    got = model.similarity(i, j)
+                    assert abs(got - cosine(i, j)) <= 1e-12
+                    assert got == exact[i, j]
+                assert model.similarity(i, i) == 0.0
+                assert (model.similarity(i, untouched)
+                        == model.similarity(untouched, i) == 0.0)
 
     def test_symmetry(self):
         ds = synthetic_dataset(num_users=10, num_items=30, seed=2)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from deepicf.errors import ConfigError, ModelError
-from deepicf.model import (ModelConfig, Variant, backward, flatten_grads,
-                           flatten_params, init_params, params_from_flat,
+from deepicf.model import (ModelConfig, Variant, backward, init_params,
                            predict_logit, score_items, tower_layer_sizes)
-from deepicf.numerics import bce_from_logit, finite_diff_grad, rng_from_seed
+from deepicf.numerics import bce_from_logit, rng_from_seed
+
+from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
+                       params_from_flat)
 
 
 def tiny_params(config, num_users, num_items, rng, scale=0.4):
@@ -105,7 +107,7 @@ class TestInit:
                           num_layers=2)
         a = init_params(cfg, 5, 9, rng_from_seed(3))
         b = init_params(cfg, 5, 9, rng_from_seed(3))
-        for x, y in zip(a.arrays(), b.arrays()):
+        for x, y in zip(a.values(), b.values()):
             assert np.array_equal(x, y)
 
     def test_biases_zero_and_shapes(self):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepicf.numerics import (bce_from_logit, finite_diff_grad, relu,
-                              rng_from_seed, sigmoid, softmax_beta,
-                              softmax_beta_vjp)
+from deepicf.numerics import (bce_from_logit, relu, rng_from_seed, sigmoid,
+                              softmax_beta, softmax_beta_vjp)
+
+from gradcheck import finite_diff_grad
 
 mpmath.mp.dps = 50
 

@@ -7,15 +7,16 @@ import deepicf.training
 from deepicf.data import leave_one_out_split, sample_training_instances
 from deepicf.errors import ConfigError, TrainingDiverged
 from deepicf.model import (ModelConfig, ModelParams, Variant, backward,
-                           flatten_grads, flatten_params, init_params,
-                           params_from_flat, predict_logit)
-from deepicf.numerics import bce_from_logit, finite_diff_grad, rng_from_seed
+                           init_params, predict_logit)
+from deepicf.numerics import bce_from_logit, rng_from_seed
 from deepicf.training import (ADAGRAD_EPSILON, AdagradState, _sum_rows,
                               add_l2_grads, apply_batch, fit, loss_with_reg,
                               pretrain_and_init, train_epoch)
 
 import per_instance
 from conftest import make_dataset, synthetic_dataset
+from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
+                       params_from_flat)
 
 # Grouping an update batch by user changes only the order in which the
 # batch's gradients are summed, so they agree with the per-instance sums
@@ -210,10 +211,10 @@ class TestTrainEpoch:
                           num_negatives=2)
         params = init_params(cfg, split.train.num_users,
                              split.train.num_items, rng_from_seed(0))
-        before = [a.copy() for a in params.arrays()]
+        before = [a.copy() for a in params.values()]
         state = AdagradState(params, lr=0.0)
         train_epoch(params, cfg, split, state, rng_from_seed(1))
-        for old, new in zip(before, params.arrays()):
+        for old, new in zip(before, params.values()):
             assert np.array_equal(old, new)
 
     def test_epoch_is_deterministic(self, split):
@@ -226,7 +227,7 @@ class TestTrainEpoch:
             state = AdagradState(params, lr=cfg.lr)
             loss = train_epoch(params, cfg, split, state,
                                rng_from_seed(cfg.seed, "epoch", 1))
-            results.append((loss, [a.copy() for a in params.arrays()]))
+            results.append((loss, [a.copy() for a in params.values()]))
         assert results[0][0] == results[1][0]
         for a, b in zip(results[0][1], results[1][1]):
             assert np.array_equal(a, b)
@@ -264,7 +265,7 @@ class TestTrainEpoch:
             fit(cfg, split, params=params)
         assert err.value.epoch == 1
         assert err.value.instance is not None
-        for arr in err.value.last_params.arrays():
+        for arr in err.value.last_params.values():
             assert np.all(np.isfinite(arr))
 
     @pytest.mark.parametrize("variant,layers", [
@@ -275,7 +276,7 @@ class TestTrainEpoch:
                           batch_size=8)
         params, report = fit(cfg, split)
         assert all(math.isfinite(e.loss) for e in report.epochs)
-        for arr in params.arrays():
+        for arr in params.values():
             assert np.all(np.isfinite(arr))
 
     def test_batch_of_one_matches_plain_steps(self, split):
@@ -283,7 +284,7 @@ class TestTrainEpoch:
                           num_layers=1, lr=0.05, num_negatives=2,
                           epochs=2, seed=6, batch_size=1)
         results = [fit(cfg, split) for _ in range(2)]
-        for a, b in zip(results[0][0].arrays(), results[1][0].arrays()):
+        for a, b in zip(results[0][0].values(), results[1][0].values()):
             assert np.array_equal(a, b)
         # each batch of one is one plain per-instance step
         want, want_report = fit_per_instance(cfg, split)

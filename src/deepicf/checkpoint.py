@@ -2,8 +2,9 @@
 
 Layout: the magic line ``DICF1``, one ASCII header line
 ``U I variant k k_prime L alpha beta``, one line of hidden-layer sizes
-(empty when the tower has depth 0), then raw little-endian float64 arrays
-in :func:`deepicf.model.param_layout` order: target embeddings, history
+(empty when the tower has depth 0), then the parameters' ``flat`` vector
+as one block of little-endian float64, which holds the tensors in
+:func:`deepicf.model.param_layout` order: target embeddings, history
 embeddings, user biases, item biases, output weights, then (W_l, b_l) per
 layer, then the attention weight/bias/output triple for the attention
 variant. Loading a saved file reproduces every array bit for bit, which
@@ -29,10 +30,18 @@ MAGIC = b"DICF1\n"
 def save_checkpoint(path, params, config):
     """Write parameters with enough header to rebuild the model shape.
 
-    The bytes go to a temporary file in the target directory, which then
-    replaces ``path`` in one step.
+    Parameters whose layout is not the one ``config`` implies for their
+    user and item counts are a :class:`CheckpointError`, raised before
+    anything is written. The bytes go to a temporary file in the target
+    directory, which then replaces ``path`` in one step.
     """
     num_users, num_items = params.num_users, params.num_items
+    have = [(name, shape) for name, shape, _ in params.layout]
+    want = [(name, shape) for name, shape, _
+            in param_layout(config, num_users, num_items)]
+    if have != want:
+        raise CheckpointError(f"{path}: parameters {have} do not match the "
+                              f"{config.variant.value} layout {want}")
     header = (f"{num_users} {num_items} {config.variant.value} {config.k} "
               f"{config.k_prime} {config.num_layers} "
               f"{float(config.alpha)!r} {float(config.beta)!r}\n")
@@ -43,8 +52,7 @@ def save_checkpoint(path, params, config):
             f.write(MAGIC)
             f.write(header.encode("ascii"))
             f.write(sizes.encode("ascii"))
-            for name, _, _ in param_layout(config, num_users, num_items):
-                f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+            f.write(params.flat.astype("<f8", copy=False).tobytes())
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -102,13 +110,7 @@ def load_checkpoint(path):
     if len(payload) != expected:
         raise CheckpointError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    params = ModelParams()
-    offset = 0
-    for name, shape, _ in layout:
-        count = math.prod(shape)
-        params[name] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += count * 8
+    params = ModelParams(layout,
+                         np.frombuffer(payload, dtype="<f8").astype(np.float64))
     return params, config, num_users, num_items
 

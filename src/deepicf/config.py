@@ -80,30 +80,21 @@ def load_config(path):
 
 
 def config_to_text(config):
-    """Serialize a config back to the file format (round-trips through
-    :func:`parse_config_lines`)."""
-    lines = [
-        f"variant = {config.variant.value}",
-        f"k = {config.k}",
-        f"k_prime = {config.k_prime}",
-        f"L = {config.num_layers}",
-    ]
-    if config.layer_sizes:
-        lines.append("layer_sizes = " +
-                     ",".join(str(d) for d in config.layer_sizes))
-    lines.extend([
-        f"alpha = {config.alpha!r}",
-        f"beta = {config.beta!r}",
-        f"lambda = {config.l2!r}",
-        f"NS = {config.num_negatives}",
-        f"lr = {config.lr!r}",
-        f"epochs = {config.epochs}",
-        f"seed = {config.seed}",
-        f"batch_size = {config.batch_size}",
-        f"reg_embeddings = {str(config.reg_embeddings).lower()}",
-        f"pretrain = {str(config.pretrain).lower()}",
-        f"eval_every = {config.eval_every}",
-    ])
-    if config.pretrain_epochs is not None:
-        lines.append(f"pretrain_epochs = {config.pretrain_epochs}")
+    """Serialize a config back to the file format, one line per key of
+    the key table (round-trips through :func:`parse_config_lines`). Empty
+    layer sizes and an unset pre-training length are left out."""
+    lines = []
+    for key, (field, _) in _KEYS.items():
+        value = getattr(config, field)
+        if value is None or value == ():
+            continue
+        if isinstance(value, Variant):
+            value = value.value
+        elif isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, tuple):
+            value = ",".join(str(d) for d in value)
+        else:
+            value = repr(value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -15,16 +15,17 @@ masked out of the history by its own row of a mask; training's
 candidates of one user that a training batch scores together, and returns
 the gradients of their summed loss.
 
-The tensors of a variant are declared once, by :func:`param_layout`;
-parameters, the optimizer state and the checkpoint format are all
-derived from that list.
-Parameters are mutable numpy arrays; training is single-writer, while any
-number of evaluators may read a parameter set concurrently.
+The tensors of a variant are declared once, by :func:`param_layout`, and
+:class:`ModelParams` lays them out in one vector: the parameters, the
+optimizer state, the whole-tensor gradients and the checkpoint payload
+all share that layout. Parameters are mutable; training is single-writer,
+while any number of evaluators may read a parameter set concurrently.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,7 +143,8 @@ def param_layout(config, num_users, num_items):
     trained)`` triples in ``DICF1`` checkpoint order: target and history
     embeddings, user and item biases, the output vector, ``W{l}`` and
     ``b{l}`` per tower layer, then the attention weight, bias and output
-    vector. FISM's output vector is fixed to all-ones and not trained."""
+    vector. FISM's output vector is fixed to all-ones and not trained, so
+    the trained tensors are always a prefix of the layout."""
     k = config.k
     layout = [("target_embed", (num_items, k), True),
               ("history_embed", (num_items, k), True),
@@ -162,8 +164,37 @@ def param_layout(config, num_users, num_items):
 
 
 class ModelParams(dict):
-    """Every tensor of one model instance: an ordered name -> array mapping
-    in :func:`param_layout` order."""
+    """Every tensor of one model instance: named views, in ``layout``
+    order, into one float64 vector ``flat``.
+
+    ``layout`` is a list of :func:`param_layout` triples. A given ``flat``
+    becomes the buffer as it is; by default it is zeroed. Assigning to a
+    name copies the value into that tensor's view, so ``flat`` always
+    holds the whole model.
+    """
+
+    def __init__(self, layout, flat=None):
+        super().__init__()
+        self.layout = layout
+        sizes = [math.prod(shape) for _, shape, _ in layout]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        elif flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+            raise ModelError(f"layout needs {sum(sizes)} float64 entries, "
+                             f"got {flat.dtype} {flat.shape}")
+        self.flat = flat
+        start = 0
+        for (name, shape, _), size in zip(layout, sizes):
+            super().__setitem__(name, flat[start:start + size].reshape(shape))
+            start += size
+
+    def __setitem__(self, name, value):
+        view = self[name]
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise ModelError(f"{name} has shape {view.shape}, cannot assign "
+                             f"shape {value.shape}")
+        view[...] = value
 
     @property
     def num_users(self):
@@ -174,7 +205,7 @@ class ModelParams(dict):
         return self["item_bias"].shape[0]
 
     def clone(self):
-        return ModelParams((name, a.copy()) for name, a in self.items())
+        return ModelParams(self.layout, self.flat.copy())
 
 
 def init_params(config, num_users, num_items, rng):
@@ -187,18 +218,15 @@ def init_params(config, num_users, num_items, rng):
     """
     if num_users <= 0 or num_items <= 0:
         raise ModelError("need at least one user and one item")
-    layout = param_layout(config, num_users, num_items)
-    drawn = {}
+    params = ModelParams(param_layout(config, num_users, num_items))
     for name, shape, trained in sorted(
-            layout, key=lambda spec: (spec[0].startswith("att"),
-                                      spec[0] == "output_weights")):
+            params.layout, key=lambda spec: (spec[0].startswith("att"),
+                                             spec[0] == "output_weights")):
         if not trained:
-            drawn[name] = np.ones(shape)
-        elif name.endswith("bias") or name[0] == "b":
-            drawn[name] = np.zeros(shape)
-        else:
-            drawn[name] = rng.normal(0.0, INIT_STD, size=shape)
-    return ModelParams((name, drawn[name]) for name, _, _ in layout)
+            params[name].fill(1.0)
+        elif not (name.endswith("bias") or name[0] == "b"):
+            params[name] = rng.normal(0.0, INIT_STD, size=shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +296,11 @@ def forward(params, config, history, user, items):
         pooled = scale * (p * hist_sum)
     out = pooled
     pres, acts = [], []
-    for layer in range(config.num_layers):
+    for layer, d in enumerate(config.layer_sizes):
         w = params[f"W{layer}"]
-        if w.shape[1] != out.shape[-1]:
-            raise ModelError(
-                f"layer expects input of size {w.shape[1]}, got {out.shape[-1]}")
+        if w.shape != (d, out.shape[-1]):
+            raise ModelError(f"W{layer} has shape {w.shape}, the config "
+                             f"implies {(d, out.shape[-1])}")
         pre = out @ w.T + params[f"b{layer}"]
         out = relu(pre)
         pres.append(pre)
@@ -306,9 +334,7 @@ def score_items(params, config, history, user, items):
     items = np.atleast_1d(np.asarray(items, dtype=np.int64))
     if items.size == 0:
         return np.empty(0)
-    if items.min() < 0 or items.max() >= params.num_items:
-        raise ModelError("item index out of range")
-    return forward(params, config, history, user, items).logit
+    return predict_logit(params, config, history, user, items)[0]
 
 
 @dataclass
@@ -319,11 +345,13 @@ class Grads:
     vectors to ``(rows, values)`` over just the rows a forward cache
     touched: each history row once, and a target row and item bias per
     candidate (a plain int for one item); ``dense`` holds the whole-tensor
-    gradients of every other trained tensor.
+    gradients of every other trained tensor, as a :class:`ModelParams`
+    over the tail of the parameters' layout that those tensors fill: the
+    output vector, the tower and the attention net, or nothing for FISM.
     """
 
     rows: dict
-    dense: dict
+    dense: ModelParams
 
 
 def backward(params, config, cache, dlogit):
@@ -351,7 +379,9 @@ def backward(params, config, cache, dlogit):
     one = cache.keep.ndim == 1
     q, p = cache.hist_embed, cache.target
 
-    dense = {}
+    # the layout past the embedding tables and bias vectors
+    dense = ModelParams(params.layout[4:] if config.trains_output_weights
+                        else [])
     if config.trains_output_weights:
         top = cache.layer_acts[-1] if cache.layer_acts else cache.pooled
         dense["output_weights"] = dlogit * top if one else np.dot(dlogit, top)

@@ -2,8 +2,8 @@
 negative sampling, L2 regularization on the tower weights, and the
 FISM-to-deep-variant embedding pre-training pipeline.
 
-The Adagrad state holds one accumulator per parameter tensor, keyed like
-the parameters, and :func:`apply_batch` is the one update for every
+The Adagrad state holds one accumulator per parameter entry, in the
+parameters' layout, and :func:`apply_batch` is the one update for every
 variant and batch size. The update loop is single-writer: one process
 mutates a parameter set. Periodic evaluation runs on the same
 (momentarily quiescent) parameters.
@@ -20,7 +20,8 @@ import numpy as np
 
 from deepicf.data import sample_training_instances
 from deepicf.errors import ConfigError, TrainingDiverged
-from deepicf.model import Variant, backward, fism_config, init_params, predict_logit
+from deepicf.model import (ModelParams, Variant, backward, fism_config,
+                           init_params, predict_logit)
 from deepicf.numerics import bce_from_logit, rng_from_seed
 
 log = logging.getLogger(__name__)
@@ -28,45 +29,20 @@ log = logging.getLogger(__name__)
 ADAGRAD_EPSILON = 1e-8
 
 
-class AdagradState(dict):
-    """Running sums of squared gradients: one accumulator per parameter
-    tensor, under the tensor's name.
+class AdagradState(ModelParams):
+    """Running sums of squared gradients, zero at the start: a
+    :class:`ModelParams` of the parameters' layout, one accumulator per
+    parameter entry, plus the step size and epsilon.
 
     Accumulators never decrease; updates touch only the entries that
     received a gradient, so embedding rows outside the batch's histories
-    keep their state untouched. The accumulators are views into one
-    buffer, in parameter order, so the whole-tensor gradients of a batch
-    update their accumulators with one vector operation.
+    keep their state untouched.
     """
 
     def __init__(self, params, lr, epsilon=ADAGRAD_EPSILON):
-        self.buffer = np.zeros(sum(a.size for a in params.values()))
-        self.offsets = {}
-        start = 0
-        for name, a in params.items():
-            self.offsets[name] = start
-            self[name] = self.buffer[start:start + a.size].reshape(a.shape)
-            start += a.size
+        super().__init__(params.layout)
         self.lr = float(lr)
         self.epsilon = float(epsilon)
-        self._spans = {}
-
-    def span(self, grads):
-        """Where the accumulators of the tensors in ``grads`` sit in the
-        buffer: ``(start, stop, places)``, ``places`` holding each name
-        with its ``(begin, end)`` relative to ``start``. A tensor inside
-        the span without a gradient gets g = 0 there, which changes
-        nothing."""
-        key = tuple(grads)
-        plan = self._spans.get(key)
-        if plan is None:
-            start = min(self.offsets[name] for name in key)
-            stop = max(self.offsets[name] + self[name].size for name in key)
-            places = [(name, self.offsets[name] - start,
-                       self.offsets[name] - start + self[name].size)
-                      for name in key]
-            plan = self._spans[key] = (start, stop, places)
-        return plan
 
 
 def _sum_rows(pairs, row_shape):
@@ -99,34 +75,25 @@ def apply_batch(state, params, batch):
     applied as they are, since they hold each row once. Any other batch
     first sums the rows each sparse tensor received (a candidate that
     repeats in a group, or a row that several groups touch), so every
-    touched row is updated once.
+    touched row is updated once. The whole-tensor gradients are the tail
+    of the layout, updated as one vector.
     """
     if len(batch) == 1 and isinstance(batch[0].rows["item_bias"][1], float):
-        rows, dense = batch[0].rows, batch[0].dense
+        rows, dense = batch[0].rows, batch[0].dense.flat
     else:
         rows = {name: _sum_rows([g.rows[name] for g in batch],
                                 params[name].shape[1:])
                 for name in batch[0].rows}
-        dense = {name: sum(g.dense[name] for g in batch)
-                 for name in batch[0].dense}
+        dense = sum(g.dense.flat for g in batch)
     lr, eps = state.lr, state.epsilon
     for name, (index, g) in rows.items():
         acc = state[name][index] + g * g
         state[name][index] = acc
         params[name][index] -= lr * g / (np.sqrt(acc) + eps)
-    if not dense:
-        return
-    # the whole tensors as one span of the state buffer
-    start, stop, places = state.span(dense)
-    g = np.zeros(stop - start)
-    for name, begin, end in places:
-        g[begin:end] = dense[name].ravel()
-    acc = state.buffer[start:stop]
-    acc += g * g
-    step = lr * g / (np.sqrt(acc) + eps)
-    for name, begin, end in places:
-        theta = params[name]
-        theta -= step[begin:end].reshape(theta.shape)
+    if dense.size:
+        acc = state.flat[-dense.size:]
+        acc += dense * dense
+        params.flat[-dense.size:] -= lr * dense / (np.sqrt(acc) + eps)
 
 
 def loss_with_reg(logit, label, params, config, cache=None):
@@ -166,7 +133,8 @@ def add_l2_grads(grads, params, config, cache=None):
     count = cache.keep.shape[0] if group else 1
     for layer in range(config.num_layers):
         name = f"W{layer}"
-        grads.dense[name] = grads.dense[name] + 2.0 * lam * count * params[name]
+        grad = grads.dense[name]
+        grad += 2.0 * lam * count * params[name]
     if config.reg_embeddings:
         kept_by = 1.0
         if group:
@@ -332,8 +300,8 @@ def pretrain_and_init(config, split, on_epoch=None):
     rng = rng_from_seed(config.seed, "init")
     params = init_params(config, split.train.num_users,
                          split.train.num_items, rng)
-    params["target_embed"][:] = fism_params["target_embed"]
-    params["history_embed"][:] = fism_params["history_embed"]
+    params["target_embed"] = fism_params["target_embed"]
+    params["history_embed"] = fism_params["history_embed"]
     log.info("pre-training done; embeddings copied into %s",
              config.variant.value)
     return params

@@ -1,10 +1,12 @@
-"""The gradient-check oracle: flat views of a model's trained tensors and a
-central finite-difference gradient over them.
+"""The gradient-check oracle: the trained part of a model's flat layout and
+a central finite-difference gradient over it.
 
-``params_from_flat`` rebuilds parameters as views into one vector, so that
-``finite_diff_grad`` perturbs one model weight at a time; ``flatten_grads``
-scatters the analytic :class:`deepicf.model.Grads` into the same layout
-for a direct comparison.
+The trained tensors are a prefix of every layout, so ``flatten_params``
+is a slice of the parameters' ``flat`` vector and ``params_from_flat``
+rebuilds parameters from such a slice, so that ``finite_diff_grad``
+perturbs one model weight at a time; ``flatten_grads`` scatters the
+analytic :class:`deepicf.model.Grads` into the same layout for a direct
+comparison.
 """
 
 import math
@@ -14,45 +16,43 @@ import numpy as np
 from deepicf.model import ModelParams, param_layout
 
 
+def trained_size(config, num_users, num_items):
+    """The number of trained entries of a layout."""
+    return sum(math.prod(shape) for _, shape, trained
+               in param_layout(config, num_users, num_items) if trained)
+
+
 def flatten_params(params, config):
-    """Concatenate the variant's trained tensors into one vector."""
-    layout = param_layout(config, params.num_users, params.num_items)
-    return np.concatenate([params[name].ravel()
-                           for name, _, trained in layout if trained])
+    """The variant's trained tensors as one vector: a copy of the prefix
+    of ``params.flat`` they occupy."""
+    size = trained_size(config, params.num_users, params.num_items)
+    return params.flat[:size].copy()
 
 
 def params_from_flat(theta, config, num_users, num_items):
-    """Rebuild parameters as views into a flat vector, so perturbing one
-    coordinate of ``theta`` perturbs exactly one model weight."""
-    params = ModelParams()
-    offset = 0
-    for name, shape, trained in param_layout(config, num_users, num_items):
-        if not trained:
-            params[name] = np.ones(shape)
-            continue
-        size = math.prod(shape)
-        params[name] = theta[offset:offset + size].reshape(shape)
-        offset += size
-    if offset != theta.size:
+    """Parameters whose trained entries are ``theta``, so perturbing one
+    coordinate of ``theta`` perturbs exactly one model weight; the
+    untrained tensor, FISM's output vector, is all-ones."""
+    size = trained_size(config, num_users, num_items)
+    if theta.size != size:
         raise ValueError(
-            f"flat vector has {theta.size} entries, expected {offset}")
+            f"flat vector has {theta.size} entries, expected {size}")
+    params = ModelParams(param_layout(config, num_users, num_items))
+    params.flat[:] = 1.0
+    params.flat[:size] = theta
     return params
 
 
 def flatten_grads(grads, config, num_users, num_items):
     """Scatter :class:`Grads` into the flat layout of
-    :func:`flatten_params`, for direct comparison with the oracle."""
+    :func:`flatten_params`, for direct comparison with the oracle: the
+    row gradients summed into their whole tensors, then the dense tail."""
     parts = []
-    for name, shape, trained in param_layout(config, num_users, num_items):
-        if name in grads.rows:
-            full = np.zeros(shape)
-            np.add.at(full, *grads.rows[name])
-        elif trained:
-            full = grads.dense[name]
-        else:
-            continue
+    for name, shape, _ in param_layout(config, num_users, num_items)[:4]:
+        full = np.zeros(shape)
+        np.add.at(full, *grads.rows[name])
         parts.append(full.ravel())
-    return np.concatenate(parts)
+    return np.concatenate(parts + [grads.dense.flat])
 
 
 def finite_diff_grad(f, theta, h=1e-5):

@@ -1,5 +1,6 @@
 import filecmp
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -115,18 +116,38 @@ def test_header_rejected_by_config_names_file(tmp_path, header):
     assert str(path) in str(err.value)
 
 
-def test_failed_save_leaves_previous_file(tmp_path):
+def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
     config = CONFIGS[0]
     params = init_params(config, 3, 4, rng_from_seed(0))
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params, config)
     before = path.read_bytes()
-    broken = params.clone()
-    broken["item_bias"] = np.array(["x"] * 4)   # fails after earlier arrays
-    with pytest.raises(ValueError):
-        save_checkpoint(path, broken, config)
+    changed = params.clone()
+    changed["item_bias"][:] = 1.0
+
+    def fail(fd):   # after the new bytes are written
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, changed, config)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+@pytest.mark.parametrize("saved,config", [
+    (ModelConfig(variant=Variant.DEEPICF, k=8, num_layers=2),
+     ModelConfig(variant=Variant.DEEPICF, k=4, num_layers=2)),
+    (ModelConfig(variant=Variant.FISM, k=4),
+     ModelConfig(variant=Variant.DEEPICF, k=4, num_layers=1)),
+], ids=["k8-as-k4", "fism-as-deepicf"])
+def test_save_rejects_params_of_another_layout(tmp_path, saved, config):
+    params = init_params(saved, 3, 5, rng_from_seed(0))
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(CheckpointError, match="layout") as err:
+        save_checkpoint(path, params, config)
+    assert str(path) in str(err.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 _HEADER_TOKENS = st.one_of(

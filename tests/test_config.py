@@ -1,8 +1,9 @@
 import pytest
 
-from deepicf.config import config_to_text, load_config, parse_config_lines
+from deepicf.config import (_KEYS, config_to_text, load_config,
+                            parse_config_lines)
 from deepicf.errors import ConfigError
-from deepicf.model import Variant
+from deepicf.model import ModelConfig, Variant
 
 
 def parse(text):
@@ -82,9 +83,21 @@ def test_unknown_variant_lists_valid_ones():
         parse("variant = SVD")
 
 
+# a value away from its default for every key of the file format
+EVERY_KEY = ("variant = DeepICF\nk = 10\nk_prime = 3\nlayer_sizes = 7,5,2\n"
+             "alpha = 0.4\nbeta = 0.3\nlambda = 0.001\nNS = 2\nlr = 0.02\n"
+             "epochs = 3\nseed = 4\nbatch_size = 16\nreg_embeddings = true\n"
+             "pretrain = true\npretrain_epochs = 6\neval_every = 2")
+
+
 def test_round_trip_through_text(tmp_path):
-    cfg = parse("variant = DeepICF\nk = 12\nL = 2\nalpha = 0.4\nseed = 9")
-    path = tmp_path / "model.cfg"
-    path.write_text(config_to_text(cfg))
-    again = load_config(path)
-    assert again == cfg
+    default = ModelConfig(variant=Variant.FISM)
+    every_key = parse(EVERY_KEY)
+    assert all(getattr(every_key, field) != getattr(default, field)
+               for field, _ in _KEYS.values())
+    some_keys = parse("variant = DeepICF\nk = 12\nL = 2\nalpha = 0.4\nseed = 9")
+    for cfg in (some_keys, every_key):
+        path = tmp_path / "model.cfg"
+        path.write_text(config_to_text(cfg))
+        again = load_config(path)
+        assert again == cfg

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from deepicf.errors import ConfigError, ModelError
 from deepicf.model import (ModelConfig, Variant, backward, init_params,
-                           predict_logit, score_items, tower_layer_sizes)
+                           param_layout, predict_logit, score_items,
+                           tower_layer_sizes)
 from deepicf.numerics import bce_from_logit, rng_from_seed
 
 from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
@@ -133,6 +135,76 @@ class TestInit:
         assert sample.size == 10_000
         assert abs(sample.mean()) < 0.001
         assert abs(sample.std() - 0.01) < 0.002
+
+
+LAYOUT_CASES = ([(Variant.FISM, 0)]
+                + [(v, layers) for v in (Variant.DEEPICF, Variant.DEEPICF_A)
+                   for layers in (0, 1, 3)])
+
+
+class TestModelParams:
+    def test_assignment_writes_through_to_flat(self):
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=3, num_layers=1,
+                          layer_sizes=(3,))
+        p = init_params(cfg, 2, 4, rng_from_seed(0))
+        p["W0"] = np.arange(9.0).reshape(3, 3)
+        p["item_bias"][2] = 5.0
+        start = sum(a.size for name, a in p.items()
+                    if name in ("target_embed", "history_embed", "user_bias"))
+        assert p.flat[start + 2] == 5.0
+        # W0 sits between the output vector and b0, both of size 3
+        assert np.array_equal(p.flat[-(9 + 3):-3], np.arange(9.0))
+        assert np.array_equal(
+            np.concatenate([a.ravel() for a in p.values()]), p.flat)
+
+    def test_assigning_another_shape_raises(self):
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=3, num_layers=1,
+                          layer_sizes=(3,))
+        p = init_params(cfg, 2, 4, rng_from_seed(0))
+        before = p.flat.copy()
+        for value in (np.zeros((3, 4)), np.zeros(3), 0.0):
+            with pytest.raises(ModelError) as err:
+                p["W0"] = value
+            message = str(err.value)
+            assert "W0" in message and "(3, 3)" in message
+            assert str(np.shape(value)) in message
+        assert np.array_equal(p.flat, before)
+
+    def test_clone_is_independent(self):
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=3, k_prime=2,
+                          num_layers=1)
+        p = init_params(cfg, 2, 4, rng_from_seed(0))
+        before = p.flat.copy()
+        copy = p.clone()
+        assert copy.layout == p.layout
+        assert np.array_equal(copy.flat, before)
+        copy["att_out"][0] = 1.0
+        copy.flat[0] = 2.0
+        assert copy["target_embed"][0, 0] == 2.0
+        assert np.array_equal(p.flat, before)
+        p["W0"][:] = 3.0
+        assert not np.any(copy["W0"] == 3.0)
+
+    @pytest.mark.parametrize("variant,layers", LAYOUT_CASES)
+    def test_trained_dense_tensors_are_the_layout_tail(self, variant, layers):
+        cfg = ModelConfig(variant=variant, k=8, k_prime=3, num_layers=layers)
+        layout = param_layout(cfg, 3, 5)
+        p = init_params(cfg, 3, 5, rng_from_seed(0))
+        _, cache = predict_logit(p, cfg, [0, 2], 1, 4)
+        dense = backward(p, cfg, cache, 1.0).dense
+        rows = ["target_embed", "history_embed", "user_bias", "item_bias"]
+        trained = [name for name, _, is_trained in layout
+                   if is_trained and name not in rows]
+        assert list(dense) == trained
+        assert dense.layout == layout[len(layout) - len(trained):]
+        size = dense.flat.size
+        assert size == sum(a.size for name, a in p.items() if name in trained)
+        if size:
+            assert np.shares_memory(p.flat[-size:], p[trained[0]])
+        # the trained tensors are a prefix: FISM's output vector is last
+        untrained = [name for name, _, is_trained in layout if not is_trained]
+        assert untrained == (["output_weights"] if variant is Variant.FISM
+                             else [])
 
 
 def hand_params(cfg, num_items, **arrays):
@@ -271,7 +343,8 @@ class TestForwardPieces:
     def test_mlp_shape_mismatch_raises(self):
         cfg = ModelConfig(variant=Variant.DEEPICF, k=3, num_layers=1,
                           layer_sizes=(2,))
-        p = hand_params(cfg, 2, W0=np.zeros((2, 4)))
+        # parameters of another config's layout: a tower 4 units wide
+        p = hand_params(replace(cfg, layer_sizes=(4,)), 2)
         with pytest.raises(ModelError):
             predict_logit(p, cfg, [1], 0, 0)
         with pytest.raises(ModelError):
@@ -333,6 +406,9 @@ class TestPredict:
         for user in (-1, 2):
             with pytest.raises(ModelError, match="user index"):
                 score_items(p, cfg, [0], user, [1])
+        for item in (-1, 3):
+            with pytest.raises(ModelError, match=f"item index {item} "):
+                score_items(p, cfg, [0], 0, [1, item])
 
     @pytest.mark.parametrize("variant,layers,beta", [
         (Variant.FISM, 0, 0.5), (Variant.DEEPICF, 2, 0.5),

@@ -18,9 +18,10 @@ from deepicf import data
 from deepicf.config import load_config
 from deepicf.errors import CheckpointError, DataError, DeepIcfError, TrainingDiverged
 from deepicf.evaluation import (evaluate, item_knn_fit_and_score,
-                                item_pop_scorer, model_scorer_factory)
+                                item_pop_scorer, model_scorer_factory,
+                                rank_order)
 from deepicf.model import Variant, forward, score_items
-from deepicf.training import fit, pretrain_and_init
+from deepicf.training import EVAL_K, fit, pretrain_and_init
 
 log = logging.getLogger("deepicf")
 
@@ -47,7 +48,7 @@ def _metrics_writer(path):
         pass
     handle = open(path, "a", encoding="utf-8")
     if needs_header:
-        handle.write("epoch,loss,hr10,ndcg10,seconds\n")
+        handle.write(f"epoch,loss,hr{EVAL_K},ndcg{EVAL_K},seconds\n")
         handle.flush()
 
     def on_epoch(stats):
@@ -151,7 +152,7 @@ def cmd_recommend(args):
     if candidates.size == 0:
         raise DataError(f"user {args.user!r} interacted with every item")
     scores = score_items(params, config, hist, user, candidates)
-    order = np.lexsort((candidates, -scores))[:args.k]
+    order = rank_order(candidates, scores)[:args.k]
     print(f"user {args.user}")
     for rank, pos in enumerate(order, start=1):
         item = int(candidates[pos])
@@ -226,10 +227,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DeepIcfError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (DeepIcfError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

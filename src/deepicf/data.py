@@ -165,32 +165,6 @@ class LooSplit:
     train: InteractionDataset
     test_items: np.ndarray
     eval_negatives: list = field(repr=False)
-    seed: int | None = None
-
-    def validate(self, where=lambda user, part: f"user {user}"):
-        """Check the split's invariants; raise :class:`DataError` on the
-        first violation. ``where(user, part)`` names the source of a
-        user's ``part`` ("test" or "negatives") in the message."""
-        tr = self.train
-        if self.test_items.shape != (tr.num_users,):
-            raise DataError("one test item per user required")
-        if len(self.eval_negatives) != tr.num_users:
-            raise DataError("one negative list per user required")
-        for u in range(tr.num_users):
-            hist = set(tr.history_items(u).tolist())
-            t = int(self.test_items[u])
-            if t in hist:
-                raise DataError(
-                    f"{where(u, 'test')}: test item {t} in training history")
-            negs = self.eval_negatives[u]
-            if np.unique(negs).size != negs.size:
-                raise DataError(
-                    f"{where(u, 'negatives')}: duplicate evaluation negatives")
-            bad = hist.union([t]).intersection(negs.tolist())
-            if bad:
-                raise DataError(f"{where(u, 'negatives')}: negatives overlap"
-                                f" history or test item: {sorted(bad)}")
-        return self
 
 
 def leave_one_out_split(dataset, seed, num_negatives=NUM_EVAL_NEGATIVES):
@@ -214,7 +188,8 @@ def leave_one_out_split(dataset, seed, num_negatives=NUM_EVAL_NEGATIVES):
     user_ids = [dataset.user_ids[u] for u in kept]
     items_per_user, times_per_user = [], []
     test_items = np.empty(len(kept), dtype=np.int64)
-    full_history = []
+    negatives = []
+    rng = rng_from_seed(seed, "loo-negatives")
 
     for new_u, u in enumerate(kept):
         items = dataset.history_items(u)
@@ -227,18 +202,9 @@ def leave_one_out_split(dataset, seed, num_negatives=NUM_EVAL_NEGATIVES):
         keep_mask[held] = False
         items_per_user.append(items[keep_mask])
         times_per_user.append(times[keep_mask])
-        full_history.append(items)
 
-    train = InteractionDataset(user_ids, dataset.item_ids, items_per_user,
-                               times_per_user,
-                               raw_interactions=dataset.raw_interactions)
-
-    rng = rng_from_seed(seed, "loo-negatives")
-    num_items = dataset.num_items
-    negatives = []
-    for new_u in range(len(kept)):
-        observed = np.zeros(num_items, dtype=bool)
-        observed[full_history[new_u]] = True
+        observed = np.zeros(dataset.num_items, dtype=bool)
+        observed[items] = True
         pool = np.flatnonzero(~observed)
         if pool.size < num_negatives:
             raise DataError(
@@ -247,8 +213,11 @@ def leave_one_out_split(dataset, seed, num_negatives=NUM_EVAL_NEGATIVES):
         negatives.append(
             rng.choice(pool, size=num_negatives, replace=False).astype(np.int64))
 
+    train = InteractionDataset(user_ids, dataset.item_ids, items_per_user,
+                               times_per_user,
+                               raw_interactions=dataset.raw_interactions)
     return LooSplit(train=train, test_items=test_items,
-                    eval_negatives=negatives, seed=int(seed))
+                    eval_negatives=negatives)
 
 
 def sample_training_instances(train, num_negatives, rng):
@@ -404,12 +373,15 @@ def _read_idmap(path):
 
 
 def load_split(prefix):
-    """Read split files written by :func:`save_split` and validate them.
+    """Read split files written by :func:`save_split`, checking each row
+    as it is read.
 
     Every defect (a malformed row, an index or timestamp out of range, an
-    item repeated in a history, a user listed twice or not at all,
-    negatives that overlap the history) is a :class:`DataError` naming
-    the file and line.
+    item repeated in a history, a user listed twice or not at all, a test
+    item in the history, negatives repeated or overlapping the history or
+    test item) is a :class:`DataError` naming the file and line. A file's
+    first defect is the one reported, save that an item repeated in
+    ``.train`` is looked for once every row has parsed.
     """
     prefix = str(prefix)
     user_ids, item_ids = _read_idmap(prefix + ".idmap")
@@ -445,16 +417,12 @@ def load_split(prefix):
     train = InteractionDataset(user_ids, item_ids, items_per_user,
                                times_per_user)
 
-    test_rows, test_lines = _read_user_rows(prefix + ".test", num_users,
-                                            num_items, single=True)
-    negatives, negative_lines = _read_user_rows(prefix + ".negatives",
-                                                num_users, num_items)
-    lines = {"test": test_lines, "negatives": negative_lines}
-    split = LooSplit(train=train,
-                     test_items=np.concatenate(test_rows).astype(np.int64),
-                     eval_negatives=negatives, seed=None)
-    return split.validate(
-        where=lambda u, part: f"{prefix}.{part}: line {lines[part][u]}")
+    test_items = np.concatenate(_read_user_rows(
+        prefix + ".test", items_per_user, num_items))
+    negatives = _read_user_rows(prefix + ".negatives", items_per_user,
+                                num_items, test_items)
+    return LooSplit(train=train, test_items=test_items,
+                    eval_negatives=negatives)
 
 
 def _repeated_row(path, user):
@@ -470,10 +438,15 @@ def _repeated_row(path, user):
                 seen.add(int(parts[1]))
 
 
-def _read_user_rows(path, num_users, num_items, single=False):
-    """Rows ``user TAB item [TAB item ...]`` of a ``.test`` (``single``: one
-    item per row) or ``.negatives`` file: exactly one row per user, every
-    index in range. Returns the per-user item arrays and line numbers."""
+def _read_user_rows(path, histories, num_items, test_items=None):
+    """Rows ``user TAB item [TAB item ...]``: exactly one per user, every
+    index in range. Without ``test_items`` the file is a ``.test`` file,
+    one item per row that lies outside the user's ``histories`` entry;
+    with them a ``.negatives`` file, whose rows hold distinct items
+    outside the history and the user's test item. Each row is checked as
+    it is read. Returns the per-user item arrays."""
+    single = test_items is None
+    num_users = len(histories)
     rows = [None] * num_users
     lines = [0] * num_users
     with open_text(path) as f:
@@ -499,9 +472,21 @@ def _read_user_rows(path, num_users, num_items, single=False):
             if bad:
                 raise DataError(f"{path}: line {lineno}: item index {bad[0]}"
                                 f" outside [0, {num_items})")
+            if single and items[0] in histories[user]:
+                raise DataError(f"{path}: line {lineno}: test item {items[0]}"
+                                f" in training history")
+            if not single:
+                if len(set(items)) != len(items):
+                    raise DataError(f"{path}: line {lineno}: duplicate"
+                                    f" evaluation negatives")
+                bad = set(histories[user]).union(
+                    [int(test_items[user])]).intersection(items)
+                if bad:
+                    raise DataError(f"{path}: line {lineno}: negatives overlap"
+                                    f" history or test item: {sorted(bad)}")
             rows[user] = np.asarray(items, dtype=np.int64)
             lines[user] = lineno
     missing = [u for u, row in enumerate(rows) if row is None]
     if missing:
         raise DataError(f"{path}: no row for user {missing[0]}")
-    return rows, lines
+    return rows

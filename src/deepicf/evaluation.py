@@ -40,12 +40,15 @@ class EvalReport:
                     f" NDCG@{self.k}={self.ndcg_at_k:.6f}\n")
 
 
-def rank_test_item(scorer, test_item, negatives):
-    """1-based rank of the test item among itself plus the negatives.
+def rank_order(candidates, scores):
+    """Positions of ``candidates`` ordered by descending score, with ties
+    broken by ascending item index, so ranking is deterministic."""
+    return np.lexsort((candidates, -scores))
 
-    Candidates are ordered by descending score with ties broken by
-    ascending item index, so ranking is deterministic. A non-finite score
-    is an error naming the item.
+
+def rank_test_item(scorer, test_item, negatives):
+    """1-based rank of the test item among itself plus the negatives, in
+    :func:`rank_order`. A non-finite score is an error naming the item.
     """
     negatives = np.asarray(negatives, dtype=np.int64)
     candidates = np.concatenate(([int(test_item)], negatives))
@@ -57,8 +60,7 @@ def rank_test_item(scorer, test_item, negatives):
     if bad.any():
         raise EvalError(
             f"non-finite score for item {int(candidates[bad.argmax()])}")
-    # primary key: score descending; secondary: item index ascending
-    order = np.lexsort((candidates, -scores))
+    order = rank_order(candidates, scores)
     return int(np.nonzero(candidates[order] == int(test_item))[0][0]) + 1
 
 

@@ -27,6 +27,8 @@ from deepicf.numerics import bce_from_logit, rng_from_seed
 log = logging.getLogger(__name__)
 
 ADAGRAD_EPSILON = 1e-8
+# ranking cutoff of the metrics measured every ``eval_every`` epochs
+EVAL_K = 10
 
 
 class AdagradState(ModelParams):
@@ -233,15 +235,16 @@ class TrainReport:
         return self.epochs[-1].loss if self.epochs else None
 
 
-def fit(config, split, params=None, seed_labels=(), eval_k=10, on_epoch=None):
+def fit(config, split, params=None, seed_labels=(), on_epoch=None):
     """Train a model on a split; returns (params, report).
 
     Parameters are initialized from the config seed unless a pre-built set
     (e.g. from pre-training) is passed in. Instance sampling is reseeded
     per epoch from (seed, epoch), so the whole run is a pure function of
     (config, split). Every ``eval_every`` epochs the ranking metrics are
-    measured on the split's held-out items. On divergence the exception
-    carries a snapshot of the last finite epoch's parameters.
+    measured at cutoff ``EVAL_K`` on the split's held-out items. On
+    divergence the exception carries a snapshot of the last finite epoch's
+    parameters.
     """
     # imported here to keep module dependencies one-directional
     from deepicf.evaluation import evaluate, model_scorer_factory
@@ -266,7 +269,7 @@ def fit(config, split, params=None, seed_labels=(), eval_k=10, on_epoch=None):
         hr = ndcg = None
         if config.eval_every > 0 and epoch % config.eval_every == 0:
             result = evaluate(model_scorer_factory(params, config, split),
-                              split, k=eval_k)
+                              split, k=EVAL_K)
             hr, ndcg = result.hr_at_k, result.ndcg_at_k
         stats = EpochStats(epoch=epoch, loss=loss, hr=hr, ndcg=ndcg,
                            seconds=elapsed)
@@ -277,7 +280,7 @@ def fit(config, split, params=None, seed_labels=(), eval_k=10, on_epoch=None):
             log.info("epoch %d: loss=%.6f (%.2fs)", epoch, loss, elapsed)
         else:
             log.info("epoch %d: loss=%.6f hr@%d=%.4f ndcg@%d=%.4f (%.2fs)",
-                     epoch, loss, eval_k, hr, eval_k, ndcg, elapsed)
+                     epoch, loss, EVAL_K, hr, EVAL_K, ndcg, elapsed)
     return params, report
 
 

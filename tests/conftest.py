@@ -36,6 +36,25 @@ def make_dataset(histories, num_items=None):
         times_per_user=[[t for _, t in h] for h in histories])
 
 
+def check_split(split):
+    """Assert the invariants of a leave-one-out split, recomputed from
+    Python sets: one in-range test item and one list of in-range negatives
+    per user, the test item outside the user's history, and the negatives
+    distinct and outside both the history and the test item."""
+    train = split.train
+    assert split.test_items.shape == (train.num_users,)
+    assert len(split.eval_negatives) == train.num_users
+    catalog = set(range(train.num_items))
+    for u in range(train.num_users):
+        history = set(train.history_items(u).tolist())
+        test_item = int(split.test_items[u])
+        negatives = split.eval_negatives[u].tolist()
+        assert test_item in catalog and test_item not in history
+        assert set(negatives) <= catalog
+        assert len(set(negatives)) == len(negatives)
+        assert not (history | {test_item}) & set(negatives)
+
+
 def ml1m_ratings_path():
     """Path to the MovieLens-1M ratings file, if the user supplied one."""
     candidates = [os.environ.get("ML1M_RATINGS")]

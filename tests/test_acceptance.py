@@ -246,7 +246,7 @@ def overfit_split():
         mask[t] = False
         negatives.append(np.flatnonzero(mask).astype(np.int64))
     return LooSplit(train=train, test_items=np.asarray(tests, np.int64),
-                    eval_negatives=negatives, seed=0)
+                    eval_negatives=negatives)
 
 
 def test_criterion_5_overfit_capability():

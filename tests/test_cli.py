@@ -11,6 +11,7 @@ import deepicf
 from deepicf.checkpoint import load_checkpoint, save_checkpoint
 from deepicf.cli import main
 from deepicf.data import load_split
+from deepicf.evaluation import rank_test_item
 from deepicf.model import ModelConfig, Variant, init_params
 from deepicf.numerics import rng_from_seed
 
@@ -253,6 +254,30 @@ class TestRecommendCommand:
             assert len(weights) == split.train.history_items(2).size
             assert abs(sum(weights) - 1.0) < 1e-4  # printed at 6 decimals
 
+    def test_tied_scores_list_lower_index_first(self, workdir, capsys):
+        # a model of zeros scores every item alike
+        split = load_split(workdir / "sp")
+        cfg = ModelConfig(variant=Variant.FISM, k=4)
+        params = init_params(cfg, split.train.num_users,
+                             split.train.num_items, rng_from_seed(0))
+        params.flat[:] = 0.0
+        save_checkpoint(workdir / "zero.ckpt", params, cfg)
+        user = 3
+        rc = main(["recommend", split.train.user_ids[user], "--checkpoint",
+                   str(workdir / "zero.ckpt"), "--split", str(workdir / "sp"),
+                   "--k", "5"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        recommended = [split.train.item_index[l.split("\t")[1]] for l in lines]
+        history = set(split.train.history_items(user).tolist())
+        unseen = [i for i in range(split.train.num_items) if i not in history]
+        assert recommended == unseen[:5]
+        # rank_test_item breaks the same tie the same way
+        test_item = int(split.test_items[user])
+        negatives = split.eval_negatives[user]
+        assert rank_test_item(np.zeros_like, test_item, negatives) == (
+            1 + int((negatives < test_item).sum()))
+
     def test_excludes_training_history(self, workdir, capsys):
         split = load_split(workdir / "sp")
         cfg = ModelConfig(variant=Variant.FISM, k=4)
@@ -312,6 +337,16 @@ class TestRecommendCommand:
         assert "--k" in err
 
 
+def package_env():
+    """The environment for a child Python that imports this checkout's
+    ``deepicf`` and the tests' helpers, which pytest's ``pythonpath``
+    setting puts on the path of its own process only."""
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(deepicf.__file__).resolve().parents[1]
+    path = [str(src_dir), str(tests_dir), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def test_console_entry_point_subprocess(tmp_path):
     log = tmp_path / "log.tsv"
     log.write_text("\n".join(synthetic_lines(num_users=20, num_items=300,
@@ -319,13 +354,13 @@ def test_console_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "deepicf", "split", str(log),
          "--split", str(tmp_path / "sp"), "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sp.train").is_file()
     proc = subprocess.run([sys.executable, "-m", "deepicf", "eval",
                            "--split", str(tmp_path / "sp"),
                            "--scorer", "itempop"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("HR@10=")
 
@@ -348,12 +383,8 @@ print("ok")
 
 
 def test_package_runs_without_scipy(tmp_path):
-    tests_dir = Path(__file__).resolve().parent
-    src_dir = Path(deepicf.__file__).resolve().parents[1]
-    path = [str(src_dir), str(tests_dir), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=package_env(),
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from deepicf.data import (leave_one_out_split, load_split, open_text,
-                          parse_interactions, sample_training_instances,
-                          save_split)
+from deepicf.data import (InteractionDataset, leave_one_out_split, load_split,
+                          open_text, parse_interactions,
+                          sample_training_instances, save_split)
 from deepicf.errors import DataError, DeepIcfError
 from deepicf.numerics import rng_from_seed
 
-from conftest import make_dataset, synthetic_dataset, synthetic_lines
+from conftest import (check_split, make_dataset, synthetic_dataset,
+                      synthetic_lines)
 
 
 def parse(text, fmt="tab"):
@@ -77,6 +78,39 @@ class TestParse:
         assert "holds a tab" in str(err.value)
 
 
+def _dataset_args(**changes):
+    """InteractionDataset arguments for two users and three items, with
+    ``changes`` applied."""
+    args = dict(user_ids=["u0", "u1"], item_ids=["a", "b", "c"],
+                items_per_user=[[0, 1], [2]], times_per_user=[[1, 2], [3]])
+    return {**args, **changes}
+
+
+class TestInteractionDataset:
+    def test_valid_arguments_construct(self):
+        ds = InteractionDataset(**_dataset_args())
+        assert (ds.num_users, ds.num_items, ds.num_interactions) == (2, 3, 3)
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(items_per_user=[[0, 1]]), "one history per user required"),
+        (dict(times_per_user=[[1], [3]]),
+         "user 0: items/timestamps length mismatch"),
+        (dict(items_per_user=[[0, -1], [2]]),
+         "user 0: item index out of range"),
+        (dict(items_per_user=[[0, 1], [3]]),
+         "user 1: item index out of range"),
+        (dict(items_per_user=[[1, 1], [2]]),
+         "user 0: duplicate item in history"),
+        (dict(times_per_user=[[1, 2], [-1]]), "user 1: negative timestamp"),
+        (dict(user_ids=["u0", "u0"]), "duplicate raw user ids"),
+        (dict(item_ids=["a", "b", "a"]), "duplicate raw item ids"),
+    ])
+    def test_bad_arguments_raise(self, changes, message):
+        with pytest.raises(DataError) as err:
+            InteractionDataset(**_dataset_args(**changes))
+        assert str(err.value) == message
+
+
 class TestLeaveOneOut:
     def test_latest_interaction_held_out(self):
         ds = make_dataset([[(0, 1), (1, 2), (2, 3)]])
@@ -107,7 +141,7 @@ class TestLeaveOneOut:
     def test_negative_invariants(self):
         ds = synthetic_dataset(num_users=25, num_items=300, seed=11)
         split = leave_one_out_split(ds, seed=5)
-        split.validate()
+        check_split(split)
         for u in range(split.train.num_users):
             negs = split.eval_negatives[u]
             assert negs.size == 99
@@ -234,6 +268,30 @@ SPLIT_FILE_DEFECTS = {
     "idmap-item-twice":
         ("idmap", 10, lambda lines, sp: _set_token(
             lines, 10, 0, sp.train.item_ids[1])),
+    "idmap-no-users-header":
+        ("idmap", 0, lambda lines, sp: lines.pop(0)),
+    "idmap-bad-entry":
+        ("idmap", 2, lambda lines, sp: _set_token(lines, 2, 1, "x")),
+    "idmap-ids-out-of-order":
+        ("idmap", 9, lambda lines, sp: _set_token(lines, 9, 1, 5)),
+    "train-three-columns":
+        ("train", 2, lambda lines, sp: lines.__setitem__(
+            2, lines[2].rsplit("\t", 1)[0])),
+    "train-non-integer":
+        ("train", 5, lambda lines, sp: _set_token(lines, 5, 1, "x")),
+    "train-item-out-of-range":
+        ("train", 0, lambda lines, sp: _set_token(
+            lines, 0, 1, sp.train.num_items)),
+    "test-two-items":
+        ("test", 2, lambda lines, sp: lines.__setitem__(2, lines[2] + "\t0")),
+    "negatives-no-items":
+        ("negatives", 3, lambda lines, sp: lines.__setitem__(3, "3")),
+    "negatives-repeated":
+        ("negatives", 3, lambda lines, sp: _set_token(
+            lines, 3, 2, lines[3].split("\t")[1])),
+    "negatives-test-item":
+        ("negatives", 1, lambda lines, sp: _set_token(
+            lines, 1, 3, int(sp.test_items[1]))),
 }
 
 
@@ -298,7 +356,7 @@ class TestSplitFiles:
                                   split.train.history_times(u))
             assert np.array_equal(loaded.eval_negatives[u],
                                   split.eval_negatives[u])
-        loaded.validate()
+        check_split(loaded)
 
     def test_file_shapes(self, tmp_path):
         ds = synthetic_dataset(num_users=20, num_items=300, seed=1)
@@ -353,7 +411,7 @@ class TestSplitFiles:
                 split = load_split(prefix)
             except DeepIcfError:
                 return
-            split.validate()
+            check_split(split)
         finally:
             path.write_text(originals[part])
 

@@ -8,10 +8,13 @@ single-threaded.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import logging
 import re
+import warnings
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -48,15 +51,38 @@ class InteractionDataset:
         self._items = [np.asarray(a, dtype=np.int64) for a in items_per_user]
         self._times = [np.asarray(a, dtype=np.int64) for a in times_per_user]
         self.raw_interactions = int(raw_interactions)
-        for u, (items, times) in enumerate(zip(self._items, self._times)):
-            if items.shape != times.shape:
-                raise DataError(f"user {u}: items/timestamps length mismatch")
-            if items.size and (items.min() < 0 or items.max() >= self.num_items):
-                raise DataError(f"user {u}: item index out of range")
-            if np.unique(items).size != items.size:
-                raise DataError(f"user {u}: duplicate item in history")
-            if times.size and times.min() < 0:
-                raise DataError(f"user {u}: negative timestamp")
+        self._check_histories()
+
+    def _check_histories(self):
+        """Per user, in user order: items and timestamps of one shape,
+        items in range and distinct, timestamps not negative. The first
+        user that breaks a rule is reported, with the first rule it
+        breaks in that order."""
+        num_users, num_items = self.num_users, self.num_items
+        items, item_ends = _flatten(self._items)
+        times, time_ends = _flatten(self._times)
+        # An out-of-range item is clipped into its user's key block, so it
+        # can only make a false repeat in a history already reported.
+        width = max(num_items, 1)
+        keys = np.clip(items, 0, width - 1)
+        keys += np.repeat(np.arange(num_users) * width,
+                          np.diff(item_ends, prepend=0))
+        keys.sort()
+        rules = (
+            (np.fromiter((a.shape != b.shape for a, b in
+                          zip(self._items, self._times)), bool, num_users),
+             "items/timestamps length mismatch"),
+            (_owners(item_ends, (items < 0) | (items >= num_items)),
+             "item index out of range"),
+            (_users_in(keys[1:][keys[1:] == keys[:-1]] // width, num_users),
+             "duplicate item in history"),
+            (_owners(time_ends, times < 0), "negative timestamp"),
+        )
+        failing = np.logical_or.reduce([bad for bad, _ in rules])
+        if failing.any():
+            u = int(failing.argmax())
+            message = next(m for bad, m in rules if bad[u])
+            raise DataError(f"user {u}: {message}")
 
     @property
     def num_users(self):
@@ -88,6 +114,64 @@ class InteractionDataset:
                            minlength=self.num_items)
 
 
+def _flatten(arrays):
+    """The values of ``arrays`` end to end, and where each array ends."""
+    if not arrays:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    ends = np.cumsum(np.fromiter((a.size for a in arrays), np.int64,
+                                 len(arrays)))
+    return np.concatenate([a.ravel() for a in arrays]), ends
+
+
+def _owners(ends, flags):
+    """Boolean mask over the arrays that :func:`_flatten` joined, set for
+    each array that holds a flagged value."""
+    return _users_in(np.searchsorted(ends, np.flatnonzero(flags),
+                                     side="right"), ends.size)
+
+
+def _users_in(users, num_users):
+    """Boolean mask over ``num_users`` users, set where listed in ``users``."""
+    mask = np.zeros(num_users, dtype=bool)
+    mask[users] = True
+    return mask
+
+
+def _split_by_user(users, *columns, num_users):
+    """Rows grouped by user, in row order within a user: for each column,
+    one array per user (views into one array)."""
+    order = np.argsort(users, kind="stable")
+    cuts = np.cumsum(np.bincount(users, minlength=num_users))[:-1]
+    return [np.split(c[order], cuts) for c in columns]
+
+
+# The fast readers below read a whole file, or a bounded chunk of lines,
+# at a time with numpy. They raise on every defect the line readers name,
+# and on a few inputs that are no defect (an empty ``.train``, a ragged
+# ``.negatives``, a ``.train`` rating that is not an integer, a tab in a
+# ``::`` log's rating); the public readers then run the line reader from
+# the start, which alone words the error.
+_FAST_DECLINED = (ValueError, ArithmeticError, TypeError, DataError, Warning)
+
+_LOG_CHUNK_LINES = 1 << 14
+
+
+def _read_fast(read, *args):
+    """``read(*args)``, or None if it raises or warns."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return read(*args)
+    except _FAST_DECLINED as err:
+        log.debug("%s declined: %s", read.__name__, err)
+        return None
+
+
+def _require(ok):
+    if not ok:
+        raise ValueError("fast read check failed")
+
+
 def parse_interactions(lines, fmt="tab"):
     """Parse an interaction log into an :class:`InteractionDataset`.
 
@@ -99,13 +183,125 @@ def parse_interactions(lines, fmt="tab"):
     the line number, after the file name when ``lines`` is an open file.
     A raw id may not hold a tab, which the split's ``.idmap`` file uses as
     its separator.
+
+    A seekable file or a list of lines is read in chunks with numpy; a
+    one-shot iterator, or an input with a defect, is read line by line.
     """
     try:
         sep = SEPARATORS[fmt]
     except KeyError:
         raise DataError(
             f"unknown format {fmt!r}; expected one of {sorted(SEPARATORS)}")
+    restart = _restarter(lines)
+    ds = None if restart is None else _read_fast(_parse_log_fast, lines, sep)
+    if ds is None:
+        ds = _parse_log_lines(lines if restart is None else restart(), sep)
+    log.info(
+        "parsed %d raw interactions: %d users, %d items, %d after dedup"
+        " (%d users with <2 interactions cannot be split)",
+        ds.raw_interactions, ds.num_users, ds.num_items, ds.num_interactions,
+        sum(a.size < 2 for a in ds.item_arrays()))
+    return ds
 
+
+def _restarter(lines):
+    """A function that returns ``lines`` ready to be read again from where
+    it starts now, or None if it can be read only once."""
+    if iter(lines) is not lines:
+        return lambda: lines
+    try:
+        start = lines.tell() if lines.seekable() else None
+    except (AttributeError, OSError, ValueError):
+        return None
+    if start is None:
+        return None
+
+    def restart():
+        lines.seek(start)
+        return lines
+    return restart
+
+
+def _parse_log_fast(lines, sep):
+    """:func:`parse_interactions` in chunks of lines: each chunk is split
+    into fields with one ``str.split``, and its ids, ratings and
+    timestamps are checked and coded a column at a time."""
+    user_index, item_index = {}, {}
+    users, items, times = [], [], []
+    it = iter(lines)
+    while chunk := list(islice(it, _LOG_CHUNK_LINES)):
+        rows = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
+        del chunk
+        n = len(rows)
+        if not n:
+            continue
+        # Rows are joined by a NUL field. With no other tab or NUL in the
+        # chunk, every fifth field is a NUL only if each row has four.
+        text = "\t\0\t".join(rows)
+        del rows
+        _require(text.count("\0") == n - 1)
+        if sep != "\t":
+            _require(text.count("\t") == 2 * (n - 1))
+            text = text.replace(sep, "\t")
+        fields = text.split("\t")
+        del text
+        _require(len(fields) == 5 * n - 1
+                 and fields[4::5].count("\0") == n - 1)
+        user_raw, item_raw = fields[0::5], fields[1::5]
+        _require("" not in user_raw and "" not in item_raw)
+        # float() and int() are the line reader's own tests of a field
+        collections.deque(map(float, fields[2::5]), maxlen=0)
+        ts = np.fromiter(map(int, fields[3::5]), np.int64, n)
+        del fields
+        _require((ts >= 0).all())
+        times.append(ts)
+        users.append(_codes(user_raw, user_index))
+        items.append(_codes(item_raw, item_index))
+    _require(users)
+
+    # Each array is dropped once used, which keeps the peak memory below
+    # the line reader's.
+    raw = sum(map(len, users))
+    num_items = len(item_index)
+    pair_keys = np.concatenate(users)
+    del users
+    pair_keys *= num_items
+    pair_keys += np.concatenate(items)
+    del items
+    times = np.concatenate(times)
+    # rows of one (user, item) pair side by side, in line order: the pair
+    # keeps its first line's place and its latest timestamp
+    order = np.argsort(pair_keys, kind="stable")
+    pair_keys = pair_keys[order]
+    starts = np.flatnonzero(np.r_[True, pair_keys[1:] != pair_keys[:-1]])
+    latest = np.maximum.reduceat(times[order], starts)
+    del times
+    first, pair_keys = order[starts], pair_keys[starts]
+    del order, starts
+    by_line = np.argsort(first)
+    del first
+    pair_keys, latest = pair_keys[by_line], latest[by_line]
+    del by_line
+    hist_items, hist_times = _split_by_user(
+        pair_keys // num_items, pair_keys % num_items, latest,
+        num_users=len(user_index))
+    del pair_keys, latest
+    return InteractionDataset(list(user_index), list(item_index), hist_items,
+                              hist_times, raw_interactions=raw)
+
+
+def _codes(raw_ids, index):
+    """Dense codes of ``raw_ids``; ids not yet in ``index`` are added to
+    it in order of first appearance."""
+    for raw_id in dict.fromkeys(raw_ids):
+        index.setdefault(raw_id, len(index))
+    return np.fromiter(map(index.__getitem__, raw_ids), np.int64,
+                       len(raw_ids))
+
+
+def _parse_log_lines(lines, sep):
+    """:func:`parse_interactions` one line at a time; the one reader that
+    words a defect of the log."""
     # Dicts keep first-seen order, which gives the dense ids: raw user ->
     # {item -> latest timestamp}, where an updated key keeps its place in
     # the history, and raw item -> dense item id.
@@ -133,6 +329,9 @@ def parse_interactions(lines, fmt="tab"):
             raise DataError(f"{where(lineno)}: bad rating/timestamp in {line!r}")
         if ts < 0:
             raise DataError(f"{where(lineno)}: negative timestamp {ts}")
+        if ts >= 2 ** 63:
+            raise DataError(f"{where(lineno)}: timestamp {ts} outside"
+                            f" [0, 2**63)")
         if "\t" in user_raw or "\t" in item_raw:
             raw_id = user_raw if "\t" in user_raw else item_raw
             raise DataError(f"{where(lineno)}: raw id {raw_id!r} holds a tab")
@@ -144,16 +343,10 @@ def parse_interactions(lines, fmt="tab"):
 
     if raw == 0:
         raise DataError("empty input: no interactions found")
-    ds = InteractionDataset(list(histories), list(item_index),
-                            [list(h) for h in histories.values()],
-                            [list(h.values()) for h in histories.values()],
-                            raw_interactions=raw)
-    log.info(
-        "parsed %d raw interactions: %d users, %d items, %d after dedup"
-        " (%d users with <2 interactions cannot be split)",
-        raw, ds.num_users, ds.num_items, ds.num_interactions,
-        sum(len(h) < 2 for h in histories.values()))
-    return ds
+    return InteractionDataset(list(histories), list(item_index),
+                              [list(h) for h in histories.values()],
+                              [list(h.values()) for h in histories.values()],
+                              raw_interactions=raw)
 
 
 @dataclass
@@ -309,6 +502,9 @@ def _undecodable_line(path):
                 return lineno
 
 
+_WRITE_ROWS = 1 << 16
+
+
 def save_split(split, prefix):
     """Write the four split files next to ``prefix``.
 
@@ -319,26 +515,56 @@ def save_split(split, prefix):
     """
     prefix = str(prefix)
     tr = split.train
+    items, ends = _flatten(tr.item_arrays())
+    times, _ = _flatten([tr.history_times(u) for u in range(tr.num_users)])
+    owners = np.repeat(np.arange(tr.num_users), np.diff(ends, prepend=0))
     with open(prefix + ".train", "w", encoding="utf-8") as f:
-        for u in range(tr.num_users):
-            items = tr.history_items(u)
-            times = tr.history_times(u)
-            for i, ts in zip(items.tolist(), times.tolist()):
-                f.write(f"{u}\t{i}\t1\t{ts}\n")
+        for start in range(0, items.size, _WRITE_ROWS):
+            block = slice(start, start + _WRITE_ROWS)
+            f.write(_decimal_lines(owners[block], items[block],
+                                   np.ones_like(items[block]), times[block]))
+    users = range(tr.num_users)
     with open(prefix + ".test", "w", encoding="utf-8") as f:
-        for u in range(tr.num_users):
-            f.write(f"{u}\t{int(split.test_items[u])}\n")
+        f.write("".join(map("{}\t{}\n".format, users, np.asarray(
+            split.test_items, dtype=np.int64).tolist())))
+    negatives = ("\t".join(map(str, np.asarray(row, dtype=np.int64).tolist()))
+                 for row in split.eval_negatives)
     with open(prefix + ".negatives", "w", encoding="utf-8") as f:
-        for u in range(tr.num_users):
-            negs = "\t".join(str(int(j)) for j in split.eval_negatives[u])
-            f.write(f"{u}\t{negs}\n")
+        f.write("".join(map("{}\t{}\n".format, users, negatives)))
     with open(prefix + ".idmap", "w", encoding="utf-8") as f:
-        f.write("#users\n")
-        for u, uid in enumerate(tr.user_ids):
-            f.write(f"{uid}\t{u}\n")
-        f.write("#items\n")
-        for i, iid in enumerate(tr.item_ids):
-            f.write(f"{iid}\t{i}\n")
+        for header, ids in (("#users", tr.user_ids), ("#items", tr.item_ids)):
+            f.write(header + "\n")
+            f.write("".join(map("{}\t{}\n".format, ids, range(len(ids)))))
+
+
+# "0000" to "9999" in ASCII, four bytes to an entry
+_FOUR_DIGITS = np.frombuffer(
+    "".join(f"{v:04d}" for v in range(10000)).encode(), dtype=np.uint32)
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _decimal_lines(*columns):
+    """One line per row of the equal-length non-negative int64 ``columns``:
+    their decimal values, tab-separated; what ``f"{a}\\t{b}\\n"`` gives
+    per row, built with array operations."""
+    parts = []
+    for values in columns:
+        groups = -(-len(str(int(values.max(initial=0)))) // 4)
+        digits = np.empty((values.size, groups), dtype=np.uint32)
+        rest = values
+        for g in range(groups - 1, -1, -1):
+            high = rest // 10000
+            digits[:, g] = _FOUR_DIGITS.take(rest - high * 10000)
+            rest = high
+        digits = digits.view(np.uint8)
+        # NUL out the zeros before each value's first digit
+        lead = 4 * groups - 1 - np.searchsorted(_POWERS_OF_TEN, values,
+                                                side="right")
+        digits *= np.arange(4 * groups) >= lead[:, None]
+        parts += [digits, np.full((values.size, 1), ord("\t"), np.uint8)]
+    parts[-1][:] = ord("\n")
+    chars = np.concatenate(parts, axis=1).ravel()
+    return chars[chars != 0].tobytes().decode("ascii")
 
 
 def _read_idmap(path):
@@ -373,22 +599,87 @@ def _read_idmap(path):
 
 
 def load_split(prefix):
-    """Read split files written by :func:`save_split`, checking each row
-    as it is read.
+    """Read split files written by :func:`save_split`, checking each row.
 
     Every defect (a malformed row, an index or timestamp out of range, an
     item repeated in a history, a user listed twice or not at all, a test
     item in the history, negatives repeated or overlapping the history or
-    test item) is a :class:`DataError` naming the file and line. A file's
-    first defect is the one reported, save that an item repeated in
-    ``.train`` is looked for once every row has parsed.
+    test item) is a :class:`DataError` naming the file and line. Files
+    are read in the order ``.idmap``, ``.train``, ``.test``,
+    ``.negatives``, and a file's first defect is the one reported.
+    Well-formed files are read in one vectorised pass each.
     """
     prefix = str(prefix)
+    split = _read_fast(_load_split_fast, prefix)
+    return _load_split_lines(prefix) if split is None else split
+
+
+def _read_int_table(path):
+    """The rows of tab-separated integers in ``path`` as one int64 array
+    (numpy's C reader: it raises on a ragged or non-integer row)."""
+    return np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None,
+                      ndmin=2, encoding="utf-8")
+
+
+def _load_split_fast(prefix):
+    """:func:`load_split` with every check made as an array operation."""
+    user_ids, item_ids = _read_idmap(prefix + ".idmap")
+    num_users, num_items = len(user_ids), len(item_ids)
+
+    rows = _read_int_table(prefix + ".train")
+    _require(rows.shape[1] == 4)
+    users = rows[:, 0]
+    # A user index out of range makes bincount raise or give too many
+    # histories; the constructor checks the histories' count and items,
+    # and that no timestamp is negative.
+    hist_items, hist_times = _split_by_user(
+        users, rows[:, 1], rows[:, 3], num_users=num_users)
+    train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
+    history = np.sort(users * num_items + rows[:, 1])
+    del rows, users
+
+    test_items = _one_row_per_user(prefix + ".test", num_users, num_items)
+    _require(test_items.shape[1] == 1)
+    negatives = _one_row_per_user(prefix + ".negatives", num_users, num_items)
+    ordered = np.sort(negatives, axis=1)
+    _require((ordered[:, 1:] != ordered[:, :-1]).all())
+    _require((negatives != test_items).all())
+    user_keys = np.arange(num_users)[:, None] * num_items
+    _require(not _in_sorted(history, user_keys + test_items).any())
+    _require(not _in_sorted(history, user_keys + negatives).any())
+    return LooSplit(train=train, test_items=test_items[:, 0],
+                    eval_negatives=list(negatives))
+
+
+def _one_row_per_user(path, num_users, num_items):
+    """The item columns of ``path``, one row per user in user order: each
+    user listed exactly once, every item in range."""
+    table = _read_int_table(path)
+    _require(table.shape == (num_users, table.shape[1]) and table.shape[1] > 1)
+    users, items = table[:, 0], table[:, 1:]
+    _require(((users >= 0) & (users < num_users)).all())
+    _require((np.bincount(users, minlength=num_users) == 1).all())
+    _require(((items >= 0) & (items < num_items)).all())
+    rows = np.empty_like(items)
+    rows[users] = items
+    return rows
+
+
+def _in_sorted(sorted_keys, keys):
+    """Where ``keys`` are members of the non-empty sorted ``sorted_keys``."""
+    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[at] == keys
+
+
+def _load_split_lines(prefix):
+    """:func:`load_split` one line at a time; the one reader that words a
+    defect of the split files."""
     user_ids, item_ids = _read_idmap(prefix + ".idmap")
     num_users, num_items = len(user_ids), len(item_ids)
 
     items_per_user = [[] for _ in range(num_users)]
     times_per_user = [[] for _ in range(num_users)]
+    seen = [set() for _ in range(num_users)]
     with open_text(prefix + ".train") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
@@ -406,36 +697,22 @@ def load_split(prefix):
             if not 0 <= ts < 2 ** 63:
                 raise DataError(f"{prefix}.train: line {lineno}: timestamp {ts}"
                                 f" outside [0, 2**63)")
+            if i in seen[u]:
+                raise DataError(f"{prefix}.train: line {lineno}: user {u}"
+                                f" lists an item a second time")
+            seen[u].add(i)
             items_per_user[u].append(i)
             times_per_user[u].append(ts)
-    for u, items in enumerate(items_per_user):
-        if len(set(items)) < len(items):
-            lineno = _repeated_row(prefix + ".train", u)
-            raise DataError(f"{prefix}.train: line {lineno}: user {u} lists"
-                            f" an item a second time")
 
     train = InteractionDataset(user_ids, item_ids, items_per_user,
                                times_per_user)
 
     test_items = np.concatenate(_read_user_rows(
-        prefix + ".test", items_per_user, num_items))
-    negatives = _read_user_rows(prefix + ".negatives", items_per_user,
-                                num_items, test_items)
+        prefix + ".test", seen, num_items))
+    negatives = _read_user_rows(prefix + ".negatives", seen, num_items,
+                                test_items)
     return LooSplit(train=train, test_items=test_items,
                     eval_negatives=negatives)
-
-
-def _repeated_row(path, user):
-    """Line number of the first ``.train`` row that repeats an item of
-    ``user``, in a file whose rows have all parsed."""
-    seen = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split("\t")
-            if len(parts) == 4 and int(parts[0]) == user:
-                if int(parts[1]) in seen:
-                    return lineno
-                seen.add(int(parts[1]))
 
 
 def _read_user_rows(path, histories, num_items, test_items=None):

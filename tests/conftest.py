@@ -55,6 +55,33 @@ def check_split(split):
         assert not (history | {test_item}) & set(negatives)
 
 
+def save_split_rows(split, prefix):
+    """Reference writer for ``data.save_split``: the four split files
+    written one row at a time with f-strings."""
+    prefix = str(prefix)
+    tr = split.train
+    with open(prefix + ".train", "w", encoding="utf-8") as f:
+        for u in range(tr.num_users):
+            items = tr.history_items(u)
+            times = tr.history_times(u)
+            for i, ts in zip(items.tolist(), times.tolist()):
+                f.write(f"{u}\t{i}\t1\t{ts}\n")
+    with open(prefix + ".test", "w", encoding="utf-8") as f:
+        for u in range(tr.num_users):
+            f.write(f"{u}\t{int(split.test_items[u])}\n")
+    with open(prefix + ".negatives", "w", encoding="utf-8") as f:
+        for u in range(tr.num_users):
+            negs = "\t".join(str(int(j)) for j in split.eval_negatives[u])
+            f.write(f"{u}\t{negs}\n")
+    with open(prefix + ".idmap", "w", encoding="utf-8") as f:
+        f.write("#users\n")
+        for u, uid in enumerate(tr.user_ids):
+            f.write(f"{uid}\t{u}\n")
+        f.write("#items\n")
+        for i, iid in enumerate(tr.item_ids):
+            f.write(f"{iid}\t{i}\n")
+
+
 def ml1m_ratings_path():
     """Path to the MovieLens-1M ratings file, if the user supplied one."""
     candidates = [os.environ.get("ML1M_RATINGS")]

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from deepicf import data
 from deepicf.data import (InteractionDataset, leave_one_out_split, load_split,
                           open_text, parse_interactions,
                           sample_training_instances, save_split)
 from deepicf.errors import DataError, DeepIcfError
 from deepicf.numerics import rng_from_seed
 
-from conftest import (check_split, make_dataset, synthetic_dataset,
-                      synthetic_lines)
+from conftest import (check_split, make_dataset, save_split_rows,
+                      synthetic_dataset, synthetic_lines)
 
 
 def parse(text, fmt="tab"):
@@ -57,6 +58,12 @@ class TestParse:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(DataError, match="negative timestamp"):
             parse("u\ta\t1\t-4\n")
+
+    def test_timestamp_past_int64_rejected(self):
+        with pytest.raises(DataError) as err:
+            parse(f"u\ta\t1\t1\nu\tb\t1\t{2 ** 63}\n")
+        assert str(err.value) == (
+            f"line 2: timestamp {2 ** 63} outside [0, 2**63)")
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="empty"):
@@ -104,6 +111,16 @@ class TestInteractionDataset:
         (dict(times_per_user=[[1, 2], [-1]]), "user 1: negative timestamp"),
         (dict(user_ids=["u0", "u0"]), "duplicate raw user ids"),
         (dict(item_ids=["a", "b", "a"]), "duplicate raw item ids"),
+        # the first failing user is reported, with its first failing rule
+        (dict(items_per_user=[[0, 1], [3]], times_per_user=[[1, -2], [3]]),
+         "user 0: negative timestamp"),
+        (dict(items_per_user=[[3, 3], [2]]),
+         "user 0: item index out of range"),
+        (dict(items_per_user=[[2, 2, 5], [2]]),
+         "user 0: items/timestamps length mismatch"),
+        (dict(items_per_user=[[0, 1], [2, 2]],
+              times_per_user=[[1, 2], [3, -1]]),
+         "user 1: duplicate item in history"),
     ])
     def test_bad_arguments_raise(self, changes, message):
         with pytest.raises(DataError) as err:
@@ -284,6 +301,9 @@ SPLIT_FILE_DEFECTS = {
             lines, 0, 1, sp.train.num_items)),
     "test-two-items":
         ("test", 2, lambda lines, sp: lines.__setitem__(2, lines[2] + "\t0")),
+    "test-two-items-every-row":
+        ("test", 0, lambda lines, sp: lines.__setitem__(
+            slice(None), [line + "\t0" for line in lines])),
     "negatives-no-items":
         ("negatives", 3, lambda lines, sp: lines.__setitem__(3, "3")),
     "negatives-repeated":
@@ -415,3 +435,221 @@ class TestSplitFiles:
         finally:
             path.write_text(originals[part])
 
+    def test_repeated_row_reported_before_a_later_bad_row(self, saved_split):
+        prefix, _ = saved_split
+        path = prefix.parent / "sp.train"
+        lines = path.read_text().splitlines()
+        lines.insert(3, lines[2])
+        lines[9] = "oops"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            load_split(prefix)
+        user = lines[2].split("\t")[0]
+        assert str(err.value) == (f"{prefix}.train: line 4: user {user}"
+                                  f" lists an item a second time")
+
+
+def _outcome(read, *args):
+    """``("ok", value)``, or ``("raised", type, message)``, of
+    ``read(*args)``."""
+    try:
+        return "ok", read(*args)
+    except Exception as err:
+        return "raised", type(err), str(err)
+
+
+def _dataset_key(ds):
+    return (ds.user_ids, ds.item_ids, ds.raw_interactions,
+            [(a.dtype.str, a.tolist()) for a in ds.item_arrays()],
+            [(ds.history_times(u).dtype.str, ds.history_times(u).tolist())
+             for u in range(ds.num_users)])
+
+
+def _split_key(split):
+    return (_dataset_key(split.train), split.test_items.dtype.str,
+            split.test_items.tolist(),
+            [(n.dtype.str, n.tolist()) for n in split.eval_negatives])
+
+
+def _assert_readers_agree(key, read, public, fast, lines):
+    """The line reader is the oracle: the public reader gives its result or
+    its error message byte for byte, and the fast reader, where it does
+    not decline, its result. ``read(reader)`` runs a reader on a fresh
+    copy of the input."""
+    expected = _outcome(read, lines)
+    if expected[0] == "ok":
+        expected = ("ok", key(expected[1]))
+    got = _outcome(read, public)
+    assert (got if got[0] == "raised" else ("ok", key(got[1]))) == expected
+    fast_result = data._read_fast(read, fast)
+    if fast_result is not None:
+        assert expected == ("ok", key(fast_result))
+
+
+def _assert_split_readers_agree(prefix):
+    _assert_readers_agree(_split_key, lambda reader: reader(str(prefix)),
+                          load_split, data._load_split_fast,
+                          data._load_split_lines)
+
+
+_LOG_ODD_FIELDS = ["", " ", " u1", "u1 ", ":u", "u:", ":::", "a\tb", "4\t5",
+                   "\0", "ü", "nan", "inf", "1_0", "1,5", "+5", " 7 ", "-1",
+                   "1.0", "٣", "0x1", str(2 ** 63 - 1), str(2 ** 63),
+                   str(2 ** 64)]
+_LOG_ENDINGS = ["\n", "\r\n", "\r", ""]
+_LOG_FIELD_EDITS = st.tuples(st.just("field"), st.integers(0, 7),
+                             st.integers(0, 3),
+                             st.sampled_from(_LOG_ODD_FIELDS))
+_LOG_EDITS = st.one_of(
+    _LOG_FIELD_EDITS, _LOG_FIELD_EDITS,
+    st.tuples(st.just("ending"), st.integers(0, 7),
+              st.sampled_from(_LOG_ENDINGS)),
+    st.tuples(st.just("blank"), st.integers(0, 7),
+              st.sampled_from(["", " ", "\t", "\r"])),
+    st.tuples(st.just("fields"), st.integers(0, 7), st.sampled_from([3, 5])))
+
+
+@st.composite
+def raw_logs(draw):
+    """A few well-formed log rows (fields and line endings), then up to
+    four edits that may break them."""
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(["u1", "u2", "7", "ü"]),
+        st.sampled_from(["i1", "i2", "i3", "a:b"]),
+        st.sampled_from(["1", "4", "5"]),
+        st.integers(0, 30).map(str)).map(list), min_size=1, max_size=8))
+    endings = ["\n"] * len(rows)
+    for edit in draw(st.lists(_LOG_EDITS, max_size=4)):
+        kind, row = edit[0], edit[1] % len(rows)
+        if kind == "field":
+            rows[row][edit[2] % len(rows[row])] = edit[3]
+        elif kind == "ending":
+            endings[row] = edit[2]
+        elif kind == "blank":
+            rows.insert(row, [edit[2]])
+            endings.insert(row, "\n")
+        else:
+            rows[row] = (rows[row] + ["9"])[:edit[2]]
+    return rows, endings
+
+
+class TestFastReaders:
+    """The vectorised readers against the line readers they stand for."""
+
+    @pytest.mark.parametrize("defect", sorted(SPLIT_FILE_DEFECTS))
+    def test_split_defects_agree(self, saved_split, defect):
+        prefix, split = saved_split
+        part, _, mutate = SPLIT_FILE_DEFECTS[defect]
+        path = prefix.parent / f"sp.{part}"
+        lines = path.read_text().splitlines()
+        mutate(lines, split)
+        path.write_text("\n".join(lines) + "\n")
+        _assert_split_readers_agree(prefix)
+
+    def test_valid_split_agrees(self, saved_split):
+        _assert_split_readers_agree(saved_split[0])
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(part=st.sampled_from(["train", "test", "negatives", "idmap"]),
+           edits=st.lists(_EDITS, min_size=1, max_size=4))
+    def test_mutated_splits_agree(self, saved_split, part, edits):
+        prefix, _ = saved_split
+        path = prefix.parent / f"sp.{part}"
+        original = path.read_text()
+        lines = original.splitlines()
+        for edit in edits:
+            _apply_edit(lines, edit)
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            _assert_split_readers_agree(prefix)
+        finally:
+            path.write_text(original)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(log=raw_logs(), fmt=st.sampled_from(["tab", "double_colon"]))
+    def test_raw_logs_agree(self, tmp_path, log, fmt):
+        sep = data.SEPARATORS[fmt]
+        self.check_log(tmp_path, "".join(
+            sep.join(row) + end for row, end in zip(*log)), fmt)
+
+    @pytest.mark.parametrize("text, fmt", [
+        # two rows in one line, with a NUL field between, and short rows
+        ("u\ti\t5\t3\t\0\tv\tj\t6\t4\nw\n7\t8\n", "tab"),
+        ("u::i::5\t3\n", "double_colon"),         # a tab for a separator
+        ("\ti1\t5\t3\n", "tab"),
+        ("u::::5::3\n", "double_colon"),
+        ("u\ti\t5\t3\r\r\n\n  \nv\tj\t1\t2", "tab"),
+        ("u:::i::5::3\nu::i::5:::3\n", "double_colon"),
+        ("u\ti\t5\t3\nu\ti\t5\t-1\n", "tab"),  # lost in the dedup
+    ])
+    def test_raw_log_cases_agree(self, tmp_path, text, fmt):
+        self.check_log(tmp_path, text, fmt)
+
+    @staticmethod
+    def check_log(tmp_path, text, fmt):
+        """The log ``text`` agrees when read from a file and from a
+        StringIO, which keeps carriage returns."""
+        sep = data.SEPARATORS[fmt]
+        path = tmp_path / "log.dat"
+        path.write_bytes(text.encode("utf-8"))
+
+        def from_file(reader):
+            with open_text(path) as f:
+                return reader(f)
+
+        for read in (from_file, lambda reader: reader(io.StringIO(text))):
+            _assert_readers_agree(
+                _dataset_key, read, lambda f: parse_interactions(f, fmt),
+                lambda f: data._parse_log_fast(f, sep),
+                lambda f: data._parse_log_lines(f, sep))
+
+    def test_valid_inputs_take_the_fast_path(self, saved_split, tmp_path,
+                                             monkeypatch):
+        # A fallback gives the same results, only slower, so the line
+        # readers are made to fail here.
+        def refuse(*args):
+            raise AssertionError("line reader ran on a valid input")
+        monkeypatch.setattr(data, "_load_split_lines", refuse)
+        monkeypatch.setattr(data, "_parse_log_lines", refuse)
+
+        check_split(load_split(saved_split[0]))
+        lines = synthetic_lines(sep="::")
+        lines[3:3] = [lines[0], "", lines[5]]   # a repeat and a blank line
+        path = tmp_path / "ratings.dat"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with open_text(path) as f:
+            from_file = parse_interactions(f, fmt="double_colon")
+        from_list = parse_interactions(
+            [line.replace("::", "\t") for line in lines], fmt="tab")
+        assert _dataset_key(from_file) == _dataset_key(from_list)
+        assert from_file.raw_interactions == len(lines) - 1
+
+    def test_one_shot_iterator_is_read_line_by_line(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fast reader ran on a one-shot iterator")
+        monkeypatch.setattr(data, "_parse_log_fast", refuse)
+        ds = parse_interactions(iter(["u\ta\t1\t1\n"]))
+        assert ds.user_ids == ["u"]
+
+    def test_writer_matches_reference_bytes(self, tmp_path):
+        times = [0, 9, 10, 9999, 10000, 123456789, 10 ** 15, 2 ** 63 - 1]
+        users = ["ü:1", ":u", "u:", "用户", "a::b"]
+        lines = [f"{uid}\titem:{(3 * u + k) % 11}é\t1\t{times[(u + k) % 8]}"
+                 for u, uid in enumerate(users) for k in range(6)]
+        split = leave_one_out_split(parse_interactions(lines), seed=5,
+                                    num_negatives=3)
+        save_split(split, tmp_path / "fast")
+        save_split_rows(split, tmp_path / "rows")
+        for part in ("train", "test", "negatives", "idmap"):
+            assert ((tmp_path / f"fast.{part}").read_bytes()
+                    == (tmp_path / f"rows.{part}").read_bytes()), part
+
+    def test_decimal_lines_match_fstrings(self):
+        values = sorted({0, 1, 2 ** 63 - 1} | {
+            v for k in range(1, 19)
+            for v in (10 ** k - 1, 10 ** k, 10 ** k + 1)})
+        column = np.array(values, dtype=np.int64)
+        expected = "".join(f"{a}\t{b}\n" for a, b in zip(values, values[::-1]))
+        assert data._decimal_lines(column, column[::-1].copy()) == expected

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import io
 import logging
 import re
 import warnings
@@ -607,18 +608,36 @@ def load_split(prefix):
     test item) is a :class:`DataError` naming the file and line. Files
     are read in the order ``.idmap``, ``.train``, ``.test``,
     ``.negatives``, and a file's first defect is the one reported.
-    Well-formed files are read in one vectorised pass each.
+    Well-formed files are read with numpy, a block of lines at a time.
     """
     prefix = str(prefix)
     split = _read_fast(_load_split_fast, prefix)
     return _load_split_lines(prefix) if split is None else split
 
 
+# Characters of a split file read at a time. A whole ML-1M ``.train``
+# table (32 MB) sits just under glibc's ceiling for its moving mmap
+# threshold: freeing it raised the threshold to its size, after which the
+# freed arrays of later set-ups stayed on the heap or not by chance, and
+# peak RSS differed by some 30 MB from one process to the next.
+_READ_CHARS = 1 << 21
+
+
+def _int_blocks(path):
+    """The rows of tab-separated integers in ``path``, as one int64 array
+    per block of about _READ_CHARS characters of whole lines (numpy's C
+    reader: it raises on a ragged or non-integer row, and warns on a
+    block without rows)."""
+    with open(path, encoding="utf-8") as f:
+        while text := f.read(_READ_CHARS):
+            text += f.readline()
+            yield np.loadtxt(io.StringIO(text), dtype=np.int64,
+                             delimiter="\t", comments=None, ndmin=2)
+
+
 def _read_int_table(path):
-    """The rows of tab-separated integers in ``path`` as one int64 array
-    (numpy's C reader: it raises on a ragged or non-integer row)."""
-    return np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None,
-                      ndmin=2, encoding="utf-8")
+    """The rows of tab-separated integers in ``path`` as one int64 array."""
+    return np.concatenate(list(_int_blocks(path)))
 
 
 def _load_split_fast(prefix):
@@ -626,17 +645,24 @@ def _load_split_fast(prefix):
     user_ids, item_ids = _read_idmap(prefix + ".idmap")
     num_users, num_items = len(user_ids), len(item_ids)
 
-    rows = _read_int_table(prefix + ".train")
-    _require(rows.shape[1] == 4)
-    users = rows[:, 0]
+    columns = ([], [], [])
+    for block in _int_blocks(prefix + ".train"):
+        _require(block.shape[1] == 4)
+        for column, j in zip(columns, (0, 1, 3)):
+            column.append(block[:, j].copy())
+    users, items, times = map(np.concatenate, columns)
+    del columns, block
     # A user index out of range makes bincount raise or give too many
     # histories; the constructor checks the histories' count and items,
     # and that no timestamp is negative.
-    hist_items, hist_times = _split_by_user(
-        users, rows[:, 1], rows[:, 3], num_users=num_users)
+    hist_items, hist_times = _split_by_user(users, items, times,
+                                            num_users=num_users)
+    del times
     train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
-    history = np.sort(users * num_items + rows[:, 1])
-    del rows, users
+    history = users * num_items
+    history += items
+    history.sort()
+    del users, items
 
     test_items = _one_row_per_user(prefix + ".test", num_users, num_items)
     _require(test_items.shape[1] == 1)

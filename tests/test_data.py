@@ -549,6 +549,22 @@ class TestFastReaders:
     def test_valid_split_agrees(self, saved_split):
         _assert_split_readers_agree(saved_split[0])
 
+    # Blocks of a few lines, so a block can end on any line of the file.
+    @pytest.mark.parametrize("read_chars", [1, 37])
+    def test_split_read_in_blocks_agrees(self, saved_split, monkeypatch,
+                                         read_chars):
+        monkeypatch.setattr(data, "_READ_CHARS", read_chars)
+        prefix = str(saved_split[0])
+        fast = data._read_fast(data._load_split_fast, prefix)
+        assert fast is not None
+        assert _split_key(fast) == _split_key(data._load_split_lines(prefix))
+
+    @pytest.mark.parametrize("defect", sorted(SPLIT_FILE_DEFECTS))
+    def test_split_defects_in_blocks_agree(self, saved_split, monkeypatch,
+                                           defect):
+        monkeypatch.setattr(data, "_READ_CHARS", 37)
+        self.test_split_defects_agree(saved_split, defect)
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(part=st.sampled_from(["train", "test", "negatives", "idmap"]),

@@ -15,12 +15,11 @@ file intact.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 
 import numpy as np
 
+from deepicf.data import atomic_write
 from deepicf.errors import CheckpointError, ConfigError
 from deepicf.model import ModelConfig, ModelParams, Variant, param_layout
 
@@ -32,8 +31,8 @@ def save_checkpoint(path, params, config):
 
     Parameters whose layout is not the one ``config`` implies for their
     user and item counts are a :class:`CheckpointError`, raised before
-    anything is written. The bytes go to a temporary file in the target
-    directory, which then replaces ``path`` in one step.
+    anything is written. The file is written with
+    :func:`deepicf.data.atomic_write`.
     """
     num_users, num_items = params.num_users, params.num_items
     have = [(name, shape) for name, shape, _ in params.layout]
@@ -46,20 +45,11 @@ def save_checkpoint(path, params, config):
               f"{config.k_prime} {config.num_layers} "
               f"{float(config.alpha)!r} {float(config.beta)!r}\n")
     sizes = " ".join(str(d) for d in config.layer_sizes) + "\n"
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(header.encode("ascii"))
-            f.write(sizes.encode("ascii"))
-            f.write(params.flat.astype("<f8", copy=False).tobytes())
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(MAGIC)
+        f.write(header.encode("ascii"))
+        f.write(sizes.encode("ascii"))
+        f.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path):

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import io
 import logging
+import os
 import re
-import warnings
+import sys
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
@@ -146,31 +148,7 @@ def _split_by_user(users, *columns, num_users):
     return [np.split(c[order], cuts) for c in columns]
 
 
-# The fast readers below read a whole file, or a bounded chunk of lines,
-# at a time with numpy. They raise on every defect the line readers name,
-# and on a few inputs that are no defect (an empty ``.train``, a ragged
-# ``.negatives``, a ``.train`` rating that is not an integer, a tab in a
-# ``::`` log's rating); the public readers then run the line reader from
-# the start, which alone words the error.
-_FAST_DECLINED = (ValueError, ArithmeticError, TypeError, DataError, Warning)
-
 _LOG_CHUNK_LINES = 1 << 14
-
-
-def _read_fast(read, *args):
-    """``read(*args)``, or None if it raises or warns."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return read(*args)
-    except _FAST_DECLINED as err:
-        log.debug("%s declined: %s", read.__name__, err)
-        return None
-
-
-def _require(ok):
-    if not ok:
-        raise ValueError("fast read check failed")
 
 
 def parse_interactions(lines, fmt="tab"):
@@ -185,84 +163,42 @@ def parse_interactions(lines, fmt="tab"):
     A raw id may not hold a tab, which the split's ``.idmap`` file uses as
     its separator.
 
-    A seekable file or a list of lines is read in chunks with numpy; a
-    one-shot iterator, or an input with a defect, is read line by line.
+    ``lines`` (an open file, a list or any iterator of lines) is read in
+    chunks of lines, each checked a column at a time; a chunk that fails
+    a check is read row by row to name its first defective line.
     """
     try:
         sep = SEPARATORS[fmt]
     except KeyError:
         raise DataError(
             f"unknown format {fmt!r}; expected one of {sorted(SEPARATORS)}")
-    restart = _restarter(lines)
-    ds = None if restart is None else _read_fast(_parse_log_fast, lines, sep)
-    if ds is None:
-        ds = _parse_log_lines(lines if restart is None else restart(), sep)
-    log.info(
-        "parsed %d raw interactions: %d users, %d items, %d after dedup"
-        " (%d users with <2 interactions cannot be split)",
-        ds.raw_interactions, ds.num_users, ds.num_items, ds.num_interactions,
-        sum(a.size < 2 for a in ds.item_arrays()))
-    return ds
-
-
-def _restarter(lines):
-    """A function that returns ``lines`` ready to be read again from where
-    it starts now, or None if it can be read only once."""
-    if iter(lines) is not lines:
-        return lambda: lines
-    try:
-        start = lines.tell() if lines.seekable() else None
-    except (AttributeError, OSError, ValueError):
-        return None
-    if start is None:
-        return None
-
-    def restart():
-        lines.seek(start)
-        return lines
-    return restart
-
-
-def _parse_log_fast(lines, sep):
-    """:func:`parse_interactions` in chunks of lines: each chunk is split
-    into fields with one ``str.split``, and its ids, ratings and
-    timestamps are checked and coded a column at a time."""
+    source = getattr(lines, "name", None)
     user_index, item_index = {}, {}
     users, items, times = [], [], []
-    it = iter(lines)
-    while chunk := list(islice(it, _LOG_CHUNK_LINES)):
-        rows = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
+    lines, lineno = iter(lines), 1
+    while True:
+        chunk = []
+        try:
+            chunk.extend(islice(lines, _LOG_CHUNK_LINES))
+        except UnicodeDecodeError:
+            # extend kept the lines decoded before the error; a defect
+            # on one of them comes first
+            _log_rows(chunk, lineno, sep, source)
+            raise
+        if not chunk:
+            break
+        user_raw, item_raw, ts = (_log_columns(chunk, sep)
+                                  or _log_rows(chunk, lineno, sep, source))
+        lineno += len(chunk)
         del chunk
-        n = len(rows)
-        if not n:
-            continue
-        # Rows are joined by a NUL field. With no other tab or NUL in the
-        # chunk, every fifth field is a NUL only if each row has four.
-        text = "\t\0\t".join(rows)
-        del rows
-        _require(text.count("\0") == n - 1)
-        if sep != "\t":
-            _require(text.count("\t") == 2 * (n - 1))
-            text = text.replace(sep, "\t")
-        fields = text.split("\t")
-        del text
-        _require(len(fields) == 5 * n - 1
-                 and fields[4::5].count("\0") == n - 1)
-        user_raw, item_raw = fields[0::5], fields[1::5]
-        _require("" not in user_raw and "" not in item_raw)
-        # float() and int() are the line reader's own tests of a field
-        collections.deque(map(float, fields[2::5]), maxlen=0)
-        ts = np.fromiter(map(int, fields[3::5]), np.int64, n)
-        del fields
-        _require((ts >= 0).all())
         times.append(ts)
         users.append(_codes(user_raw, user_index))
         items.append(_codes(item_raw, item_index))
-    _require(users)
-
-    # Each array is dropped once used, which keeps the peak memory below
-    # the line reader's.
     raw = sum(map(len, users))
+    if raw == 0:
+        raise DataError("empty input: no interactions found")
+
+    # Each array is dropped once used, which keeps the peak memory low.
     num_items = len(item_index)
     pair_keys = np.concatenate(users)
     del users
@@ -287,8 +223,83 @@ def _parse_log_fast(lines, sep):
         pair_keys // num_items, pair_keys % num_items, latest,
         num_users=len(user_index))
     del pair_keys, latest
-    return InteractionDataset(list(user_index), list(item_index), hist_items,
-                              hist_times, raw_interactions=raw)
+    ds = InteractionDataset(list(user_index), list(item_index), hist_items,
+                            hist_times, raw_interactions=raw)
+    log.info(
+        "parsed %d raw interactions: %d users, %d items, %d after dedup"
+        " (%d users with <2 interactions cannot be split)",
+        ds.raw_interactions, ds.num_users, ds.num_items, ds.num_interactions,
+        sum(a.size < 2 for a in ds.item_arrays()))
+    return ds
+
+
+def _log_columns(chunk, sep):
+    """The raw user ids, raw item ids and timestamps of a chunk of log
+    lines: the chunk is split into fields with one ``str.split``, and each
+    column is checked at once. None if a line breaks a rule, or holds a
+    tab or NUL that could hide one."""
+    rows = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
+    n = len(rows)
+    if not n:
+        return [], [], np.empty(0, dtype=np.int64)
+    # Rows are joined by a NUL field. With no other tab or NUL in the
+    # chunk, every fifth field is a NUL only if each row has four.
+    text = "\t\0\t".join(rows)
+    del rows
+    if text.count("\0") != n - 1:
+        return None
+    if sep != "\t":
+        if text.count("\t") != 2 * (n - 1):
+            return None
+        text = text.replace(sep, "\t")
+    fields = text.split("\t")
+    del text
+    if len(fields) != 5 * n - 1 or fields[4::5].count("\0") != n - 1:
+        return None
+    user_raw, item_raw = fields[0::5], fields[1::5]
+    if "" in user_raw or "" in item_raw:
+        return None
+    try:
+        # float() and int() are the row rules' own tests of a field
+        collections.deque(map(float, fields[2::5]), maxlen=0)
+        ts = np.fromiter(map(int, fields[3::5]), np.int64, n)
+    except (ValueError, OverflowError):
+        return None
+    return (user_raw, item_raw, ts) if ts.min() >= 0 else None
+
+
+def _log_rows(chunk, lineno, sep, source):
+    """The columns :func:`_log_columns` gives, read one row at a time from
+    a chunk whose first line is ``lineno``; the first line that breaks a
+    rule is a :class:`DataError` naming it."""
+    users, items, times = [], [], []
+    for lineno, line in enumerate(chunk, start=lineno):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        where = f"{source}: line {lineno}" if source else f"line {lineno}"
+        parts = line.split(sep)
+        if len(parts) != 4 or any(p == "" for p in parts):
+            raise DataError(
+                f"{where}: expected user{sep!r}item{sep!r}rating"
+                f"{sep!r}timestamp, got {line!r}")
+        user_raw, item_raw, rating_raw, ts_raw = parts
+        try:
+            float(rating_raw)
+            ts = int(ts_raw)
+        except ValueError:
+            raise DataError(f"{where}: bad rating/timestamp in {line!r}")
+        if ts < 0:
+            raise DataError(f"{where}: negative timestamp {ts}")
+        if ts >= 2 ** 63:
+            raise DataError(f"{where}: timestamp {ts} outside [0, 2**63)")
+        if "\t" in user_raw or "\t" in item_raw:
+            raw_id = user_raw if "\t" in user_raw else item_raw
+            raise DataError(f"{where}: raw id {raw_id!r} holds a tab")
+        users.append(user_raw)
+        items.append(item_raw)
+        times.append(ts)
+    return users, items, np.array(times, dtype=np.int64)
 
 
 def _codes(raw_ids, index):
@@ -298,56 +309,6 @@ def _codes(raw_ids, index):
         index.setdefault(raw_id, len(index))
     return np.fromiter(map(index.__getitem__, raw_ids), np.int64,
                        len(raw_ids))
-
-
-def _parse_log_lines(lines, sep):
-    """:func:`parse_interactions` one line at a time; the one reader that
-    words a defect of the log."""
-    # Dicts keep first-seen order, which gives the dense ids: raw user ->
-    # {item -> latest timestamp}, where an updated key keeps its place in
-    # the history, and raw item -> dense item id.
-    histories, item_index = {}, {}
-    raw = 0
-    source = getattr(lines, "name", None)
-
-    def where(lineno):
-        return f"{source}: line {lineno}" if source else f"line {lineno}"
-
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        parts = line.split(sep)
-        if len(parts) != 4 or any(p == "" for p in parts):
-            raise DataError(
-                f"{where(lineno)}: expected user{sep!r}item{sep!r}rating"
-                f"{sep!r}timestamp, got {line!r}")
-        user_raw, item_raw, rating_raw, ts_raw = parts
-        try:
-            float(rating_raw)
-            ts = int(ts_raw)
-        except ValueError:
-            raise DataError(f"{where(lineno)}: bad rating/timestamp in {line!r}")
-        if ts < 0:
-            raise DataError(f"{where(lineno)}: negative timestamp {ts}")
-        if ts >= 2 ** 63:
-            raise DataError(f"{where(lineno)}: timestamp {ts} outside"
-                            f" [0, 2**63)")
-        if "\t" in user_raw or "\t" in item_raw:
-            raw_id = user_raw if "\t" in user_raw else item_raw
-            raise DataError(f"{where(lineno)}: raw id {raw_id!r} holds a tab")
-        raw += 1
-        hist = histories.setdefault(user_raw, {})
-        i = item_index.setdefault(item_raw, len(item_index))
-        if ts >= hist.get(i, -1):
-            hist[i] = ts
-
-    if raw == 0:
-        raise DataError("empty input: no interactions found")
-    return InteractionDataset(list(histories), list(item_index),
-                              [list(h) for h in histories.values()],
-                              [list(h.values()) for h in histories.values()],
-                              raw_interactions=raw)
 
 
 @dataclass
@@ -493,21 +454,46 @@ def open_text(path, error=DataError):
             raise error(f"{where}: not UTF-8 text") from None
 
 
+# What a byte that is not UTF-8 decodes to with errors="surrogateescape"
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
 def _undecodable_line(path):
     """Number of the first line of ``path`` that holds bytes which are not
     UTF-8, with lines split as the text reader splits them; None if no
     line does."""
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
-            if re.search("[\udc80-\udcff]", line):
+            if _NOT_UTF8.search(line):
                 return lineno
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode="w"):
+    """Open a temporary file in ``path``'s directory for writing (UTF-8
+    text unless ``mode`` is binary). When the ``with`` body ends, the file
+    is flushed to disk and replaces ``path`` in one step; if the body
+    raises, ``path`` is left as it was and the temporary file is removed.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 _WRITE_ROWS = 1 << 16
 
 
 def save_split(split, prefix):
-    """Write the four split files next to ``prefix``.
+    """Write the four split files next to ``prefix``, each with
+    :func:`atomic_write`.
 
     .train holds one line per training interaction in dense-index space
     (rating written as 1: implicit feedback), .test one ``user TAB item``
@@ -519,20 +505,20 @@ def save_split(split, prefix):
     items, ends = _flatten(tr.item_arrays())
     times, _ = _flatten([tr.history_times(u) for u in range(tr.num_users)])
     owners = np.repeat(np.arange(tr.num_users), np.diff(ends, prepend=0))
-    with open(prefix + ".train", "w", encoding="utf-8") as f:
+    with atomic_write(prefix + ".train") as f:
         for start in range(0, items.size, _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
             f.write(_decimal_lines(owners[block], items[block],
                                    np.ones_like(items[block]), times[block]))
     users = range(tr.num_users)
-    with open(prefix + ".test", "w", encoding="utf-8") as f:
+    with atomic_write(prefix + ".test") as f:
         f.write("".join(map("{}\t{}\n".format, users, np.asarray(
             split.test_items, dtype=np.int64).tolist())))
     negatives = ("\t".join(map(str, np.asarray(row, dtype=np.int64).tolist()))
                  for row in split.eval_negatives)
-    with open(prefix + ".negatives", "w", encoding="utf-8") as f:
+    with atomic_write(prefix + ".negatives") as f:
         f.write("".join(map("{}\t{}\n".format, users, negatives)))
-    with open(prefix + ".idmap", "w", encoding="utf-8") as f:
+    with atomic_write(prefix + ".idmap") as f:
         for header, ids in (("#users", tr.user_ids), ("#items", tr.item_ids)):
             f.write(header + "\n")
             f.write("".join(map("{}\t{}\n".format, ids, range(len(ids)))))
@@ -572,9 +558,11 @@ def _read_idmap(path):
     # section header -> {raw id: line number}, in dense-id order
     sections = {"#users": {}, "#items": {}}
     section = None
-    with open_text(path) as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
+            if not line.isascii() and _NOT_UTF8.search(line):
+                raise DataError(f"{path}: line {lineno}: not UTF-8 text")
             if not line:
                 continue
             if line in sections:
@@ -605,14 +593,150 @@ def load_split(prefix):
     Every defect (a malformed row, an index or timestamp out of range, an
     item repeated in a history, a user listed twice or not at all, a test
     item in the history, negatives repeated or overlapping the history or
-    test item) is a :class:`DataError` naming the file and line. Files
-    are read in the order ``.idmap``, ``.train``, ``.test``,
-    ``.negatives``, and a file's first defect is the one reported.
-    Well-formed files are read with numpy, a block of lines at a time.
+    test item, bytes that are not UTF-8) is a :class:`DataError` naming
+    the file and line. Files are read in the order ``.idmap``, ``.train``,
+    ``.test``, ``.negatives``; a file's first defect in line order is the
+    one reported. Rows are checked as array operations.
     """
     prefix = str(prefix)
-    split = _read_fast(_load_split_fast, prefix)
-    return _load_split_lines(prefix) if split is None else split
+    user_ids, item_ids = _read_idmap(prefix + ".idmap")
+    num_users, num_items = len(user_ids), len(item_ids)
+
+    train_file = _SplitFile(prefix + ".train", _train_row, range(4, 5))
+    columns = ([], [], [])
+    for values, _ in train_file.blocks():
+        for column, j in zip(columns, (0, 1, 3)):
+            column.append(values[j::4].copy())
+    users, items, times = map(_joined, columns)
+    del columns
+    flags = ~(_within(users, num_users) & _within(items, num_items))
+    flags |= times < 0
+    if not flags.any():
+        hist_items, hist_times = _split_by_user(users, items, times,
+                                                num_users=num_users)
+        history = users * num_items
+        history += items
+        history.sort()
+    if flags.any() or (history[1:] == history[:-1]).any():
+        # flag each row whose (user, item) pair an earlier row holds
+        keys = users * num_items + items
+        order = np.argsort(keys, kind="stable")
+        flags[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+        r = int(flags.argmax())
+        train_file.fail(r, _train_defect(
+            int(users[r]), int(items[r]), int(times[r]), num_users, num_items))
+    train_file.raise_stop(lambda row: _train_defect(
+        row[0], row[1], row[3], num_users, num_items))
+    del users, items, times, flags
+    train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
+
+    test_items = np.concatenate(_read_user_rows(
+        prefix + ".test", history, num_users, num_items))
+    negatives = _read_user_rows(prefix + ".negatives", history, num_users,
+                                num_items, test_items)
+    return LooSplit(train=train, test_items=test_items,
+                    eval_negatives=negatives)
+
+
+def _train_row(line):
+    """A ``.train`` line's values, with its rating (not read) as 0."""
+    parts = line.split("\t")
+    try:
+        if len(parts) == 4:
+            return [int(parts[0]), int(parts[1]), 0, int(parts[3])]
+    except ValueError:
+        pass
+    return f"bad row {line!r}"
+
+
+def _train_defect(user, item, ts, num_users, num_items):
+    """The first rule that a ``.train`` row of values breaks."""
+    if not (0 <= user < num_users and 0 <= item < num_items):
+        return "index out of range"
+    if not 0 <= ts < 2 ** 63:
+        return f"timestamp {ts} outside [0, 2**63)"
+    return f"user {user} lists an item a second time"
+
+
+def _user_row(line, single):
+    """A ``.test`` (``single``) or ``.negatives`` line's values."""
+    try:
+        row = [int(p) for p in line.split("\t")]
+    except ValueError:
+        return f"bad row {line!r}"
+    if len(row) < 2 or (single and len(row) != 2):
+        return (f"expected {'one item' if single else 'items'}"
+                f" after the user, got {line!r}")
+    return row
+
+
+def _read_user_rows(path, history, num_users, num_items, test_items=None):
+    """Rows ``user TAB item [TAB item ...]``: exactly one per user, every
+    index in range. Without ``test_items`` the file is a ``.test`` file,
+    one item per row that lies outside the user's history (the sorted
+    ``user * num_items + item`` keys of ``.train``); with them a
+    ``.negatives`` file, whose rows hold distinct items outside the
+    history and the user's test item. Returns the per-user item arrays."""
+    single = test_items is None
+    file = _SplitFile(path, functools.partial(_user_row, single=single),
+                      range(2, 3) if single else range(2, sys.maxsize))
+    blocks = list(file.blocks())
+    values, lengths = (_joined(block[k] for block in blocks) for k in (0, 1))
+    starts, counts = np.cumsum(lengths) - lengths, lengths - 1
+    users, width = values[starts], counts.max(initial=1)
+    if (counts == width).all():
+        items, real = values.reshape(-1, width + 1)[:, 1:], True
+    else:   # ragged rows, padded with -1 where not ``real``
+        real = np.arange(width) < counts[:, None]
+        items = np.full(real.shape, -1, dtype=np.int64)
+        items[real] = np.delete(values, starts)
+
+    flags = ~_within(users, num_users)
+    order = np.argsort(users, kind="stable")
+    flags[order[1:][users[order[1:]] == users[order[:-1]]]] = True
+    # a row with an index out of range is flagged whatever its keys give
+    owners = np.clip(users, 0, num_users - 1)
+    bad = ~_within(items, num_items) | _in_sorted(
+        history, owners[:, None] * num_items + np.clip(items, 0, num_items - 1))
+    if not single:
+        bad |= items == test_items[owners, None]
+        ordered = np.sort(items, axis=1)   # padding first
+        flags |= ((ordered[:, 1:] == ordered[:, :-1])
+                  & (ordered[:, 1:] >= 0)).any(axis=1)
+    flags |= (bad & real).any(axis=1)
+
+    def defect(user, row, end):
+        """The first rule broken by the row of ``user`` and items ``row``
+        that follows the first ``end`` rows."""
+        if not 0 <= user < num_users:
+            return f"user index {user} outside [0, {num_users})"
+        earlier = np.flatnonzero(users[:end] == user)
+        if earlier.size:
+            listed = file.line(earlier[0])
+            return f"user {user} already listed on line {listed}"
+        bad = [i for i in row if not 0 <= i < num_items]
+        if bad:
+            return f"item index {bad[0]} outside [0, {num_items})"
+        if single:   # the one rule left
+            return f"test item {row[0]} in training history"
+        if len(set(row)) != len(row):
+            return "duplicate evaluation negatives"
+        seen = history[np.searchsorted(history, user * num_items):
+                       np.searchsorted(history, (user + 1) * num_items)]
+        bad = set((seen % num_items).tolist()) | {int(test_items[user])}
+        return ("negatives overlap history or test item:"
+                f" {sorted(bad.intersection(row))}")
+
+    if flags.any():
+        r = int(flags.argmax())
+        file.fail(r, defect(int(users[r]), items[r, :counts[r]].tolist(), r))
+    file.raise_stop(lambda row: defect(row[0], row[1:], users.size))
+    listed = np.zeros(num_users, dtype=bool)
+    listed[users] = True
+    if not listed.all():
+        raise DataError(f"{path}: no row for user {int(listed.argmin())}")
+    by_user = np.argsort(users)
+    return [row[:n] for row, n in zip(items[by_user], counts[by_user].tolist())]
 
 
 # Characters of a split file read at a time. A whole ML-1M ``.train``
@@ -623,173 +747,89 @@ def load_split(prefix):
 _READ_CHARS = 1 << 21
 
 
-def _int_blocks(path):
-    """The rows of tab-separated integers in ``path``, as one int64 array
-    per block of about _READ_CHARS characters of whole lines (numpy's C
-    reader: it raises on a ragged or non-integer row, and warns on a
-    block without rows)."""
-    with open(path, encoding="utf-8") as f:
-        while text := f.read(_READ_CHARS):
-            text += f.readline()
-            yield np.loadtxt(io.StringIO(text), dtype=np.int64,
-                             delimiter="\t", comments=None, ndmin=2)
+class _SplitFile:
+    """The rows of tab-separated integers in a split file, read in blocks
+    of about _READ_CHARS characters of whole lines.
+
+    numpy's C reader parses a block. A block it refuses, or of a width not
+    in ``widths``, is read a line at a time by ``parse_row``, which gives
+    a line's values or the message of its defect; bytes that are not
+    UTF-8 are a line's first defect. Reading stops at the first line with
+    a defect or a value outside int64: ``stop`` is then that message or
+    those values. Blank lines hold no row.
+    """
+
+    def __init__(self, path, parse_row, widths):
+        self.path, self.parse_row, self.widths = path, parse_row, widths
+        self.stop, self.num_rows = None, 0
+
+    def blocks(self):
+        """Each block's values end to end, and the count in each row."""
+        with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
+            while self.stop is None and (text := f.read(_READ_CHARS)):
+                text += f.readline()
+                table = _loadtxt(text)
+                if table is None or table.shape[1] not in self.widths:
+                    rows = []
+                    for line in filter(None, text.split("\n")):
+                        row = ("not UTF-8 text" if _NOT_UTF8.search(line)
+                               else self.parse_row(line))
+                        if isinstance(row, str) or not (
+                                -2 ** 63 <= min(row) and max(row) < 2 ** 63):
+                            self.stop = row
+                            break
+                        rows.append(row)
+                    values = np.array([v for row in rows for v in row],
+                                      dtype=np.int64)
+                    lengths = np.array(list(map(len, rows)), dtype=np.int64)
+                else:
+                    values = table.ravel()
+                    lengths = np.full(len(table), table.shape[1])
+                self.num_rows += len(lengths)
+                yield values, lengths
+
+    def line(self, row):
+        """The line number of the ``row``-th row, counted in the file only
+        when a defect is reported."""
+        with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
+            rows = (n for n, line in enumerate(f, start=1) if line != "\n")
+            return next(islice(rows, row, None))
+
+    def fail(self, row, message):
+        raise DataError(f"{self.path}: line {self.line(row)}: {message}")
+
+    def raise_stop(self, word):
+        """Raise the defect reading stopped at, if any; ``word(values)``
+        words a row with values outside int64."""
+        if self.stop is not None:
+            self.fail(self.num_rows, self.stop if isinstance(self.stop, str)
+                      else word(self.stop))
 
 
-def _read_int_table(path):
-    """The rows of tab-separated integers in ``path`` as one int64 array."""
-    return np.concatenate(list(_int_blocks(path)))
+def _loadtxt(text):
+    """The rows of tab-separated integers in ``text`` as numpy's C reader
+    parses them (skipping blank lines); None if it refuses them or finds
+    none."""
+    if text.isspace():
+        return None
+    try:
+        return np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t",
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
 
 
-def _load_split_fast(prefix):
-    """:func:`load_split` with every check made as an array operation."""
-    user_ids, item_ids = _read_idmap(prefix + ".idmap")
-    num_users, num_items = len(user_ids), len(item_ids)
-
-    columns = ([], [], [])
-    for block in _int_blocks(prefix + ".train"):
-        _require(block.shape[1] == 4)
-        for column, j in zip(columns, (0, 1, 3)):
-            column.append(block[:, j].copy())
-    users, items, times = map(np.concatenate, columns)
-    del columns, block
-    # A user index out of range makes bincount raise or give too many
-    # histories; the constructor checks the histories' count and items,
-    # and that no timestamp is negative.
-    hist_items, hist_times = _split_by_user(users, items, times,
-                                            num_users=num_users)
-    del times
-    train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
-    history = users * num_items
-    history += items
-    history.sort()
-    del users, items
-
-    test_items = _one_row_per_user(prefix + ".test", num_users, num_items)
-    _require(test_items.shape[1] == 1)
-    negatives = _one_row_per_user(prefix + ".negatives", num_users, num_items)
-    ordered = np.sort(negatives, axis=1)
-    _require((ordered[:, 1:] != ordered[:, :-1]).all())
-    _require((negatives != test_items).all())
-    user_keys = np.arange(num_users)[:, None] * num_items
-    _require(not _in_sorted(history, user_keys + test_items).any())
-    _require(not _in_sorted(history, user_keys + negatives).any())
-    return LooSplit(train=train, test_items=test_items[:, 0],
-                    eval_negatives=list(negatives))
+def _joined(arrays):
+    return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
 
 
-def _one_row_per_user(path, num_users, num_items):
-    """The item columns of ``path``, one row per user in user order: each
-    user listed exactly once, every item in range."""
-    table = _read_int_table(path)
-    _require(table.shape == (num_users, table.shape[1]) and table.shape[1] > 1)
-    users, items = table[:, 0], table[:, 1:]
-    _require(((users >= 0) & (users < num_users)).all())
-    _require((np.bincount(users, minlength=num_users) == 1).all())
-    _require(((items >= 0) & (items < num_items)).all())
-    rows = np.empty_like(items)
-    rows[users] = items
-    return rows
+def _within(values, n):
+    return (values >= 0) & (values < n)
 
 
 def _in_sorted(sorted_keys, keys):
-    """Where ``keys`` are members of the non-empty sorted ``sorted_keys``."""
+    """Where ``keys`` are members of the sorted ``sorted_keys``."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=bool)
     at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
     return sorted_keys[at] == keys
-
-
-def _load_split_lines(prefix):
-    """:func:`load_split` one line at a time; the one reader that words a
-    defect of the split files."""
-    user_ids, item_ids = _read_idmap(prefix + ".idmap")
-    num_users, num_items = len(user_ids), len(item_ids)
-
-    items_per_user = [[] for _ in range(num_users)]
-    times_per_user = [[] for _ in range(num_users)]
-    seen = [set() for _ in range(num_users)]
-    with open_text(prefix + ".train") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{prefix}.train: line {lineno}: bad row {line!r}")
-            try:
-                u, i, ts = int(parts[0]), int(parts[1]), int(parts[3])
-            except ValueError:
-                raise DataError(f"{prefix}.train: line {lineno}: bad row {line!r}")
-            if not (0 <= u < num_users and 0 <= i < num_items):
-                raise DataError(f"{prefix}.train: line {lineno}: index out of range")
-            if not 0 <= ts < 2 ** 63:
-                raise DataError(f"{prefix}.train: line {lineno}: timestamp {ts}"
-                                f" outside [0, 2**63)")
-            if i in seen[u]:
-                raise DataError(f"{prefix}.train: line {lineno}: user {u}"
-                                f" lists an item a second time")
-            seen[u].add(i)
-            items_per_user[u].append(i)
-            times_per_user[u].append(ts)
-
-    train = InteractionDataset(user_ids, item_ids, items_per_user,
-                               times_per_user)
-
-    test_items = np.concatenate(_read_user_rows(
-        prefix + ".test", seen, num_items))
-    negatives = _read_user_rows(prefix + ".negatives", seen, num_items,
-                                test_items)
-    return LooSplit(train=train, test_items=test_items,
-                    eval_negatives=negatives)
-
-
-def _read_user_rows(path, histories, num_items, test_items=None):
-    """Rows ``user TAB item [TAB item ...]``: exactly one per user, every
-    index in range. Without ``test_items`` the file is a ``.test`` file,
-    one item per row that lies outside the user's ``histories`` entry;
-    with them a ``.negatives`` file, whose rows hold distinct items
-    outside the history and the user's test item. Each row is checked as
-    it is read. Returns the per-user item arrays."""
-    single = test_items is None
-    num_users = len(histories)
-    rows = [None] * num_users
-    lines = [0] * num_users
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            try:
-                user, *items = [int(p) for p in line.split("\t")]
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad row {line!r}")
-            if not items or (single and len(items) != 1):
-                raise DataError(f"{path}: line {lineno}: expected"
-                                f" {'one item' if single else 'items'}"
-                                f" after the user, got {line!r}")
-            if not 0 <= user < num_users:
-                raise DataError(f"{path}: line {lineno}: user index {user}"
-                                f" outside [0, {num_users})")
-            if rows[user] is not None:
-                raise DataError(f"{path}: line {lineno}: user {user} already"
-                                f" listed on line {lines[user]}")
-            bad = [i for i in items if not 0 <= i < num_items]
-            if bad:
-                raise DataError(f"{path}: line {lineno}: item index {bad[0]}"
-                                f" outside [0, {num_items})")
-            if single and items[0] in histories[user]:
-                raise DataError(f"{path}: line {lineno}: test item {items[0]}"
-                                f" in training history")
-            if not single:
-                if len(set(items)) != len(items):
-                    raise DataError(f"{path}: line {lineno}: duplicate"
-                                    f" evaluation negatives")
-                bad = set(histories[user]).union(
-                    [int(test_items[user])]).intersection(items)
-                if bad:
-                    raise DataError(f"{path}: line {lineno}: negatives overlap"
-                                    f" history or test item: {sorted(bad)}")
-            rows[user] = np.asarray(items, dtype=np.int64)
-            lines[user] = lineno
-    missing = [u for u, row in enumerate(rows) if row is None]
-    if missing:
-        raise DataError(f"{path}: no row for user {missing[0]}")
-    return rows

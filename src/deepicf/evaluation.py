@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from deepicf.data import atomic_write
 from deepicf.errors import EvalError
 from deepicf.model import score_items
 
@@ -32,7 +33,9 @@ class EvalReport:
         return f"HR@{self.k}={self.hr_at_k:.4f} NDCG@{self.k}={self.ndcg_at_k:.4f}"
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        """Write the per-user ranks and the summary, with
+        :func:`deepicf.data.atomic_write`."""
+        with atomic_write(path) as f:
             f.write("user,rank\n")
             for user, rank in self.per_user:
                 f.write(f"{user},{rank}\n")

@@ -135,6 +135,26 @@ def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
+class _Unwritable:
+    """A value that raises when it is written out."""
+
+    def astype(self, *args, **kwargs):
+        raise RuntimeError("cannot write")
+
+
+def test_save_failing_midway_leaves_previous_file(tmp_path):
+    config = CONFIGS[0]
+    params = init_params(config, 3, 4, rng_from_seed(0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, config)
+    before = path.read_bytes()
+    params.flat = _Unwritable()   # raises once the header is written
+    with pytest.raises(RuntimeError, match="cannot write"):
+        save_checkpoint(path, params, config)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 @pytest.mark.parametrize("saved,config", [
     (ModelConfig(variant=Variant.DEEPICF, k=8, num_layers=2),
      ModelConfig(variant=Variant.DEEPICF, k=4, num_layers=2)),

@@ -16,6 +16,7 @@ from deepicf.numerics import rng_from_seed
 
 from conftest import (check_split, make_dataset, save_split_rows,
                       synthetic_dataset, synthetic_lines)
+from line_readers import load_split_lines, parse_log_lines
 
 
 def parse(text, fmt="tab"):
@@ -449,6 +450,55 @@ class TestSplitFiles:
                                   f" lists an item a second time")
 
 
+class _Unwritable:
+    """A value that raises when it is written out."""
+
+    def __format__(self, spec):
+        raise RuntimeError("cannot write")
+
+    def __int__(self):
+        raise RuntimeError("cannot write")
+
+    __index__ = __int__
+
+
+def _break_train(split, monkeypatch):
+    # the second block of rows fails, after the first is written
+    blocks = []
+
+    def lines(*columns):
+        blocks.append(None)
+        if len(blocks) > 1:
+            raise RuntimeError("cannot write")
+        return decimal_lines(*columns)
+    decimal_lines = data._decimal_lines
+    monkeypatch.setattr(data, "_WRITE_ROWS", 5)
+    monkeypatch.setattr(data, "_decimal_lines", lines)
+
+
+# part -> a change that makes save_split raise while writing that file
+_SPLIT_WRITE_FAILURES = {
+    "train": _break_train,
+    "test": lambda split, _: setattr(split, "test_items", [
+        *split.test_items[:3], _Unwritable(), *split.test_items[4:]]),
+    "negatives": lambda split, _: split.eval_negatives.__setitem__(
+        4, [_Unwritable()]),
+    "idmap": lambda split, _: split.train.item_ids.__setitem__(
+        5, _Unwritable()),
+}
+
+
+@pytest.mark.parametrize("part", sorted(_SPLIT_WRITE_FAILURES))
+def test_save_split_failing_midway_leaves_previous_files(
+        saved_split, monkeypatch, part):
+    prefix, split = saved_split
+    before = {p.name: p.read_bytes() for p in prefix.parent.iterdir()}
+    _SPLIT_WRITE_FAILURES[part](split, monkeypatch)
+    with pytest.raises(RuntimeError, match="cannot write"):
+        save_split(split, prefix)
+    assert {p.name: p.read_bytes() for p in prefix.parent.iterdir()} == before
+
+
 def _outcome(read, *args):
     """``("ok", value)``, or ``("raised", type, message)``, of
     ``read(*args)``."""
@@ -471,25 +521,27 @@ def _split_key(split):
             [(n.dtype.str, n.tolist()) for n in split.eval_negatives])
 
 
-def _assert_readers_agree(key, read, public, fast, lines):
-    """The line reader is the oracle: the public reader gives its result or
-    its error message byte for byte, and the fast reader, where it does
-    not decline, its result. ``read(reader)`` runs a reader on a fresh
-    copy of the input."""
-    expected = _outcome(read, lines)
+def _assert_readers_agree(key, read, public, oracle):
+    """The line reader is the oracle: the public reader gives its result,
+    or raises its exception type with its message, byte for byte.
+    ``read(reader)`` runs a reader on a fresh copy of the input."""
+    expected, got = _outcome(read, oracle), _outcome(read, public)
     if expected[0] == "ok":
         expected = ("ok", key(expected[1]))
-    got = _outcome(read, public)
     assert (got if got[0] == "raised" else ("ok", key(got[1]))) == expected
-    fast_result = data._read_fast(read, fast)
-    if fast_result is not None:
-        assert expected == ("ok", key(fast_result))
 
 
-def _assert_split_readers_agree(prefix):
-    _assert_readers_agree(_split_key, lambda reader: reader(str(prefix)),
-                          load_split, data._load_split_fast,
-                          data._load_split_lines)
+# Blocks of one line, and of a few lines, put a block edge on every line.
+_READ_CHARS = (data._READ_CHARS, 1, 37)
+_LOG_CHUNK_LINES = (data._LOG_CHUNK_LINES, 1, 3)
+
+
+def _assert_split_readers_agree(prefix, read_chars=_READ_CHARS):
+    for chars in read_chars:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_READ_CHARS", chars)
+            _assert_readers_agree(_split_key, lambda reader: reader(
+                str(prefix)), load_split, load_split_lines)
 
 
 _LOG_ODD_FIELDS = ["", " ", " u1", "u1 ", ":u", "u:", ":::", "a\tb", "4\t5",
@@ -533,37 +585,50 @@ def raw_logs(draw):
     return rows, endings
 
 
+def _odd_digits(line):
+    """A ``.train`` line with the same values: its user in Arabic-Indic
+    digits, and an underscore in its timestamp."""
+    user, item, rating, ts = line.split("\t")
+    user = "".join(chr(0x660 + int(d)) for d in user)
+    return "\t".join([user, item, rating, ts[0] + "_" + ts[1:] if ts[1:] else ts])
+
+
+def _edit_split_file(prefix, part, edit):
+    """Rewrite ``prefix``'s ``part`` file with ``edit(lines)`` applied."""
+    path = prefix.parent / f"{prefix.name}.{part}"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 class TestFastReaders:
-    """The vectorised readers against the line readers they stand for."""
+    """The package's readers against the line readers in
+    ``tests/line_readers.py``."""
 
     @pytest.mark.parametrize("defect", sorted(SPLIT_FILE_DEFECTS))
     def test_split_defects_agree(self, saved_split, defect):
         prefix, split = saved_split
         part, _, mutate = SPLIT_FILE_DEFECTS[defect]
-        path = prefix.parent / f"sp.{part}"
-        lines = path.read_text().splitlines()
-        mutate(lines, split)
-        path.write_text("\n".join(lines) + "\n")
-        _assert_split_readers_agree(prefix)
+        _edit_split_file(prefix, part, lambda lines: mutate(lines, split))
+        _assert_split_readers_agree(prefix, read_chars=_READ_CHARS[:1])
 
     def test_valid_split_agrees(self, saved_split):
-        _assert_split_readers_agree(saved_split[0])
+        _assert_split_readers_agree(saved_split[0], read_chars=_READ_CHARS[:1])
 
-    # Blocks of a few lines, so a block can end on any line of the file.
     @pytest.mark.parametrize("read_chars", [1, 37])
     def test_split_read_in_blocks_agrees(self, saved_split, monkeypatch,
                                          read_chars):
         monkeypatch.setattr(data, "_READ_CHARS", read_chars)
         prefix = str(saved_split[0])
-        fast = data._read_fast(data._load_split_fast, prefix)
-        assert fast is not None
-        assert _split_key(fast) == _split_key(data._load_split_lines(prefix))
+        assert _split_key(load_split(prefix)) == _split_key(
+            load_split_lines(prefix))
 
     @pytest.mark.parametrize("defect", sorted(SPLIT_FILE_DEFECTS))
-    def test_split_defects_in_blocks_agree(self, saved_split, monkeypatch,
-                                           defect):
-        monkeypatch.setattr(data, "_READ_CHARS", 37)
-        self.test_split_defects_agree(saved_split, defect)
+    def test_split_defects_in_blocks_agree(self, saved_split, defect):
+        prefix, split = saved_split
+        part, _, mutate = SPLIT_FILE_DEFECTS[defect]
+        _edit_split_file(prefix, part, lambda lines: mutate(lines, split))
+        _assert_split_readers_agree(prefix, read_chars=_READ_CHARS[1:])
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -582,6 +647,70 @@ class TestFastReaders:
         finally:
             path.write_text(original)
 
+    # (file, edit): inputs that numpy refuses or reads in part
+    ODD_SPLITS = {
+        "blank-lines-then-defect": ("train", lambda lines: lines.__setitem__(
+            slice(None), ["", ""] + lines[:3] + ["", ""] + lines[3:5]
+            + ["oops"] + lines[5:])),
+        "blank-lines-then-repeat": ("negatives", lambda lines: lines.__setitem__(
+            slice(None), [""] + lines[:2] + ["", ""] + [lines[0]] + lines[2:])),
+        "blank-lines-only-valid": ("test", lambda lines: lines.__setitem__(
+            slice(None), ["", ""] + lines[:2] + ["", ""] + lines[2:] + [""])),
+        # int() reads "1_23" as 123 and "\u0663" as 3; numpy reads neither
+        "underscore-and-arabic-digits": ("train", lambda lines: lines.__setitem__(
+            slice(None), [_odd_digits(line) for line in lines])),
+        "timestamp-2-63": ("train", lambda lines: _set_token(
+            lines, 3, 3, 2 ** 63)),
+        "timestamp-2-63-and-bad-index": ("train", lambda lines: (
+            _set_token(lines, 3, 3, 2 ** 63), _set_token(lines, 3, 1, -1))),
+        "item-past-int64-after-repeated-user": ("negatives", lambda lines: (
+            lines.__setitem__(4, lines[1]), _set_token(lines, 4, 2, 2 ** 64))),
+        "item-past-int64": ("negatives", lambda lines: _set_token(
+            lines, 4, 2, -2 ** 64)),
+        "user-past-int64": ("test", lambda lines: _set_token(
+            lines, 2, 0, 2 ** 64)),
+        "ragged-negatives": ("negatives", lambda lines: lines.__setitem__(
+            2, lines[2].rsplit("\t", 2)[0])),
+        "ragged-negatives-then-repeat": ("negatives", lambda lines: (
+            lines.__setitem__(2, lines[2].rsplit("\t", 2)[0]),
+            _set_token(lines, 4, 2, lines[4].split("\t")[1]))),
+        "non-integer-rating": ("train", lambda lines: _set_token(
+            lines, 2, 2, "one")),
+        "empty-train": ("train", lambda lines: lines.clear()),
+        "empty-test": ("test", lambda lines: lines.clear()),
+        "whitespace-line": ("test", lambda lines: lines.insert(3, " ")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ODD_SPLITS))
+    def test_odd_splits_agree(self, saved_split, case):
+        prefix, _ = saved_split
+        part, edit = self.ODD_SPLITS[case]
+        _edit_split_file(prefix, part, edit)
+        _assert_split_readers_agree(prefix)
+
+    def test_valid_odd_splits_load(self, saved_split):
+        prefix, split = saved_split
+        for case in ("blank-lines-only-valid", "underscore-and-arabic-digits",
+                     "ragged-negatives", "non-integer-rating", "empty-train"):
+            _edit_split_file(prefix, *self.ODD_SPLITS[case])
+        loaded = load_split(prefix)
+        assert loaded.eval_negatives[2].tolist() == (
+            split.eval_negatives[2][:-2].tolist())
+        assert loaded.train.num_interactions == 0
+
+    def test_bad_row_before_undecodable_bytes_is_named(self, saved_split):
+        # The text reader decodes 8 KB ahead; the split reader names the
+        # first defect in line order.
+        prefix, _ = saved_split
+        path = prefix.parent / "sp.test"
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b"oops"
+        lines[50:50] = [b"\xff"]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError) as err:
+            load_split(prefix)
+        assert str(err.value) == f"{path}: line 2: bad row 'oops'"
+
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(log=raw_logs(), fmt=st.sampled_from(["tab", "double_colon"]))
@@ -599,6 +728,10 @@ class TestFastReaders:
         ("u\ti\t5\t3\r\r\n\n  \nv\tj\t1\t2", "tab"),
         ("u:::i::5::3\nu::i::5:::3\n", "double_colon"),
         ("u\ti\t5\t3\nu\ti\t5\t-1\n", "tab"),  # lost in the dedup
+        ("u::i::5\t::3\nv::i::\t4::1_0\n", "double_colon"),  # tab in rating
+        ("u\ti\t5\t\u0663\nv\ti\t5\t1_0\n", "tab"),
+        (f"u\ti\t5\t3\n\n\nv\tj\t1\t{2 ** 63}\n", "tab"),
+        ("\n\n\nu\ti\t5\t3\n\n\n\n", "tab"),
     ])
     def test_raw_log_cases_agree(self, tmp_path, text, fmt):
         self.check_log(tmp_path, text, fmt)
@@ -606,7 +739,7 @@ class TestFastReaders:
     @staticmethod
     def check_log(tmp_path, text, fmt):
         """The log ``text`` agrees when read from a file and from a
-        StringIO, which keeps carriage returns."""
+        StringIO, which keeps carriage returns, in chunks of every size."""
         sep = data.SEPARATORS[fmt]
         path = tmp_path / "log.dat"
         path.write_bytes(text.encode("utf-8"))
@@ -615,20 +748,43 @@ class TestFastReaders:
             with open_text(path) as f:
                 return reader(f)
 
-        for read in (from_file, lambda reader: reader(io.StringIO(text))):
-            _assert_readers_agree(
-                _dataset_key, read, lambda f: parse_interactions(f, fmt),
-                lambda f: data._parse_log_fast(f, sep),
-                lambda f: data._parse_log_lines(f, sep))
+        for chunk_lines in _LOG_CHUNK_LINES:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(data, "_LOG_CHUNK_LINES", chunk_lines)
+                for read in (from_file,
+                             lambda reader: reader(io.StringIO(text))):
+                    _assert_readers_agree(
+                        _dataset_key, read,
+                        lambda f: parse_interactions(f, fmt),
+                        lambda f: parse_log_lines(f, sep))
+
+    def test_bad_log_row_before_undecodable_bytes_is_named(self, tmp_path):
+        # the bytes lie past the text reader's first 8 KB of look-ahead
+        lines = [line.encode() for line in synthetic_lines(num_users=200)]
+        lines[1] = b"oops"
+        assert len(b"\n".join(lines[:-1])) > 9000
+        lines[-1] += b"\xff"
+        path = tmp_path / "log.dat"
+        path.write_bytes(b"\n".join(lines))
+        message = (f"{path}: line 2: expected user'\\t'item'\\t'rating"
+                   "'\\t'timestamp, got 'oops'")
+        for chunk_lines in _LOG_CHUNK_LINES:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(data, "_LOG_CHUNK_LINES", chunk_lines)
+                for reader in (parse_interactions,
+                               lambda f: parse_log_lines(f, "\t")):
+                    with open_text(path) as f, pytest.raises(DataError) as err:
+                        reader(f)
+                    assert str(err.value) == message
 
     def test_valid_inputs_take_the_fast_path(self, saved_split, tmp_path,
                                              monkeypatch):
-        # A fallback gives the same results, only slower, so the line
-        # readers are made to fail here.
+        # The row functions give the same results, only slower, so they
+        # are made to fail here.
         def refuse(*args):
-            raise AssertionError("line reader ran on a valid input")
-        monkeypatch.setattr(data, "_load_split_lines", refuse)
-        monkeypatch.setattr(data, "_parse_log_lines", refuse)
+            raise AssertionError("row function ran on a valid input")
+        for row_function in ("_train_row", "_user_row", "_log_rows"):
+            monkeypatch.setattr(data, row_function, refuse)
 
         check_split(load_split(saved_split[0]))
         lines = synthetic_lines(sep="::")
@@ -642,12 +798,19 @@ class TestFastReaders:
         assert _dataset_key(from_file) == _dataset_key(from_list)
         assert from_file.raw_interactions == len(lines) - 1
 
-    def test_one_shot_iterator_is_read_line_by_line(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("fast reader ran on a one-shot iterator")
-        monkeypatch.setattr(data, "_parse_log_fast", refuse)
-        ds = parse_interactions(iter(["u\ta\t1\t1\n"]))
-        assert ds.user_ids == ["u"]
+    def test_one_shot_iterator_reads_as_a_list(self, monkeypatch):
+        monkeypatch.setattr(data, "_LOG_CHUNK_LINES", 3)
+        lines = synthetic_lines(seed=5)
+        assert _dataset_key(parse_interactions(iter(lines))) == (
+            _dataset_key(parse_interactions(lines)))
+        lines[7] = "u\ti\t1"   # past the first chunks
+        messages = []
+        for given_lines in (iter(lines), lines):
+            with pytest.raises(DataError) as err:
+                parse_interactions(given_lines)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("line 8: expected user")
 
     def test_writer_matches_reference_bytes(self, tmp_path):
         times = [0, 9, 10, 9999, 10000, 123456789, 10 ** 15, 2 ** 63 - 1]

@@ -150,6 +150,24 @@ class TestEvaluate:
         assert lines[-1].startswith("# HR@10=")
 
 
+    def test_report_csv_failing_midway_leaves_previous_file(self, tmp_path,
+                                                            small_split):
+        report = evaluate(item_pop_scorer(small_split.train), small_split, 10)
+        out = tmp_path / "report.csv"
+        report.write_csv(out)
+        before = out.read_bytes()
+
+        class Unwritable:
+            def __format__(self, spec):
+                raise RuntimeError("cannot write")
+
+        report.per_user[3:3] = [(99, Unwritable())]
+        with pytest.raises(RuntimeError, match="cannot write"):
+            report.write_csv(out)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
 class TestItemPop:
     def test_uninteracted_item_scores_zero(self):
         ds = make_dataset([[(0, 1), (1, 2)]], num_items=4)

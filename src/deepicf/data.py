@@ -16,6 +16,7 @@ import logging
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
@@ -596,13 +597,17 @@ def load_split(prefix):
     test item, bytes that are not UTF-8) is a :class:`DataError` naming
     the file and line. Files are read in the order ``.idmap``, ``.train``,
     ``.test``, ``.negatives``; a file's first defect in line order is the
-    one reported. Rows are checked as array operations.
+    one reported. Rows are checked as array operations, and the first
+    row they flag is worded by the row function that reads a block
+    numpy refuses.
     """
     prefix = str(prefix)
     user_ids, item_ids = _read_idmap(prefix + ".idmap")
     num_users, num_items = len(user_ids), len(item_ids)
 
-    train_file = _SplitFile(prefix + ".train", _train_row, range(4, 5))
+    train_row = functools.partial(_train_row, num_users=num_users,
+                                  num_items=num_items)
+    train_file = _SplitFile(prefix + ".train", train_row, range(4, 5))
     columns = ([], [], [])
     for values, _ in train_file.blocks():
         for column, j in zip(columns, (0, 1, 3)):
@@ -622,11 +627,8 @@ def load_split(prefix):
         keys = users * num_items + items
         order = np.argsort(keys, kind="stable")
         flags[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
-        r = int(flags.argmax())
-        train_file.fail(r, _train_defect(
-            int(users[r]), int(items[r]), int(times[r]), num_users, num_items))
-    train_file.raise_stop(lambda row: _train_defect(
-        row[0], row[1], row[3], num_users, num_items))
+    train_file.raise_first(flags, lambda line, row: train_row(
+        line, repeated=True))
     del users, items, times, flags
     train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
 
@@ -638,36 +640,56 @@ def load_split(prefix):
                     eval_negatives=negatives)
 
 
-def _train_row(line):
-    """A ``.train`` line's values, with its rating (not read) as 0."""
+def _train_row(line, num_users, num_items, repeated=False):
+    """A ``.train`` line's values, with its rating (not read) as 0, or the
+    message of the first rule it breaks; ``repeated`` says that an earlier
+    row holds its user and item."""
     parts = line.split("\t")
     try:
-        if len(parts) == 4:
-            return [int(parts[0]), int(parts[1]), 0, int(parts[3])]
+        if len(parts) != 4:
+            raise ValueError
+        user, item, ts = int(parts[0]), int(parts[1]), int(parts[3])
     except ValueError:
-        pass
-    return f"bad row {line!r}"
-
-
-def _train_defect(user, item, ts, num_users, num_items):
-    """The first rule that a ``.train`` row of values breaks."""
+        return f"bad row {line!r}"
     if not (0 <= user < num_users and 0 <= item < num_items):
         return "index out of range"
     if not 0 <= ts < 2 ** 63:
         return f"timestamp {ts} outside [0, 2**63)"
-    return f"user {user} lists an item a second time"
+    if repeated:
+        return f"user {user} lists an item a second time"
+    return [user, item, 0, ts]
 
 
-def _user_row(line, single):
-    """A ``.test`` (``single``) or ``.negatives`` line's values."""
+def _user_row(line, single, num_users, num_items, state=None):
+    """A ``.test`` (``single``) or ``.negatives`` line's values, with an
+    item out of range given as -1 or ``num_items``, or the message of the
+    first rule it breaks. The rules after the user index need the rest of
+    the file, and are checked only on a row known to break one of them:
+    ``state(user)`` gives the line an earlier row lists the user on (None
+    if no row does), the user's history items and test item."""
     try:
-        row = [int(p) for p in line.split("\t")]
+        user, *items = [int(p) for p in line.split("\t")]
     except ValueError:
         return f"bad row {line!r}"
-    if len(row) < 2 or (single and len(row) != 2):
+    if not items or (single and len(items) != 1):
         return (f"expected {'one item' if single else 'items'}"
                 f" after the user, got {line!r}")
-    return row
+    if not 0 <= user < num_users:
+        return f"user index {user} outside [0, {num_users})"
+    if state is None:
+        return [user, *(min(max(i, -1), num_items) for i in items)]
+    listed, seen, test_item = state(user)
+    if listed:
+        return f"user {user} already listed on line {listed}"
+    bad = [i for i in items if not 0 <= i < num_items]
+    if bad:
+        return f"item index {bad[0]} outside [0, {num_items})"
+    if single:   # the one rule left
+        return f"test item {items[0]} in training history"
+    if len(set(items)) != len(items):
+        return "duplicate evaluation negatives"
+    return ("negatives overlap history or test item:"
+            f" {sorted(seen.union([test_item]).intersection(items))}")
 
 
 def _read_user_rows(path, history, num_users, num_items, test_items=None):
@@ -678,18 +700,19 @@ def _read_user_rows(path, history, num_users, num_items, test_items=None):
     ``.negatives`` file, whose rows hold distinct items outside the
     history and the user's test item. Returns the per-user item arrays."""
     single = test_items is None
-    file = _SplitFile(path, functools.partial(_user_row, single=single),
+    user_row = functools.partial(_user_row, single=single,
+                                 num_users=num_users, num_items=num_items)
+    file = _SplitFile(path, user_row,
                       range(2, 3) if single else range(2, sys.maxsize))
     blocks = list(file.blocks())
     values, lengths = (_joined(block[k] for block in blocks) for k in (0, 1))
+    del blocks
     starts, counts = np.cumsum(lengths) - lengths, lengths - 1
-    users, width = values[starts], counts.max(initial=1)
-    if (counts == width).all():
-        items, real = values.reshape(-1, width + 1)[:, 1:], True
-    else:   # ragged rows, padded with -1 where not ``real``
-        real = np.arange(width) < counts[:, None]
-        items = np.full(real.shape, -1, dtype=np.int64)
-        items[real] = np.delete(values, starts)
+    users = values[starts]
+    # rows padded with -1 to one width, where not ``real``
+    real = np.arange(counts.max(initial=1)) < counts[:, None]
+    items = np.full(real.shape, -1, dtype=np.int64)
+    items[real] = np.delete(values, starts)
 
     flags = ~_within(users, num_users)
     order = np.argsort(users, kind="stable")
@@ -705,32 +728,16 @@ def _read_user_rows(path, history, num_users, num_items, test_items=None):
                   & (ordered[:, 1:] >= 0)).any(axis=1)
     flags |= (bad & real).any(axis=1)
 
-    def defect(user, row, end):
-        """The first rule broken by the row of ``user`` and items ``row``
-        that follows the first ``end`` rows."""
-        if not 0 <= user < num_users:
-            return f"user index {user} outside [0, {num_users})"
-        earlier = np.flatnonzero(users[:end] == user)
-        if earlier.size:
-            listed = file.line(earlier[0])
-            return f"user {user} already listed on line {listed}"
-        bad = [i for i in row if not 0 <= i < num_items]
-        if bad:
-            return f"item index {bad[0]} outside [0, {num_items})"
-        if single:   # the one rule left
-            return f"test item {row[0]} in training history"
-        if len(set(row)) != len(row):
-            return "duplicate evaluation negatives"
+    def state(user, row):
+        earlier = np.flatnonzero(users[:row] == user)
         seen = history[np.searchsorted(history, user * num_items):
                        np.searchsorted(history, (user + 1) * num_items)]
-        bad = set((seen % num_items).tolist()) | {int(test_items[user])}
-        return ("negatives overlap history or test item:"
-                f" {sorted(bad.intersection(row))}")
+        return (file.line(earlier[0])[0] if earlier.size else None,
+                set((seen % num_items).tolist()),
+                None if single else int(test_items[user]))
 
-    if flags.any():
-        r = int(flags.argmax())
-        file.fail(r, defect(int(users[r]), items[r, :counts[r]].tolist(), r))
-    file.raise_stop(lambda row: defect(row[0], row[1:], users.size))
+    file.raise_first(flags, lambda line, row: user_row(
+        line, state=functools.partial(state, row=row)))
     listed = np.zeros(num_users, dtype=bool)
     listed[users] = True
     if not listed.all():
@@ -755,8 +762,7 @@ class _SplitFile:
     in ``widths``, is read a line at a time by ``parse_row``, which gives
     a line's values or the message of its defect; bytes that are not
     UTF-8 are a line's first defect. Reading stops at the first line with
-    a defect or a value outside int64: ``stop`` is then that message or
-    those values. Blank lines hold no row.
+    a defect, and ``stop`` is then its message. Blank lines hold no row.
     """
 
     def __init__(self, path, parse_row, widths):
@@ -774,8 +780,7 @@ class _SplitFile:
                     for line in filter(None, text.split("\n")):
                         row = ("not UTF-8 text" if _NOT_UTF8.search(line)
                                else self.parse_row(line))
-                        if isinstance(row, str) or not (
-                                -2 ** 63 <= min(row) and max(row) < 2 ** 63):
+                        if isinstance(row, str):
                             self.stop = row
                             break
                         rows.append(row)
@@ -789,34 +794,38 @@ class _SplitFile:
                 yield values, lengths
 
     def line(self, row):
-        """The line number of the ``row``-th row, counted in the file only
-        when a defect is reported."""
+        """The number and text of the ``row``-th row's line, found by
+        reading the file again when a defect is reported."""
         with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
-            rows = (n for n, line in enumerate(f, start=1) if line != "\n")
-            return next(islice(rows, row, None))
+            rows = ((n, line) for n, line in enumerate(f, start=1)
+                    if line != "\n")
+            lineno, line = next(islice(rows, row, None))
+        return lineno, line.rstrip("\n")
 
-    def fail(self, row, message):
-        raise DataError(f"{self.path}: line {self.line(row)}: {message}")
-
-    def raise_stop(self, word):
-        """Raise the defect reading stopped at, if any; ``word(values)``
-        words a row with values outside int64."""
-        if self.stop is not None:
-            self.fail(self.num_rows, self.stop if isinstance(self.stop, str)
-                      else word(self.stop))
+    def raise_first(self, flags, word):
+        """Raise the defect of the first row set in ``flags``, worded by
+        ``word(line, row)``, or else the defect reading stopped at."""
+        if flags.any() or self.stop is not None:
+            row = int(flags.argmax()) if flags.any() else self.num_rows
+            lineno, line = self.line(row)
+            message = word(line, row) if flags.any() else self.stop
+            raise DataError(f"{self.path}: line {lineno}: {message}")
 
 
 def _loadtxt(text):
     """The rows of tab-separated integers in ``text`` as numpy's C reader
     parses them (skipping blank lines); None if it refuses them or finds
-    none."""
+    none. Some numpy versions read a field such as ``1.5`` through a
+    float, truncate it and only warn: the warning refuses the block too."""
     if text.isspace():
         return None
-    try:
-        return np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t",
-                          comments=None, ndmin=2)
-    except ValueError:
-        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(io.StringIO(text), dtype=np.int64,
+                              delimiter="\t", comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            return None
 
 
 def _joined(arrays):

@@ -1,6 +1,7 @@
 import filecmp
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -698,6 +699,43 @@ class TestFastReaders:
             split.eval_negatives[2][:-2].tolist())
         assert loaded.train.num_interactions == 0
 
+    # (file, 0-based row, column): an index or timestamp field
+    FLOAT_FIELDS = [("train", 2, 1), ("train", 4, 3), ("test", 1, 1),
+                    ("negatives", 3, 2)]
+
+    @pytest.mark.parametrize("part, row, col", FLOAT_FIELDS)
+    def test_float_field_is_a_bad_row(self, saved_split, part, row, col):
+        prefix, _ = saved_split
+        _edit_split_file(prefix, part, lambda lines: _set_token(
+            lines, row, col, "1.0"))
+        with pytest.raises(DataError, match=rf"\.{part}: line {row + 1}:"
+                           " bad row"):
+            load_split(prefix)
+        _assert_split_readers_agree(prefix)
+
+    @pytest.mark.parametrize("part, row, col", FLOAT_FIELDS)
+    def test_float_field_is_a_bad_row_where_numpy_only_warns(
+            self, saved_split, monkeypatch, part, row, col):
+        # Some numpy versions read "1.5" into an int64 column as 1 and
+        # only warn; such a numpy is stood in for here.
+        loadtxt = np.loadtxt
+
+        def lenient(source, dtype, **kwargs):
+            text = source.read()
+            if "." in text:
+                warnings.warn("loadtxt(): Parsing an integer via a float is"
+                              " deprecated.", DeprecationWarning)
+            return loadtxt(io.StringIO(text), dtype=float,
+                           **kwargs).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", lenient)
+        check_split(load_split(prefix=saved_split[0]))
+        _edit_split_file(saved_split[0], part, lambda lines: _set_token(
+            lines, row, col, "1.5"))
+        with pytest.raises(DataError, match=rf"\.{part}: line {row + 1}:"
+                           " bad row"):
+            load_split(saved_split[0])
+
     def test_bad_row_before_undecodable_bytes_is_named(self, saved_split):
         # The text reader decodes 8 KB ahead; the split reader names the
         # first defect in line order.
@@ -781,7 +819,7 @@ class TestFastReaders:
                                              monkeypatch):
         # The row functions give the same results, only slower, so they
         # are made to fail here.
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("row function ran on a valid input")
         for row_function in ("_train_row", "_user_row", "_log_rows"):
             monkeypatch.setattr(data, row_function, refuse)

@@ -706,13 +706,14 @@ def _read_user_rows(path, history, num_users, num_items, test_items=None):
                       range(2, 3) if single else range(2, sys.maxsize))
     blocks = list(file.blocks())
     values, lengths = (_joined(block[k] for block in blocks) for k in (0, 1))
-    del blocks
     starts, counts = np.cumsum(lengths) - lengths, lengths - 1
-    users = values[starts]
-    # rows padded with -1 to one width, where not ``real``
-    real = np.arange(counts.max(initial=1)) < counts[:, None]
-    items = np.full(real.shape, -1, dtype=np.int64)
-    items[real] = np.delete(values, starts)
+    users, width = values[starts], counts.max(initial=1)
+    if (counts == width).all():
+        items, real = values.reshape(-1, width + 1)[:, 1:], True
+    else:   # ragged rows, padded with -1 where not ``real``
+        real = np.arange(width) < counts[:, None]
+        items = np.full(real.shape, -1, dtype=np.int64)
+        items[real] = np.delete(values, starts)
 
     flags = ~_within(users, num_users)
     order = np.argsort(users, kind="stable")

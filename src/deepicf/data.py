@@ -632,9 +632,9 @@ def load_split(prefix):
     del users, items, times, flags
     train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
 
-    test_items = np.concatenate(_read_user_rows(
+    test_items = np.concatenate(_load_user_rows(
         prefix + ".test", history, num_users, num_items))
-    negatives = _read_user_rows(prefix + ".negatives", history, num_users,
+    negatives = _load_user_rows(prefix + ".negatives", history, num_users,
                                 num_items, test_items)
     return LooSplit(train=train, test_items=test_items,
                     eval_negatives=negatives)
@@ -692,7 +692,7 @@ def _user_row(line, single, num_users, num_items, state=None):
             f" {sorted(seen.union([test_item]).intersection(items))}")
 
 
-def _read_user_rows(path, history, num_users, num_items, test_items=None):
+def _load_user_rows(path, history, num_users, num_items, test_items=None):
     """Rows ``user TAB item [TAB item ...]``: exactly one per user, every
     index in range. Without ``test_items`` the file is a ``.test`` file,
     one item per row that lies outside the user's history (the sorted

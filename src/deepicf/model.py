@@ -15,6 +15,13 @@ masked out of the history by its own row of a mask; training's
 candidates of one user that a training batch scores together, and returns
 the gradients of their summed loss.
 
+The attention variant lays its hidden units out candidate-major,
+``(..., k', n)`` for ``n`` history rows. The target embedding folds into
+the attention weights and a ones column of the history carries the bias,
+so one GEMM, ``(C k', k+1) @ (k+1, n)``, gives every pre-activation of
+``C`` candidates; the ReLU rectifies them in place, so one such array is
+live, and the scores are ``att_out @ att_hidden``.
+
 The tensors of a variant are declared once, by :func:`param_layout`, and
 :class:`ModelParams` lays them out in one vector: the parameters, the
 optimizer state, the whole-tensor gradients and the checkpoint payload
@@ -35,6 +42,8 @@ from deepicf.numerics import relu, softmax_beta, softmax_beta_vjp
 
 INIT_STD = 0.01
 MIN_TOWER_WIDTH = 4
+# the bytes of the largest array one forward pass of score_items may hold
+SCORE_BLOCK_BYTES = 32 << 20
 
 
 class Variant(str, enum.Enum):
@@ -182,11 +191,20 @@ class ModelParams(dict):
         elif flat.dtype != np.float64 or flat.shape != (sum(sizes),):
             raise ModelError(f"layout needs {sum(sizes)} float64 entries, "
                              f"got {flat.dtype} {flat.shape}")
-        self.flat = flat
-        start = 0
+        # where each view is cut, worked out once; a vector needs no reshape
+        self._cuts, start = [], 0
         for (name, shape, _), size in zip(layout, sizes):
-            super().__setitem__(name, flat[start:start + size].reshape(shape))
+            self._cuts.append((name, slice(start, start + size),
+                               shape if len(shape) > 1 else None))
             start += size
+        self._tails = {}
+        self._bind(flat)
+
+    def _bind(self, flat):
+        self.flat = flat
+        dict.update(self, {name: flat[at] if shape is None
+                           else flat[at].reshape(shape)
+                           for name, at, shape in self._cuts})
 
     def __setitem__(self, name, value):
         view = self[name]
@@ -206,6 +224,21 @@ class ModelParams(dict):
 
     def clone(self):
         return ModelParams(self.layout, self.flat.copy())
+
+    def zeroed_tail(self, start):
+        """A zeroed :class:`ModelParams` over ``layout[start:]``, such as
+        the whole-tensor gradients of one backward pass. Its cuts are
+        worked out on the first call for a ``start``; later calls only
+        cut the views of a fresh buffer."""
+        tail = self._tails.get(start)
+        if tail is None:
+            tail = self._tails[start] = ModelParams(self.layout[start:])
+        if not tail.flat.size:
+            return tail     # nothing to write: one empty tail serves all
+        fresh = dict.__new__(ModelParams)
+        fresh.layout, fresh._cuts, fresh._tails = tail.layout, tail._cuts, {}
+        fresh._bind(np.zeros(tail.flat.size))
+        return fresh
 
 
 def init_params(config, num_users, num_items, rng):
@@ -238,7 +271,10 @@ class ForwardCache:
     """One user's forward pass over ``items``, which is one item index or
     an array of candidates. Every per-candidate array has the candidates'
     shape as its leading axes (written ``...``), so one item gives plain
-    vectors and scalars."""
+    vectors and scalars. The attention arrays are candidate-major: the
+    ``k'`` hidden units of a candidate come before its ``n`` history
+    rows. Only their ReLU outputs are kept; a unit is on where its
+    output is positive."""
 
     user: int
     items: object                # one item index, or an array of them
@@ -248,8 +284,8 @@ class ForwardCache:
     target: np.ndarray           # (..., k) target embeddings
     pool_scale: object           # (..., 1) |kept history|^-alpha, or 1.0
     hist_sum: np.ndarray | None  # (..., k) sum of the kept history rows
-    att_pre: np.ndarray | None   # (..., n, k') attention hidden pre-activations
-    att_hidden: np.ndarray | None
+    hist_ones: np.ndarray | None  # (n, k+1) hist_embed and a ones column
+    att_hidden: np.ndarray | None  # (..., k', n) attention ReLU outputs
     scores: np.ndarray | None    # (..., n) attention scores
     weights: np.ndarray | None   # (..., n) beta-softmax weights, 0 where masked
     pooled: np.ndarray           # (..., k)
@@ -275,15 +311,26 @@ def forward(params, config, history, user, items):
         raise ModelError(f"user index {user} outside [0, {params.num_users})")
     hist = np.asarray(history, dtype=np.int64)
     keep = hist != np.asarray(items)[..., None]
-    q = params["history_embed"][hist]
+    q = params["history_embed"].take(hist, axis=0)
     p = params["target_embed"][items]
-    hist_sum = att_pre = att_hidden = scores = weights = None
+    hist_sum = hist_ones = att_hidden = scores = weights = None
     if config.uses_attention:
         scale = 1.0
-        att_pre = (q @ (p[..., :, None] * params["att_weight"].T)
-                   + params["att_bias"])
-        att_hidden = relu(att_pre)
-        scores = att_hidden @ params["att_out"]
+        # every pre-activation of every candidate from one GEMM: the
+        # target folds into the attention weights, and a ones column of
+        # the history carries the bias
+        w_att = params["att_weight"]
+        k_att, k = w_att.shape
+        hist_ones = np.empty((hist.size, k + 1))
+        hist_ones[:, :k] = q
+        hist_ones[:, k] = 1.0
+        folded = np.empty(p.shape[:-1] + (k_att, k + 1))
+        np.multiply(w_att, p[..., None, :], out=folded[..., :k])
+        folded[..., k] = params["att_bias"]
+        att_hidden = (folded.reshape(-1, k + 1) @ hist_ones.T).reshape(
+            p.shape[:-1] + (k_att, hist.size))
+        relu(att_hidden, out=att_hidden)
+        scores = params["att_out"] @ att_hidden
         weights = (softmax_beta(scores, config.beta, keep) if hist.size
                    else np.zeros(scores.shape))
         pooled = p * (weights @ q)
@@ -309,7 +356,7 @@ def forward(params, config, history, user, items):
              + params["item_bias"][items])
     return ForwardCache(
         user=user, items=items, hist=hist, keep=keep, hist_embed=q, target=p,
-        pool_scale=scale, hist_sum=hist_sum, att_pre=att_pre,
+        pool_scale=scale, hist_sum=hist_sum, hist_ones=hist_ones,
         att_hidden=att_hidden, scores=scores, weights=weights, pooled=pooled,
         layer_pres=pres, layer_acts=acts, logit=logit)
 
@@ -329,12 +376,28 @@ def predict_logit(params, config, history, user, items):
 
 
 def score_items(params, config, history, user, items):
-    """Logits of many candidate items for one user, from one forward pass;
-    used by the evaluation harness and the recommender."""
+    """Logits of many candidate items for one user; used by the
+    evaluation harness and the recommender.
+
+    The candidates are scored in blocks, one forward pass each, so that
+    the pass's largest array, the ``(block, k', n)`` attention outputs or
+    the ``(block, n)`` history mask, stays within ``SCORE_BLOCK_BYTES``.
+    Each candidate's logit is computed from its own rows alone, so the
+    blocks do not change it. No block holds a lone candidate: numpy
+    multiplies a one-row matrix as a vector, which may round differently
+    in the last place."""
     items = np.atleast_1d(np.asarray(items, dtype=np.int64))
     if items.size == 0:
         return np.empty(0)
-    return predict_logit(params, config, history, user, items)[0]
+    width = max(np.size(history), 1) * (config.k_prime
+                                        if config.uses_attention else 1)
+    block = max(2, SCORE_BLOCK_BYTES // (8 * width))
+    cuts = range(block, items.size - 1, block)
+    if not cuts:
+        return predict_logit(params, config, history, user, items)[0]
+    return np.concatenate([
+        predict_logit(params, config, history, user, part)[0]
+        for part in np.split(items, cuts)])
 
 
 @dataclass
@@ -374,14 +437,18 @@ def backward(params, config, cache, dlogit):
     same scores. The history rows masked out of every pool get no
     gradient. As in the forward pass, the attention variant never forms
     the ``(..., n, k)`` products: their gradients are folded through
-    ``M = d_pre^T q``, of shape ``(..., k', k)``.
+    ``M = d_pre @ [q, 1]``, of shape ``(..., k', k+1)``, one GEMM over the
+    candidate-major ``(..., k', n)`` pre-activation gradients whose last
+    column, from the ones column of the history, is the bias gradient.
+    The history rows get ``d_pre^T`` times the target-scaled attention
+    weights, a second GEMM over the same array.
     """
     one = cache.keep.ndim == 1
     q, p = cache.hist_embed, cache.target
 
     # the layout past the embedding tables and bias vectors
-    dense = ModelParams(params.layout[4:] if config.trains_output_weights
-                        else [])
+    dense = params.zeroed_tail(4 if config.trains_output_weights
+                               else len(params.layout))
     if config.trains_output_weights:
         top = cache.layer_acts[-1] if cache.layer_acts else cache.pooled
         dense["output_weights"] = dlogit * top if one else np.dot(dlogit, top)
@@ -401,24 +468,30 @@ def backward(params, config, cache, dlogit):
         # pooled = sum_t w_t v_t; masked rows carry w_t = 0 throughout
         w_att = params["att_weight"]
         k_att, k = w_att.shape
+        hidden = cache.att_hidden
         dp = d_vec * p
         d_scores = softmax_beta_vjp(cache.scores, cache.weights, config.beta,
                                     dp @ q.T, cache.keep)
-        dense["att_out"] = (cache.att_hidden.reshape(-1, k_att).T
-                            @ d_scores.reshape(-1))
-        d_pre = d_scores[..., None] * params["att_out"] * (cache.att_pre > 0.0)
-        m = np.swapaxes(d_pre, -1, -2) @ q
-        dense["att_weight"] = _total(m * p[..., None, :], one)
-        # summed over candidates and rows as one product: a reduction
-        # along the long axis is many times slower
-        flat = d_pre.reshape(-1, k_att)
-        dense["att_bias"] = np.ones(flat.shape[0]) @ flat
+        dense["att_out"] = _total(hidden @ d_scores[..., None], one)[:, 0]
+        # d_pre = att_out * d_scores where a unit is on, which is where its
+        # ReLU output is positive, as where its pre-activation is; only
+        # the mask times d_scores is formed, and att_out, constant along
+        # the history, is applied to the small factors on either side
+        rows_pre = (hidden > 0.0).astype(np.float64)
+        rows_pre *= d_scores[..., None, :]
+        rows_pre = rows_pre.reshape(-1, q.shape[0])
+        # M from one GEMM, with the bias gradient in its ones column
+        m = (rows_pre @ cache.hist_ones).reshape(p.shape[:-1] + (k_att, k + 1))
+        m *= params["att_out"][:, None]
+        dense["att_weight"] = _total(m[..., :k] * p[..., None, :], one)
+        dense["att_bias"] = _total(m[..., k], one)
         # direct path through the weights, then the attention path
-        d_target = d_vec * (cache.weights @ q) + (m * w_att).sum(axis=-2)
-        w_scaled = (w_att * p[..., None, :]).reshape(-1, k)
+        d_target = (d_vec * (cache.weights @ q)
+                    + (m[..., :k] * w_att).sum(axis=-2))
+        w_scaled = ((w_att * params["att_out"][:, None])
+                    * p[..., None, :]).reshape(-1, k)
         d_history = (_outer_total(cache.weights, dp, one)
-                     + np.swapaxes(d_pre, 0, -2).reshape(-1, w_scaled.shape[0])
-                     @ w_scaled)[kept]
+                     + rows_pre.T @ w_scaled)[kept]
     else:
         d_pool = cache.pool_scale * d_vec
         d_target = d_pool * cache.hist_sum

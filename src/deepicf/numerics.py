@@ -162,9 +162,10 @@ def softmax_beta_vjp(scores, weights, beta, d_weights, mask=None):
     return weights * d - beta * g * inner
 
 
-def relu(x):
-    """Rectifier max(x, 0). The derivative at 0 is taken to be 0."""
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    """Rectifier max(x, 0), into ``out`` if given (``x`` itself rectifies
+    in place). The derivative at 0 is taken to be 0."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def _label_entropy(label):

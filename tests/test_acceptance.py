@@ -25,6 +25,7 @@ from deepicf.model import (ModelConfig, Variant, backward, init_params,
 from deepicf.numerics import bce_from_logit, rng_from_seed, softmax_beta
 from deepicf.training import fit, pretrain_and_init
 
+import attention_oracle as history_major
 from conftest import ml1m_ratings_path, synthetic_lines
 from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
                        params_from_flat)
@@ -60,8 +61,11 @@ def _random_instances(cfg, rng, count):
         label = int(rng.integers(2))
         logit, cache = predict_logit(params, cfg, hist, user, item)
         pres = list(cache.layer_pres)
-        if cache.att_pre is not None:
-            pres.append(cache.att_pre)
+        if cfg.uses_attention:
+            # the cache holds the ReLU outputs, which read 0 wherever a
+            # unit is off; the pre-activations come from the oracle
+            pres.append(history_major.pre_activations(
+                params, cache.hist_embed, cache.target))
         closest = min((np.abs(p).min() for p in pres if p.size), default=1.0)
         if closest < 1e-3 or abs(logit) > 12.0:
             continue

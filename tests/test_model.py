@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from deepicf import model
 from deepicf.errors import ConfigError, ModelError
 from deepicf.model import (ModelConfig, Variant, backward, init_params,
                            param_layout, predict_logit, score_items,
                            tower_layer_sizes)
 from deepicf.numerics import bce_from_logit, rng_from_seed
 
+import attention_oracle as history_major
 from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
                        params_from_flat)
 
@@ -565,3 +567,104 @@ class TestBackward:
             numeric = finite_diff_grad(loss_of, flat, h=1e-5)
             scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
             assert np.abs(analytic - numeric).max() / scale < 1e-6
+
+
+def _rel_err(got, want, scale=None):
+    """Largest entry of ``got - want`` over ``scale``, by default the
+    largest entry of ``want``."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    if scale is None:
+        scale = np.abs(want).max(initial=0.0)
+    return float(np.abs(got - want).max(initial=0.0) / max(scale, 1e-300))
+
+
+# (history, user, items) per case; candidates may repeat and may sit in
+# the history, where their own row is masked out of their pool
+ATTENTION_CASES = {
+    "one-item": ([0, 2, 5, 7, 9], 1, 4),
+    "hundred-candidates": ([0, 2, 5, 7, 9, 11, 13], 1,
+                           np.arange(100) % 16),
+    "one-row-history": ([6], 0, 4),
+    "only-row-is-itself": ([3], 0, np.array([3, 4, 3, 8])),
+    "log-domain-row": ([0, 2, 5, 7, 9], 2, np.array([1, 4, 6, 8])),
+}
+
+
+class TestCandidateMajorAttention:
+    """The candidate-major ``forward`` and ``backward`` of DeepICF_A
+    against the history-major formula they replace, kept in
+    tests/attention_oracle.py."""
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("layers", [0, 3])
+    def test_matches_history_major_oracle(self, case, beta, layers):
+        num_users, num_items = 3, 16
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=6, k_prime=4,
+                          num_layers=layers, beta=beta)
+        p, _ = tiny_params(cfg, num_users, num_items,
+                           rng_from_seed(40, case, layers))
+        hist, user, items = ATTENTION_CASES[case]
+        if case == "log-domain-row":
+            p["att_out"] *= 400.0
+        logit, cache = predict_logit(p, cfg, hist, user, items)
+        want = history_major.forward(p, cfg, hist, user, items)
+        live = np.where(want.keep, np.abs(want.scores), 0.0)
+        assert (live.max() > 30.0) == (case == "log-domain-row")
+        if case == "only-row-is-itself":
+            assert not want.keep[0].any() and not want.weights[0].any()
+        assert cache.att_hidden.shape == (np.shape(items) + (4, len(hist)))
+        assert _rel_err(np.swapaxes(cache.att_hidden, -1, -2),
+                        want.att_hidden) < 1e-12
+        for name in ("scores", "weights", "pooled", "logit"):
+            assert _rel_err(getattr(cache, name), getattr(want, name)) < 1e-12
+        assert np.array_equal(cache.keep, want.keep)
+
+        dlogit = bce_from_logit(logit, 1)[1]
+        grads = backward(p, cfg, cache, dlogit)
+        oracle = history_major.backward(p, cfg, want, dlogit)
+        # relative to the whole gradient, as the finite-difference checks
+        # are: a sum that cancels to far below its terms, such as one
+        # entry of the bias gradient, keeps only its terms' absolute error
+        want_grads = dict(oracle.dense)
+        want_grads.update((name, value) for name, (_, value)
+                          in oracle.rows.items())
+        scale = max(np.abs(v).max(initial=0.0) for v in want_grads.values())
+        assert sorted(grads.dense) == sorted(oracle.dense)
+        for name, value in oracle.dense.items():
+            assert _rel_err(grads.dense[name], value, scale) < 1e-12, name
+        for name, (rows, value) in oracle.rows.items():
+            assert np.array_equal(grads.rows[name][0], rows), name
+            assert _rel_err(grads.rows[name][1], value, scale) < 1e-12, name
+
+
+class TestScoreBlocks:
+    @pytest.mark.parametrize("variant,layers", [
+        (Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 0),
+        (Variant.DEEPICF_A, 3)])
+    def test_blocked_scores_equal_unblocked(self, variant, layers,
+                                            monkeypatch):
+        cfg = ModelConfig(variant=variant, k=6, k_prime=4, num_layers=layers,
+                          alpha=0.0 if variant is Variant.DEEPICF_A else 0.5)
+        p, _ = tiny_params(cfg, 3, 60, rng_from_seed(41, variant.value))
+        hist = np.arange(0, 60, 3)
+        items = np.arange(60)[::-1].copy()     # a third are history rows
+        whole = predict_logit(p, cfg, hist, 2, items)[0]
+        width = 8 * hist.size * (4 if cfg.uses_attention else 1)
+        seen = []
+        real = model.predict_logit
+
+        def counted(*args):
+            seen.append(np.size(args[4]))
+            return real(*args)
+
+        monkeypatch.setattr(model, "predict_logit", counted)
+        # a lone last candidate joins the block before it, and a block
+        # holds at least two
+        for block, sizes in ((60, [60]), (59, [60]), (7, [7] * 8 + [4]),
+                             (1, [2] * 30)):
+            monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", block * width + 7)
+            seen.clear()
+            assert np.array_equal(score_items(p, cfg, hist, 2, items), whole)
+            assert seen == sizes

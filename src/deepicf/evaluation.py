@@ -2,12 +2,16 @@
 the ItemPop and ItemKNN heuristic baselines.
 
 Scorers take an array of item indices and return an array of scores, so
-per-user evaluation is a couple of vector ops. Per-user evaluations are
-independent; the aggregate is a mean and does not depend on order.
+per-user evaluation is a couple of vector ops. The scorers of a trained
+model are :class:`ModelScorer` objects, and :func:`evaluate` scores a run
+of them over one model in one :func:`deepicf.model.score_users` call.
+Per-user evaluations are independent; the aggregate is a mean and does
+not depend on order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +19,7 @@ import numpy as np
 
 from deepicf.data import atomic_write
 from deepicf.errors import EvalError
-from deepicf.model import score_items
+from deepicf.model import score_items, score_users
 
 
 @dataclass
@@ -59,12 +63,24 @@ def rank_test_item(scorer, test_item, negatives):
     if scores.shape != candidates.shape:
         raise EvalError(
             f"scorer returned shape {scores.shape} for {candidates.shape} items")
+    return int(_count_ranks(candidates, scores, np.zeros(1, dtype=np.int64))[0])
+
+
+def _count_ranks(candidates, scores, starts):
+    """The rank in :func:`rank_order` of the candidate at each of
+    ``starts`` among the candidates from it to the next start: 1, plus
+    those that score higher, plus those that tie with it and have a lower
+    index. A non-finite score is an error naming the first such item."""
     bad = ~np.isfinite(scores)
     if bad.any():
         raise EvalError(
             f"non-finite score for item {int(candidates[bad.argmax()])}")
-    order = rank_order(candidates, scores)
-    return int(np.nonzero(candidates[order] == int(test_item))[0][0]) + 1
+    sizes = np.diff(starts, append=candidates.size)
+    test_scores = np.repeat(scores[starts], sizes)
+    test_items = np.repeat(candidates[starts], sizes)
+    ahead = (scores > test_scores) | ((scores == test_scores)
+                                      & (candidates < test_items))
+    return 1 + np.add.reduceat(ahead, starts, dtype=np.int64)
 
 
 def metrics_at_k(rank, k):
@@ -82,22 +98,55 @@ def evaluate(scorer_factory, split, k=10):
     """Average per-user metrics over every user in the split.
 
     ``scorer_factory(user)`` must return a scorer over item index arrays.
-    The result is a pure function of (factory, split, k).
+    Each run of consecutive :class:`ModelScorer` objects over one model is
+    ranked in one :func:`deepicf.model.score_users` call; any other scorer
+    is called once per user, through :func:`rank_test_item`. Either way a
+    user's rank is the one :func:`rank_test_item` gives its scorer. The
+    result is a pure function of (factory, split, k).
     """
+    num_users = split.train.num_users
+    scorers = [scorer_factory(user) for user in range(num_users)]
+    ranks = []
+    start = 0
+    while start < num_users:
+        first, stop = scorers[start], start + 1
+        if isinstance(first, ModelScorer):
+            while (stop < num_users and isinstance(scorers[stop], ModelScorer)
+                   and scorers[stop].model is first.model):
+                stop += 1
+            ranks += _rank_run(scorers[start:stop], split, start).tolist()
+        else:
+            ranks.append(rank_test_item(first, int(split.test_items[start]),
+                                        split.eval_negatives[start]))
+        start = stop
     per_user = []
     hits = 0
     gain = 0.0
-    num_users = split.train.num_users
-    for user in range(num_users):
-        scorer = scorer_factory(user)
-        rank = rank_test_item(scorer, int(split.test_items[user]),
-                              split.eval_negatives[user])
+    for user, rank in enumerate(ranks):
         hr, ndcg = metrics_at_k(rank, k)
         hits += hr
         gain += ndcg
         per_user.append((user, rank))
     return EvalReport(k=k, per_user=per_user,
                       hr_at_k=hits / num_users, ndcg_at_k=gain / num_users)
+
+
+def _rank_run(scorers, split, first):
+    """Ranks of the split's users from ``first`` on, one per scorer of a
+    run of :class:`ModelScorer` objects over one model."""
+    params, config, histories = scorers[0].model
+    users = [scorer.user for scorer in scorers]
+    negatives = [np.asarray(split.eval_negatives[row], dtype=np.int64)
+                 for row in range(first, first + len(scorers))]
+    sizes = np.array([1 + row.size for row in negatives], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    # each user's test item goes in front of its negatives
+    candidates = np.insert(np.concatenate(negatives),
+                           starts - np.arange(len(scorers)),
+                           split.test_items[first:first + len(scorers)])
+    scores = score_users(params, config, [histories[u] for u in users],
+                         users, candidates, sizes)
+    return _count_ranks(candidates, scores, starts)
 
 
 def item_pop_scorer(train):
@@ -158,8 +207,9 @@ class ItemKnnModel:
 
             def scorer(items):
                 items = np.asarray(items, dtype=np.int64)
-                return (self._sim[np.ix_(items, hist)].sum(axis=1)
-                        * self._inv_sqrt[items])
+                # one flat gather of the (items, hist) block of the matrix
+                flat = items[:, None] * self._sim.shape[1] + hist
+                return self._sim.take(flat).sum(axis=1) * self._inv_sqrt[items]
             return scorer
         return factory
 
@@ -170,15 +220,27 @@ def item_knn_fit_and_score(train):
     return model, model.scorer_factory()
 
 
+class ModelScorer:
+    """The scorer of one user over a trained model: a call scores the
+    given items against the user's training history with
+    :func:`deepicf.model.score_items`. ``model`` is the ``(params, config,
+    histories)`` triple that every scorer of one
+    :func:`model_scorer_factory` shares."""
+
+    __slots__ = ("model", "user")
+
+    def __init__(self, model, user):
+        self.model = model
+        self.user = user
+
+    def __call__(self, items):
+        params, config, histories = self.model
+        return score_items(params, config, histories[self.user], self.user,
+                           items)
+
+
 def model_scorer_factory(params, config, split):
     """Scorer factory over a trained model: candidates are scored against
     the user's training history (the candidate itself is always masked)."""
-    histories = split.train.item_arrays()
-
-    def factory(user):
-        hist = histories[user]
-
-        def scorer(items):
-            return score_items(params, config, hist, user, items)
-        return scorer
-    return factory
+    model = (params, config, split.train.item_arrays())
+    return functools.partial(ModelScorer, model)

@@ -10,7 +10,10 @@ prediction layer with user and item biases.
 :func:`forward` is the one implementation of that skeleton. It scores a
 user's history against one item or a whole candidate set, each candidate
 masked out of the history by its own row of a mask; training's
-:func:`predict_logit` and ranking's :func:`score_items` are calls of it.
+:func:`predict_logit` is a call of it. Ranking's :func:`score_users`
+scores a block of users at once: FISM and DeepICF sum each history once
+and take a candidate inside it back out, then share the tower and the
+prediction layer with :func:`forward`; DeepICF_A calls :func:`forward`.
 :func:`backward` differentiates its cache, for one item or for the
 candidates of one user that a training batch scores together, and returns
 the gradients of their summed loss.
@@ -42,7 +45,8 @@ from deepicf.numerics import relu, softmax_beta, softmax_beta_vjp
 
 INIT_STD = 0.01
 MIN_TOWER_WIDTH = 4
-# the bytes of the largest array one forward pass of score_items may hold
+# the bytes one scoring pass of score_users may hold: a DeepICF_A pass's
+# attention outputs, or a FISM or DeepICF block's arrays together
 SCORE_BLOCK_BYTES = 32 << 20
 
 
@@ -341,19 +345,7 @@ def forward(params, config, history, user, items):
                  np.maximum(keep.sum(axis=-1, keepdims=True), 1) ** -config.alpha)
         hist_sum = keep @ q
         pooled = scale * (p * hist_sum)
-    out = pooled
-    pres, acts = [], []
-    for layer, d in enumerate(config.layer_sizes):
-        w = params[f"W{layer}"]
-        if w.shape != (d, out.shape[-1]):
-            raise ModelError(f"W{layer} has shape {w.shape}, the config "
-                             f"implies {(d, out.shape[-1])}")
-        pre = out @ w.T + params[f"b{layer}"]
-        out = relu(pre)
-        pres.append(pre)
-        acts.append(out)
-    logit = (out @ params["output_weights"] + params["user_bias"][user]
-             + params["item_bias"][items])
+    pres, acts, logit = _head(params, config, pooled, user, items)
     return ForwardCache(
         user=user, items=items, hist=hist, keep=keep, hist_embed=q, target=p,
         pool_scale=scale, hist_sum=hist_sum, hist_ones=hist_ones,
@@ -361,43 +353,151 @@ def forward(params, config, history, user, items):
         layer_pres=pres, layer_acts=acts, logit=logit)
 
 
+def _head(params, config, pooled, user, items):
+    """The ReLU tower and the prediction layer over pooled rows ``(..., k)``:
+    ``(pres, acts, logit)``, with ``user`` one index or one per row. The
+    prediction layer takes one dot product per row, as it does for one
+    item, so a row's logit does not depend on the rows scored with it."""
+    out = pooled
+    pres, acts = [], []
+    for layer, d in enumerate(config.layer_sizes):
+        w = params[f"W{layer}"]
+        if w.shape != (d, out.shape[-1]):
+            raise ModelError(f"W{layer} has shape {w.shape}, the config "
+                             f"implies {(d, out.shape[-1])}")
+        pre = out @ w.T
+        pre += params[f"b{layer}"]
+        out = relu(pre)
+        pres.append(pre)
+        acts.append(out)
+    logit = (np.vecdot(out, params["output_weights"])
+             + params["user_bias"][user] + params["item_bias"][items])
+    return pres, acts, logit
+
+
+def _check_range(kind, index, bound):
+    """A :class:`ModelError` naming the lowest index if it is negative, or
+    else the highest, unless every index lies in ``[0, bound)``."""
+    low, high = ((index, index) if isinstance(index, int)
+                 else (index.min(), index.max()))
+    if low < 0 or high >= bound:
+        raise ModelError(f"{kind} index {low if low < 0 else high} outside "
+                         f"[0, {bound})")
+
+
 def predict_logit(params, config, history, user, items):
     """Forward pass for one user, given the stored training history, and
     one item index or an array of candidates, each range-checked.
     Returns ``(logit, cache)``: the logit is a float for one item and an
     array shaped like ``items`` otherwise."""
-    low, high = ((items, items) if isinstance(items, int)
-                 else (items.min(), items.max()))
-    if low < 0 or high >= params.num_items:
-        raise ModelError(f"item index {low if low < 0 else high} outside "
-                         f"[0, {params.num_items})")
+    _check_range("item", items, params.num_items)
     cache = forward(params, config, history, user, items)
     return cache.logit, cache
 
 
 def score_items(params, config, history, user, items):
-    """Logits of many candidate items for one user; used by the
-    evaluation harness and the recommender.
-
-    The candidates are scored in blocks, one forward pass each, so that
-    the pass's largest array, the ``(block, k', n)`` attention outputs or
-    the ``(block, n)`` history mask, stays within ``SCORE_BLOCK_BYTES``.
-    Each candidate's logit is computed from its own rows alone, so the
-    blocks do not change it. No block holds a lone candidate: numpy
-    multiplies a one-row matrix as a vector, which may round differently
-    in the last place."""
+    """Logits of many candidate items for one user, as
+    :func:`score_users` gives them for a block of one user; used by the
+    recommender and by a scorer called on its own."""
     items = np.atleast_1d(np.asarray(items, dtype=np.int64))
+    return score_users(params, config, [history], [user], items,
+                       [items.size])
+
+
+def score_users(params, config, histories, users, items, sizes):
+    """Logits of many users' candidates, end to end: ``items`` holds
+    ``sizes[b]`` candidates of user ``users[b]``, each scored against
+    ``histories[b]`` with itself masked out, as :func:`forward` scores
+    it. A history holds each item at most once, as a dataset's do.
+
+    FISM and DeepICF take the users in blocks, one pass each, so that a
+    block's gathered history rows, candidate rows and ``(block,
+    num_items)`` incidence together stay within ``SCORE_BLOCK_BYTES``
+    (a user who alone needs more takes a block of its own). A user's
+    logits do not depend on the block: its history sum and its pooling
+    are its own, the prediction layer is one dot product per row, and the
+    tower's matrix products give a row the same bits whatever rows share
+    them, as OpenBLAS does for two or more rows and inner dimensions
+    under 32.
+
+    DeepICF_A scores user by user, each user's candidates in blocks of one
+    :func:`predict_logit` call, so that the ``(block, k', n)`` attention
+    outputs stay within ``SCORE_BLOCK_BYTES``. Each candidate's logit is
+    computed from its own rows alone, so the blocks do not change it. No
+    block holds a lone candidate: numpy multiplies a one-row matrix as a
+    vector, which may round differently in the last place."""
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
     if items.size == 0:
         return np.empty(0)
-    width = max(np.size(history), 1) * (config.k_prime
-                                        if config.uses_attention else 1)
+    _check_range("user", users, params.num_users)
+    _check_range("item", items, params.num_items)
+    histories = [np.asarray(h, dtype=np.int64) for h in histories]
+    if config.uses_attention:
+        return np.concatenate([
+            _attend(params, config, hist, int(user), part)
+            for hist, user, part in zip(histories, users,
+                                        np.split(items, np.cumsum(sizes)[:-1]))
+            if part.size])
+    lengths = np.array([hist.size for hist in histories], dtype=np.int64)
+    width = max((config.k,) + config.layer_sizes)
+    cost = 8 * (config.k * lengths + width * sizes) + params.num_items
+    cost_ends, row_ends = np.cumsum(cost), np.cumsum(sizes)
+    parts, start = [], 0
+    while start < users.size:
+        stop = max(start + 1, int(np.searchsorted(
+            cost_ends, cost_ends[start] - cost[start] + SCORE_BLOCK_BYTES,
+            side="right")))
+        rows = slice(row_ends[start] - sizes[start], row_ends[stop - 1])
+        parts.append(_pool_block(params, config, histories[start:stop],
+                                 users[start:stop], items[rows],
+                                 sizes[start:stop]))
+        start = stop
+    return np.concatenate(parts)
+
+
+def _attend(params, config, history, user, items):
+    """One DeepICF_A user's logits, a :func:`predict_logit` call per
+    block of candidates, as :func:`score_users` describes."""
+    width = max(history.size, 1) * config.k_prime
     block = max(2, SCORE_BLOCK_BYTES // (8 * width))
     cuts = range(block, items.size - 1, block)
-    if not cuts:
-        return predict_logit(params, config, history, user, items)[0]
-    return np.concatenate([
-        predict_logit(params, config, history, user, part)[0]
-        for part in np.split(items, cuts)])
+    return np.concatenate([predict_logit(params, config, history, user,
+                                         part)[0]
+                           for part in np.split(items, cuts)])
+
+
+def _pool_block(params, config, histories, users, items, sizes):
+    """One pass of :func:`score_users` over a block of FISM or DeepICF
+    users. Each history sum is one ``np.add.reduceat`` over the user's
+    gathered rows; a candidate inside the history, found in a boolean
+    ``(block, num_items)`` incidence, subtracts its own row and one from
+    the ``|kept|^-alpha`` count; the tower and the prediction layer run
+    once over the block's candidate rows."""
+    lengths = np.array([hist.size for hist in histories], dtype=np.int64)
+    hist = np.concatenate(histories)
+    sums = np.zeros((users.size, config.k))
+    if hist.size:
+        # the rows gathered as columns, so that each sum runs along
+        # contiguous memory; only the users with a history, since
+        # reduceat would give an empty one the next user's first row
+        q_cols = params["history_embed"].T.take(hist, axis=1)
+        full = lengths > 0
+        sums[full] = np.add.reduceat(
+            q_cols, (np.cumsum(lengths) - lengths)[full], axis=1).T
+    held = np.zeros((users.size, params.num_items), dtype=bool)
+    held[np.repeat(np.arange(users.size), lengths), hist] = True
+    owner = np.repeat(np.arange(users.size), sizes)
+    inside = held[owner, items]
+    hist_sum = sums[owner]
+    hist_sum[inside] -= params["history_embed"].take(items[inside], axis=0)
+    pooled = params["target_embed"].take(items, axis=0)
+    pooled *= hist_sum
+    if config.alpha != 0.0:
+        pooled *= (np.maximum(lengths[owner] - inside, 1)[:, None]
+                   ** -config.alpha)
+    return _head(params, config, pooled, users[owner], items)[2]
 
 
 @dataclass

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from deepicf.data import leave_one_out_split
+from deepicf import model
+from deepicf.data import InteractionDataset, LooSplit, leave_one_out_split
 from deepicf.errors import EvalError
 from deepicf.evaluation import (ItemKnnModel, evaluate,
                                 item_knn_fit_and_score, item_pop_scorer,
                                 metrics_at_k, model_scorer_factory,
                                 rank_test_item)
-from deepicf.model import ModelConfig, Variant, init_params
+from deepicf.model import ModelConfig, Variant, init_params, score_users
 from deepicf.numerics import rng_from_seed, sigmoid
 
+import per_user
 from conftest import make_dataset, synthetic_dataset
 
 
@@ -225,6 +227,9 @@ class TestItemKnn:
         want = [sum(model.similarity(int(c), int(j)) for j in hist if j != c)
                 for c in cands]
         assert np.abs(got - np.array(want)).max() < 1e-12
+        # the same sums as the (items, hist) block picked with np.ix_
+        block = model._sim[np.ix_(cands, hist)].sum(axis=1)
+        assert np.array_equal(got, block * model._inv_sqrt[cands])
 
     def test_matches_set_oracle(self):
         # item 6 is untouched; in row 0, items 3 and 4 tie
@@ -339,3 +344,231 @@ class TestCheckpointOracleEquivalence:
             order = np.lexsort((cands, -scores))
             want = int(np.nonzero(cands[order] == test)[0][0]) + 1
             assert rank == want
+
+
+# configs of the block path: FISM and DeepICF at alpha 0 and 0.5, DeepICF
+# at L = 0 and 3, and DeepICF_A, which ranks user by user inside the call
+BLOCK_CONFIGS = [
+    dict(variant=Variant.FISM, alpha=0.0),
+    dict(variant=Variant.FISM, alpha=0.5),
+    dict(variant=Variant.DEEPICF, num_layers=0, alpha=0.0),
+    dict(variant=Variant.DEEPICF, num_layers=0, alpha=0.5),
+    dict(variant=Variant.DEEPICF, num_layers=3, alpha=0.0),
+    dict(variant=Variant.DEEPICF, num_layers=3, alpha=0.5),
+    dict(variant=Variant.DEEPICF_A, num_layers=0),
+    dict(variant=Variant.DEEPICF_A, num_layers=3),
+]
+BLOCK_IDS = [f"{c['variant'].value}-L{c.get('num_layers', 0)}"
+             f"-a{c.get('alpha', 0.0)}" for c in BLOCK_CONFIGS]
+
+
+def edge_split():
+    """A split whose rows hold the block path's edge cases: `.negatives`
+    rows of different lengths, an empty history (user 4), a negative
+    inside its own history (user 7) and a test item inside its own
+    history (user 9)."""
+    split = leave_one_out_split(
+        synthetic_dataset(num_users=24, num_items=60, seed=11), seed=3,
+        num_negatives=20)
+    train = split.train
+    rng = rng_from_seed(12)
+    items = [train.history_items(u).copy() for u in range(train.num_users)]
+    times = [train.history_times(u).copy() for u in range(train.num_users)]
+    items[4], times[4] = items[4][:0], times[4][:0]
+    negatives = [row[:int(rng.integers(1, row.size + 1))].copy()
+                 for row in split.eval_negatives]
+    negatives[7] = np.append(negatives[7], items[7][0])
+    test_items = split.test_items.copy()
+    test_items[9] = items[9][1]
+    return LooSplit(
+        train=InteractionDataset(train.user_ids, train.item_ids, items, times),
+        test_items=test_items, eval_negatives=negatives)
+
+
+def random_params(config, split, seed):
+    """Parameters at O(1) scale, so that no two scores tie by accident."""
+    train = split.train
+    params = init_params(config, train.num_users, train.num_items,
+                         rng_from_seed(seed))
+    params.flat[:] = rng_from_seed(seed, "flat").normal(0.0, 0.4,
+                                                        params.flat.size)
+    if not config.trains_output_weights:
+        params["output_weights"] = np.ones(config.output_dim)
+    return params
+
+
+def block_config(spec):
+    return ModelConfig(k=6, k_prime=4, **spec)
+
+
+def assert_same_report(got, want):
+    assert got.per_user == want.per_user
+    assert (got.hr_at_k, got.ndcg_at_k) == (want.hr_at_k, want.ndcg_at_k)
+
+
+class TestBlockEvaluate:
+    """The blocked :func:`evaluate` against the per-user oracle in
+    ``tests/per_user.py``: the same ranks, HR and NDCG to the bit."""
+
+    @pytest.mark.parametrize("spec", BLOCK_CONFIGS, ids=BLOCK_IDS)
+    def test_matches_per_user_oracle(self, spec, monkeypatch):
+        split = edge_split()
+        cfg = block_config(spec)
+        factory = model_scorer_factory(random_params(cfg, split, 21), cfg,
+                                       split)
+        want = per_user.evaluate(factory, split, k=5)
+        blocks = []
+        real = model._pool_block
+
+        def counted(*args):
+            blocks.append(args[3].size)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_pool_block", counted)
+        # one block, then blocks whose boundaries fall inside the split
+        for budget, one_block in ((model.SCORE_BLOCK_BYTES, True),
+                                  (4000, False), (1, False)):
+            monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
+            blocks.clear()
+            assert_same_report(evaluate(factory, split, k=5), want)
+            if not cfg.uses_attention:
+                assert sum(blocks) == split.train.num_users
+                assert (len(blocks) == 1) == one_block
+
+    @pytest.mark.parametrize("spec", BLOCK_CONFIGS, ids=BLOCK_IDS)
+    def test_exact_ties_break_by_index(self, spec):
+        split = edge_split()
+        cfg = block_config(spec)
+        params = random_params(cfg, split, 22)
+        # zeroed embeddings leave a score of biases alone, and the item
+        # biases take three values, so most candidates tie
+        params["target_embed"] = np.zeros_like(params["target_embed"])
+        params["history_embed"] = np.zeros_like(params["history_embed"])
+        params["item_bias"] = rng_from_seed(23).integers(
+            0, 3, split.train.num_items) * 0.5
+        factory = model_scorer_factory(params, cfg, split)
+        report = evaluate(factory, split, k=5)
+        assert_same_report(report, per_user.evaluate(factory, split, k=5))
+        assert len({rank for _, rank in report.per_user}) > 3
+
+    def test_item_pop_ties_match_oracle(self, small_split):
+        factory = item_pop_scorer(small_split.train)
+        assert_same_report(evaluate(factory, small_split, k=10),
+                           per_user.evaluate(factory, small_split, k=10))
+
+    @pytest.mark.parametrize("spec", BLOCK_CONFIGS, ids=BLOCK_IDS)
+    def test_non_finite_score_names_the_oracle_item(self, spec):
+        split = edge_split()
+        cfg = block_config(spec)
+        params = random_params(cfg, split, 24)
+        # two bad items: the third negative of user 5 and user 8's test
+        # item; user 5 comes first, and its bad item is not its first
+        # candidate
+        for item in (split.eval_negatives[5][2], split.test_items[8]):
+            params["item_bias"][item] = np.nan
+        factory = model_scorer_factory(params, cfg, split)
+        with pytest.raises(EvalError) as want:
+            per_user.evaluate(factory, split)
+        with pytest.raises(EvalError) as got:
+            evaluate(factory, split)
+        assert str(got.value) == str(want.value)
+        assert "non-finite score for item" in str(got.value)
+
+    @pytest.mark.parametrize("spec", BLOCK_CONFIGS, ids=BLOCK_IDS)
+    def test_user_scores_equal_alone_and_in_any_block(self, spec):
+        split = edge_split()
+        # the benchmark's k, at which a matrix-vector product rounds a
+        # row differently with the rows beside it
+        cfg = ModelConfig(k=16, k_prime=4, **spec)
+        params = random_params(cfg, split, 25)
+        histories = split.train.item_arrays()
+        cands = [np.concatenate(([split.test_items[u]],
+                                 split.eval_negatives[u]))
+                 for u in range(split.train.num_users)]
+        alone = [score_users(params, cfg, [histories[u]], [u], cands[u],
+                             [cands[u].size])
+                 for u in range(split.train.num_users)]
+        rng = rng_from_seed(26)
+        for _ in range(6):
+            users = rng.permutation(split.train.num_users)[
+                :int(rng.integers(2, split.train.num_users + 1))]
+            got = score_users(params, cfg, [histories[u] for u in users],
+                              users, np.concatenate([cands[u] for u in users]),
+                              [cands[u].size for u in users])
+            ends = np.cumsum([cands[u].size for u in users])
+            for user, part in zip(users, np.split(got, ends[:-1])):
+                assert np.array_equal(part, alone[user])
+                assert np.array_equal(part, model_scorer_factory(
+                    params, cfg, split)(int(user))(cands[user]))
+
+    def test_mixed_scorers_match_oracle(self):
+        split = edge_split()
+        fism = block_config(dict(variant=Variant.FISM, alpha=0.5))
+        deep = block_config(dict(variant=Variant.DEEPICF, num_layers=3))
+        models = [model_scorer_factory(random_params(cfg, split, seed), cfg,
+                                       split)
+                  for cfg, seed in ((fism, 27), (deep, 28))]
+
+        def factory(user):
+            scorer = models[user // 10 % 2](user)
+            if user % 7 == 3:   # a wrapped scorer is called on its own
+                return lambda items: scorer(items)
+            return scorer
+
+        assert_same_report(evaluate(factory, split, k=5),
+                           per_user.evaluate(factory, split, k=5))
+
+
+class TestEndToEndRanks:
+    """The ranks that reach a user through the CLI and ``fit`` are the
+    per-user oracle's."""
+
+    def test_cli_eval_writes_oracle_ranks(self, tmp_path, capsys):
+        from deepicf.checkpoint import load_checkpoint, save_checkpoint
+        from deepicf.cli import main
+        from deepicf.data import load_split, save_split
+
+        split = leave_one_out_split(
+            synthetic_dataset(num_users=30, num_items=160, seed=31), seed=4)
+        save_split(split, tmp_path / "sp")
+        loaded = load_split(tmp_path / "sp")
+        for spec, seed in ((dict(variant=Variant.FISM, alpha=0.5), 32),
+                           (dict(variant=Variant.DEEPICF, num_layers=3), 33)):
+            cfg = block_config(spec)
+            path = tmp_path / f"{cfg.variant.value}.ckpt"
+            save_checkpoint(path, random_params(cfg, split, seed), cfg)
+            out = tmp_path / f"{cfg.variant.value}.csv"
+            assert main(["eval", "--checkpoint", str(path), "--split",
+                         str(tmp_path / "sp"), "--metrics", str(out)]) == 0
+            params, cfg, _, _ = load_checkpoint(path)
+            want = per_user.evaluate(model_scorer_factory(params, cfg, loaded),
+                                     loaded, k=10)
+            rows = out.read_text().splitlines()
+            assert rows[1:-1] == [f"{u},{r}" for u, r in want.per_user]
+            assert rows[-1] == (f"# HR@10={want.hr_at_k:.6f}"
+                                f" NDCG@10={want.ndcg_at_k:.6f}")
+            assert capsys.readouterr().out == want.summary() + "\n"
+
+    @pytest.mark.parametrize("spec", [
+        dict(variant=Variant.FISM, alpha=0.5),
+        dict(variant=Variant.DEEPICF, num_layers=2)])
+    def test_fit_reports_oracle_metrics(self, spec, small_split):
+        from deepicf.training import EVAL_K, fit
+
+        cfg = ModelConfig(k=6, epochs=2, eval_every=1, lr=0.05, seed=5,
+                          **spec)
+        seen = []
+
+        def on_epoch(stats):
+            want = per_user.evaluate(
+                model_scorer_factory(params_now.clone(), cfg, small_split),
+                small_split, k=EVAL_K)
+            seen.append((stats.hr, stats.ndcg, want.hr_at_k, want.ndcg_at_k))
+
+        params_now = init_params(cfg, small_split.train.num_users,
+                                 small_split.train.num_items,
+                                 rng_from_seed(cfg.seed))
+        fit(cfg, small_split, params=params_now, on_epoch=on_epoch)
+        assert len(seen) == 2
+        for hr, ndcg, want_hr, want_ndcg in seen:
+            assert (hr, ndcg) == (want_hr, want_ndcg)

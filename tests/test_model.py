@@ -8,7 +8,7 @@ from deepicf import model
 from deepicf.errors import ConfigError, ModelError
 from deepicf.model import (ModelConfig, Variant, backward, init_params,
                            param_layout, predict_logit, score_items,
-                           tower_layer_sizes)
+                           score_users, tower_layer_sizes)
 from deepicf.numerics import bce_from_logit, rng_from_seed
 
 import attention_oracle as history_major
@@ -647,11 +647,17 @@ class TestScoreBlocks:
                                             monkeypatch):
         cfg = ModelConfig(variant=variant, k=6, k_prime=4, num_layers=layers,
                           alpha=0.0 if variant is Variant.DEEPICF_A else 0.5)
-        p, _ = tiny_params(cfg, 3, 60, rng_from_seed(41, variant.value))
+        if cfg.uses_attention:
+            self.check_candidate_blocks(cfg, monkeypatch)
+        else:
+            self.check_user_blocks(cfg, monkeypatch)
+
+    def check_candidate_blocks(self, cfg, monkeypatch):
+        p, _ = tiny_params(cfg, 3, 60, rng_from_seed(41, cfg.variant.value))
         hist = np.arange(0, 60, 3)
         items = np.arange(60)[::-1].copy()     # a third are history rows
         whole = predict_logit(p, cfg, hist, 2, items)[0]
-        width = 8 * hist.size * (4 if cfg.uses_attention else 1)
+        width = 8 * hist.size * 4
         seen = []
         real = model.predict_logit
 
@@ -668,3 +674,44 @@ class TestScoreBlocks:
             seen.clear()
             assert np.array_equal(score_items(p, cfg, hist, 2, items), whole)
             assert seen == sizes
+
+    def check_user_blocks(self, cfg, monkeypatch):
+        num_items = 60
+        p, _ = tiny_params(cfg, 7, num_items,
+                           rng_from_seed(41, cfg.variant.value))
+        rng = rng_from_seed(42)
+        users = np.array([6, 0, 3, 3, 5, 1, 2])
+        # an empty history, a one-row history, and a third of the
+        # candidates inside their history
+        lengths = [20, 0, 1, 7, 33, 12, 5]
+        histories = [rng.choice(num_items, size=n, replace=False)
+                     for n in lengths]
+        cands = [np.concatenate((hist[::3], rng.choice(num_items, size=c)))
+                 for hist, c in zip(histories, [30, 9, 2, 14, 40, 3, 21])]
+        sizes = [c.size for c in cands]
+        items = np.concatenate(cands)
+        whole = score_users(p, cfg, histories, users, items, sizes)
+        loose = np.concatenate([predict_logit(p, cfg, h, int(u), c)[0]
+                                for h, u, c in zip(histories, users, cands)])
+        assert np.abs(whole - loose).max() < 1e-12
+        # a user costs its gathered history rows, its candidate rows and
+        # its row of the incidence
+        cost = [8 * 6 * (n + c) + num_items for n, c in zip(lengths, sizes)]
+        seen = []
+        real = model._pool_block
+
+        def counted(*args):
+            seen.append(args[3].size)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_pool_block", counted)
+        # at the cost of the first two users, the fifth alone is over
+        # budget and takes a block of its own
+        for budget, blocks in ((sum(cost), [7]), (sum(cost) - 1, [6, 1]),
+                               (cost[0] + cost[1], [2, 2, 1, 2]),
+                               (1, [1] * 7)):
+            monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
+            seen.clear()
+            got = score_users(p, cfg, histories, users, items, sizes)
+            assert np.array_equal(got, whole)
+            assert seen == blocks

@@ -18,8 +18,7 @@ from deepicf.evaluation import (EvalReport, ItemKnnModel, evaluate,
                                 metrics_at_k, model_scorer_factory,
                                 rank_test_item)
 from deepicf.model import (ModelConfig, ModelParams, Variant, backward,
-                           init_params, predict_logit, score_items,
-                           score_users)
+                           init_params, predict_logit, score_items)
 from deepicf.training import (AdagradState, TrainReport, apply_batch, fit,
                               loss_with_reg, pretrain_and_init, train_epoch)
 
@@ -34,6 +33,5 @@ __all__ = [
     "item_pop_scorer", "leave_one_out_split", "load_split", "loss_with_reg",
     "metrics_at_k", "model_scorer_factory", "parse_interactions",
     "predict_logit", "pretrain_and_init", "rank_test_item",
-    "sample_training_instances", "save_split", "score_items", "score_users",
-    "train_epoch",
+    "sample_training_instances", "save_split", "score_items", "train_epoch",
 ]

@@ -42,21 +42,6 @@ class InteractionDataset:
 
     def __init__(self, user_ids, item_ids, items_per_user, times_per_user,
                  raw_interactions=0):
-        self._fill(user_ids, item_ids, items_per_user, times_per_user,
-                   raw_interactions)
-        self._check_histories()
-
-    @classmethod
-    def _checked(cls, user_ids, item_ids, items_per_user, times_per_user):
-        """A dataset over histories whose reader has already checked
-        every rule of :meth:`_check_histories`, such as
-        :func:`load_split`'s."""
-        dataset = cls.__new__(cls)
-        dataset._fill(user_ids, item_ids, items_per_user, times_per_user, 0)
-        return dataset
-
-    def _fill(self, user_ids, item_ids, items_per_user, times_per_user,
-              raw_interactions):
         if len(items_per_user) != len(user_ids):
             raise DataError("one history per user required")
         self.user_ids = list(user_ids)
@@ -70,6 +55,7 @@ class InteractionDataset:
         self._items = [np.asarray(a, dtype=np.int64) for a in items_per_user]
         self._times = [np.asarray(a, dtype=np.int64) for a in times_per_user]
         self.raw_interactions = int(raw_interactions)
+        self._check_histories()
 
     def _check_histories(self):
         """Per user, in user order: items and timestamps of one shape,
@@ -644,9 +630,7 @@ def load_split(prefix):
     train_file.raise_first(flags, lambda line, row: train_row(
         line, repeated=True))
     del users, items, times, flags
-    # the masks above have checked every rule of the dataset's own check
-    train = InteractionDataset._checked(user_ids, item_ids, hist_items,
-                                        hist_times)
+    train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
 
     test_items = np.concatenate(_load_user_rows(
         prefix + ".test", history, num_users, num_items))

@@ -4,7 +4,7 @@ the ItemPop and ItemKNN heuristic baselines.
 Scorers take an array of item indices and return an array of scores, so
 per-user evaluation is a couple of vector ops. The scorers of a trained
 model are :class:`ModelScorer` objects, and :func:`evaluate` scores a run
-of them over one model in one :func:`deepicf.model.score_users` call.
+of them over one model in one :func:`deepicf.model._score_users` call.
 Per-user evaluations are independent; the aggregate is a mean and does
 not depend on order.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from deepicf.data import atomic_write
 from deepicf.errors import EvalError
-from deepicf.model import score_items, score_users
+from deepicf.model import _score_users, score_items
 
 
 @dataclass
@@ -99,7 +99,7 @@ def evaluate(scorer_factory, split, k=10):
 
     ``scorer_factory(user)`` must return a scorer over item index arrays.
     Each run of consecutive :class:`ModelScorer` objects over one model is
-    ranked in one :func:`deepicf.model.score_users` call; any other scorer
+    ranked in one :func:`deepicf.model._score_users` call; any other scorer
     is called once per user, through :func:`rank_test_item`. Either way a
     user's rank is the one :func:`rank_test_item` gives its scorer. The
     result is a pure function of (factory, split, k).
@@ -144,8 +144,8 @@ def _rank_run(scorers, split, first):
     candidates = np.insert(np.concatenate(negatives),
                            starts - np.arange(len(scorers)),
                            split.test_items[first:first + len(scorers)])
-    scores = score_users(params, config, [histories[u] for u in users],
-                         users, candidates, sizes)
+    scores = _score_users(params, config, [histories[u] for u in users],
+                          users, candidates, sizes)
     return _count_ranks(candidates, scores, starts)
 
 

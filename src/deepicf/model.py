@@ -10,7 +10,7 @@ prediction layer with user and item biases.
 :func:`forward` is the one implementation of that skeleton. It scores a
 user's history against one item or a whole candidate set, each candidate
 masked out of the history by its own row of a mask; training's
-:func:`predict_logit` is a call of it. Ranking's :func:`score_users`
+:func:`predict_logit` is a call of it. Ranking's :func:`_score_users`
 scores a block of users at once: FISM and DeepICF sum each history once
 and take a candidate inside it back out, then share the tower and the
 prediction layer with :func:`forward`; DeepICF_A calls :func:`forward`.
@@ -45,7 +45,7 @@ from deepicf.numerics import relu, softmax_beta, softmax_beta_vjp
 
 INIT_STD = 0.01
 MIN_TOWER_WIDTH = 4
-# the bytes one scoring pass of score_users may hold: a DeepICF_A pass's
+# the bytes one scoring pass of _score_users may hold: a DeepICF_A pass's
 # attention outputs, or a FISM or DeepICF block's arrays together
 SCORE_BLOCK_BYTES = 32 << 20
 
@@ -397,28 +397,31 @@ def predict_logit(params, config, history, user, items):
 
 def score_items(params, config, history, user, items):
     """Logits of many candidate items for one user, as
-    :func:`score_users` gives them for a block of one user; used by the
+    :func:`_score_users` gives them for a block of one user; used by the
     recommender and by a scorer called on its own."""
     items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-    return score_users(params, config, [history], [user], items,
-                       [items.size])
+    return _score_users(params, config, [history], [user], items,
+                        [items.size])
 
 
-def score_users(params, config, histories, users, items, sizes):
+def _score_users(params, config, histories, users, items, sizes):
     """Logits of many users' candidates, end to end: ``items`` holds
     ``sizes[b]`` candidates of user ``users[b]``, each scored against
     ``histories[b]`` with itself masked out, as :func:`forward` scores
     it. A history holds each item at most once, as a dataset's do.
 
-    FISM and DeepICF take the users in blocks, one pass each, so that a
-    block's gathered history rows, candidate rows and ``(block,
-    num_items)`` incidence together stay within ``SCORE_BLOCK_BYTES``
-    (a user who alone needs more takes a block of its own). A user's
-    logits do not depend on the block: its history sum and its pooling
-    are its own, the prediction layer is one dot product per row, and the
-    tower's matrix products give a row the same bits whatever rows share
-    them, as OpenBLAS does for two or more rows and inner dimensions
-    under 32.
+    FISM and DeepICF take the users in blocks, one pass each, so that the
+    arrays a block holds together stay within ``SCORE_BLOCK_BYTES`` (a
+    user who alone needs more takes a block of its own): its gathered
+    history rows and history sums, its ``(block, num_items)`` incidence,
+    and per candidate the history sum, the target row and every tower
+    layer's pre-activation and activation. Beside the blocks, each call
+    holds one item-major copy of ``history_embed``, the size of the
+    table. A user's logits do not depend on the block: its history sum
+    and its pooling are its own, the prediction layer is one dot product
+    per row, and the tower's matrix products give a row the same bits
+    whatever rows share them, as OpenBLAS does for two or more rows and
+    inner dimensions under 32.
 
     DeepICF_A scores user by user, each user's candidates in blocks of one
     :func:`predict_logit` call, so that the ``(block, k', n)`` attention
@@ -440,9 +443,17 @@ def score_users(params, config, histories, users, items, sizes):
             for hist, user, part in zip(histories, users,
                                         np.split(items, np.cumsum(sizes)[:-1]))
             if part.size])
+    # the history table item-major, so that a block gathers each user's
+    # rows as columns and sums them along contiguous memory
+    q_cols = np.ascontiguousarray(params["history_embed"].T)
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
-    width = max((config.k,) + config.layer_sizes)
-    cost = 8 * (config.k * lengths + width * sizes) + params.num_items
+    # float64s per candidate: the history sum, the target row and a
+    # spare row of k, each tower layer's pre-activation and activation,
+    # and a few scalars; per user, its gathered rows, two sums and a
+    # byte per item of the incidence
+    per_item = 3 * config.k + 2 * sum(config.layer_sizes) + 4
+    cost = (8 * (config.k * (lengths + 2) + per_item * sizes)
+            + params.num_items)
     cost_ends, row_ends = np.cumsum(cost), np.cumsum(sizes)
     parts, start = [], 0
     while start < users.size:
@@ -450,16 +461,16 @@ def score_users(params, config, histories, users, items, sizes):
             cost_ends, cost_ends[start] - cost[start] + SCORE_BLOCK_BYTES,
             side="right")))
         rows = slice(row_ends[start] - sizes[start], row_ends[stop - 1])
-        parts.append(_pool_block(params, config, histories[start:stop],
-                                 users[start:stop], items[rows],
-                                 sizes[start:stop]))
+        parts.append(_pool_block(params, config, q_cols,
+                                 histories[start:stop], users[start:stop],
+                                 items[rows], sizes[start:stop]))
         start = stop
     return np.concatenate(parts)
 
 
 def _attend(params, config, history, user, items):
     """One DeepICF_A user's logits, a :func:`predict_logit` call per
-    block of candidates, as :func:`score_users` describes."""
+    block of candidates, as :func:`_score_users` describes."""
     width = max(history.size, 1) * config.k_prime
     block = max(2, SCORE_BLOCK_BYTES // (8 * width))
     cuts = range(block, items.size - 1, block)
@@ -468,24 +479,24 @@ def _attend(params, config, history, user, items):
                            for part in np.split(items, cuts)])
 
 
-def _pool_block(params, config, histories, users, items, sizes):
-    """One pass of :func:`score_users` over a block of FISM or DeepICF
-    users. Each history sum is one ``np.add.reduceat`` over the user's
-    gathered rows; a candidate inside the history, found in a boolean
-    ``(block, num_items)`` incidence, subtracts its own row and one from
-    the ``|kept|^-alpha`` count; the tower and the prediction layer run
-    once over the block's candidate rows."""
+def _pool_block(params, config, q_cols, histories, users, items, sizes):
+    """One pass of :func:`_score_users` over a block of FISM or DeepICF
+    users, given the history table item-major as ``q_cols``. Each history
+    sum is one ``np.add.reduceat`` over the user's gathered columns; a
+    candidate inside the history, found in a boolean ``(block,
+    num_items)`` incidence, subtracts its own row and one from the
+    ``|kept|^-alpha`` count; the tower and the prediction layer run once
+    over the block's candidate rows."""
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
     hist = np.concatenate(histories)
     sums = np.zeros((users.size, config.k))
     if hist.size:
-        # the rows gathered as columns, so that each sum runs along
-        # contiguous memory; only the users with a history, since
-        # reduceat would give an empty one the next user's first row
-        q_cols = params["history_embed"].T.take(hist, axis=1)
+        # only the users with a history, since reduceat would give an
+        # empty one the next user's first row
         full = lengths > 0
         sums[full] = np.add.reduceat(
-            q_cols, (np.cumsum(lengths) - lengths)[full], axis=1).T
+            q_cols.take(hist, axis=1), (np.cumsum(lengths) - lengths)[full],
+            axis=1).T
     held = np.zeros((users.size, params.num_items), dtype=bool)
     held[np.repeat(np.arange(users.size), lengths), hist] = True
     owner = np.repeat(np.arange(users.size), sizes)

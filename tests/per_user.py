@@ -5,12 +5,30 @@ Each user's scorer is called on the test item and the negatives, and the
 test item's rank is read off a full ``lexsort`` of the candidates by
 (score descending, index ascending). Gains are added in user order, as
 ``evaluate`` adds them.
+
+:func:`forward_scorer_factory` is the oracle's scorer of a trained model:
+each user's candidates go through one ``predict_logit`` call, the
+per-user forward pass, and not through the blocked scoring under test.
 """
 
 import numpy as np
 
 from deepicf.errors import EvalError
 from deepicf.evaluation import EvalReport, metrics_at_k
+from deepicf.model import predict_logit
+
+
+def forward_scorer_factory(params, config, split):
+    """Scorer factory that scores a user's candidates against its
+    training history with one :func:`deepicf.model.predict_logit` call."""
+    histories = split.train.item_arrays()
+
+    def factory(user):
+        def scorer(items):
+            return predict_logit(params, config, histories[user], user,
+                                 np.asarray(items, dtype=np.int64))[0]
+        return scorer
+    return factory
 
 
 def rank_test_item(scorer, test_item, negatives):

@@ -10,7 +10,7 @@ from deepicf.evaluation import (ItemKnnModel, evaluate,
                                 item_knn_fit_and_score, item_pop_scorer,
                                 metrics_at_k, model_scorer_factory,
                                 rank_test_item)
-from deepicf.model import ModelConfig, Variant, init_params, score_users
+from deepicf.model import ModelConfig, Variant, init_params
 from deepicf.numerics import rng_from_seed, sigmoid
 
 import per_user
@@ -406,22 +406,42 @@ def assert_same_report(got, want):
     assert (got.hr_at_k, got.ndcg_at_k) == (want.hr_at_k, want.ndcg_at_k)
 
 
+def all_candidates(split):
+    """Every user's test item followed by its negatives."""
+    return [np.concatenate(([split.test_items[u]], split.eval_negatives[u]))
+            for u in range(split.train.num_users)]
+
+
+def assert_scores_match_forward(params, cfg, split, users, got):
+    """``got`` holds the candidates' scores of ``users`` in turn, within
+    1e-12 of one ``predict_logit`` call per user."""
+    cands = all_candidates(split)
+    oracle = per_user.forward_scorer_factory(params, cfg, split)
+    want = np.concatenate([oracle(int(u))(cands[u]) for u in users])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestBlockEvaluate:
     """The blocked :func:`evaluate` against the per-user oracle in
-    ``tests/per_user.py``: the same ranks, HR and NDCG to the bit."""
+    ``tests/per_user.py``, whose scorer is the per-user forward pass:
+    scores within 1e-12, and the same ranks, HR and NDCG to the bit."""
 
     @pytest.mark.parametrize("spec", BLOCK_CONFIGS, ids=BLOCK_IDS)
     def test_matches_per_user_oracle(self, spec, monkeypatch):
         split = edge_split()
         cfg = block_config(spec)
-        factory = model_scorer_factory(random_params(cfg, split, 21), cfg,
-                                       split)
-        want = per_user.evaluate(factory, split, k=5)
+        params = random_params(cfg, split, 21)
+        factory = model_scorer_factory(params, cfg, split)
+        want = per_user.evaluate(
+            per_user.forward_scorer_factory(params, cfg, split), split, k=5)
+        histories = split.train.item_arrays()
+        cands = all_candidates(split)
+        users = np.arange(split.train.num_users)
         blocks = []
         real = model._pool_block
 
         def counted(*args):
-            blocks.append(args[3].size)
+            blocks.append(args[4].size)
             return real(*args)
 
         monkeypatch.setattr(model, "_pool_block", counted)
@@ -434,6 +454,11 @@ class TestBlockEvaluate:
             if not cfg.uses_attention:
                 assert sum(blocks) == split.train.num_users
                 assert (len(blocks) == 1) == one_block
+            assert_scores_match_forward(params, cfg, split, users,
+                                        model._score_users(
+                                            params, cfg, histories, users,
+                                            np.concatenate(cands),
+                                            [c.size for c in cands]))
 
     @pytest.mark.parametrize("spec", BLOCK_CONFIGS, ids=BLOCK_IDS)
     def test_exact_ties_break_by_index(self, spec):
@@ -446,9 +471,10 @@ class TestBlockEvaluate:
         params["history_embed"] = np.zeros_like(params["history_embed"])
         params["item_bias"] = rng_from_seed(23).integers(
             0, 3, split.train.num_items) * 0.5
-        factory = model_scorer_factory(params, cfg, split)
-        report = evaluate(factory, split, k=5)
-        assert_same_report(report, per_user.evaluate(factory, split, k=5))
+        report = evaluate(model_scorer_factory(params, cfg, split), split,
+                          k=5)
+        assert_same_report(report, per_user.evaluate(
+            per_user.forward_scorer_factory(params, cfg, split), split, k=5))
         assert len({rank for _, rank in report.per_user}) > 3
 
     def test_item_pop_ties_match_oracle(self, small_split):
@@ -466,11 +492,11 @@ class TestBlockEvaluate:
         # candidate
         for item in (split.eval_negatives[5][2], split.test_items[8]):
             params["item_bias"][item] = np.nan
-        factory = model_scorer_factory(params, cfg, split)
         with pytest.raises(EvalError) as want:
-            per_user.evaluate(factory, split)
+            per_user.evaluate(
+                per_user.forward_scorer_factory(params, cfg, split), split)
         with pytest.raises(EvalError) as got:
-            evaluate(factory, split)
+            evaluate(model_scorer_factory(params, cfg, split), split)
         assert str(got.value) == str(want.value)
         assert "non-finite score for item" in str(got.value)
 
@@ -482,19 +508,21 @@ class TestBlockEvaluate:
         cfg = ModelConfig(k=16, k_prime=4, **spec)
         params = random_params(cfg, split, 25)
         histories = split.train.item_arrays()
-        cands = [np.concatenate(([split.test_items[u]],
-                                 split.eval_negatives[u]))
+        cands = all_candidates(split)
+        alone = [model._score_users(params, cfg, [histories[u]], [u],
+                                    cands[u], [cands[u].size])
                  for u in range(split.train.num_users)]
-        alone = [score_users(params, cfg, [histories[u]], [u], cands[u],
-                             [cands[u].size])
-                 for u in range(split.train.num_users)]
+        assert_scores_match_forward(params, cfg, split,
+                                    range(split.train.num_users),
+                                    np.concatenate(alone))
         rng = rng_from_seed(26)
         for _ in range(6):
             users = rng.permutation(split.train.num_users)[
                 :int(rng.integers(2, split.train.num_users + 1))]
-            got = score_users(params, cfg, [histories[u] for u in users],
-                              users, np.concatenate([cands[u] for u in users]),
-                              [cands[u].size for u in users])
+            got = model._score_users(
+                params, cfg, [histories[u] for u in users], users,
+                np.concatenate([cands[u] for u in users]),
+                [cands[u].size for u in users])
             ends = np.cumsum([cands[u].size for u in users])
             for user, part in zip(users, np.split(got, ends[:-1])):
                 assert np.array_equal(part, alone[user])
@@ -505,9 +533,12 @@ class TestBlockEvaluate:
         split = edge_split()
         fism = block_config(dict(variant=Variant.FISM, alpha=0.5))
         deep = block_config(dict(variant=Variant.DEEPICF, num_layers=3))
-        models = [model_scorer_factory(random_params(cfg, split, seed), cfg,
-                                       split)
+        params = [random_params(cfg, split, seed)
                   for cfg, seed in ((fism, 27), (deep, 28))]
+        models = [model_scorer_factory(p, cfg, split)
+                  for p, cfg in zip(params, (fism, deep))]
+        oracles = [per_user.forward_scorer_factory(p, cfg, split)
+                   for p, cfg in zip(params, (fism, deep))]
 
         def factory(user):
             scorer = models[user // 10 % 2](user)
@@ -515,8 +546,10 @@ class TestBlockEvaluate:
                 return lambda items: scorer(items)
             return scorer
 
-        assert_same_report(evaluate(factory, split, k=5),
-                           per_user.evaluate(factory, split, k=5))
+        assert_same_report(
+            evaluate(factory, split, k=5),
+            per_user.evaluate(lambda user: oracles[user // 10 % 2](user),
+                              split, k=5))
 
 
 class TestEndToEndRanks:
@@ -541,8 +574,9 @@ class TestEndToEndRanks:
             assert main(["eval", "--checkpoint", str(path), "--split",
                          str(tmp_path / "sp"), "--metrics", str(out)]) == 0
             params, cfg, _, _ = load_checkpoint(path)
-            want = per_user.evaluate(model_scorer_factory(params, cfg, loaded),
-                                     loaded, k=10)
+            want = per_user.evaluate(
+                per_user.forward_scorer_factory(params, cfg, loaded), loaded,
+                k=10)
             rows = out.read_text().splitlines()
             assert rows[1:-1] == [f"{u},{r}" for u, r in want.per_user]
             assert rows[-1] == (f"# HR@10={want.hr_at_k:.6f}"
@@ -561,7 +595,8 @@ class TestEndToEndRanks:
 
         def on_epoch(stats):
             want = per_user.evaluate(
-                model_scorer_factory(params_now.clone(), cfg, small_split),
+                per_user.forward_scorer_factory(params_now.clone(), cfg,
+                                                small_split),
                 small_split, k=EVAL_K)
             seen.append((stats.hr, stats.ndcg, want.hr_at_k, want.ndcg_at_k))
 

@@ -8,7 +8,7 @@ from deepicf import model
 from deepicf.errors import ConfigError, ModelError
 from deepicf.model import (ModelConfig, Variant, backward, init_params,
                            param_layout, predict_logit, score_items,
-                           score_users, tower_layer_sizes)
+                           tower_layer_sizes)
 from deepicf.numerics import bce_from_logit, rng_from_seed
 
 import attention_oracle as history_major
@@ -690,18 +690,21 @@ class TestScoreBlocks:
                  for hist, c in zip(histories, [30, 9, 2, 14, 40, 3, 21])]
         sizes = [c.size for c in cands]
         items = np.concatenate(cands)
-        whole = score_users(p, cfg, histories, users, items, sizes)
+        whole = model._score_users(p, cfg, histories, users, items, sizes)
         loose = np.concatenate([predict_logit(p, cfg, h, int(u), c)[0]
                                 for h, u, c in zip(histories, users, cands)])
         assert np.abs(whole - loose).max() < 1e-12
-        # a user costs its gathered history rows, its candidate rows and
-        # its row of the incidence
-        cost = [8 * 6 * (n + c) + num_items for n, c in zip(lengths, sizes)]
+        # a user costs its gathered history rows and two sums, its row of
+        # the incidence, and per candidate three rows of k, two of each
+        # tower layer and four scalars
+        per_item = 3 * 6 + 2 * sum(cfg.layer_sizes) + 4
+        cost = [8 * (6 * (n + 2) + per_item * c) + num_items
+                for n, c in zip(lengths, sizes)]
         seen = []
         real = model._pool_block
 
         def counted(*args):
-            seen.append(args[3].size)
+            seen.append(args[4].size)
             return real(*args)
 
         monkeypatch.setattr(model, "_pool_block", counted)
@@ -712,6 +715,6 @@ class TestScoreBlocks:
                                (1, [1] * 7)):
             monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
             seen.clear()
-            got = score_users(p, cfg, histories, users, items, sizes)
+            got = model._score_users(p, cfg, histories, users, items, sizes)
             assert np.array_equal(got, whole)
             assert seen == blocks

@@ -42,8 +42,11 @@ def _metrics_writer(path):
         return None
     needs_header = True
     try:
-        with data.open_text(path, error=DeepIcfError) as f:
-            needs_header = f.read(1) == ""
+        with data.open_text(path) as f:
+            for lineno, line in enumerate(f, start=1):
+                if data.not_utf8(line):
+                    raise DeepIcfError(f"{path}: line {lineno}: not UTF-8 text")
+                needs_header = False
     except FileNotFoundError:
         pass
     handle = open(path, "a", encoding="utf-8")

@@ -6,7 +6,7 @@ Unknown keys are errors so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
-from deepicf.data import open_text
+from deepicf.data import not_utf8, open_text
 from deepicf.errors import ConfigError
 from deepicf.model import ModelConfig, Variant
 
@@ -49,6 +49,8 @@ _KEYS = {
 def parse_config_lines(lines, source="<config>"):
     fields = {}
     for lineno, line in enumerate(lines, start=1):
+        if not_utf8(line):
+            raise ConfigError(f"{source}: line {lineno}: not UTF-8 text")
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -75,7 +77,7 @@ def parse_config_lines(lines, source="<config>"):
 
 
 def load_config(path):
-    with open_text(path, error=ConfigError) as f:
+    with open_text(path) as f:
         return parse_config_lines(f, source=str(path))
 
 

@@ -59,34 +59,26 @@ class InteractionDataset:
 
     def _check_histories(self):
         """Per user, in user order: items and timestamps of one shape,
-        items in range and distinct, timestamps not negative. The first
-        user that breaks a rule is reported, with the first rule it
-        breaks in that order."""
-        num_users, num_items = self.num_users, self.num_items
+        then the history rules of :func:`_history_rules`. The first user
+        that breaks a rule is reported, with the first rule it breaks in
+        that order."""
         items, item_ends = _flatten(self._items)
         times, time_ends = _flatten(self._times)
-        # An out-of-range item is clipped into its user's key block, so it
-        # can only make a false repeat in a history already reported.
-        width = max(num_items, 1)
-        keys = np.clip(items, 0, width - 1)
-        keys += np.repeat(np.arange(num_users) * width,
-                          np.diff(item_ends, prepend=0))
-        keys.sort()
-        rules = (
+        owners = np.repeat(np.arange(self.num_users),
+                           np.diff(item_ends, prepend=0))
+        _, (bad_item, repeated, negative) = _history_rules(
+            owners, items, times, self.num_items)
+        found = _first_flagged((
             (np.fromiter((a.shape != b.shape for a, b in
-                          zip(self._items, self._times)), bool, num_users),
+                          zip(self._items, self._times)), bool,
+                         self.num_users),
              "items/timestamps length mismatch"),
-            (_owners(item_ends, (items < 0) | (items >= num_items)),
-             "item index out of range"),
-            (_users_in(keys[1:][keys[1:] == keys[:-1]] // width, num_users),
-             "duplicate item in history"),
-            (_owners(time_ends, times < 0), "negative timestamp"),
-        )
-        failing = np.logical_or.reduce([bad for bad, _ in rules])
-        if failing.any():
-            u = int(failing.argmax())
-            message = next(m for bad, m in rules if bad[u])
-            raise DataError(f"user {u}: {message}")
+            (_owners(item_ends, bad_item), "item index out of range"),
+            (_owners(item_ends, repeated), "duplicate item in history"),
+            (_owners(time_ends, negative), "negative timestamp"),
+        ))
+        if found:
+            raise DataError("user {}: {}".format(*found))
 
     @property
     def num_users(self):
@@ -130,15 +122,47 @@ def _flatten(arrays):
 def _owners(ends, flags):
     """Boolean mask over the arrays that :func:`_flatten` joined, set for
     each array that holds a flagged value."""
-    return _users_in(np.searchsorted(ends, np.flatnonzero(flags),
-                                     side="right"), ends.size)
-
-
-def _users_in(users, num_users):
-    """Boolean mask over ``num_users`` users, set where listed in ``users``."""
-    mask = np.zeros(num_users, dtype=bool)
-    mask[users] = True
+    mask = np.zeros(ends.size, dtype=bool)
+    mask[np.searchsorted(ends, np.flatnonzero(flags), side="right")] = True
     return mask
+
+
+def _repeats(keys):
+    """Mask over ``keys``, set where an earlier entry holds the same key."""
+    order = np.argsort(keys, kind="stable")
+    mask = np.zeros(keys.size, dtype=bool)
+    mask[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    return mask
+
+
+def _history_rules(owners, items, times, num_items):
+    """The rules of a history, as masks over its rows of (owner, item)
+    and over its timestamps: the item is outside ``[0, num_items)``, an
+    earlier row of the owner holds the item, the timestamp is negative.
+    Also returns the sorted ``owner * num_items + item`` keys.
+
+    An owner or item out of range may give a row the key of a row in
+    range, and the later of the two is then flagged as a repeat. When
+    that is the row in range, the row out of range comes before it, so
+    the first row flagged is never flagged by mistake as long as a
+    caller checks ranges before repeats."""
+    history = owners * num_items
+    history += items
+    history.sort()
+    repeated = (_repeats(owners * num_items + items)
+                if (history[1:] == history[:-1]).any()
+                else np.zeros(items.size, dtype=bool))
+    return history, (~_within(items, num_items), repeated, times < 0)
+
+
+def _first_flagged(rules):
+    """The first row that a rule's mask flags, with the message of the
+    first rule in ``rules`` (pairs of a mask and a message) that flags
+    it; None if no row is flagged."""
+    failing = functools.reduce(np.logical_or, (mask for mask, _ in rules))
+    if failing.any():
+        row = int(failing.argmax())
+        return row, next(message for mask, message in rules if mask[row])
 
 
 def _split_by_user(users, *columns, num_users):
@@ -166,7 +190,9 @@ def parse_interactions(lines, fmt="tab"):
 
     ``lines`` (an open file, a list or any iterator of lines) is read in
     chunks of lines, each checked a column at a time; a chunk that fails
-    a check is read row by row to name its first defective line.
+    a check is read row by row to name its first defective line. A byte
+    that is not UTF-8, read through :func:`open_text`, is its line's
+    first defect.
     """
     try:
         sep = SEPARATORS[fmt]
@@ -177,17 +203,7 @@ def parse_interactions(lines, fmt="tab"):
     user_index, item_index = {}, {}
     users, items, times = [], [], []
     lines, lineno = iter(lines), 1
-    while True:
-        chunk = []
-        try:
-            chunk.extend(islice(lines, _LOG_CHUNK_LINES))
-        except UnicodeDecodeError:
-            # extend kept the lines decoded before the error; a defect
-            # on one of them comes first
-            _log_rows(chunk, lineno, sep, source)
-            raise
-        if not chunk:
-            break
+    while chunk := list(islice(lines, _LOG_CHUNK_LINES)):
         user_raw, item_raw, ts = (_log_columns(chunk, sep)
                                   or _log_rows(chunk, lineno, sep, source))
         lineno += len(chunk)
@@ -238,7 +254,7 @@ def _log_columns(chunk, sep):
     """The raw user ids, raw item ids and timestamps of a chunk of log
     lines: the chunk is split into fields with one ``str.split``, and each
     column is checked at once. None if a line breaks a rule, or holds a
-    tab or NUL that could hide one."""
+    tab or NUL that could hide one, or a byte that is not UTF-8."""
     rows = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
     n = len(rows)
     if not n:
@@ -247,7 +263,7 @@ def _log_columns(chunk, sep):
     # chunk, every fifth field is a NUL only if each row has four.
     text = "\t\0\t".join(rows)
     del rows
-    if text.count("\0") != n - 1:
+    if text.count("\0") != n - 1 or not_utf8(text):
         return None
     if sep != "\t":
         if text.count("\t") != 2 * (n - 1):
@@ -279,6 +295,8 @@ def _log_rows(chunk, lineno, sep, source):
         if not line:
             continue
         where = f"{source}: line {lineno}" if source else f"line {lineno}"
+        if not_utf8(line):
+            raise DataError(f"{where}: not UTF-8 text")
         parts = line.split(sep)
         if len(parts) != 4 or any(p == "" for p in parts):
             raise DataError(
@@ -441,32 +459,21 @@ def sample_training_instances(train, num_negatives, rng):
 # Split file formats: <prefix>.train/.test/.negatives/.idmap
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def open_text(path, error=DataError):
-    """Open ``path`` as UTF-8 text for reading. Bytes that are not UTF-8,
-    met anywhere in the ``with`` body, raise ``error`` naming the file and
-    the first line that holds them."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            yield f
-        except UnicodeDecodeError:
-            lineno = _undecodable_line(path)
-            where = f"{path}: line {lineno}" if lineno else str(path)
-            raise error(f"{where}: not UTF-8 text") from None
+def open_text(path):
+    """Open ``path`` as UTF-8 text for reading. A byte that is not UTF-8
+    reads as a lone surrogate, which :func:`not_utf8` finds: each reader
+    names it as the first defect of its line."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-# What a byte that is not UTF-8 decodes to with errors="surrogateescape"
+# What a byte that is not UTF-8 reads as through open_text
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
-def _undecodable_line(path):
-    """Number of the first line of ``path`` that holds bytes which are not
-    UTF-8, with lines split as the text reader splits them; None if no
-    line does."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            if _NOT_UTF8.search(line):
-                return lineno
+def not_utf8(text):
+    """Whether ``text``, read through :func:`open_text`, holds a byte that
+    is not UTF-8."""
+    return not text.isascii() and _NOT_UTF8.search(text) is not None
 
 
 @contextlib.contextmanager
@@ -559,10 +566,10 @@ def _read_idmap(path):
     # section header -> {raw id: line number}, in dense-id order
     sections = {"#users": {}, "#items": {}}
     section = None
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
-            if not line.isascii() and _NOT_UTF8.search(line):
+            if not_utf8(line):
                 raise DataError(f"{path}: line {lineno}: not UTF-8 text")
             if not line:
                 continue
@@ -597,39 +604,35 @@ def load_split(prefix):
     test item, bytes that are not UTF-8) is a :class:`DataError` naming
     the file and line. Files are read in the order ``.idmap``, ``.train``,
     ``.test``, ``.negatives``; a file's first defect in line order is the
-    one reported. Rows are checked as array operations, and the first
-    row they flag is worded by the row function that reads a block
-    numpy refuses.
+    one reported. A row function only parses the lines of a block numpy
+    refuses; every rule on values is one mask over all the rows, paired
+    with the message that words it.
     """
     prefix = str(prefix)
     user_ids, item_ids = _read_idmap(prefix + ".idmap")
     num_users, num_items = len(user_ids), len(item_ids)
 
-    train_row = functools.partial(_train_row, num_users=num_users,
-                                  num_items=num_items)
-    train_file = _SplitFile(prefix + ".train", train_row, range(4, 5))
+    train_file = _SplitFile(prefix + ".train", _train_row, range(4, 5))
     columns = ([], [], [])
     for values, _ in train_file.blocks():
         for column, j in zip(columns, (0, 1, 3)):
             column.append(values[j::4].copy())
     users, items, times = map(_joined, columns)
     del columns
-    flags = ~(_within(users, num_users) & _within(items, num_items))
-    flags |= times < 0
-    if not flags.any():
-        hist_items, hist_times = _split_by_user(users, items, times,
-                                                num_users=num_users)
-        history = users * num_items
-        history += items
-        history.sort()
-    if flags.any() or (history[1:] == history[:-1]).any():
-        # flag each row whose (user, item) pair an earlier row holds
-        keys = users * num_items + items
-        order = np.argsort(keys, kind="stable")
-        flags[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
-    train_file.raise_first(flags, lambda line, row: train_row(
-        line, repeated=True))
-    del users, items, times, flags
+    history, (bad_item, repeated, negative) = _history_rules(
+        users, items, times, num_items)
+    train_file.raise_first((
+        (bad_item | ~_within(users, num_users),
+         lambda row, line: "index out of range"),
+        (negative, lambda row, line: "timestamp {} outside [0, 2**63)".format(
+            int(line.split("\t")[3]))),
+        (repeated, lambda row, line:
+         f"user {users[row]} lists an item a second time"),
+    ))
+    del bad_item, repeated, negative
+    hist_items, hist_times = _split_by_user(users, items, times,
+                                            num_users=num_users)
+    del users, items, times
     train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
 
     test_items = np.concatenate(_load_user_rows(
@@ -640,56 +643,33 @@ def load_split(prefix):
                     eval_negatives=negatives)
 
 
-def _train_row(line, num_users, num_items, repeated=False):
+def _int64(field):
+    """``int(field)``, or -1 where int64 cannot hold it: out of range of
+    every index and timestamp, as the value is."""
+    value = int(field)
+    return value if -2 ** 63 <= value < 2 ** 63 else -1
+
+
+def _train_row(line):
     """A ``.train`` line's values, with its rating (not read) as 0, or the
-    message of the first rule it breaks; ``repeated`` says that an earlier
-    row holds its user and item."""
+    message of its defect if it is not four fields with integers for the
+    user, the item and the timestamp."""
     parts = line.split("\t")
     try:
         if len(parts) != 4:
             raise ValueError
-        user, item, ts = int(parts[0]), int(parts[1]), int(parts[3])
+        return [_int64(parts[0]), _int64(parts[1]), 0, _int64(parts[3])]
     except ValueError:
         return f"bad row {line!r}"
-    if not (0 <= user < num_users and 0 <= item < num_items):
-        return "index out of range"
-    if not 0 <= ts < 2 ** 63:
-        return f"timestamp {ts} outside [0, 2**63)"
-    if repeated:
-        return f"user {user} lists an item a second time"
-    return [user, item, 0, ts]
 
 
-def _user_row(line, single, num_users, num_items, state=None):
-    """A ``.test`` (``single``) or ``.negatives`` line's values, with an
-    item out of range given as -1 or ``num_items``, or the message of the
-    first rule it breaks. The rules after the user index need the rest of
-    the file, and are checked only on a row known to break one of them:
-    ``state(user)`` gives the line an earlier row lists the user on (None
-    if no row does), the user's history items and test item."""
+def _user_row(line):
+    """A ``.test`` or ``.negatives`` line's values, or the message of its
+    defect if they are not all integers."""
     try:
-        user, *items = [int(p) for p in line.split("\t")]
+        return [_int64(p) for p in line.split("\t")]
     except ValueError:
         return f"bad row {line!r}"
-    if not items or (single and len(items) != 1):
-        return (f"expected {'one item' if single else 'items'}"
-                f" after the user, got {line!r}")
-    if not 0 <= user < num_users:
-        return f"user index {user} outside [0, {num_users})"
-    if state is None:
-        return [user, *(min(max(i, -1), num_items) for i in items)]
-    listed, seen, test_item = state(user)
-    if listed:
-        return f"user {user} already listed on line {listed}"
-    bad = [i for i in items if not 0 <= i < num_items]
-    if bad:
-        return f"item index {bad[0]} outside [0, {num_items})"
-    if single:   # the one rule left
-        return f"test item {items[0]} in training history"
-    if len(set(items)) != len(items):
-        return "duplicate evaluation negatives"
-    return ("negatives overlap history or test item:"
-            f" {sorted(seen.union([test_item]).intersection(items))}")
 
 
 def _load_user_rows(path, history, num_users, num_items, test_items=None):
@@ -700,49 +680,52 @@ def _load_user_rows(path, history, num_users, num_items, test_items=None):
     ``.negatives`` file, whose rows hold distinct items outside the
     history and the user's test item. Returns the per-user item arrays."""
     single = test_items is None
-    user_row = functools.partial(_user_row, single=single,
-                                 num_users=num_users, num_items=num_items)
-    file = _SplitFile(path, user_row,
+    file = _SplitFile(path, _user_row,
                       range(2, 3) if single else range(2, sys.maxsize))
     blocks = list(file.blocks())
     values, lengths = (_joined(block[k] for block in blocks) for k in (0, 1))
     starts, counts = np.cumsum(lengths) - lengths, lengths - 1
-    users, width = values[starts], counts.max(initial=1)
-    if (counts == width).all():
-        items, real = values.reshape(-1, width + 1)[:, 1:], True
-    else:   # ragged rows, padded with -1 where not ``real``
-        real = np.arange(width) < counts[:, None]
-        items = np.full(real.shape, -1, dtype=np.int64)
-        items[real] = np.delete(values, starts)
+    users = values[starts]
+    # one row of items per line, padded with -1 where not ``real``
+    real = np.arange(counts.max(initial=1)) < counts[:, None]
+    items = np.full(real.shape, -1, dtype=np.int64)
+    items[real] = np.delete(values, starts)
 
-    flags = ~_within(users, num_users)
-    order = np.argsort(users, kind="stable")
-    flags[order[1:][users[order[1:]] == users[order[:-1]]]] = True
-    # a row with an index out of range is flagged whatever its keys give
+    # A row whose user or items are out of range is flagged by that rule
+    # first, whatever the masks after it give.
     owners = np.clip(users, 0, num_users - 1)
-    bad = ~_within(items, num_items) | _in_sorted(
-        history, owners[:, None] * num_items + np.clip(items, 0, num_items - 1))
+    held = _in_sorted(history, owners[:, None] * num_items + items)
     if not single:
-        bad |= items == test_items[owners, None]
+        held |= items == test_items[owners, None]
+    held &= real
+    rules = [
+        ((counts != 1) if single else (counts < 1), lambda row, line:
+         f"expected {'one item' if single else 'items'}"
+         f" after the user, got {line!r}"),
+        (~_within(users, num_users), lambda row, line:
+         "user index {} outside [0, {})".format(
+             int(line.split("\t")[0]), num_users)),
+        (_repeats(users), lambda row, line:
+         f"user {users[row]} already listed on line"
+         f" {file.line(int((users == users[row]).argmax()))[0]}"),
+        ((~_within(items, num_items) & real).any(axis=1), lambda row, line:
+         "item index {} outside [0, {})".format(next(
+             i for i in map(int, line.split("\t")[1:])
+             if not 0 <= i < num_items), num_items)),
+    ]
+    if not single:
         ordered = np.sort(items, axis=1)   # padding first
-        flags |= ((ordered[:, 1:] == ordered[:, :-1])
-                  & (ordered[:, 1:] >= 0)).any(axis=1)
-    flags |= (bad & real).any(axis=1)
-
-    def state(user, row):
-        earlier = np.flatnonzero(users[:row] == user)
-        seen = history[np.searchsorted(history, user * num_items):
-                       np.searchsorted(history, (user + 1) * num_items)]
-        return (file.line(earlier[0])[0] if earlier.size else None,
-                set((seen % num_items).tolist()),
-                None if single else int(test_items[user]))
-
-    file.raise_first(flags, lambda line, row: user_row(
-        line, state=functools.partial(state, row=row)))
-    listed = np.zeros(num_users, dtype=bool)
-    listed[users] = True
-    if not listed.all():
-        raise DataError(f"{path}: no row for user {int(listed.argmin())}")
+        rules.append((((ordered[:, 1:] == ordered[:, :-1])
+                       & (ordered[:, 1:] >= 0)).any(axis=1),
+                      lambda row, line: "duplicate evaluation negatives"))
+    rules.append((held.any(axis=1), lambda row, line: (
+        f"test item {items[row, 0]} in training history" if single
+        else "negatives overlap history or test item:"
+        f" {sorted(items[row][held[row]].tolist())}")))
+    file.raise_first(rules)
+    missing = np.flatnonzero(np.bincount(users, minlength=num_users) == 0)
+    if missing.size:
+        raise DataError(f"{path}: no row for user {missing[0]}")
     by_user = np.argsort(users)
     return [row[:n] for row, n in zip(items[by_user], counts[by_user].tolist())]
 
@@ -761,25 +744,26 @@ class _SplitFile:
 
     numpy's C reader parses a block. A block it refuses, or of a width not
     in ``widths``, is read a line at a time by ``parse_row``, which gives
-    a line's values or the message of its defect; bytes that are not
-    UTF-8 are a line's first defect. Reading stops at the first line with
-    a defect, and ``stop`` is then its message. Blank lines hold no row.
+    a line's values or the message of a line it cannot parse; bytes that
+    are not UTF-8 are a line's first defect. Reading stops at the first
+    line that cannot be parsed, and ``stop`` is then its message. Blank
+    lines hold no row.
     """
 
     def __init__(self, path, parse_row, widths):
         self.path, self.parse_row, self.widths = path, parse_row, widths
-        self.stop, self.num_rows = None, 0
+        self.stop = None
 
     def blocks(self):
         """Each block's values end to end, and the count in each row."""
-        with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
+        with open_text(self.path) as f:
             while self.stop is None and (text := f.read(_READ_CHARS)):
                 text += f.readline()
                 table = _loadtxt(text)
                 if table is None or table.shape[1] not in self.widths:
                     rows = []
                     for line in filter(None, text.split("\n")):
-                        row = ("not UTF-8 text" if _NOT_UTF8.search(line)
+                        row = ("not UTF-8 text" if not_utf8(line)
                                else self.parse_row(line))
                         if isinstance(row, str):
                             self.stop = row
@@ -791,25 +775,27 @@ class _SplitFile:
                 else:
                     values = table.ravel()
                     lengths = np.full(len(table), table.shape[1])
-                self.num_rows += len(lengths)
                 yield values, lengths
 
     def line(self, row):
         """The number and text of the ``row``-th row's line, found by
         reading the file again when a defect is reported."""
-        with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
+        with open_text(self.path) as f:
             rows = ((n, line) for n, line in enumerate(f, start=1)
                     if line != "\n")
             lineno, line = next(islice(rows, row, None))
         return lineno, line.rstrip("\n")
 
-    def raise_first(self, flags, word):
-        """Raise the defect of the first row set in ``flags``, worded by
-        ``word(line, row)``, or else the defect reading stopped at."""
-        if flags.any() or self.stop is not None:
-            row = int(flags.argmax()) if flags.any() else self.num_rows
+    def raise_first(self, rules):
+        """Raise the defect of the first row that a mask of ``rules`` (one
+        entry per row read) flags, worded by the first rule that flags it
+        as ``message(row, line)``, or else the defect reading stopped at,
+        on the line after the rows read."""
+        found = _first_flagged(rules)
+        if found or self.stop is not None:
+            row = found[0] if found else rules[0][0].size
             lineno, line = self.line(row)
-            message = word(line, row) if flags.any() else self.stop
+            message = found[1](row, line) if found else self.stop
             raise DataError(f"{self.path}: line {lineno}: {message}")
 
 

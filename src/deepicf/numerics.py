@@ -105,6 +105,8 @@ def softmax_beta(scores, beta, mask=None):
     ``mask``, broadcastable to the scores, leaves out the entries where it
     is False: they get weight 0 and take no part in the row's sums, its
     maximum or its choice of branch. A row with no entry left is all zeros.
+    A row with a score left in that is not finite is all NaN, so that what
+    is computed from it is not finite either.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim == 0 or s.shape[-1] == 0:
@@ -115,7 +117,8 @@ def softmax_beta(scores, beta, mask=None):
     if mask is not None:
         bad &= mask
     if bad.any():
-        raise ValueError("scores must be finite")
+        return np.where(bad.any(axis=-1, keepdims=True), np.nan,
+                        softmax_beta(np.where(bad, 0.0, s), beta, mask))
     live = s if mask is None else np.where(mask, s, -np.inf)
     if beta == 1.0:
         return _softmax(live)

@@ -4,17 +4,15 @@ and ``parse_log_lines`` of ``deepicf.data.parse_interactions``.
 
 Each reads its input one line at a time, checking each row's rules in
 order as it reads it, and raises a ``DataError`` for the first defective
-row. The package's readers must give the same result, or the same error
-message byte for byte. ``load_split_lines`` decodes the split files
-through ``deepicf.data.open_text``, up to 8 KB ahead of the row it
-checks, where ``load_split`` names the first defect in line order, so
-the two are compared on UTF-8 text only.
+row; a byte that is not UTF-8 is its line's first defect. The package's
+readers must give the same result, or the same error message byte for
+byte.
 """
 
 import numpy as np
 
 from deepicf.data import (InteractionDataset, LooSplit, _read_idmap,
-                          open_text)
+                          not_utf8, open_text)
 from deepicf.errors import DataError
 
 
@@ -35,6 +33,8 @@ def parse_log_lines(lines, sep):
         line = line.rstrip("\r\n")
         if not line:
             continue
+        if not_utf8(line):
+            raise DataError(f"{where(lineno)}: not UTF-8 text")
         parts = line.split(sep)
         if len(parts) != 4 or any(p == "" for p in parts):
             raise DataError(
@@ -81,6 +81,8 @@ def load_split_lines(prefix):
             line = line.rstrip("\r\n")
             if not line:
                 continue
+            if not_utf8(line):
+                raise DataError(f"{prefix}.train: line {lineno}: not UTF-8 text")
             parts = line.split("\t")
             if len(parts) != 4:
                 raise DataError(f"{prefix}.train: line {lineno}: bad row {line!r}")
@@ -127,6 +129,8 @@ def read_user_rows(path, histories, num_items, test_items=None):
             line = line.rstrip("\r\n")
             if not line:
                 continue
+            if not_utf8(line):
+                raise DataError(f"{path}: line {lineno}: not UTF-8 text")
             try:
                 user, *items = [int(p) for p in line.split("\t")]
             except ValueError:

@@ -9,10 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deepicf import data
+from deepicf.config import load_config
 from deepicf.data import (InteractionDataset, leave_one_out_split, load_split,
                           open_text, parse_interactions,
                           sample_training_instances, save_split)
-from deepicf.errors import DataError, DeepIcfError
+from deepicf.errors import ConfigError, DataError, DeepIcfError
 from deepicf.numerics import rng_from_seed
 
 from conftest import (check_split, make_dataset, save_split_rows,
@@ -331,8 +332,35 @@ SPLIT_FILE_DEFECTS = {
 }
 
 
+# name -> (file, mutation, message): rows that break more than one rule,
+# or a rule before a later row that cannot be parsed; the message names
+# the first rule in the order the line readers check them
+RULE_ORDER_DEFECTS = {
+    "train-user-out-of-range": ("train", lambda lines, sp: _set_token(
+        lines, 2, 0, sp.train.num_users), "line 3: index out of range"),
+    "train-item-and-timestamp-out-of-range": ("train", lambda lines, sp: (
+        _set_token(lines, 2, 1, sp.train.num_items),
+        _set_token(lines, 2, 3, 2 ** 70)), "line 3: index out of range"),
+    "train-index-before-later-non-integer": ("train", lambda lines, sp: (
+        _set_token(lines, 2, 0, -1), _set_token(lines, 5, 1, "x")),
+        "line 3: index out of range"),
+    "negatives-user-and-item-out-of-range": ("negatives", lambda lines, sp: (
+        _set_token(lines, 2, 0, sp.train.num_users),
+        _set_token(lines, 2, 2, -3)), "line 3: user index 6 outside [0, 6)"),
+    "negatives-repeated-user-before-non-integer": (
+        "negatives", lambda lines, sp: (
+            lines.__setitem__(1, lines[0]), _set_token(lines, 4, 2, "x")),
+        "line 2: user 0 already listed on line 1"),
+    "test-item-out-of-range-before-float": ("test", lambda lines, sp: (
+        _set_token(lines, 1, 1, sp.train.num_items),
+        _as_float(lines, 3, 1, ".5")), "line 2: item index 36 outside [0, 36)"),
+}
+
+
+# "\udcff" is written as the byte 0xff, which is not UTF-8
 _TOKENS = st.one_of(st.integers(-3, 70), st.integers(-2 ** 70, 2 ** 70),
-                    st.sampled_from(["x", "", " ", "1.5", "0x1"]))
+                    st.sampled_from(["x", "", " ", "1.5", "0x1", "\udcff",
+                                     "1\udcff"]))
 _EDITS = st.one_of(
     st.tuples(st.just("swap"), st.integers(0, 99), st.integers(0, 99),
               st.integers(0, 99)),
@@ -357,23 +385,37 @@ def _apply_edit(lines, edit):
         del lines[row]
 
 
-class TestOpenText:
-    def test_bad_line_counted_as_the_reader_counts(self, tmp_path):
-        # a lone CR ends a line for the text reader, so the byte is on line 3
-        path = tmp_path / "f.txt"
-        path.write_bytes(b"a\rb\n\xff\n")
-        with pytest.raises(DataError) as err:
-            with open_text(path) as f:
-                f.read()
-        assert str(err.value) == f"{path}: line 3: not UTF-8 text"
+def _parse_log_file(path):
+    with open_text(path) as f:
+        return parse_interactions(f)
 
-    def test_no_bad_line_leaves_line_out(self, tmp_path):
+
+class TestBadBytes:
+    """A byte that is not UTF-8 is its line's first defect, in line order
+    with every other defect, with lines counted as the text reader counts
+    them."""
+
+    @pytest.mark.parametrize("read, error, text, message", [
+        # a lone CR ends a line, so the byte is on line 3
+        (_parse_log_file, DataError, b"u\ti\t1\t1\rv\tj\t1\t2\n\xff\n",
+         "line 3: not UTF-8 text"),
+        (load_config, ConfigError, b"variant = FISM\rk = 8\n\xff\n",
+         "line 3: not UTF-8 text"),
+        # a defect comes before a bad byte a few lines below it
+        (_parse_log_file, DataError,
+         b"u\ti\t1\t1\noops\nu\tj\t1\t2\nv\ti\t1\t3\nv\t\xff\t1\t4\n",
+         "line 2: expected user'\\t'item'\\t'rating'\\t'timestamp, got 'oops'"),
+        (load_config, ConfigError, b"variant = FISM\nk = x\n# k\n\xff = 1\n",
+         "line 2: bad value for 'k': invalid literal for int() with base 10:"
+         " 'x'"),
+    ], ids=["log-lone-cr", "config-lone-cr", "log-bad-row-first",
+            "config-bad-value-first"])
+    def test_named_in_line_order(self, tmp_path, read, error, text, message):
         path = tmp_path / "f.txt"
-        path.write_bytes(b"ok\n")
-        with pytest.raises(DataError) as err:
-            with open_text(path):
-                b"\xff".decode("utf-8")
-        assert str(err.value) == f"{path}: not UTF-8 text"
+        path.write_bytes(text)
+        with pytest.raises(error) as err:
+            read(path)
+        assert str(err.value) == f"{path}: {message}"
 
 
 class TestSplitFiles:
@@ -441,7 +483,8 @@ class TestSplitFiles:
         for edit in edits:
             _apply_edit(lines, edit)
         path = prefix.parent / f"sp.{part}"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8",
+                        errors="surrogateescape")
         try:
             try:
                 split = load_split(prefix)
@@ -562,7 +605,7 @@ def _assert_split_readers_agree(prefix, read_chars=_READ_CHARS):
 _LOG_ODD_FIELDS = ["", " ", " u1", "u1 ", ":u", "u:", ":::", "a\tb", "4\t5",
                    "\0", "ü", "nan", "inf", "1_0", "1,5", "+5", " 7 ", "-1",
                    "1.0", "٣", "0x1", str(2 ** 63 - 1), str(2 ** 63),
-                   str(2 ** 64)]
+                   str(2 ** 64), "\udcff", "u\udcff"]
 _LOG_ENDINGS = ["\n", "\r\n", "\r", ""]
 _LOG_FIELD_EDITS = st.tuples(st.just("field"), st.integers(0, 7),
                              st.integers(0, 3),
@@ -627,6 +670,16 @@ class TestFastReaders:
         _edit_split_file(prefix, part, lambda lines: mutate(lines, split))
         _assert_split_readers_agree(prefix, read_chars=_READ_CHARS[:1])
 
+    @pytest.mark.parametrize("case", sorted(RULE_ORDER_DEFECTS))
+    def test_first_rule_in_order_is_named(self, saved_split, case):
+        prefix, split = saved_split
+        part, mutate, message = RULE_ORDER_DEFECTS[case]
+        _edit_split_file(prefix, part, lambda lines: mutate(lines, split))
+        with pytest.raises(DataError) as err:
+            load_split(prefix)
+        assert str(err.value) == f"{prefix}.{part}: {message}"
+        _assert_split_readers_agree(prefix)
+
     def test_valid_split_agrees(self, saved_split):
         _assert_split_readers_agree(saved_split[0], read_chars=_READ_CHARS[:1])
 
@@ -656,7 +709,8 @@ class TestFastReaders:
         lines = original.splitlines()
         for edit in edits:
             _apply_edit(lines, edit)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8",
+                        errors="surrogateescape")
         try:
             _assert_split_readers_agree(prefix)
         finally:
@@ -738,8 +792,6 @@ class TestFastReaders:
         _assert_split_readers_agree(prefix)
 
     def test_bad_row_before_undecodable_bytes_is_named(self, saved_split):
-        # The text reader decodes 8 KB ahead; the split reader names the
-        # first defect in line order.
         prefix, _ = saved_split
         path = prefix.parent / "sp.test"
         lines = path.read_bytes().split(b"\n")
@@ -781,7 +833,7 @@ class TestFastReaders:
         StringIO, which keeps carriage returns, in chunks of every size."""
         sep = data.SEPARATORS[fmt]
         path = tmp_path / "log.dat"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
 
         def from_file(reader):
             with open_text(path) as f:
@@ -798,7 +850,7 @@ class TestFastReaders:
                         lambda f: parse_log_lines(f, sep))
 
     def test_bad_log_row_before_undecodable_bytes_is_named(self, tmp_path):
-        # the bytes lie past the text reader's first 8 KB of look-ahead
+        # the bytes lie past the first 8 KB that a text reader decodes
         lines = [line.encode() for line in synthetic_lines(num_users=200)]
         lines[1] = b"oops"
         assert len(b"\n".join(lines[:-1])) > 9000

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from deepicf import model
+from deepicf import evaluation, model
 from deepicf.data import InteractionDataset, LooSplit, leave_one_out_split
-from deepicf.errors import EvalError
+from deepicf.errors import EvalError, TrainingDiverged
 from deepicf.evaluation import (ItemKnnModel, evaluate,
                                 item_knn_fit_and_score, item_pop_scorer,
                                 metrics_at_k, model_scorer_factory,
@@ -529,6 +530,29 @@ class TestBlockEvaluate:
                 assert np.array_equal(part, model_scorer_factory(
                     params, cfg, split)(int(user))(cands[user]))
 
+    @pytest.mark.parametrize("k", [32, 64])
+    def test_wide_embeddings_rank_alike_in_a_block_and_alone(self, k):
+        # From an inner dimension of 32, OpenBLAS may round a row of a
+        # product differently with the rows beside it, so the scores are
+        # compared within a bound, and the ranks exactly.
+        split = edge_split()
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=k, num_layers=2,
+                          alpha=0.5)
+        params = random_params(cfg, split, 29)
+        histories = split.train.item_arrays()
+        cands = all_candidates(split)
+        items = np.concatenate(cands)
+        starts = np.cumsum([0] + [c.size for c in cands[:-1]])
+        block = model._score_users(params, cfg, histories,
+                                   np.arange(split.train.num_users), items,
+                                   [c.size for c in cands])
+        alone = np.concatenate([
+            model.score_items(params, cfg, histories[u], u, cands[u])
+            for u in range(split.train.num_users)])
+        np.testing.assert_allclose(block, alone, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(evaluation._count_ranks(items, block, starts),
+                              evaluation._count_ranks(items, alone, starts))
+
     def test_mixed_scorers_match_oracle(self):
         split = edge_split()
         fism = block_config(dict(variant=Variant.FISM, alpha=0.5))
@@ -550,6 +574,68 @@ class TestBlockEvaluate:
             evaluate(factory, split, k=5),
             per_user.evaluate(lambda user: oracles[user // 10 % 2](user),
                               split, k=5))
+
+
+def nan_attention_split():
+    return leave_one_out_split(
+        synthetic_dataset(num_users=20, num_items=120, seed=31), seed=4,
+        num_negatives=20)
+
+
+def nan_attention_params(case, split):
+    """DeepICF_A parameters with a NaN in the attention net's output
+    vector, which makes every attention score NaN, or in the target row
+    of user 2's first training item, which makes that item's scores NaN;
+    and the item that evaluation should name."""
+    cfg = block_config(dict(variant=Variant.DEEPICF_A, num_layers=1))
+    params = random_params(cfg, split, 41)
+    if case == "att-out":
+        params["att_out"][0] = np.nan
+        return cfg, params, int(split.test_items[0])
+    item = int(split.train.history_items(2)[0])
+    params["target_embed"][item, 0] = np.nan
+    return cfg, params, item
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["att-out", "target-row"])
+class TestNonFiniteAttention:
+    """An attention score that is not finite reaches the named errors of
+    evaluation, training and the CLI, not a finite metric."""
+
+    def test_evaluate_names_the_item(self, case):
+        split = nan_attention_split()
+        cfg, params, item = nan_attention_params(case, split)
+        with pytest.raises(EvalError) as want:
+            per_user.evaluate(
+                per_user.forward_scorer_factory(params, cfg, split), split)
+        with pytest.raises(EvalError) as got:
+            evaluate(model_scorer_factory(params, cfg, split), split)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"non-finite score for item {item}"
+
+    def test_fit_diverges(self, case):
+        from deepicf.training import fit
+
+        split = nan_attention_split()
+        cfg, params, _ = nan_attention_params(case, split)
+        cfg = dataclasses.replace(cfg, epochs=1, num_negatives=1)
+        with pytest.raises(TrainingDiverged) as err:
+            fit(cfg, split, params=params)
+        assert math.isnan(err.value.logit)
+
+    def test_cli_eval_exits_with_the_message(self, case, tmp_path, capsys):
+        from deepicf.checkpoint import save_checkpoint
+        from deepicf.cli import main
+        from deepicf.data import save_split
+
+        split = nan_attention_split()
+        cfg, params, item = nan_attention_params(case, split)
+        save_split(split, tmp_path / "sp")
+        save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+        assert main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"),
+                     "--split", str(tmp_path / "sp")]) == 1
+        assert f"non-finite score for item {item}" in capsys.readouterr().err
 
 
 class TestEndToEndRanks:

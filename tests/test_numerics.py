@@ -137,6 +137,20 @@ class TestSoftmaxBeta:
         out = softmax_beta([1500.0, -800.0], 0.25)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_score_not_finite_gives_its_row_nan(self, beta):
+        s = np.array([[0.5, np.nan, -1.0], [0.5, 2.0, 40.0],
+                      [np.inf, 0.0, 40.0], [-1.0, -np.inf, 0.5],
+                      [np.nan, np.nan, np.nan]])
+        mask = np.ones(s.shape, dtype=bool)
+        mask[0, 1] = False
+        got = softmax_beta(s, beta, mask)
+        # a NaN in a masked entry is still left out
+        assert np.array_equal(got[0], softmax_beta([0.5, 0.0, -1.0], beta,
+                                                   mask[0]))
+        assert np.array_equal(got[1], softmax_beta(s[1], beta))
+        assert np.isnan(got[2:]).all()
+
     def test_rejects_empty_and_bad_beta(self):
         with pytest.raises(ValueError):
             softmax_beta([], 1.0)

@@ -57,8 +57,9 @@ def load_checkpoint(path):
 
     The returned config carries the architecture fields from the header
     and defaults for the training-only fields. Payload length must match
-    the header shapes exactly; every defect is a :class:`CheckpointError`
-    naming ``path``.
+    the header shapes exactly, and every parameter must be finite; every
+    defect is a :class:`CheckpointError` naming ``path``, and a parameter
+    that is not finite is named with its tensor and entry.
     """
     with open(path, "rb") as f:
         magic = f.readline()
@@ -102,5 +103,13 @@ def load_checkpoint(path):
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
     params = ModelParams(layout,
                          np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    if not np.isfinite(params.flat).all():
+        for name, _, _ in layout:
+            bad = ~np.isfinite(params[name])
+            if bad.any():
+                at = np.unravel_index(bad.argmax(), bad.shape)
+                raise CheckpointError(
+                    f"{path}: {name}[{', '.join(map(str, at))}] is "
+                    f"{params[name][at]}, not a finite number")
     return params, config, num_users, num_items
 

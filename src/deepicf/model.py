@@ -12,18 +12,21 @@ user's history against one item or a whole candidate set, each candidate
 masked out of the history by its own row of a mask; training's
 :func:`predict_logit` is a call of it. Ranking's :func:`_score_users`
 scores a block of users at once: FISM and DeepICF sum each history once
-and take a candidate inside it back out, then share the tower and the
-prediction layer with :func:`forward`; DeepICF_A calls :func:`forward`.
-:func:`backward` differentiates its cache, for one item or for the
-candidates of one user that a training batch scores together, and returns
-the gradients of their summed loss.
+and take a candidate inside it back out; DeepICF_A runs the attention net
+user by user, with a mask only for a user with a candidate inside its
+history; both then share the tower and the prediction layer with
+:func:`forward`, one call per block. :func:`backward` differentiates its
+cache, for one item or for the candidates of one user that a training
+batch scores together, and returns the gradients of their summed loss.
 
 The attention variant lays its hidden units out candidate-major,
 ``(..., k', n)`` for ``n`` history rows. The target embedding folds into
 the attention weights and a ones column of the history carries the bias,
 so one GEMM, ``(C k', k+1) @ (k+1, n)``, gives every pre-activation of
 ``C`` candidates; the ReLU rectifies them in place, so one such array is
-live, and the scores are ``att_out @ att_hidden``.
+live, and the scores are ``att_out @ att_hidden``. :func:`_attention`
+holds that net, its softmax and its weighted sum, once for
+:func:`forward` and for ranking.
 
 The tensors of a variant are declared once, by :func:`param_layout`, and
 :class:`ModelParams` lays them out in one vector: the parameters, the
@@ -45,8 +48,7 @@ from deepicf.numerics import relu, softmax_beta, softmax_beta_vjp
 
 INIT_STD = 0.01
 MIN_TOWER_WIDTH = 4
-# the bytes one scoring pass of _score_users may hold: a DeepICF_A pass's
-# attention outputs, or a FISM or DeepICF block's arrays together
+# the bytes the arrays of one scoring block of _score_users may hold
 SCORE_BLOCK_BYTES = 32 << 20
 
 
@@ -320,24 +322,12 @@ def forward(params, config, history, user, items):
     hist_sum = hist_ones = att_hidden = scores = weights = None
     if config.uses_attention:
         scale = 1.0
-        # every pre-activation of every candidate from one GEMM: the
-        # target folds into the attention weights, and a ones column of
-        # the history carries the bias
-        w_att = params["att_weight"]
-        k_att, k = w_att.shape
-        hist_ones = np.empty((hist.size, k + 1))
-        hist_ones[:, :k] = q
-        hist_ones[:, k] = 1.0
-        folded = np.empty(p.shape[:-1] + (k_att, k + 1))
-        np.multiply(w_att, p[..., None, :], out=folded[..., :k])
-        folded[..., k] = params["att_bias"]
-        att_hidden = (folded.reshape(-1, k + 1) @ hist_ones.T).reshape(
-            p.shape[:-1] + (k_att, hist.size))
-        relu(att_hidden, out=att_hidden)
-        scores = params["att_out"] @ att_hidden
-        weights = (softmax_beta(scores, config.beta, keep) if hist.size
-                   else np.zeros(scores.shape))
-        pooled = p * (weights @ q)
+        hist_ones = np.empty((hist.size, q.shape[1] + 1))
+        hist_ones[:, :-1] = q
+        hist_ones[:, -1] = 1.0
+        att_hidden, scores, weights, pooled = _attention(
+            params, config.beta, p, hist_ones, keep)
+        pooled *= p
     else:
         # alpha=0 is plain sum pooling; an empty set pools to zero, with
         # the normalizer defined as 1 to avoid 0**-alpha
@@ -351,6 +341,43 @@ def forward(params, config, history, user, items):
         pool_scale=scale, hist_sum=hist_sum, hist_ones=hist_ones,
         att_hidden=att_hidden, scores=scores, weights=weights, pooled=pooled,
         layer_pres=pres, layer_acts=acts, logit=logit)
+
+
+def _attention(params, beta, p, hist_ones, keep, scratch=None, pooled=None):
+    """The attention net of one user's candidates, given their target
+    rows ``p`` (``(..., k)``) and the history with a ones column,
+    ``[q, 1]`` (``(n, k+1)``): ``(hidden, scores, weights, pooled)``.
+
+    The targets fold into the attention weights beside the bias,
+    ``(..., k', k+1)``, so that one GEMM against ``[q, 1]`` gives every
+    pre-activation ``W_att (p * q_t) + b``, candidate-major
+    ``(..., k', n)``; the ReLU rectifies them in place, so one such array
+    is live. The scores are ``att_out @ hidden``, the weights their
+    beta-softmax with the entries where ``keep`` is False left out
+    (``keep`` None keeps them all), and ``pooled`` the weighted sums of
+    the history rows, ``(..., k)``, not yet scaled by the targets. The
+    folded weights and ``hidden`` are cut from ``scratch``, a float64
+    vector of at least ``size(p) / k * k' * (k + 1 + n)`` entries, and
+    ``pooled`` is written into, if they are given."""
+    w_att = params["att_weight"]
+    k_att, k = w_att.shape
+    n = hist_ones.shape[0]
+    lead = p.shape[:-1] + (k_att,)
+    rows = math.prod(lead)
+    if scratch is None:
+        scratch = np.empty(rows * (k + 1 + n))
+    folded = scratch[:rows * (k + 1)].reshape(lead + (k + 1,))
+    np.einsum("...i,ji->...ji", p, w_att, out=folded[..., :k])
+    folded[..., k] = params["att_bias"]
+    hidden = np.matmul(folded.reshape(rows, k + 1), hist_ones.T,
+                       out=scratch[rows * (k + 1):rows * (k + 1 + n)]
+                       .reshape(rows, n)).reshape(lead + (n,))
+    relu(hidden, out=hidden)
+    scores = params["att_out"] @ hidden
+    weights = (softmax_beta(scores, beta, keep) if n
+               else np.zeros(scores.shape))
+    pooled = np.matmul(weights, hist_ones[:, :-1], out=pooled)
+    return hidden, scores, weights, pooled
 
 
 def _head(params, config, pooled, user, items):
@@ -410,25 +437,32 @@ def _score_users(params, config, histories, users, items, sizes):
     ``histories[b]`` with itself masked out, as :func:`forward` scores
     it. A history holds each item at most once, as a dataset's do.
 
-    FISM and DeepICF take the users in blocks, one pass each, so that the
-    arrays a block holds together stay within ``SCORE_BLOCK_BYTES`` (a
-    user who alone needs more takes a block of its own): its gathered
-    history rows and history sums, its ``(block, num_items)`` incidence,
-    and per candidate the history sum, the target row and every tower
-    layer's pre-activation and activation. Beside the blocks, each call
-    holds one item-major copy of ``history_embed``, the size of the
-    table. A user's logits do not depend on the block: its history sum
-    and its pooling are its own, the prediction layer is one dot product
-    per row, and the tower's matrix products give a row the same bits
-    whatever rows share them, as OpenBLAS does for two or more rows and
-    inner dimensions under 32.
+    Every variant takes the users in blocks, one pass each, so that the
+    arrays a block holds stay within ``SCORE_BLOCK_BYTES`` by its count;
+    a user who alone needs more takes a block of its own. Every user
+    costs a byte per item of the block's incidence. FISM and DeepICF
+    count per user the gathered history rows and two sums, and per
+    candidate the history sum, the target row, a spare row and every
+    tower layer's pre-activation and activation. DeepICF_A counts per
+    user its history's indices, and per candidate the target row, the
+    pooled row, the tower and six scalars; a block adds the largest of
+    each of two terms of its users' passes: the scratch into which one
+    user at a time folds its targets and writes its ``(c k', n)``
+    attention array, and a user's gathered ``[q, 1]`` with six ``(c, n)``
+    arrays of the softmax and a mask. A user whose pass alone would be
+    over the budget has its candidates cut into as few near-equal pieces
+    as fit, each scored as a user of its own; no piece holds a lone
+    candidate, since numpy multiplies a one-row matrix as a vector, which
+    may round differently in the last place. Beside the blocks, each call
+    holds the logits it returns and one copy of ``history_embed``:
+    item-major for FISM and DeepICF, with a ones column for DeepICF_A.
 
-    DeepICF_A scores user by user, each user's candidates in blocks of one
-    :func:`predict_logit` call, so that the ``(block, k', n)`` attention
-    outputs stay within ``SCORE_BLOCK_BYTES``. Each candidate's logit is
-    computed from its own rows alone, so the blocks do not change it. No
-    block holds a lone candidate: numpy multiplies a one-row matrix as a
-    vector, which may round differently in the last place."""
+    A user's logits do not depend on the block: its pooling is its own,
+    the prediction layer is one dot product per row, and the tower's
+    matrix products give a row the same bits whatever rows share them, as
+    OpenBLAS does for two or more rows and inner dimensions under 32.
+    DeepICF_A's pieces of a user keep that guarantee while its history
+    is under 32 rows, the inner dimension of its weighted sum."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -437,56 +471,93 @@ def _score_users(params, config, histories, users, items, sizes):
     _check_range("user", users, params.num_users)
     _check_range("item", items, params.num_items)
     histories = [np.asarray(h, dtype=np.int64) for h in histories]
-    if config.uses_attention:
-        return np.concatenate([
-            _attend(params, config, hist, int(user), part)
-            for hist, user, part in zip(histories, users,
-                                        np.split(items, np.cumsum(sizes)[:-1]))
-            if part.size])
-    # the history table item-major, so that a block gathers each user's
-    # rows as columns and sums them along contiguous memory
-    q_cols = np.ascontiguousarray(params["history_embed"].T)
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
-    # float64s per candidate: the history sum, the target row and a
-    # spare row of k, each tower layer's pre-activation and activation,
-    # and a few scalars; per user, its gathered rows, two sums and a
-    # byte per item of the incidence
-    per_item = 3 * config.k + 2 * sum(config.layer_sizes) + 4
-    cost = (8 * (config.k * (lengths + 2) + per_item * sizes)
-            + params.num_items)
+    k = config.k
+    if config.uses_attention:
+        entry, sizes, cost, live = _attention_cost(config, lengths, sizes,
+                                                   params.num_items)
+        histories = [histories[b] for b in entry]
+        users = users[entry]
+        table = np.empty((params.num_items, k + 1))
+        table[:, :k] = params["history_embed"]
+        table[:, k] = 1.0
+        kernel = _attend_block
+    else:
+        per_item = 3 * k + 2 * sum(config.layer_sizes) + 4
+        cost = 8 * (k * (lengths + 2) + per_item * sizes) + params.num_items
+        live = []
+        # the history table item-major, so that a block gathers each
+        # user's rows as columns and sums them along contiguous memory
+        table = np.ascontiguousarray(params["history_embed"].T)
+        kernel = _pool_block
     cost_ends, row_ends = np.cumsum(cost), np.cumsum(sizes)
-    parts, start = [], 0
+    logits, start = np.empty(items.size), 0
     while start < users.size:
-        stop = max(start + 1, int(np.searchsorted(
-            cost_ends, cost_ends[start] - cost[start] + SCORE_BLOCK_BYTES,
-            side="right")))
+        spent = cost_ends[start:] - (cost_ends[start] - cost[start])
+        for term in live:
+            spent += np.maximum.accumulate(term[start:])
+        stop = start + max(1, int(np.searchsorted(spent, SCORE_BLOCK_BYTES,
+                                                  side="right")))
         rows = slice(row_ends[start] - sizes[start], row_ends[stop - 1])
-        parts.append(_pool_block(params, config, q_cols,
-                                 histories[start:stop], users[start:stop],
-                                 items[rows], sizes[start:stop]))
+        logits[rows] = kernel(params, config, table, histories[start:stop],
+                              users[start:stop], items[rows],
+                              sizes[start:stop])
         start = stop
-    return np.concatenate(parts)
+    return logits
 
 
-def _attend(params, config, history, user, items):
-    """One DeepICF_A user's logits, a :func:`predict_logit` call per
-    block of candidates, as :func:`_score_users` describes."""
-    width = max(history.size, 1) * config.k_prime
-    block = max(2, SCORE_BLOCK_BYTES // (8 * width))
-    cuts = range(block, items.size - 1, block)
-    return np.concatenate([predict_logit(params, config, history, user,
-                                         part)[0]
-                           for part in np.split(items, cuts)])
+def _attention_cost(config, lengths, sizes, num_items):
+    """DeepICF_A's count for :func:`_score_users`, over users with
+    ``lengths`` history rows and ``sizes`` candidates: ``(entry, sizes,
+    cost, live)``. Each user's candidates are cut into as few pieces of
+    near-equal size as keep a piece's pass within ``SCORE_BLOCK_BYTES``,
+    none of them a lone candidate; ``entry`` names the user of each
+    piece, and ``sizes`` its candidates. A piece costs in bytes ``cost``
+    and the two ``live`` terms of its pass, of which a block holds its
+    largest: the scratch, and the ``[q, 1]``, softmax arrays and mask."""
+    k = config.k
+    # its history's indices and incidence row, and per candidate the
+    # target and pooled rows, the tower and six scalars
+    once = 8 * lengths + num_items
+    per_item = 8 * (2 * k + 2 * sum(config.layer_sizes) + 6)
+    # a pass: per candidate the scratch's folded weights and attention
+    # rows, and per candidate and history row six float64s of the
+    # softmax and a mask byte; per user its gathered [q, 1]
+    scratch = 8 * config.k_prime * (k + 1 + lengths)
+    softmax = (8 * 6 + 1) * lengths
+    gathered = 8 * (k + 1) * lengths
+    fit = np.maximum(1, (SCORE_BLOCK_BYTES - once - gathered)
+                     // (per_item + scratch + softmax))
+    # pieces of at most `fit` candidates and at least two, or of two and
+    # three where not even two fit
+    count = np.minimum(-(-sizes // fit), np.maximum(1, sizes // 2))
+    entry = np.repeat(np.arange(sizes.size), count)
+    nth = np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
+    count, total = count[entry], sizes[entry]
+    sizes = total // count + (nth < total % count)
+    cost = once[entry] + per_item * sizes
+    live = [scratch[entry] * sizes, gathered[entry] + softmax[entry] * sizes]
+    return entry, sizes, cost, live
+
+
+def _owners(num_items, hist, lengths, items, sizes):
+    """The block row of each candidate's user, and whether the candidate
+    lies in that user's history, read off a boolean ``(block, num_items)``
+    incidence of the block's concatenated histories ``hist``."""
+    block = np.arange(lengths.size)
+    held = np.zeros((lengths.size, num_items), dtype=bool)
+    held[np.repeat(block, lengths), hist] = True
+    owner = np.repeat(block, sizes)
+    return owner, held[owner, items]
 
 
 def _pool_block(params, config, q_cols, histories, users, items, sizes):
     """One pass of :func:`_score_users` over a block of FISM or DeepICF
     users, given the history table item-major as ``q_cols``. Each history
     sum is one ``np.add.reduceat`` over the user's gathered columns; a
-    candidate inside the history, found in a boolean ``(block,
-    num_items)`` incidence, subtracts its own row and one from the
-    ``|kept|^-alpha`` count; the tower and the prediction layer run once
-    over the block's candidate rows."""
+    candidate inside the history, found by :func:`_owners`, subtracts its
+    own row and one from the ``|kept|^-alpha`` count; the tower and the
+    prediction layer run once over the block's candidate rows."""
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
     hist = np.concatenate(histories)
     sums = np.zeros((users.size, config.k))
@@ -497,10 +568,7 @@ def _pool_block(params, config, q_cols, histories, users, items, sizes):
         sums[full] = np.add.reduceat(
             q_cols.take(hist, axis=1), (np.cumsum(lengths) - lengths)[full],
             axis=1).T
-    held = np.zeros((users.size, params.num_items), dtype=bool)
-    held[np.repeat(np.arange(users.size), lengths), hist] = True
-    owner = np.repeat(np.arange(users.size), sizes)
-    inside = held[owner, items]
+    owner, inside = _owners(params.num_items, hist, lengths, items, sizes)
     hist_sum = sums[owner]
     hist_sum[inside] -= params["history_embed"].take(items[inside], axis=0)
     pooled = params["target_embed"].take(items, axis=0)
@@ -508,6 +576,34 @@ def _pool_block(params, config, q_cols, histories, users, items, sizes):
     if config.alpha != 0.0:
         pooled *= (np.maximum(lengths[owner] - inside, 1)[:, None]
                    ** -config.alpha)
+    return _head(params, config, pooled, users[owner], items)[2]
+
+
+def _attend_block(params, config, table, histories, users, items, sizes):
+    """One pass of :func:`_score_users` over a block of DeepICF_A users,
+    given the history table with a ones column as ``table``. Each user's
+    pass is one :func:`_attention` call on its gathered ``[q, 1]``, which
+    folds the targets and writes the attention array into one scratch
+    vector that the block reuses, and writes the weighted sums into the
+    block's pooled rows. Only a user with a candidate inside its history,
+    found by :func:`_owners`, builds a ``(c, n)`` mask. The target rows
+    then scale the pooled rows, and the tower and the prediction layer
+    run once over the block."""
+    lengths = np.array([hist.size for hist in histories], dtype=np.int64)
+    owner, inside = _owners(params.num_items, np.concatenate(histories),
+                            lengths, items, sizes)
+    p = params["target_embed"].take(items, axis=0)
+    pooled = np.empty(p.shape)
+    scratch = np.empty(config.k_prime
+                       * int((sizes * (config.k + 1 + lengths)).max()))
+    row = 0
+    for hist, c in zip(histories, sizes.tolist()):
+        rows = slice(row, row + c)
+        row += c
+        keep = hist != items[rows, None] if inside[rows].any() else None
+        _attention(params, config.beta, p[rows], table.take(hist, axis=0),
+                   keep, scratch, pooled[rows])
+    pooled *= p
     return _head(params, config, pooled, users[owner], items)[2]
 
 

@@ -113,27 +113,39 @@ def softmax_beta(scores, beta, mask=None):
         raise ValueError("scores must have a non-empty last axis")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta!r}")
-    bad = ~np.isfinite(s)
-    if mask is not None:
-        bad &= mask
-    if bad.any():
-        return np.where(bad.any(axis=-1, keepdims=True), np.nan,
-                        softmax_beta(np.where(bad, 0.0, s), beta, mask))
+    # the largest kept |s| of a row picks its branch, and is NaN or inf
+    # where a kept score is not finite; one pass over all rows finds
+    # the common case, every row direct
+    if beta < 1.0 and _top(s, mask, None) <= _DIRECT_SCORE_BOUND:
+        e = (np.exp(s) if mask is None
+             else np.exp(s, out=np.zeros(s.shape), where=mask))
+        e /= _nonzero(e.sum(axis=-1, keepdims=True)) ** beta
+        return e
+    top = _top(s, mask)
+    finite = top < np.inf
+    if not finite.all():
+        return np.where(finite, softmax_beta(np.where(finite, s, 0.0), beta,
+                                             mask), np.nan)
     live = s if mask is None else np.where(mask, s, -np.inf)
     if beta == 1.0:
         return _softmax(live)
-    top = np.max(np.abs(s), axis=-1, keepdims=True, initial=0.0,
-                 where=True if mask is None else mask)
     direct = top <= _DIRECT_SCORE_BOUND
-    all_direct = direct.all()
-    e = np.exp(live if all_direct else np.where(direct, live, -np.inf))
-    weights = e / _nonzero(e.sum(axis=-1, keepdims=True)) ** beta
-    if all_direct:
-        return weights
+    weights = np.exp(np.where(direct, live, -np.inf))
+    weights /= _nonzero(weights.sum(axis=-1, keepdims=True)) ** beta
     m = np.where(direct, 0.0, live.max(axis=-1, keepdims=True))
     lse = m + np.log(_nonzero(np.exp(live - m).sum(axis=-1, keepdims=True)))
-    logw = np.exp(np.clip(live - beta * lse, _LOG_TINY, _LOG_HUGE))
-    return np.where(direct, weights, np.where(live > -np.inf, logw, 0.0))
+    logw = live - beta * lse
+    np.exp(np.clip(logw, _LOG_TINY, _LOG_HUGE, out=logw), out=logw)
+    np.copyto(logw, 0.0, where=live == -np.inf)
+    np.copyto(logw, weights, where=direct)
+    return logw
+
+
+def _top(s, mask, axis=-1):
+    """The largest kept |s| of each row, or with ``axis`` None of all
+    rows; NaN or inf where a kept score is not finite."""
+    return np.max(np.abs(s), axis=axis, keepdims=True, initial=0.0,
+                  where=True if mask is None else mask)
 
 
 def _nonzero(total):
@@ -157,10 +169,22 @@ def softmax_beta_vjp(scores, weights, beta, d_weights, mask=None):
     the shared denominator couples every weight to every score. Returns
     the gradient with respect to the scores given a cotangent on the
     weights; masked entries get 0.
+
+    ``g`` is read off the weights where they hold it: at beta = 1 they
+    are the plain softmax, and on a row of the direct branch, where
+    ``w = exp(s) / S ** beta``, it is ``w / sum(w)``. Only a log-domain
+    row, whose weights may be clamped, takes a masked softmax pass of its
+    own.
     """
-    s = np.asarray(scores, dtype=np.float64)
     d = np.asarray(d_weights, dtype=np.float64)
-    g = _softmax(s if mask is None else np.where(mask, s, -np.inf))
+    if beta == 1.0:
+        g = weights
+    else:
+        s = np.asarray(scores, dtype=np.float64)
+        g = weights / _nonzero(weights.sum(axis=-1, keepdims=True))
+        if not _top(s, mask, None) <= _DIRECT_SCORE_BOUND:
+            g = np.where(_top(s, mask) <= _DIRECT_SCORE_BOUND, g, _softmax(
+                s if mask is None else np.where(mask, s, -np.inf)))
     inner = (d * weights).sum(axis=-1, keepdims=True)
     return weights * d - beta * g * inner
 

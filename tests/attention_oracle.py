@@ -14,7 +14,23 @@ from types import SimpleNamespace
 import numpy as np
 
 from deepicf.model import Grads
-from deepicf.numerics import relu, softmax_beta, softmax_beta_vjp
+from deepicf.numerics import relu, softmax_beta
+
+
+def softmax_beta_vjp(scores, weights, beta, d_weights, mask=None):
+    """The vector-Jacobian product of ``softmax_beta`` with the plain
+    softmax ``g`` of its Jacobian ``w_t (delta_tr - beta g_r)`` computed
+    from the masked scores by a max-shifted ``exp`` pass of its own, where
+    the package reads it off the weights."""
+    s = np.asarray(scores, dtype=np.float64)
+    live = s if mask is None else np.where(mask, s, -np.inf)
+    top = live.max(axis=-1, keepdims=True, initial=-np.inf)
+    e = np.exp(live - np.where(top > -np.inf, top, 0.0))
+    total = e.sum(axis=-1, keepdims=True)
+    g = e / np.where(total > 0.0, total, 1.0)
+    d = np.asarray(d_weights, dtype=np.float64)
+    inner = (d * weights).sum(axis=-1, keepdims=True)
+    return weights * d - beta * g * inner
 
 
 def pre_activations(params, hist_embed, target):

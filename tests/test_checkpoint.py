@@ -72,6 +72,24 @@ def test_header_layer_count_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name,at,value", [
+    ("target_embed", (3, 1), np.nan), ("item_bias", (10,), np.inf),
+    ("W1", (2, 0), -np.inf), ("att_weight", (3, 5), np.nan)])
+def test_non_finite_parameter_rejected(tmp_path, name, at, value):
+    config = CONFIGS[2]
+    params = init_params(config, 7, 11, rng_from_seed(4))
+    params[name][at] = value
+    # a later tensor's NaN is not the one named
+    params["att_out"][0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, params, config)
+    entry = ", ".join(str(i) for i in at)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (f"{path}: {name}[{entry}] is {value}, "
+                              "not a finite number")
+
+
 def test_file_bytes_are_pinned(tmp_path):
     config = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3,
                          num_layers=2, beta=0.7)

@@ -439,22 +439,27 @@ class TestBlockEvaluate:
         cands = all_candidates(split)
         users = np.arange(split.train.num_users)
         blocks = []
-        real = model._pool_block
+        kernel = "_attend_block" if cfg.uses_attention else "_pool_block"
+        real = getattr(model, kernel)
 
         def counted(*args):
-            blocks.append(args[4].size)
+            blocks.append((args[4].size, args[5].size))
             return real(*args)
 
-        monkeypatch.setattr(model, "_pool_block", counted)
-        # one block, then blocks whose boundaries fall inside the split
+        monkeypatch.setattr(model, kernel, counted)
+        # one block, then blocks whose boundaries fall inside the split;
+        # at the small budgets DeepICF_A scores a user's candidates in
+        # pieces, each a user of its own
         for budget, one_block in ((model.SCORE_BLOCK_BYTES, True),
                                   (4000, False), (1, False)):
             monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
             blocks.clear()
             assert_same_report(evaluate(factory, split, k=5), want)
-            if not cfg.uses_attention:
-                assert sum(blocks) == split.train.num_users
-                assert (len(blocks) == 1) == one_block
+            entries, scored = np.sum(blocks, axis=0)
+            assert scored == sum(c.size for c in cands)
+            assert (entries == split.train.num_users
+                    or cfg.uses_attention and not one_block)
+            assert (len(blocks) == 1) == one_block
             assert_scores_match_forward(params, cfg, split, users,
                                         model._score_users(
                                             params, cfg, histories, users,
@@ -502,7 +507,8 @@ class TestBlockEvaluate:
         assert "non-finite score for item" in str(got.value)
 
     @pytest.mark.parametrize("spec", BLOCK_CONFIGS, ids=BLOCK_IDS)
-    def test_user_scores_equal_alone_and_in_any_block(self, spec):
+    def test_user_scores_equal_alone_and_in_any_block(self, spec,
+                                                      monkeypatch):
         split = edge_split()
         # the benchmark's k, at which a matrix-vector product rounds a
         # row differently with the rows beside it
@@ -516,19 +522,23 @@ class TestBlockEvaluate:
         assert_scores_match_forward(params, cfg, split,
                                     range(split.train.num_users),
                                     np.concatenate(alone))
+        # smaller budgets cut the users into more blocks, and DeepICF_A's
+        # candidates into pieces; its histories here are under 32 rows
         rng = rng_from_seed(26)
-        for _ in range(6):
-            users = rng.permutation(split.train.num_users)[
-                :int(rng.integers(2, split.train.num_users + 1))]
-            got = model._score_users(
-                params, cfg, [histories[u] for u in users], users,
-                np.concatenate([cands[u] for u in users]),
-                [cands[u].size for u in users])
-            ends = np.cumsum([cands[u].size for u in users])
-            for user, part in zip(users, np.split(got, ends[:-1])):
-                assert np.array_equal(part, alone[user])
-                assert np.array_equal(part, model_scorer_factory(
-                    params, cfg, split)(int(user))(cands[user]))
+        for budget in (model.SCORE_BLOCK_BYTES, 4000, 1):
+            monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
+            for _ in range(6):
+                users = rng.permutation(split.train.num_users)[
+                    :int(rng.integers(2, split.train.num_users + 1))]
+                got = model._score_users(
+                    params, cfg, [histories[u] for u in users], users,
+                    np.concatenate([cands[u] for u in users]),
+                    [cands[u].size for u in users])
+                ends = np.cumsum([cands[u].size for u in users])
+                for user, part in zip(users, np.split(got, ends[:-1])):
+                    assert np.array_equal(part, alone[user])
+                    assert np.array_equal(part, model_scorer_factory(
+                        params, cfg, split)(int(user))(cands[user]))
 
     @pytest.mark.parametrize("k", [32, 64])
     def test_wide_embeddings_rank_alike_in_a_block_and_alone(self, k):
@@ -552,6 +562,63 @@ class TestBlockEvaluate:
         np.testing.assert_allclose(block, alone, rtol=1e-12, atol=1e-12)
         assert np.array_equal(evaluation._count_ranks(items, block, starts),
                               evaluation._count_ranks(items, alone, starts))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_width_32_matches_per_user_oracle(self, variant):
+        # k = 32 and a tower layer 32 wide, the inner dimensions from which
+        # OpenBLAS may round a row differently with the rows beside it
+        split = edge_split()
+        layers = {} if variant is Variant.FISM else dict(
+            num_layers=2, layer_sizes=(32, 8))
+        cfg = ModelConfig(variant=variant, k=32, k_prime=4, **layers)
+        params = random_params(cfg, split, 30)
+        params.flat[:] *= 0.5   # keeps the tower's logits O(1)
+        assert_same_report(
+            evaluate(model_scorer_factory(params, cfg, split), split, k=5),
+            per_user.evaluate(
+                per_user.forward_scorer_factory(params, cfg, split), split,
+                k=5))
+        cands = all_candidates(split)
+        users = np.arange(split.train.num_users)
+        assert_scores_match_forward(
+            params, cfg, split, users, model._score_users(
+                params, cfg, split.train.item_arrays(), users,
+                np.concatenate(cands), [c.size for c in cands]))
+
+    @pytest.mark.parametrize("budget", [model.SCORE_BLOCK_BYTES, 1])
+    def test_attention_edge_cases_match_per_user_oracle(self, budget,
+                                                         monkeypatch):
+        # an empty history (user 4), a one-row history (user 5), a
+        # candidate inside its history (users 7 and 9), and k' = 1 with a
+        # user of one candidate (user 6), in one block and in pieces
+        split = edge_split()
+        items = split.train.item_arrays()
+        times = [split.train.history_times(u)
+                 for u in range(split.train.num_users)]
+        items[5], times[5] = items[5][:1], times[5][:1]
+        negatives = list(split.eval_negatives)
+        negatives[6] = negatives[6][:0]
+        split = LooSplit(
+            train=InteractionDataset(split.train.user_ids,
+                                     split.train.item_ids, items, times),
+            test_items=split.test_items, eval_negatives=negatives)
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=6, k_prime=1,
+                          num_layers=2)
+        params = random_params(cfg, split, 31)
+        want = per_user.evaluate(
+            per_user.forward_scorer_factory(params, cfg, split), split, k=5)
+        monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
+        assert_same_report(
+            evaluate(model_scorer_factory(params, cfg, split), split, k=5),
+            want)
+        cands = all_candidates(split)
+        users = np.arange(split.train.num_users)
+        assert_scores_match_forward(
+            params, cfg, split, users, model._score_users(
+                params, cfg, split.train.item_arrays(), users,
+                np.concatenate(cands), [c.size for c in cands]))
+        assert model.score_items(params, cfg, items[6], 6,
+                                 cands[6]).shape == (1,)
 
     def test_mixed_scorers_match_oracle(self):
         split = edge_split()
@@ -635,7 +702,11 @@ class TestNonFiniteAttention:
         save_checkpoint(tmp_path / "m.ckpt", params, cfg)
         assert main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"),
                      "--split", str(tmp_path / "sp")]) == 1
-        assert f"non-finite score for item {item}" in capsys.readouterr().err
+        # the checkpoint's NaN is refused as it loads, before any scoring
+        entry = ("att_out[0]" if case == "att-out"
+                 else f"target_embed[{item}, 0]")
+        assert (f"{tmp_path / 'm.ckpt'}: {entry} is nan, not a finite number"
+                in capsys.readouterr().err)
 
 
 class TestEndToEndRanks:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -657,23 +658,75 @@ class TestScoreBlocks:
         hist = np.arange(0, 60, 3)
         items = np.arange(60)[::-1].copy()     # a third are history rows
         whole = predict_logit(p, cfg, hist, 2, items)[0]
-        width = 8 * hist.size * 4
+        k, n = cfg.k, hist.size
+        # a candidate costs its target row, pooled row, tower and six
+        # scalars, its scratch rows of folded weights and attention
+        # outputs, and per history row six softmax float64s and a mask
+        # byte; the user costs its history's indices, its [q, 1] and its
+        # row of the incidence
+        per_cand = (8 * (2 * k + 2 * sum(cfg.layer_sizes) + 6)
+                    + 8 * cfg.k_prime * (k + 1 + n) + (8 * 6 + 1) * n)
+        once = 8 * n + 8 * (k + 1) * n + 60
         seen = []
-        real = model.predict_logit
+        real = model._attention
 
         def counted(*args):
-            seen.append(np.size(args[4]))
+            seen.append(len(args[2]))
             return real(*args)
 
-        monkeypatch.setattr(model, "predict_logit", counted)
-        # a lone last candidate joins the block before it, and a block
-        # holds at least two
-        for block, sizes in ((60, [60]), (59, [60]), (7, [7] * 8 + [4]),
-                             (1, [2] * 30)):
-            monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", block * width + 7)
+        monkeypatch.setattr(model, "_attention", counted)
+        # as few pieces of near-equal size as fit, each of at least two
+        # candidates
+        for block, sizes in ((60, [60]), (59, [30, 30]),
+                             (7, [7] * 6 + [6] * 3), (1, [2] * 30)):
+            monkeypatch.setattr(model, "SCORE_BLOCK_BYTES",
+                                once + block * per_cand + 7)
             seen.clear()
             assert np.array_equal(score_items(p, cfg, hist, 2, items), whole)
             assert seen == sizes
+        # an odd count where a piece fits one candidate
+        seen.clear()
+        assert np.array_equal(score_items(p, cfg, hist, 2, items[:7]),
+                              whole[:7])
+        assert seen == [3, 2, 2]
+
+    @pytest.mark.parametrize("att_scale", [1.0, 30.0])
+    def test_attention_peak_stays_within_budget(self, att_scale,
+                                                monkeypatch):
+        # tracemalloc sees numpy's buffers; the call may hold the budget
+        # beside its copy of the history table with a ones column. User 9
+        # alone needs a (200, 4, 300) attention array of 1.9 MB; at
+        # att_scale 30 the scores leave the softmax's direct branch
+        num_items, k, budget = 400, 8, 256 << 10
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=k, k_prime=4,
+                          num_layers=2)
+        p, _ = tiny_params(cfg, 12, num_items, rng_from_seed(43), scale=0.5)
+        p["att_out"] *= att_scale
+        rng = rng_from_seed(44)
+        lengths = [30, 45, 60, 0, 1, 33, 52, 41, 38, 300, 57, 44]
+        sizes = [50] * 9 + [200, 50, 50]
+        histories = [rng.choice(num_items, size=n, replace=False)
+                     for n in lengths]
+        # five candidates of each user inside its history
+        items = np.concatenate([
+            np.concatenate((h[:5], rng.choice(num_items, c - h[:5].size)))
+            for h, c in zip(histories, sizes)])
+        users = np.arange(12)
+        whole = model._score_users(p, cfg, histories, users, items, sizes)
+        scores = predict_logit(p, cfg, histories[9], 9, items[450:650])[1]
+        assert (np.abs(scores.scores).max() > 30.0) == (att_scale > 1.0)
+        monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = model._score_users(p, cfg, histories, users, items, sizes)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + 8 * num_items * (k + 1)
+        # user 9's pieces round its weighted sums, an inner dimension of
+        # 300, differently in the last place
+        np.testing.assert_allclose(got, whole, rtol=1e-12, atol=1e-12)
 
     def check_user_blocks(self, cfg, monkeypatch):
         num_items = 60

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from deepicf.numerics import (bce_from_logit, relu, rng_from_seed, sigmoid,
                               softmax_beta, softmax_beta_vjp)
 
+import attention_oracle as history_major
 from gradcheck import finite_diff_grad
 
 mpmath.mp.dps = 50
@@ -196,6 +197,40 @@ class TestSoftmaxBeta:
                                                   beta, cot[r, keep])
             assert np.array_equal(got[r], want)
             assert np.array_equal(got_vjp[r], want_vjp)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_vjp_matches_separate_softmax_oracle(self, beta):
+        # the plain softmax read off the weights against a masked exp
+        # pass of its own: rows of the direct branch (0-3), of the
+        # log-domain branch (4-6), one of each with a masked entry, and
+        # an all-masked row (7)
+        rng = np.random.default_rng(51)
+        s = rng.normal(0.0, 3.0, size=(8, 9))
+        s[4:7] *= 40.0
+        # clamped weights, whose ratios are not the softmax's
+        s[6, :2] = 1500.0, 1499.0
+        mask = np.ones(s.shape, dtype=bool)
+        mask[1, [0, 4]] = mask[5, 2] = mask[7] = False
+        cot = rng.normal(size=s.shape)
+        top = np.where(mask, np.abs(s), 0.0).max(axis=1)
+        assert (top <= 30.0).tolist() == [True] * 4 + [False] * 3 + [True]
+        for m in (mask, None):
+            w = softmax_beta(s, beta, m)
+            got = softmax_beta_vjp(s, w, beta, cot, m)
+            want = history_major.softmax_beta_vjp(s, w, beta, cot, m)
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert (np.abs(got - want) <= 1e-12 * scale).all()
+            assert m is None or not got[7].any()
+            # each block of rows alone, so that the branch of every row,
+            # not of the whole array, picks its formula
+            for rows in (slice(0, 4), slice(4, 7), slice(7, 8)):
+                part = w[rows]
+                mp = None if m is None else m[rows]
+                got = softmax_beta_vjp(s[rows], part, beta, cot[rows], mp)
+                want = history_major.softmax_beta_vjp(s[rows], part, beta,
+                                                      cot[rows], mp)
+                assert (np.abs(got - want)
+                        <= 1e-12 * np.abs(want).max(initial=0.0)).all()
 
 
 class TestFiniteDiff:

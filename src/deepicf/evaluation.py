@@ -1,10 +1,12 @@
 """Leave-one-out ranking evaluation (hit ratio and NDCG at a cutoff) plus
 the ItemPop and ItemKNN heuristic baselines.
 
-Scorers take an array of item indices and return an array of scores, so
-per-user evaluation is a couple of vector ops. The scorers of a trained
-model are :class:`ModelScorer` objects, and :func:`evaluate` scores a run
-of them over one model in one :func:`deepicf.model._score_users` call.
+Scorers take an array of item indices and return an array of scores.
+:func:`evaluate` lays every user's candidates out once, the test item
+before its negatives, and fills their scores: each run of
+:class:`ModelScorer` objects over one model in one
+:func:`deepicf.model._score_users` call, any other scorer on its own
+user's candidates. Every rank then comes from one count over all users.
 Per-user evaluations are independent; the aggregate is a mean and does
 not depend on order.
 """
@@ -59,11 +61,18 @@ def rank_test_item(scorer, test_item, negatives):
     """
     negatives = np.asarray(negatives, dtype=np.int64)
     candidates = np.concatenate(([int(test_item)], negatives))
+    scores = _scores_of(scorer, candidates)
+    return int(_count_ranks(candidates, scores, np.zeros(1, dtype=np.int64))[0])
+
+
+def _scores_of(scorer, candidates):
+    """``scorer``'s scores of ``candidates`` as float64, one per
+    candidate, or an error naming both shapes."""
     scores = np.asarray(scorer(candidates), dtype=np.float64)
     if scores.shape != candidates.shape:
         raise EvalError(
             f"scorer returned shape {scores.shape} for {candidates.shape} items")
-    return int(_count_ranks(candidates, scores, np.zeros(1, dtype=np.int64))[0])
+    return scores
 
 
 def _count_ranks(candidates, scores, starts):
@@ -99,54 +108,49 @@ def evaluate(scorer_factory, split, k=10):
 
     ``scorer_factory(user)`` must return a scorer over item index arrays.
     Each run of consecutive :class:`ModelScorer` objects over one model is
-    ranked in one :func:`deepicf.model._score_users` call; any other scorer
-    is called once per user, through :func:`rank_test_item`. Either way a
+    scored in one :func:`deepicf.model._score_users` call, and any other
+    scorer is called once, on its own user's candidates. Either way a
     user's rank is the one :func:`rank_test_item` gives its scorer. The
     result is a pure function of (factory, split, k).
     """
     num_users = split.train.num_users
     scorers = [scorer_factory(user) for user in range(num_users)]
-    ranks = []
+    negatives = [np.asarray(row, dtype=np.int64)
+                 for row in split.eval_negatives]
+    sizes = np.array([1 + row.size for row in negatives], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # each user's test item goes in front of its negatives
+    candidates = np.insert(np.concatenate(negatives),
+                           starts - np.arange(num_users), split.test_items)
+    scores = np.empty(candidates.size)
     start = 0
     while start < num_users:
         first, stop = scorers[start], start + 1
-        if isinstance(first, ModelScorer):
-            while (stop < num_users and isinstance(scorers[stop], ModelScorer)
-                   and scorers[stop].model is first.model):
-                stop += 1
-            ranks += _rank_run(scorers[start:stop], split, start).tolist()
+        model = first.model if isinstance(first, ModelScorer) else None
+        while (model is not None and stop < num_users
+               and isinstance(scorers[stop], ModelScorer)
+               and scorers[stop].model is model):
+            stop += 1
+        rows = slice(starts[start], ends[stop - 1])
+        if model is None:
+            scores[rows] = _scores_of(first, candidates[rows])
         else:
-            ranks.append(rank_test_item(first, int(split.test_items[start]),
-                                        split.eval_negatives[start]))
+            params, config, histories = model
+            users = [scorer.user for scorer in scorers[start:stop]]
+            scores[rows] = _score_users(
+                params, config, [histories[u] for u in users], users,
+                candidates[rows], sizes[start:stop])
         start = stop
-    per_user = []
-    hits = 0
-    gain = 0.0
-    for user, rank in enumerate(ranks):
+    per_user = list(enumerate(_count_ranks(candidates, scores,
+                                           starts).tolist()))
+    hits = gain = 0
+    for _, rank in per_user:
         hr, ndcg = metrics_at_k(rank, k)
         hits += hr
         gain += ndcg
-        per_user.append((user, rank))
     return EvalReport(k=k, per_user=per_user,
                       hr_at_k=hits / num_users, ndcg_at_k=gain / num_users)
-
-
-def _rank_run(scorers, split, first):
-    """Ranks of the split's users from ``first`` on, one per scorer of a
-    run of :class:`ModelScorer` objects over one model."""
-    params, config, histories = scorers[0].model
-    users = [scorer.user for scorer in scorers]
-    negatives = [np.asarray(split.eval_negatives[row], dtype=np.int64)
-                 for row in range(first, first + len(scorers))]
-    sizes = np.array([1 + row.size for row in negatives], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    # each user's test item goes in front of its negatives
-    candidates = np.insert(np.concatenate(negatives),
-                           starts - np.arange(len(scorers)),
-                           split.test_items[first:first + len(scorers)])
-    scores = _score_users(params, config, [histories[u] for u in users],
-                          users, candidates, sizes)
-    return _count_ranks(candidates, scores, starts)
 
 
 def item_pop_scorer(train):

@@ -11,13 +11,15 @@ prediction layer with user and item biases.
 user's history against one item or a whole candidate set, each candidate
 masked out of the history by its own row of a mask; training's
 :func:`predict_logit` is a call of it. Ranking's :func:`_score_users`
-scores a block of users at once: FISM and DeepICF sum each history once
-and take a candidate inside it back out; DeepICF_A runs the attention net
-user by user, with a mask only for a user with a candidate inside its
-history; both then share the tower and the prediction layer with
-:func:`forward`, one call per block. :func:`backward` differentiates its
-cache, for one item or for the candidates of one user that a training
-batch scores together, and returns the gradients of their summed loss.
+cuts users into blocks by one byte count for every variant,
+:func:`_block_cost`, and scores a block at once: FISM and DeepICF sum
+each history once and take a candidate inside it back out; DeepICF_A
+runs the attention net user by user, with a mask only for a user with a
+candidate inside its history; both then share the tower and the
+prediction layer with :func:`forward`, one call per block.
+:func:`backward` differentiates its cache, for one item or for the
+candidates of one user that a training batch scores together, and
+returns the gradients of their summed loss.
 
 The attention variant lays its hidden units out candidate-major,
 ``(..., k', n)`` for ``n`` history rows. The target embedding folds into
@@ -437,24 +439,9 @@ def _score_users(params, config, histories, users, items, sizes):
     ``histories[b]`` with itself masked out, as :func:`forward` scores
     it. A history holds each item at most once, as a dataset's do.
 
-    Every variant takes the users in blocks, one pass each, so that the
-    arrays a block holds stay within ``SCORE_BLOCK_BYTES`` by its count;
-    a user who alone needs more takes a block of its own. Every user
-    costs a byte per item of the block's incidence. FISM and DeepICF
-    count per user the gathered history rows and two sums, and per
-    candidate the history sum, the target row, a spare row and every
-    tower layer's pre-activation and activation. DeepICF_A counts per
-    user its history's indices, and per candidate the target row, the
-    pooled row, the tower and six scalars; a block adds the largest of
-    each of two terms of its users' passes: the scratch into which one
-    user at a time folds its targets and writes its ``(c k', n)``
-    attention array, and a user's gathered ``[q, 1]`` with six ``(c, n)``
-    arrays of the softmax and a mask. A user whose pass alone would be
-    over the budget has its candidates cut into as few near-equal pieces
-    as fit, each scored as a user of its own; no piece holds a lone
-    candidate, since numpy multiplies a one-row matrix as a vector, which
-    may round differently in the last place. Beside the blocks, each call
-    holds the logits it returns and one copy of ``history_embed``:
+    The users go in blocks, one pass each, whose arrays stay within
+    ``SCORE_BLOCK_BYTES`` by the count of :func:`_block_cost`. Beside the
+    blocks, a call holds its logits and one copy of ``history_embed``:
     item-major for FISM and DeepICF, with a ones column for DeepICF_A.
 
     A user's logits do not depend on the block: its pooling is its own,
@@ -465,27 +452,24 @@ def _score_users(params, config, histories, users, items, sizes):
     is under 32 rows, the inner dimension of its weighted sum."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
     if items.size == 0:
         return np.empty(0)
     _check_range("user", users, params.num_users)
     _check_range("item", items, params.num_items)
     histories = [np.asarray(h, dtype=np.int64) for h in histories]
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
+    entry, sizes, cost = _block_cost(config, lengths,
+                                     np.asarray(sizes, dtype=np.int64),
+                                     params.num_items)
+    histories = [histories[b] for b in entry.tolist()]
+    users = users[entry]
     k = config.k
     if config.uses_attention:
-        entry, sizes, cost, live = _attention_cost(config, lengths, sizes,
-                                                   params.num_items)
-        histories = [histories[b] for b in entry]
-        users = users[entry]
         table = np.empty((params.num_items, k + 1))
         table[:, :k] = params["history_embed"]
         table[:, k] = 1.0
         kernel = _attend_block
     else:
-        per_item = 3 * k + 2 * sum(config.layer_sizes) + 4
-        cost = 8 * (k * (lengths + 2) + per_item * sizes) + params.num_items
-        live = []
         # the history table item-major, so that a block gathers each
         # user's rows as columns and sums them along contiguous memory
         table = np.ascontiguousarray(params["history_embed"].T)
@@ -493,11 +477,9 @@ def _score_users(params, config, histories, users, items, sizes):
     cost_ends, row_ends = np.cumsum(cost), np.cumsum(sizes)
     logits, start = np.empty(items.size), 0
     while start < users.size:
-        spent = cost_ends[start:] - (cost_ends[start] - cost[start])
-        for term in live:
-            spent += np.maximum.accumulate(term[start:])
-        stop = start + max(1, int(np.searchsorted(spent, SCORE_BLOCK_BYTES,
-                                                  side="right")))
+        stop = max(start + 1, int(np.searchsorted(
+            cost_ends, cost_ends[start] - cost[start] + SCORE_BLOCK_BYTES,
+            side="right")))
         rows = slice(row_ends[start] - sizes[start], row_ends[stop - 1])
         logits[rows] = kernel(params, config, table, histories[start:stop],
                               users[start:stop], items[rows],
@@ -506,28 +488,32 @@ def _score_users(params, config, histories, users, items, sizes):
     return logits
 
 
-def _attention_cost(config, lengths, sizes, num_items):
-    """DeepICF_A's count for :func:`_score_users`, over users with
+def _block_cost(config, lengths, sizes, num_items):
+    """The count of :func:`_score_users`, in bytes, over users with
     ``lengths`` history rows and ``sizes`` candidates: ``(entry, sizes,
-    cost, live)``. Each user's candidates are cut into as few pieces of
-    near-equal size as keep a piece's pass within ``SCORE_BLOCK_BYTES``,
-    none of them a lone candidate; ``entry`` names the user of each
-    piece, and ``sizes`` its candidates. A piece costs in bytes ``cost``
-    and the two ``live`` terms of its pass, of which a block holds its
-    largest: the scratch, and the ``[q, 1]``, softmax arrays and mask."""
-    k = config.k
-    # its history's indices and incidence row, and per candidate the
-    # target and pooled rows, the tower and six scalars
-    once = 8 * lengths + num_items
-    per_item = 8 * (2 * k + 2 * sum(config.layer_sizes) + 6)
-    # a pass: per candidate the scratch's folded weights and attention
-    # rows, and per candidate and history row six float64s of the
-    # softmax and a mask byte; per user its gathered [q, 1]
-    scratch = 8 * config.k_prime * (k + 1 + lengths)
-    softmax = (8 * 6 + 1) * lengths
-    gathered = 8 * (k + 1) * lengths
-    fit = np.maximum(1, (SCORE_BLOCK_BYTES - once - gathered)
-                     // (per_item + scratch + softmax))
+    cost)``. A user costs ``once``, and each of its candidates
+    ``per_item`` plus ``per_pair`` per history row, which only DeepICF_A
+    pays. A user is cut into as few near-equal pieces as keep each within
+    ``SCORE_BLOCK_BYTES``, none of them a lone candidate, which numpy
+    would multiply as a vector and may round differently. ``entry`` names
+    each piece's user, ``sizes`` its candidates and ``cost`` its bytes."""
+    k, tower = config.k, 2 * sum(config.layer_sizes)
+    if config.uses_attention:
+        # a user: its history's indices and [q, 1]; a candidate: its
+        # target and pooled rows, the tower, six scalars and the scratch's
+        # folded weights, and per history row its scratch attention row,
+        # six float64s of the softmax and a mask byte
+        once = 8 * (k + 2) * lengths
+        per_item = 8 * (2 * k + tower + 6 + config.k_prime * (k + 1))
+        per_pair = 8 * config.k_prime + 8 * 6 + 1
+    else:
+        # a user: its gathered history rows and two sums; a candidate: its
+        # history sum, target row, a spare row, the tower and four scalars
+        once, per_item, per_pair = (8 * k * (lengths + 2),
+                                    8 * (3 * k + tower + 4), 0)
+    once += num_items        # the user's row of the block's incidence
+    each = per_item + per_pair * lengths
+    fit = np.maximum(1, (SCORE_BLOCK_BYTES - once) // each)
     # pieces of at most `fit` candidates and at least two, or of two and
     # three where not even two fit
     count = np.minimum(-(-sizes // fit), np.maximum(1, sizes // 2))
@@ -535,9 +521,7 @@ def _attention_cost(config, lengths, sizes, num_items):
     nth = np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
     count, total = count[entry], sizes[entry]
     sizes = total // count + (nth < total % count)
-    cost = once[entry] + per_item * sizes
-    live = [scratch[entry] * sizes, gathered[entry] + softmax[entry] * sizes]
-    return entry, sizes, cost, live
+    return entry, sizes, once[entry] + each[entry] * sizes
 
 
 def _owners(num_items, hist, lengths, items, sizes):
@@ -686,7 +670,8 @@ def backward(params, config, cache, dlogit):
         # the history, is applied to the small factors on either side
         rows_pre = (hidden > 0.0).astype(np.float64)
         rows_pre *= d_scores[..., None, :]
-        rows_pre = rows_pre.reshape(-1, q.shape[0])
+        rows_pre = rows_pre.reshape(math.prod(hidden.shape[:-1]),
+                                    q.shape[0])
         # M from one GEMM, with the bias gradient in its ones column
         m = (rows_pre @ cache.hist_ones).reshape(p.shape[:-1] + (k_att, k + 1))
         m *= params["att_out"][:, None]

@@ -118,6 +118,26 @@ class TestEvaluate:
         assert report.hr_at_k == 0.5
         assert report.ndcg_at_k == 0.5
 
+    @pytest.mark.parametrize("bad,message", [
+        (lambda items: np.zeros(items.size + 1),
+         "scorer returned shape (14,) for (13,) items"),
+        (lambda items: np.zeros((items.size, 1)),
+         "scorer returned shape (13, 1) for (13,) items"),
+        (lambda items: np.where(items == items[2], np.nan, items * 0.5),
+         "non-finite score for item {}"),
+    ], ids=["long", "column", "nan"])
+    def test_bad_plain_scorer_is_an_eval_error(self, bad, message):
+        # user 0's scorer is bad and user 1's sound; the error is the
+        # same whether the scorer is ranked alone or by evaluate
+        split = self.two_user_split()
+        message = message.format(split.eval_negatives[0][1])
+        table = table_scorer(np.arange(20.0))
+        with pytest.raises(EvalError) as alone:
+            rank_test_item(bad, split.test_items[0], split.eval_negatives[0])
+        with pytest.raises(EvalError) as got:
+            evaluate(lambda user: bad if user == 0 else table, split)
+        assert str(alone.value) == str(got.value) == message
+
     def test_repeat_runs_identical(self, small_split):
         factory = item_pop_scorer(small_split.train)
         a = evaluate(factory, small_split, k=10)
@@ -348,7 +368,7 @@ class TestCheckpointOracleEquivalence:
 
 
 # configs of the block path: FISM and DeepICF at alpha 0 and 0.5, DeepICF
-# at L = 0 and 3, and DeepICF_A, which ranks user by user inside the call
+# at L = 0 and 3, and DeepICF_A at L = 0 and 3
 BLOCK_CONFIGS = [
     dict(variant=Variant.FISM, alpha=0.0),
     dict(variant=Variant.FISM, alpha=0.5),
@@ -448,7 +468,7 @@ class TestBlockEvaluate:
 
         monkeypatch.setattr(model, kernel, counted)
         # one block, then blocks whose boundaries fall inside the split;
-        # at the small budgets DeepICF_A scores a user's candidates in
+        # at the small budgets every variant scores a user's candidates in
         # pieces, each a user of its own
         for budget, one_block in ((model.SCORE_BLOCK_BYTES, True),
                                   (4000, False), (1, False)):
@@ -457,8 +477,8 @@ class TestBlockEvaluate:
             assert_same_report(evaluate(factory, split, k=5), want)
             entries, scored = np.sum(blocks, axis=0)
             assert scored == sum(c.size for c in cands)
-            assert (entries == split.train.num_users
-                    or cfg.uses_attention and not one_block)
+            assert entries >= split.train.num_users
+            assert entries == split.train.num_users or not one_block
             assert (len(blocks) == 1) == one_block
             assert_scores_match_forward(params, cfg, split, users,
                                         model._score_users(
@@ -522,8 +542,9 @@ class TestBlockEvaluate:
         assert_scores_match_forward(params, cfg, split,
                                     range(split.train.num_users),
                                     np.concatenate(alone))
-        # smaller budgets cut the users into more blocks, and DeepICF_A's
-        # candidates into pieces; its histories here are under 32 rows
+        # smaller budgets cut the users into more blocks, and their
+        # candidates into pieces; the histories here are under 32 rows,
+        # as DeepICF_A's pieces need
         rng = rng_from_seed(26)
         for budget in (model.SCORE_BLOCK_BYTES, 4000, 1):
             monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)

@@ -527,6 +527,32 @@ class TestBackward:
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
         assert np.abs(analytic - numeric).max() / scale < 1e-4
 
+    @pytest.mark.parametrize("items", [3, np.array([3, 5, 3])],
+                             ids=["one", "array"])
+    @pytest.mark.parametrize("variant,layers", [
+        (Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 2)])
+    def test_empty_history_gradients_match_finite_differences(
+            self, variant, layers, items):
+        num_users, num_items = 2, 6
+        cfg = ModelConfig(variant=variant, k=4, k_prime=3, num_layers=layers)
+        p, flat = tiny_params(cfg, num_users, num_items,
+                              rng_from_seed(32, variant.value))
+        labels = np.ones_like(items)
+
+        def loss_of(theta):
+            view = params_from_flat(theta, cfg, num_users, num_items)
+            logit, _ = predict_logit(view, cfg, [], 1, items)
+            return bce_from_logit(logit, labels)[0].sum()
+
+        logit, cache = predict_logit(p, cfg, [], 1, items)
+        grads = backward(p, cfg, cache, bce_from_logit(logit, labels)[1])
+        rows, values = grads.rows["history_embed"]
+        assert rows.size == 0 and values.shape == (0, cfg.k)
+        analytic = flatten_grads(grads, cfg, num_users, num_items)
+        numeric = finite_diff_grad(loss_of, flat, h=1e-5)
+        scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
+        assert np.abs(analytic - numeric).max() / scale < 1e-6
+
     def test_row_masked_by_every_candidate_gets_no_gradient(self):
         cfg = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3)
         p, _ = tiny_params(cfg, 2, 6, rng_from_seed(12))
@@ -648,9 +674,8 @@ class TestScoreBlocks:
                                             monkeypatch):
         cfg = ModelConfig(variant=variant, k=6, k_prime=4, num_layers=layers,
                           alpha=0.0 if variant is Variant.DEEPICF_A else 0.5)
-        if cfg.uses_attention:
-            self.check_candidate_blocks(cfg, monkeypatch)
-        else:
+        self.check_candidate_blocks(cfg, monkeypatch)
+        if not cfg.uses_attention:
             self.check_user_blocks(cfg, monkeypatch)
 
     def check_candidate_blocks(self, cfg, monkeypatch):
@@ -658,37 +683,59 @@ class TestScoreBlocks:
         hist = np.arange(0, 60, 3)
         items = np.arange(60)[::-1].copy()     # a third are history rows
         whole = predict_logit(p, cfg, hist, 2, items)[0]
-        k, n = cfg.k, hist.size
-        # a candidate costs its target row, pooled row, tower and six
-        # scalars, its scratch rows of folded weights and attention
-        # outputs, and per history row six softmax float64s and a mask
-        # byte; the user costs its history's indices, its [q, 1] and its
-        # row of the incidence
-        per_cand = (8 * (2 * k + 2 * sum(cfg.layer_sizes) + 6)
-                    + 8 * cfg.k_prime * (k + 1 + n) + (8 * 6 + 1) * n)
-        once = 8 * n + 8 * (k + 1) * n + 60
-        seen = []
-        real = model._attention
+        alone = score_items(p, cfg, hist, 2, items)
+        np.testing.assert_allclose(alone, whole, rtol=1e-12, atol=1e-12)
+        # DeepICF_A's pooling is forward's own attention net; FISM and
+        # DeepICF sum the history with reduceat, not forward's matmul
+        assert np.array_equal(alone, whole) or not cfg.uses_attention
+        k, n, tower = cfg.k, hist.size, 2 * sum(cfg.layer_sizes)
+        if cfg.uses_attention:
+            # a candidate costs its target row, pooled row, tower and six
+            # scalars, its scratch rows of folded weights and attention
+            # outputs, and per history row six softmax float64s and a
+            # mask byte; the user costs its history's indices, its [q, 1]
+            # and its row of the incidence
+            per_cand = (8 * (2 * k + tower + 6)
+                        + 8 * cfg.k_prime * (k + 1 + n) + (8 * 6 + 1) * n)
+            once = 8 * n + 8 * (k + 1) * n + 60
+        else:
+            # a candidate costs three rows of k, the tower and four
+            # scalars; the user its gathered history rows, two sums and
+            # its row of the incidence
+            per_cand = 8 * (3 * k + tower + 4)
+            once = 8 * k * (n + 2) + 60
+        kernel = "_attend_block" if cfg.uses_attention else "_pool_block"
+        real_kernel, real_attention = getattr(model, kernel), model._attention
+        pieces, calls = [], []
 
-        def counted(*args):
-            seen.append(len(args[2]))
-            return real(*args)
+        def counted_kernel(*args):
+            pieces.append(args[6].tolist())
+            return real_kernel(*args)
 
-        monkeypatch.setattr(model, "_attention", counted)
+        def counted_attention(*args):
+            calls.append(len(args[2]))
+            return real_attention(*args)
+
+        monkeypatch.setattr(model, kernel, counted_kernel)
+        monkeypatch.setattr(model, "_attention", counted_attention)
         # as few pieces of near-equal size as fit, each of at least two
-        # candidates
+        # candidates and each a block of its own
         for block, sizes in ((60, [60]), (59, [30, 30]),
                              (7, [7] * 6 + [6] * 3), (1, [2] * 30)):
             monkeypatch.setattr(model, "SCORE_BLOCK_BYTES",
                                 once + block * per_cand + 7)
-            seen.clear()
-            assert np.array_equal(score_items(p, cfg, hist, 2, items), whole)
-            assert seen == sizes
+            pieces.clear()
+            calls.clear()
+            assert np.array_equal(score_items(p, cfg, hist, 2, items), alone)
+            assert pieces == [[size] for size in sizes]
+            assert calls == (sizes if cfg.uses_attention else [])
         # an odd count where a piece fits one candidate
-        seen.clear()
+        pieces.clear()
+        calls.clear()
         assert np.array_equal(score_items(p, cfg, hist, 2, items[:7]),
-                              whole[:7])
-        assert seen == [3, 2, 2]
+                              alone[:7])
+        assert pieces == [[3], [2], [2]]
+        assert calls == ([3, 2, 2] if cfg.uses_attention else [])
 
     @pytest.mark.parametrize("att_scale", [1.0, 30.0])
     def test_attention_peak_stays_within_budget(self, att_scale,
@@ -753,21 +800,29 @@ class TestScoreBlocks:
         per_item = 3 * 6 + 2 * sum(cfg.layer_sizes) + 4
         cost = [8 * (6 * (n + 2) + per_item * c) + num_items
                 for n, c in zip(lengths, sizes)]
-        seen = []
+        seen, pieces = [], []
         real = model._pool_block
 
         def counted(*args):
             seen.append(args[4].size)
+            pieces.extend(args[6].tolist())
             return real(*args)
 
         monkeypatch.setattr(model, "_pool_block", counted)
         # at the cost of the first two users, the fifth alone is over
-        # budget and takes a block of its own
-        for budget, blocks in ((sum(cost), [7]), (sum(cost) - 1, [6, 1]),
-                               (cost[0] + cost[1], [2, 2, 1, 2]),
-                               (1, [1] * 7)):
+        # budget and is cut into two pieces, the first a block of its own;
+        # at a budget of one byte every user is cut into pieces of two,
+        # the first of three where its count is odd, as all of them are
+        cut = sum(([3] + [2] * (c // 2 - 1) for c in sizes), [])
+        for budget, blocks, want in (
+                (sum(cost), [7], sizes), (sum(cost) - 1, [6, 1], sizes),
+                (cost[0] + cost[1], [2, 2, 1, 2, 1],
+                 sizes[:4] + [26, 25] + sizes[5:]),
+                (1, [1] * len(cut), cut)):
             monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
             seen.clear()
+            pieces.clear()
             got = model._score_users(p, cfg, histories, users, items, sizes)
             assert np.array_equal(got, whole)
             assert seen == blocks
+            assert pieces == want

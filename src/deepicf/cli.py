@@ -134,6 +134,7 @@ def cmd_eval(args):
     if args.metrics:
         report.write_csv(args.metrics)
     print(report.summary())
+    print(f"ties={report.ties}")
     return 0
 
 

@@ -507,6 +507,8 @@ def save_split(split, prefix):
     (rating written as 1: implicit feedback), .test one ``user TAB item``
     line per user, .negatives the per-user negative lists, and .idmap the
     raw-to-dense id tables with ``#users`` / ``#items`` section headers.
+    The .idmap, written last, ends with the split record: the row counts
+    of the other three files, which :func:`load_split` checks.
     """
     prefix = str(prefix)
     tr = split.train
@@ -530,6 +532,7 @@ def save_split(split, prefix):
         for header, ids in (("#users", tr.user_ids), ("#items", tr.item_ids)):
             f.write(header + "\n")
             f.write("".join(map("{}\t{}\n".format, ids, range(len(ids)))))
+        f.write(_RECORD_FORMAT.format(items.size, tr.num_users, tr.num_users))
 
 
 # "0000" to "9999" in ASCII, four bytes to an entry
@@ -562,16 +565,36 @@ def _decimal_lines(*columns):
     return chars[chars != 0].tobytes().decode("ascii")
 
 
+# The split record, the last line of a .idmap file: the row counts of
+# .train, .test and .negatives. It holds no tab, so no id entry reads as
+# one.
+_RECORD_FORMAT = "#rows train={} test={} negatives={}\n"
+_RECORD = re.compile(r"#rows train=(\d+) test=(\d+) negatives=(\d+)")
+
+
 def _read_idmap(path):
+    """The raw user and item ids of a .idmap file, in dense-id order, and
+    its split record as a ``{"train", "test", "negatives"}`` row count."""
     # section header -> {raw id: line number}, in dense-id order
     sections = {"#users": {}, "#items": {}}
-    section = None
+    section = record = None
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
             if not_utf8(line):
                 raise DataError(f"{path}: line {lineno}: not UTF-8 text")
             if not line:
+                continue
+            if record is not None:
+                raise DataError(f"{path}: line {lineno}: text after the"
+                                f" split record")
+            if line.startswith("#rows") and "\t" not in line:
+                match = _RECORD.fullmatch(line)
+                if match is None:
+                    raise DataError(f"{path}: line {lineno}: bad split"
+                                    f" record {line!r}")
+                record = dict(zip(("train", "test", "negatives"),
+                                  map(int, match.groups())))
                 continue
             if line in sections:
                 section = sections[line]
@@ -592,7 +615,20 @@ def _read_idmap(path):
     users, items = (list(sections[h]) for h in ("#users", "#items"))
     if not users or not items:
         raise DataError(f"{path}: empty idmap section")
-    return users, items
+    if record is None:
+        raise DataError(f"{path}: no split record after the ids: the split"
+                        f" is cut short or older than the record;"
+                        f" re-run `deepicf split`")
+    return users, items, record
+
+
+def _check_rows(path, rows, listed):
+    """A split file's count of rows against the count ``listed`` in its
+    split record."""
+    if rows != listed:
+        raise DataError(f"{path}: {rows} rows, but the split record lists"
+                        f" {listed}: the split is partial;"
+                        f" re-run `deepicf split`")
 
 
 def load_split(prefix):
@@ -606,10 +642,12 @@ def load_split(prefix):
     ``.test``, ``.negatives``; a file's first defect in line order is the
     one reported. A row function only parses the lines of a block numpy
     refuses; every rule on values is one mask over all the rows, paired
-    with the message that words it.
+    with the message that words it. A file whose rows are all sound but
+    whose count differs from the split record at the end of ``.idmap`` is
+    a :class:`DataError` naming it, as is a ``.idmap`` without the record.
     """
     prefix = str(prefix)
-    user_ids, item_ids = _read_idmap(prefix + ".idmap")
+    user_ids, item_ids, record = _read_idmap(prefix + ".idmap")
     num_users, num_items = len(user_ids), len(item_ids)
 
     train_file = _SplitFile(prefix + ".train", _train_row, range(4, 5))
@@ -630,15 +668,16 @@ def load_split(prefix):
          f"user {users[row]} lists an item a second time"),
     ))
     del bad_item, repeated, negative
+    _check_rows(train_file.path, users.size, record["train"])
     hist_items, hist_times = _split_by_user(users, items, times,
                                             num_users=num_users)
     del users, items, times
     train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
 
     test_items = np.concatenate(_load_user_rows(
-        prefix + ".test", history, num_users, num_items))
-    negatives = _load_user_rows(prefix + ".negatives", history, num_users,
-                                num_items, test_items)
+        prefix + ".test", record["test"], history, num_users, num_items))
+    negatives = _load_user_rows(prefix + ".negatives", record["negatives"],
+                                history, num_users, num_items, test_items)
     return LooSplit(train=train, test_items=test_items,
                     eval_negatives=negatives)
 
@@ -672,12 +711,13 @@ def _user_row(line):
         return f"bad row {line!r}"
 
 
-def _load_user_rows(path, history, num_users, num_items, test_items=None):
-    """Rows ``user TAB item [TAB item ...]``: exactly one per user, every
-    index in range. Without ``test_items`` the file is a ``.test`` file,
-    one item per row that lies outside the user's history (the sorted
-    ``user * num_items + item`` keys of ``.train``); with them a
-    ``.negatives`` file, whose rows hold distinct items outside the
+def _load_user_rows(path, rows, history, num_users, num_items,
+                    test_items=None):
+    """``rows`` rows ``user TAB item [TAB item ...]``: exactly one per
+    user, every index in range. Without ``test_items`` the file is a
+    ``.test`` file, one item per row that lies outside the user's history
+    (the sorted ``user * num_items + item`` keys of ``.train``); with them
+    a ``.negatives`` file, whose rows hold distinct items outside the
     history and the user's test item. Returns the per-user item arrays."""
     single = test_items is None
     file = _SplitFile(path, _user_row,
@@ -726,6 +766,7 @@ def _load_user_rows(path, history, num_users, num_items, test_items=None):
     missing = np.flatnonzero(np.bincount(users, minlength=num_users) == 0)
     if missing.size:
         raise DataError(f"{path}: no row for user {missing[0]}")
+    _check_rows(path, users.size, rows)
     by_user = np.argsort(users)
     return [row[:n] for row, n in zip(items[by_user], counts[by_user].tolist())]
 

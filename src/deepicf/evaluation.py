@@ -14,6 +14,7 @@ not depend on order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,12 +29,16 @@ from deepicf.model import _score_users, score_items
 class EvalReport:
     """Per-user ranks of the held-out item among its candidates, plus the
     aggregate metrics. For every user: hit if the rank is within the
-    cutoff, gain 1/log2(rank+1)."""
+    cutoff, gain 1/log2(rank+1). ``ties`` counts, over all users, the
+    candidates other than the test item that score exactly as the test
+    item does; they rank by index, so many ties make the metrics depend
+    on item numbering."""
 
     k: int
     per_user: list                # (user, rank) pairs
     hr_at_k: float
     ndcg_at_k: float
+    ties: int
 
     def summary(self):
         return f"HR@{self.k}={self.hr_at_k:.4f} NDCG@{self.k}={self.ndcg_at_k:.4f}"
@@ -62,7 +67,8 @@ def rank_test_item(scorer, test_item, negatives):
     negatives = np.asarray(negatives, dtype=np.int64)
     candidates = np.concatenate(([int(test_item)], negatives))
     scores = _scores_of(scorer, candidates)
-    return int(_count_ranks(candidates, scores, np.zeros(1, dtype=np.int64))[0])
+    ranks, _ = _count_ranks(candidates, scores, np.zeros(1, dtype=np.int64))
+    return int(ranks[0])
 
 
 def _scores_of(scorer, candidates):
@@ -79,7 +85,9 @@ def _count_ranks(candidates, scores, starts):
     """The rank in :func:`rank_order` of the candidate at each of
     ``starts`` among the candidates from it to the next start: 1, plus
     those that score higher, plus those that tie with it and have a lower
-    index. A non-finite score is an error naming the first such item."""
+    index; and the count, over all starts, of the other candidates that
+    tie with it. A non-finite score is an error naming the first such
+    item."""
     bad = ~np.isfinite(scores)
     if bad.any():
         raise EvalError(
@@ -87,9 +95,10 @@ def _count_ranks(candidates, scores, starts):
     sizes = np.diff(starts, append=candidates.size)
     test_scores = np.repeat(scores[starts], sizes)
     test_items = np.repeat(candidates[starts], sizes)
-    ahead = (scores > test_scores) | ((scores == test_scores)
-                                      & (candidates < test_items))
-    return 1 + np.add.reduceat(ahead, starts, dtype=np.int64)
+    tied = scores == test_scores
+    ahead = (scores > test_scores) | (tied & (candidates < test_items))
+    ranks = 1 + np.add.reduceat(ahead, starts, dtype=np.int64)
+    return ranks, int(np.count_nonzero(tied)) - starts.size
 
 
 def metrics_at_k(rank, k):
@@ -142,15 +151,15 @@ def evaluate(scorer_factory, split, k=10):
                 params, config, [histories[u] for u in users], users,
                 candidates[rows], sizes[start:stop])
         start = stop
-    per_user = list(enumerate(_count_ranks(candidates, scores,
-                                           starts).tolist()))
+    ranks, ties = _count_ranks(candidates, scores, starts)
+    per_user = list(enumerate(ranks.tolist()))
     hits = gain = 0
     for _, rank in per_user:
         hr, ndcg = metrics_at_k(rank, k)
         hits += hr
         gain += ndcg
-    return EvalReport(k=k, per_user=per_user,
-                      hr_at_k=hits / num_users, ndcg_at_k=gain / num_users)
+    return EvalReport(k=k, per_user=per_user, hr_at_k=hits / num_users,
+                      ndcg_at_k=gain / num_users, ties=ties)
 
 
 def item_pop_scorer(train):
@@ -165,6 +174,27 @@ def item_pop_scorer(train):
     return factory
 
 
+# A user whose history holds more than this share of the catalog has its
+# co-occurrence counts taken by a dense float32 matrix product instead of
+# per-item bincounts. Chosen from the measured crossover of the two on
+# the ML-1M-shaped benchmark log: fits at shares of 0.05 to 0.10 took
+# about the same time, and at 0.03 and 0.15 longer.
+DENSE_SHARE = 0.1
+# Item rows of the dense product made at a time: 7.6 MB of float32 at
+# ML-1M's 3,706 items.
+_DENSE_ROWS = 512
+# Users in one float32 product: float32 holds every integer up to 2**24
+# exactly, and no count in a product exceeds its number of users.
+_EXACT_USERS = 1 << 24
+
+
+def dense_users(lengths, num_items):
+    """Whether each history of the given ``lengths`` is long enough for
+    the dense product of the ItemKNN fit: longer than ``DENSE_SHARE`` of
+    the ``num_items`` catalog."""
+    return np.asarray(lengths) > DENSE_SHARE * num_items
+
+
 class ItemKnnModel:
     """Cosine similarity between items over binary user-incidence vectors.
 
@@ -174,25 +204,46 @@ class ItemKnnModel:
     in the user's history.
 
     The similarity matrix is held dense: on real logs the co-occurrence
-    counts are nearly full. Row ``i`` counts, per item, the users that
-    hold it together with ``i``: one ``bincount`` over the histories that
-    hold ``i``. Each column is then scaled by ``1/sqrt(|users(j)|)`` and
-    the diagonal zeroed; the row factor ``1/sqrt(|users(i)|)`` is applied
-    at scoring time.
+    counts are nearly full. Each user adds its history's pairs to the
+    counts by whichever method is cheaper for its length n:
+
+    - a user with n above ``DENSE_SHARE`` of the catalog (see
+      :func:`dense_users`) is a row of a 0/1 float32 incidence ``X``, and
+      those users' counts are ``X.T @ X``, taken ``_DENSE_ROWS`` item rows
+      at a time. A count is an integer no larger than the users in one
+      product, so float32 holds it exactly while a product takes at most
+      2**24 users (``_EXACT_USERS``);
+    - row ``i`` of every other user's counts is one ``bincount`` over the
+      histories that hold ``i``.
+
+    Each column is then scaled by ``1/sqrt(|users(j)|)`` and the diagonal
+    zeroed; the row factor ``1/sqrt(|users(i)|)`` is applied at scoring
+    time.
     """
 
     def __init__(self, train):
         self.train = train
         num_items = train.num_items
+        hists = train.item_arrays()
+        dense = dense_users([h.size for h in hists], num_items)
         holders = [[] for _ in range(num_items)]
-        for hist in train.item_arrays():
+        for hist in itertools.compress(hists, ~dense):
             for item in hist.tolist():
                 holders[item].append(hist)
         sim = np.zeros((num_items, num_items))
-        for item, hists in enumerate(holders):
-            if hists:
-                sim[item] = np.bincount(np.concatenate(hists),
+        for item, hists_of in enumerate(holders):
+            if hists_of:
+                sim[item] = np.bincount(np.concatenate(hists_of),
                                         minlength=num_items)
+        long_users = np.flatnonzero(dense)
+        for first in range(0, long_users.size, _EXACT_USERS):
+            users = long_users[first:first + _EXACT_USERS]
+            incidence = np.zeros((users.size, num_items), dtype=np.float32)
+            for row, user in enumerate(users.tolist()):
+                incidence[row, hists[user]] = 1.0
+            for start in range(0, num_items, _DENSE_ROWS):
+                rows = slice(start, start + _DENSE_ROWS)
+                sim[rows] += incidence[:, rows].T @ incidence
         counts = train.item_counts()
         inv_sqrt = np.zeros(num_items)
         active = counts > 0

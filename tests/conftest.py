@@ -80,6 +80,8 @@ def save_split_rows(split, prefix):
         f.write("#items\n")
         for i, iid in enumerate(tr.item_ids):
             f.write(f"{iid}\t{i}\n")
+        f.write(f"#rows train={tr.num_interactions} test={tr.num_users}"
+                f" negatives={tr.num_users}\n")
 
 
 def ml1m_ratings_path():

@@ -4,9 +4,10 @@ and ``parse_log_lines`` of ``deepicf.data.parse_interactions``.
 
 Each reads its input one line at a time, checking each row's rules in
 order as it reads it, and raises a ``DataError`` for the first defective
-row; a byte that is not UTF-8 is its line's first defect. The package's
-readers must give the same result, or the same error message byte for
-byte.
+row; a byte that is not UTF-8 is its line's first defect. A split file
+whose sound rows number other than its split record lists fails after
+its last row. The package's readers must give the same result, or the
+same error message byte for byte.
 """
 
 import numpy as np
@@ -68,9 +69,16 @@ def parse_log_lines(lines, sep):
                               raw_interactions=raw)
 
 
+def check_rows(path, rows, listed):
+    if rows != listed:
+        raise DataError(f"{path}: {rows} rows, but the split record lists"
+                        f" {listed}: the split is partial;"
+                        f" re-run `deepicf split`")
+
+
 def load_split_lines(prefix):
     """``deepicf.data.load_split`` one line at a time."""
-    user_ids, item_ids = _read_idmap(prefix + ".idmap")
+    user_ids, item_ids, record = _read_idmap(prefix + ".idmap")
     num_users, num_items = len(user_ids), len(item_ids)
 
     items_per_user = [[] for _ in range(num_users)]
@@ -102,24 +110,26 @@ def load_split_lines(prefix):
             items_per_user[u].append(i)
             times_per_user[u].append(ts)
 
+    check_rows(prefix + ".train", sum(map(len, items_per_user)),
+               record["train"])
     train = InteractionDataset(user_ids, item_ids, items_per_user,
                                times_per_user)
 
     test_items = np.concatenate(read_user_rows(
-        prefix + ".test", seen, num_items))
-    negatives = read_user_rows(prefix + ".negatives", seen, num_items,
-                                test_items)
+        prefix + ".test", record["test"], seen, num_items))
+    negatives = read_user_rows(prefix + ".negatives", record["negatives"],
+                               seen, num_items, test_items)
     return LooSplit(train=train, test_items=test_items,
                     eval_negatives=negatives)
 
 
-def read_user_rows(path, histories, num_items, test_items=None):
-    """Rows ``user TAB item [TAB item ...]``: exactly one per user, every
-    index in range. Without ``test_items`` the file is a ``.test`` file,
-    one item per row that lies outside the user's ``histories`` entry;
-    with them a ``.negatives`` file, whose rows hold distinct items
-    outside the history and the user's test item. Each row is checked as
-    it is read. Returns the per-user item arrays."""
+def read_user_rows(path, listed, histories, num_items, test_items=None):
+    """``listed`` rows ``user TAB item [TAB item ...]``: exactly one per
+    user, every index in range. Without ``test_items`` the file is a
+    ``.test`` file, one item per row that lies outside the user's
+    ``histories`` entry; with them a ``.negatives`` file, whose rows hold
+    distinct items outside the history and the user's test item. Each
+    row is checked as it is read. Returns the per-user item arrays."""
     single = test_items is None
     num_users = len(histories)
     rows = [None] * num_users
@@ -166,4 +176,5 @@ def read_user_rows(path, histories, num_items, test_items=None):
     missing = [u for u, row in enumerate(rows) if row is None]
     if missing:
         raise DataError(f"{path}: no row for user {missing[0]}")
+    check_rows(path, num_users, listed)
     return rows

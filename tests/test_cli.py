@@ -64,6 +64,20 @@ class TestSplitCommand:
             assert filecmp.cmp(workdir / f"sp{ext}", workdir / f"sp2{ext}",
                                shallow=False)
 
+    @pytest.mark.parametrize("scorer", ["itempop", "itemknn"])
+    def test_eval_refuses_a_cut_train(self, workdir, capsys, scorer):
+        # the first two thirds of .train are sound rows; the split record
+        # in .idmap still counts the whole file
+        path = workdir / "sp.train"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:len(lines) * 2 // 3]))
+        assert main(["eval", "--split", str(workdir / "sp"),
+                     "--scorer", scorer]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: {len(lines) * 2 // 3} rows, but the split record" \
+            f" lists {len(lines)}" in captured.err
+
     def test_thin_user_dropped_and_logged(self, tmp_path, caplog):
         log = tmp_path / "log.tsv"
         lines = synthetic_lines(num_users=20, num_items=300, seed=1)
@@ -372,7 +386,11 @@ import deepicf as d
 from conftest import synthetic_dataset
 
 split = d.leave_one_out_split(synthetic_dataset(), seed=3)
-d.ItemKnnModel(split.train)
+# histories of 5 to 11 of 60 items: the ItemKNN fit counts users both ways
+log = synthetic_dataset(num_items=60)
+dense = d.evaluation.dense_users([h.size for h in log.item_arrays()], 60)
+assert dense.any() and not dense.all()
+d.ItemKnnModel(log)
 config = d.ModelConfig(variant="DeepICF_A", k=4, k_prime=3, num_layers=1,
                        epochs=1, batch_size=8, eval_every=1)
 params, report = d.fit(config, split)

@@ -507,6 +507,73 @@ class TestSplitFiles:
         assert str(err.value) == (f"{prefix}.train: line 4: user {user}"
                                   f" lists an item a second time")
 
+    def test_cut_train_names_the_file(self, tmp_path):
+        # a 30-user, 300-item split whose .train keeps its first two
+        # thirds: every row left is sound, and some users have none
+        prefix = tmp_path / "sp"
+        save_split(leave_one_out_split(synthetic_dataset(), seed=4), prefix)
+        path = tmp_path / "sp.train"
+        lines = path.read_text().splitlines(keepends=True)
+        kept = len(lines) * 2 // 3
+        path.write_text("".join(lines[:kept]))
+        with pytest.raises(DataError) as err:
+            load_split(prefix)
+        assert str(err.value) == (
+            f"{prefix}.train: {kept} rows, but the split record lists"
+            f" {len(lines)}: the split is partial; re-run `deepicf split`")
+
+    @pytest.mark.parametrize("part", ["train", "test", "negatives"])
+    def test_record_disagreeing_with_a_file_names_it(self, saved_split,
+                                                      part):
+        prefix, split = saved_split
+        rows = {"train": split.train.num_interactions,
+                "test": split.train.num_users,
+                "negatives": split.train.num_users}[part]
+        _edit_split_file(prefix, "idmap", lambda lines: lines.__setitem__(
+            -1, lines[-1].replace(f"{part}={rows}", f"{part}={rows + 1}")))
+        with pytest.raises(DataError, match=re.escape(
+                f"sp.{part}: {rows} rows, but the split record lists"
+                f" {rows + 1}")):
+            load_split(prefix)
+
+    @pytest.mark.parametrize("edit,message", [
+        # a split saved before the record existed, or an .idmap cut short
+        (lambda lines: lines.pop(), "no split record after the ids: the"
+         " split is cut short or older than the record; re-run"
+         " `deepicf split`"),
+        (lambda lines: lines.append("#items"),
+         "line {}: text after the split record"),
+        (lambda lines: lines.__setitem__(-1, lines[-1] + " extra"),
+         "line {}: bad split record"),
+        (lambda lines: lines.__setitem__(-1, lines[-1].replace("=", "=-")),
+         "line {}: bad split record"),
+    ], ids=["missing", "text-after", "extra-field", "negative"])
+    def test_idmap_record_defects(self, saved_split, edit, message):
+        prefix, _ = saved_split
+        _edit_split_file(prefix, "idmap", edit)
+        lines = (prefix.parent / "sp.idmap").read_text().splitlines()
+        with pytest.raises(DataError, match=re.escape(
+                f"sp.idmap: {message.format(len(lines))}")):
+            load_split(prefix)
+
+    def test_record_is_the_last_idmap_line(self, saved_split):
+        prefix, split = saved_split
+        last = (prefix.parent / "sp.idmap").read_text().splitlines()[-1]
+        tr = split.train
+        assert last == (f"#rows train={tr.num_interactions}"
+                        f" test={tr.num_users} negatives={tr.num_users}")
+
+    def test_raw_id_like_a_record_is_an_id(self, tmp_path):
+        # an id entry holds a tab, so a raw id that reads like the record
+        # is still an id
+        odd = "#rows train=1 test=1 negatives=1"
+        lines = [f"{odd}\ti{i}\t1\t{i}" for i in range(3)]
+        lines += ["u\ti3\t1\t0", "u\ti0\t1\t1"]
+        split = leave_one_out_split(parse_interactions(lines), seed=1,
+                                    num_negatives=1)
+        save_split(split, tmp_path / "sp")
+        assert load_split(tmp_path / "sp").train.user_ids == [odd, "u"]
+
 
 class _Unwritable:
     """A value that raises when it is written out."""
@@ -747,6 +814,12 @@ class TestFastReaders:
             lines, 2, 2, "one")),
         "empty-train": ("train", lambda lines: lines.clear()),
         "empty-test": ("test", lambda lines: lines.clear()),
+        "cut-train": ("train", lambda lines: lines.__delitem__(
+            slice(len(lines) * 2 // 3, None))),
+        "cut-negatives": ("negatives", lambda lines: lines.pop()),
+        "no-split-record": ("idmap", lambda lines: lines.pop()),
+        "split-record-twice": ("idmap", lambda lines: lines.append(
+            lines[-1])),
         "whitespace-line": ("test", lambda lines: lines.insert(3, " ")),
     }
 
@@ -762,6 +835,9 @@ class TestFastReaders:
         for case in ("blank-lines-only-valid", "underscore-and-arabic-digits",
                      "ragged-negatives", "non-integer-rating", "empty-train"):
             _edit_split_file(prefix, *self.ODD_SPLITS[case])
+        # an empty .train is a whole split only if its record says so
+        _edit_split_file(prefix, "idmap", lambda lines: lines.__setitem__(
+            -1, re.sub("train=[0-9]+", "train=0", lines[-1])))
         loaded = load_split(prefix)
         assert loaded.eval_negatives[2].tolist() == (
             split.eval_negatives[2][:-2].tolist())

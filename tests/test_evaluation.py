@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deepicf import evaluation, model
 from deepicf.data import InteractionDataset, LooSplit, leave_one_out_split
 from deepicf.errors import EvalError, TrainingDiverged
-from deepicf.evaluation import (ItemKnnModel, evaluate,
+from deepicf.evaluation import (ItemKnnModel, dense_users, evaluate,
                                 item_knn_fit_and_score, item_pop_scorer,
                                 metrics_at_k, model_scorer_factory,
                                 rank_test_item)
@@ -118,6 +120,27 @@ class TestEvaluate:
         assert report.hr_at_k == 0.5
         assert report.ndcg_at_k == 0.5
 
+    def test_ties_count_candidates_scored_as_the_test_item(self):
+        split = self.two_user_split()
+        test = [int(t) for t in split.test_items]
+        negatives = [row.tolist() for row in split.eval_negatives]
+        # user 0 scores every candidate alike; user 1 scores its test item
+        # and its first two negatives alike, above the rest
+        tied = [negatives[0], negatives[1][:2]]
+
+        def factory(user):
+            def scorer(items):
+                return np.isin(items, [test[user], *tied[user]]) * 1.0
+            return scorer
+
+        report = evaluate(factory, split, k=10)
+        assert report.ties == 12 + 2
+        assert report.per_user == [
+            (user, 1 + sum(item < test[user] for item in tied[user]))
+            for user in (0, 1)]
+        assert report.summary() == (f"HR@10={report.hr_at_k:.4f}"
+                                    f" NDCG@10={report.ndcg_at_k:.4f}")
+
     @pytest.mark.parametrize("bad,message", [
         (lambda items: np.zeros(items.size + 1),
          "scorer returned shape (14,) for (13,) items"),
@@ -207,6 +230,18 @@ class TestItemPop:
         scores = scorer(np.array([0, 1, 2]))
         assert np.array_equal(scores, [3.0, 2.0, 5.0])
         assert list(np.argsort(-scores)) == [2, 0, 1]
+
+
+@st.composite
+def knn_logs(draw):
+    """(histories, num_items): up to 12 users over a catalog of 1 to 40
+    items, each history of distinct items, empty to the whole catalog."""
+    num_items = draw(st.integers(1, 40))
+    histories = draw(st.lists(
+        st.lists(st.integers(0, num_items - 1), unique=True,
+                 max_size=num_items),
+        min_size=1, max_size=12))
+    return histories, num_items
 
 
 class TestItemKnn:
@@ -299,6 +334,42 @@ class TestItemKnn:
                 assert model.similarity(i, i) == 0.0
                 assert (model.similarity(i, untouched)
                         == model.similarity(untouched, i) == 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log=knn_logs())
+    # users on both sides of the routing rule (n > 2 is dense at 20 items),
+    # one of them holding every item, and items 18 and 19 held by nobody
+    @example(log=([list(range(20)), [3], [4, 5], [1, 7, 9], [0]], 20))
+    @example(log=([[0, 1, 2, 3], [4], [], [1, 2]], 40))      # no dense user
+    @example(log=([[0, 1], [1, 2, 3], list(range(10))], 10))  # all dense
+    @example(log=([[0], [1], [0], [2]], 4))                  # one item each
+    def test_routed_fit_matches_float64_product(self, log):
+        histories, num_items = log
+        ds = make_dataset([[(i, t) for t, i in enumerate(h)]
+                           for h in histories], num_items=num_items)
+        incidence = np.zeros((len(histories), num_items))
+        for u, h in enumerate(histories):
+            incidence[u, h] = 1.0
+        counts = incidence.sum(axis=0)
+        inv_sqrt = np.zeros(num_items)
+        inv_sqrt[counts > 0] = 1.0 / np.sqrt(counts[counts > 0])
+        exact = (incidence.T @ incidence) * inv_sqrt
+        np.fill_diagonal(exact, 0.0)
+        assert np.array_equal(ItemKnnModel(ds)._sim, exact)
+        # with item blocks of 3 rows and products of 2 users
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "_DENSE_ROWS", 3)
+            patch.setattr(evaluation, "_EXACT_USERS", 2)
+            assert np.array_equal(ItemKnnModel(ds)._sim, exact)
+
+    @pytest.mark.parametrize("num_items,longest_sparse", [
+        (1, 0), (9, 0), (10, 1), (30, 3), (31, 3), (100, 10), (3706, 370),
+        (9916, 991)])
+    def test_routes_histories_over_a_tenth_of_the_catalog(
+            self, num_items, longest_sparse):
+        lengths = [0, 1, longest_sparse, longest_sparse + 1, num_items]
+        assert dense_users(lengths, num_items).tolist() == [
+            n > longest_sparse for n in lengths]
 
     def test_symmetry(self):
         ds = synthetic_dataset(num_users=10, num_items=30, seed=2)
@@ -499,14 +570,18 @@ class TestBlockEvaluate:
             0, 3, split.train.num_items) * 0.5
         report = evaluate(model_scorer_factory(params, cfg, split), split,
                           k=5)
-        assert_same_report(report, per_user.evaluate(
-            per_user.forward_scorer_factory(params, cfg, split), split, k=5))
+        want = per_user.evaluate(
+            per_user.forward_scorer_factory(params, cfg, split), split, k=5)
+        assert_same_report(report, want)
         assert len({rank for _, rank in report.per_user}) > 3
+        assert report.ties == want.ties > 0
 
     def test_item_pop_ties_match_oracle(self, small_split):
         factory = item_pop_scorer(small_split.train)
-        assert_same_report(evaluate(factory, small_split, k=10),
-                           per_user.evaluate(factory, small_split, k=10))
+        report = evaluate(factory, small_split, k=10)
+        want = per_user.evaluate(factory, small_split, k=10)
+        assert_same_report(report, want)
+        assert report.ties == want.ties > 0
 
     @pytest.mark.parametrize("spec", BLOCK_CONFIGS, ids=BLOCK_IDS)
     def test_non_finite_score_names_the_oracle_item(self, spec):
@@ -581,8 +656,9 @@ class TestBlockEvaluate:
             model.score_items(params, cfg, histories[u], u, cands[u])
             for u in range(split.train.num_users)])
         np.testing.assert_allclose(block, alone, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(evaluation._count_ranks(items, block, starts),
-                              evaluation._count_ranks(items, alone, starts))
+        ranks, ties = evaluation._count_ranks(items, block, starts)
+        want_ranks, want_ties = evaluation._count_ranks(items, alone, starts)
+        assert np.array_equal(ranks, want_ranks) and ties == want_ties
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_width_32_matches_per_user_oracle(self, variant):
@@ -759,7 +835,8 @@ class TestEndToEndRanks:
             assert rows[1:-1] == [f"{u},{r}" for u, r in want.per_user]
             assert rows[-1] == (f"# HR@10={want.hr_at_k:.6f}"
                                 f" NDCG@10={want.ndcg_at_k:.6f}")
-            assert capsys.readouterr().out == want.summary() + "\n"
+            assert capsys.readouterr().out == (
+                f"{want.summary()}\nties={want.ties}\n")
 
     @pytest.mark.parametrize("spec", [
         dict(variant=Variant.FISM, alpha=0.5),

@@ -338,9 +338,10 @@ class TestItemKnn:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(log=knn_logs())
     # users on both sides of the routing rule (n > 2 is dense at 20 items),
-    # one of them holding every item, and items 18 and 19 held by nobody
+    # one of them holding every item
     @example(log=([list(range(20)), [3], [4, 5], [1, 7, 9], [0]], 20))
-    @example(log=([[0, 1, 2, 3], [4], [], [1, 2]], 40))      # no dense user
+    # no dense user, and items 5 to 39 held by nobody
+    @example(log=([[0, 1, 2, 3], [4], [], [1, 2]], 40))
     @example(log=([[0, 1], [1, 2, 3], list(range(10))], 10))  # all dense
     @example(log=([[0], [1], [0], [2]], 4))                  # one item each
     def test_routed_fit_matches_float64_product(self, log):

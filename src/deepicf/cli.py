@@ -162,11 +162,11 @@ def cmd_recommend(args):
         item = int(candidates[pos])
         print(f"{rank}\t{train.item_ids[item]}\t{scores[pos]:.6f}")
     if config.variant is Variant.DEEPICF_A and hist.size:
-        top = candidates[order]
-        cache = forward(params, config, hist, user, top)
-        for item, weights, keep in zip(top.tolist(), cache.weights, cache.keep):
+        # a candidate lies outside the history, so it keeps every row
+        for item in candidates[order].tolist():
             print(f"# attention {train.item_ids[item]}")
-            for j, weight in zip(hist[keep].tolist(), weights[keep].tolist()):
+            weights = forward(params, config, hist, user, item).weights
+            for j, weight in zip(hist.tolist(), weights.tolist()):
                 print(f"{train.item_ids[j]}\t{weight:.6f}")
     return 0
 

@@ -5,30 +5,16 @@ All three variants share the same skeleton: elementwise products between
 the target-item embedding and each history-item embedding, a pooling step
 (alpha-normalized averaging, or an attention network with a beta-smoothed
 softmax), an optional ReLU tower over the pooled vector, and a linear
-prediction layer with user and item biases.
-
-:func:`forward` is the one implementation of that skeleton. It scores a
-user's history against one item or a whole candidate set, each candidate
-masked out of the history by its own row of a mask; training's
-:func:`predict_logit` is a call of it. Ranking's :func:`_score_users`
-cuts users into blocks by one byte count for every variant,
-:func:`_block_cost`, and scores a block at once: FISM and DeepICF sum
-each history once and take a candidate inside it back out; DeepICF_A
-runs the attention net user by user, with a mask only for a user with a
-candidate inside its history; both then share the tower and the
-prediction layer with :func:`forward`, one call per block.
-:func:`backward` differentiates its cache, for one item or for the
-candidates of one user that a training batch scores together, and
-returns the gradients of their summed loss.
-
-The attention variant lays its hidden units out candidate-major,
-``(..., k', n)`` for ``n`` history rows. The target embedding folds into
-the attention weights and a ones column of the history carries the bias,
-so one GEMM, ``(C k', k+1) @ (k+1, n)``, gives every pre-activation of
-``C`` candidates; the ReLU rectifies them in place, so one such array is
-live, and the scores are ``att_out @ att_hidden``. :func:`_attention`
-holds that net, its softmax and its weighted sum, once for
-:func:`forward` and for ranking.
+prediction layer with user and item biases. :func:`forward` scores one user's history against one item, the path of
+training at ``batch_size = 1``. Everything else is scored in blocks of
+users, cut by one byte count, :func:`_block_cost`: ranking keeps a
+block's logits, and a training batch keeps its :class:`BlockCache` for
+:func:`backward`, which returns the gradients of the summed loss of one
+item or of a batch, each row once. The attention variant lays its hidden
+units out candidate-major, ``(..., k', n)`` for ``n`` history rows, from
+one GEMM; :func:`_attention` holds that net and
+:func:`_attention_backward` its gradients, each once for one item and for
+a user's candidates.
 
 The tensors of a variant are declared once, by :func:`param_layout`, and
 :class:`ModelParams` lays them out in one vector: the parameters, the
@@ -41,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -276,51 +263,40 @@ def init_params(config, num_users, num_items, rng):
 
 @dataclass
 class ForwardCache:
-    """One user's forward pass over ``items``, which is one item index or
-    an array of candidates. Every per-candidate array has the candidates'
-    shape as its leading axes (written ``...``), so one item gives plain
-    vectors and scalars. The attention arrays are candidate-major: the
-    ``k'`` hidden units of a candidate come before its ``n`` history
-    rows. Only their ReLU outputs are kept; a unit is on where its
-    output is positive."""
+    """One user's forward pass over one item. Of the attention units, ``k'``
+    before the ``n`` history rows, only the ReLU outputs are kept."""
 
     user: int
-    items: object                # one item index, or an array of them
+    item: int
     hist: np.ndarray             # (n,) history indices
-    keep: np.ndarray             # (..., n) False where the candidate is in the history
+    keep: np.ndarray             # (n,) False where the item is in the history
     hist_embed: np.ndarray       # (n, k) gathered history embeddings
-    target: np.ndarray           # (..., k) target embeddings
-    pool_scale: object           # (..., 1) |kept history|^-alpha, or 1.0
-    hist_sum: np.ndarray | None  # (..., k) sum of the kept history rows
+    target: np.ndarray           # (k,) target embedding
+    pool_scale: object           # (1,) |kept history|^-alpha, or 1.0
+    hist_sum: np.ndarray | None  # (k,) sum of the kept history rows
     hist_ones: np.ndarray | None  # (n, k+1) hist_embed and a ones column
-    att_hidden: np.ndarray | None  # (..., k', n) attention ReLU outputs
-    scores: np.ndarray | None    # (..., n) attention scores
-    weights: np.ndarray | None   # (..., n) beta-softmax weights, 0 where masked
-    pooled: np.ndarray           # (..., k)
-    layer_pres: list             # per tower layer, (..., d_l)
+    att_hidden: np.ndarray | None  # (k', n) attention ReLU outputs
+    scores: np.ndarray | None    # (n,) attention scores
+    weights: np.ndarray | None   # (n,) beta-softmax weights, 0 where masked
+    pooled: np.ndarray           # (k,)
+    layer_pres: list             # per tower layer, (d_l,)
     layer_acts: list
-    logit: object                # (...)
+    logit: float
 
 
-def forward(params, config, history, user, items):
+def forward(params, config, history, user, item):
     """The forward pass of every variant, for one user's training history
-    and a candidate set.
-
-    Each candidate is masked out of the history by its own row of
-    ``keep``, so a leaked copy of an item cannot influence its own score.
-    The elementwise products of the target and history embeddings are
-    pooled, with the |set|^-alpha normalized sum or with the attention
-    net and its beta-smoothed softmax (history-length normalizer omitted,
-    alpha = 0; the products enter it linearly, so they are never formed),
-    then passed through the ReLU tower and the prediction layer. The user
-    index is range-checked here, the item indices by the callers.
-    """
+    and one item, masked out of the history so that a leaked copy cannot
+    influence its own score: the pairwise products are pooled by the
+    |set|^-alpha normalized sum or by the attention net (alpha = 0; they
+    enter it linearly, so they are never formed), then go through the
+    tower and the prediction layer. The callers range-check the item."""
     if not 0 <= user < params.num_users:
         raise ModelError(f"user index {user} outside [0, {params.num_users})")
     hist = np.asarray(history, dtype=np.int64)
-    keep = hist != np.asarray(items)[..., None]
+    keep = hist != item
     q = params["history_embed"].take(hist, axis=0)
-    p = params["target_embed"][items]
+    p = params["target_embed"][item]
     hist_sum = hist_ones = att_hidden = scores = weights = None
     if config.uses_attention:
         scale = 1.0
@@ -337,9 +313,9 @@ def forward(params, config, history, user, items):
                  np.maximum(keep.sum(axis=-1, keepdims=True), 1) ** -config.alpha)
         hist_sum = keep @ q
         pooled = scale * (p * hist_sum)
-    pres, acts, logit = _head(params, config, pooled, user, items)
+    pres, acts, logit = _head(params, config, pooled, user, item)
     return ForwardCache(
-        user=user, items=items, hist=hist, keep=keep, hist_embed=q, target=p,
+        user=user, item=item, hist=hist, keep=keep, hist_embed=q, target=p,
         pool_scale=scale, hist_sum=hist_sum, hist_ones=hist_ones,
         att_hidden=att_hidden, scores=scores, weights=weights, pooled=pooled,
         layer_pres=pres, layer_acts=acts, logit=logit)
@@ -348,19 +324,15 @@ def forward(params, config, history, user, items):
 def _attention(params, beta, p, hist_ones, keep, scratch=None, pooled=None):
     """The attention net of one user's candidates, given their target
     rows ``p`` (``(..., k)``) and the history with a ones column,
-    ``[q, 1]`` (``(n, k+1)``): ``(hidden, scores, weights, pooled)``.
-
-    The targets fold into the attention weights beside the bias,
-    ``(..., k', k+1)``, so that one GEMM against ``[q, 1]`` gives every
-    pre-activation ``W_att (p * q_t) + b``, candidate-major
-    ``(..., k', n)``; the ReLU rectifies them in place, so one such array
-    is live. The scores are ``att_out @ hidden``, the weights their
-    beta-softmax with the entries where ``keep`` is False left out
-    (``keep`` None keeps them all), and ``pooled`` the weighted sums of
-    the history rows, ``(..., k)``, not yet scaled by the targets. The
-    folded weights and ``hidden`` are cut from ``scratch``, a float64
-    vector of at least ``size(p) / k * k' * (k + 1 + n)`` entries, and
-    ``pooled`` is written into, if they are given."""
+    ``[q, 1]``: ``(hidden, scores, weights, pooled)``. The targets fold
+    into the attention weights beside the bias, so that one GEMM against
+    ``[q, 1]`` gives every pre-activation ``W_att (p * q_t) + b``,
+    ``(..., k', n)``, rectified in place. The weights leave out the
+    entries where ``keep`` is False (None keeps all); ``pooled``, the
+    weighted history sums, is not yet scaled by the targets. ``scratch``,
+    of ``size(p) / k * k' * (k + 1 + n)`` float64s or more, holds the
+    folded weights and ``hidden``, and ``pooled`` is written into, if
+    they are given."""
     w_att = params["att_weight"]
     k_att, k = w_att.shape
     n = hist_ones.shape[0]
@@ -414,14 +386,19 @@ def _check_range(kind, index, bound):
                          f"[0, {bound})")
 
 
-def predict_logit(params, config, history, user, items):
-    """Forward pass for one user, given the stored training history, and
-    one item index or an array of candidates, each range-checked.
-    Returns ``(logit, cache)``: the logit is a float for one item and an
-    array shaped like ``items`` otherwise."""
-    _check_range("item", items, params.num_items)
-    cache = forward(params, config, history, user, items)
-    return cache.logit, cache
+def predict_logit(params, config, history, user, items, sizes=None):
+    """Forward pass with range-checked indices: ``(logit, cache)``. Of one
+    user, given its stored training history, and one item: a float and a
+    :class:`ForwardCache`. With ``sizes``, of a training batch laid out as
+    :func:`_score_users` takes it (``history`` holds the users'
+    histories): an array of logits and the list of the batch's blocks."""
+    if sizes is None:
+        _check_range("item", operator.index(items), params.num_items)
+        cache = forward(params, config, history, user, items)
+        return cache.logit, cache
+    blocks = []
+    return _score_users(params, config, history, user, items, sizes,
+                        blocks), blocks
 
 
 def score_items(params, config, history, user, items):
@@ -433,23 +410,21 @@ def score_items(params, config, history, user, items):
                         [items.size])
 
 
-def _score_users(params, config, histories, users, items, sizes):
+def _score_users(params, config, histories, users, items, sizes,
+                 blocks=None):
     """Logits of many users' candidates, end to end: ``items`` holds
     ``sizes[b]`` candidates of user ``users[b]``, each scored against
-    ``histories[b]`` with itself masked out, as :func:`forward` scores
-    it. A history holds each item at most once, as a dataset's do.
-
-    The users go in blocks, one pass each, whose arrays stay within
-    ``SCORE_BLOCK_BYTES`` by the count of :func:`_block_cost`. Beside the
-    blocks, a call holds its logits and one copy of ``history_embed``:
-    item-major for FISM and DeepICF, with a ones column for DeepICF_A.
+    ``histories[b]`` (which holds an item at most once) with itself masked
+    out, in blocks whose arrays stay within ``SCORE_BLOCK_BYTES`` by
+    :func:`_block_cost`. Each :class:`BlockCache`, attention nets and all,
+    is appended to a list ``blocks``. Beside the blocks, a call holds its
+    logits and one copy of ``history_embed``.
 
     A user's logits do not depend on the block: its pooling is its own,
     the prediction layer is one dot product per row, and the tower's
     matrix products give a row the same bits whatever rows share them, as
-    OpenBLAS does for two or more rows and inner dimensions under 32.
-    DeepICF_A's pieces of a user keep that guarantee while its history
-    is under 32 rows, the inner dimension of its weighted sum."""
+    OpenBLAS does for two or more rows and inner dimensions under 32;
+    DeepICF_A's pieces of a user, while its history is under 32 rows."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     if items.size == 0:
@@ -468,12 +443,10 @@ def _score_users(params, config, histories, users, items, sizes):
         table = np.empty((params.num_items, k + 1))
         table[:, :k] = params["history_embed"]
         table[:, k] = 1.0
-        kernel = _attend_block
     else:
         # the history table item-major, so that a block gathers each
         # user's rows as columns and sums them along contiguous memory
         table = np.ascontiguousarray(params["history_embed"].T)
-        kernel = _pool_block
     cost_ends, row_ends = np.cumsum(cost), np.cumsum(sizes)
     logits, start = np.empty(items.size), 0
     while start < users.size:
@@ -481,9 +454,13 @@ def _score_users(params, config, histories, users, items, sizes):
             cost_ends, cost_ends[start] - cost[start] + SCORE_BLOCK_BYTES,
             side="right")))
         rows = slice(row_ends[start] - sizes[start], row_ends[stop - 1])
-        logits[rows] = kernel(params, config, table, histories[start:stop],
-                              users[start:stop], items[rows],
-                              sizes[start:stop])
+        block = _score_block(params, config, table, histories[start:stop],
+                             users[start:stop], items[rows],
+                             sizes[start:stop], blocks is not None)
+        logits[rows] = block.logit
+        if blocks is not None:
+            blocks.append(block)
+        del block       # so that ranking holds one block at a time
         start = stop
     return logits
 
@@ -535,172 +512,245 @@ def _owners(num_items, hist, lengths, items, sizes):
     return owner, held[owner, items]
 
 
-def _pool_block(params, config, q_cols, histories, users, items, sizes):
-    """One pass of :func:`_score_users` over a block of FISM or DeepICF
-    users, given the history table item-major as ``q_cols``. Each history
-    sum is one ``np.add.reduceat`` over the user's gathered columns; a
-    candidate inside the history, found by :func:`_owners`, subtracts its
-    own row and one from the ``|kept|^-alpha`` count; the tower and the
-    prediction layer run once over the block's candidate rows."""
+@dataclass
+class BlockCache:
+    """One block's forward pass: ``B`` users (or pieces of one), ``N``
+    history rows and ``C`` candidates, laid out user by user."""
+
+    users: np.ndarray            # (B,) user indices
+    hist: np.ndarray             # (N,) the users' histories, concatenated
+    lengths: np.ndarray          # (B,) history rows per user
+    sizes: np.ndarray            # (B,) candidates per user
+    items: np.ndarray            # (C,) candidate indices
+    owner: np.ndarray            # (C,) the block row of each one's user
+    inside: np.ndarray           # (C,) True where it is in that history
+    pool_scale: object           # (C, 1) |kept history|^-alpha, or 1.0
+    hist_sum: np.ndarray | None  # (C, k) kept history sums (FISM, DeepICF)
+    nets: list                   # per user, its attention net (DeepICF_A)
+    pooled: np.ndarray           # (C, k)
+    layer_pres: list             # per tower layer, (C, d_l)
+    layer_acts: list
+    logit: np.ndarray            # (C,)
+
+
+def _score_block(params, config, table, histories, users, items, sizes,
+                 train=False):
+    """One pass of :func:`_score_users` over a block of users, given the
+    history table, item-major or with a ones column for DeepICF_A. FISM
+    and DeepICF sum each history with one ``np.add.reduceat``, and a
+    candidate inside it (:func:`_owners`) subtracts its own row and one
+    from its count. DeepICF_A calls :func:`_attention` once per user,
+    masked only where a candidate is inside the history, into a scratch
+    vector, or to ``train`` into arrays kept in ``nets``."""
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
     hist = np.concatenate(histories)
-    sums = np.zeros((users.size, config.k))
-    if hist.size:
+    owner, inside = _owners(params.num_items, hist, lengths, items, sizes)
+    pooled = params["target_embed"].take(items, axis=0)
+    scale, hist_sum, nets = 1.0, None, []
+    if config.uses_attention:
+        p, pooled = pooled, np.empty(pooled.shape)
+        scratch = None if train else np.empty(
+            config.k_prime * int((sizes * (config.k + 1 + lengths)).max()))
+        for user_hist, start, c in zip(histories, np.cumsum(sizes) - sizes,
+                                       sizes):
+            rows = slice(start, start + c)
+            keep = (user_hist != items[rows, None] if inside[rows].any()
+                    else None)
+            hist_ones = table.take(user_hist, axis=0)
+            net = _attention(params, config.beta, p[rows], hist_ones, keep,
+                             scratch, pooled[rows])
+            if train:
+                nets.append((hist_ones, *net[:3], keep))
+        pooled *= p
+    else:
+        hist_sum = np.zeros((users.size, config.k))
         # only the users with a history, since reduceat would give an
         # empty one the next user's first row
         full = lengths > 0
-        sums[full] = np.add.reduceat(
-            q_cols.take(hist, axis=1), (np.cumsum(lengths) - lengths)[full],
+        hist_sum[full] = np.add.reduceat(
+            table.take(hist, axis=1), (np.cumsum(lengths) - lengths)[full],
             axis=1).T
-    owner, inside = _owners(params.num_items, hist, lengths, items, sizes)
-    hist_sum = sums[owner]
-    hist_sum[inside] -= params["history_embed"].take(items[inside], axis=0)
-    pooled = params["target_embed"].take(items, axis=0)
-    pooled *= hist_sum
-    if config.alpha != 0.0:
-        pooled *= (np.maximum(lengths[owner] - inside, 1)[:, None]
-                   ** -config.alpha)
-    return _head(params, config, pooled, users[owner], items)[2]
-
-
-def _attend_block(params, config, table, histories, users, items, sizes):
-    """One pass of :func:`_score_users` over a block of DeepICF_A users,
-    given the history table with a ones column as ``table``. Each user's
-    pass is one :func:`_attention` call on its gathered ``[q, 1]``, which
-    folds the targets and writes the attention array into one scratch
-    vector that the block reuses, and writes the weighted sums into the
-    block's pooled rows. Only a user with a candidate inside its history,
-    found by :func:`_owners`, builds a ``(c, n)`` mask. The target rows
-    then scale the pooled rows, and the tower and the prediction layer
-    run once over the block."""
-    lengths = np.array([hist.size for hist in histories], dtype=np.int64)
-    owner, inside = _owners(params.num_items, np.concatenate(histories),
-                            lengths, items, sizes)
-    p = params["target_embed"].take(items, axis=0)
-    pooled = np.empty(p.shape)
-    scratch = np.empty(config.k_prime
-                       * int((sizes * (config.k + 1 + lengths)).max()))
-    row = 0
-    for hist, c in zip(histories, sizes.tolist()):
-        rows = slice(row, row + c)
-        row += c
-        keep = hist != items[rows, None] if inside[rows].any() else None
-        _attention(params, config.beta, p[rows], table.take(hist, axis=0),
-                   keep, scratch, pooled[rows])
-    pooled *= p
-    return _head(params, config, pooled, users[owner], items)[2]
+        hist_sum = hist_sum[owner]
+        hist_sum[inside] -= params["history_embed"].take(items[inside], axis=0)
+        pooled *= hist_sum
+        if config.alpha != 0.0:
+            scale = (np.maximum(lengths[owner] - inside, 1)[:, None]
+                     ** -config.alpha)
+            pooled *= scale
+    return BlockCache(users, hist, lengths, sizes, items, owner, inside,
+                      scale, hist_sum, nets, pooled,
+                      *_head(params, config, pooled, users[owner], items))
 
 
 @dataclass
 class Grads:
-    """Gradients keyed by tensor name, as in :func:`param_layout`.
-
-    ``rows`` maps each of the two embedding tables and the two bias
-    vectors to ``(rows, values)`` over just the rows a forward cache
-    touched: each history row once, and a target row and item bias per
-    candidate (a plain int for one item); ``dense`` holds the whole-tensor
-    gradients of every other trained tensor, as a :class:`ModelParams`
-    over the tail of the parameters' layout that those tensors fill: the
-    output vector, the tower and the attention net, or nothing for FISM.
-    """
+    """Gradients keyed by tensor name. ``rows`` maps the embedding tables
+    and bias vectors to ``(rows, values)`` over the rows touched, each
+    once (one item gives a plain index and float biases); ``dense`` holds
+    the rest as a :class:`ModelParams` over the tail of the layout.
+    ``uses`` counts a batch's candidates per table row, in columns."""
 
     rows: dict
     dense: ModelParams
+    uses: dict | None = None
 
 
 def backward(params, config, cache, dlogit):
     """Exact analytic gradients of the loss summed over the candidates of
-    a forward cache, for every parameter the variant trains.
-
-    ``dlogit`` is the loss gradient at each logit, shaped like the
-    candidates: a float for one item, or an array for a candidate array.
-    Every whole-tensor gradient is summed over the candidates. A history
-    row collects the gradient of every candidate that keeps it in its
-    pool. Target rows and item biases come one per candidate, so a
-    candidate that repeats repeats there too. One item keeps the one-item
-    shapes throughout: a plain target index and float biases.
-
-    Chain rule through the prediction layer, the ReLU tower, the pooling
-    step, and the pairwise products. For attention pooling the full
-    softmax Jacobian is applied: the beta exponent on the shared
-    denominator couples all weights, so each score receives
-    ``w_r * d_r - beta * g_r * <d, w>`` where g is the plain softmax of the
-    same scores. The history rows masked out of every pool get no
-    gradient. As in the forward pass, the attention variant never forms
-    the ``(..., n, k)`` products: their gradients are folded through
-    ``M = d_pre @ [q, 1]``, of shape ``(..., k', k+1)``, one GEMM over the
-    candidate-major ``(..., k', n)`` pre-activation gradients whose last
-    column, from the ones column of the history, is the bias gradient.
-    The history rows get ``d_pre^T`` times the target-scaled attention
-    weights, a second GEMM over the same array.
-    """
-    one = cache.keep.ndim == 1
-    q, p = cache.hist_embed, cache.target
-
-    # the layout past the embedding tables and bias vectors
+    a :func:`predict_logit` cache, given ``dlogit`` (a float for one item),
+    through :func:`_head_backward` and the pooling or
+    :func:`_attention_backward`. A target row collects the gradient of
+    each candidate of its item, a history row that of each candidate that
+    keeps it in its pool: in a block, its users' sums of ``d_pool * p``,
+    less that of any candidate whose own row it is."""
+    # the layout past the embedding tables and bias vectors, and its views
+    # in a plain dict, to which += adds in place with no copy
     dense = params.zeroed_tail(4 if config.trains_output_weights
                                else len(params.layout))
+    sums = dict(dense)
+    if isinstance(cache, ForwardCache):
+        p = cache.target
+        d_vec = _head_backward(params, config, cache, dlogit, sums)
+        rows = cache.hist[cache.keep]
+        if config.uses_attention:
+            d_target, d_history = _attention_backward(params, config.beta, (
+                cache.hist_ones, cache.att_hidden, cache.scores, cache.weights,
+                cache.keep), p, d_vec, sums)
+            d_history = d_history[cache.keep]
+        else:
+            d_pool = cache.pool_scale * d_vec
+            d_target = d_pool * cache.hist_sum
+            # the item adds its d_pool * p to every row it keeps
+            d_history = np.repeat((d_pool * p)[None], rows.size, axis=0)
+        d_item = float(dlogit)
+        return Grads(rows={"target_embed": (cache.item, d_target),
+                           "history_embed": (rows, d_history),
+                           "user_bias": (cache.user, d_item),
+                           "item_bias": (cache.item, d_item)}, dense=dense)
+    parts = [_block_backward(params, config, block, part, sums)
+             for block, part in zip(cache, np.split(dlogit, np.cumsum(
+                 [block.items.size for block in cache])[:-1]))]
+    rows = {name: _merge_rows(sum((part[name] for part in parts), []),
+                              params[name].shape[0]) for name in parts[0]}
+    return Grads(rows={name: merged[:2] for name, merged in rows.items()},
+                 dense=dense, uses={name: rows[name][2][:, None] for name
+                                    in ("target_embed", "history_embed")})
+
+
+def _head_backward(params, config, cache, dlogit, sums):
+    """The prediction layer's and the ReLU tower's gradients, summed over
+    a cache's candidates into ``sums``; returns those at the pooled rows."""
+    one = isinstance(dlogit, float)
     if config.trains_output_weights:
         top = cache.layer_acts[-1] if cache.layer_acts else cache.pooled
-        dense["output_weights"] = dlogit * top if one else np.dot(dlogit, top)
+        sums["output_weights"] += dlogit * top if one else np.dot(dlogit, top)
     d_vec = (dlogit if one else dlogit[:, None]) * params["output_weights"]
-
     for layer in reversed(range(config.num_layers)):
         # ReLU subgradient at exactly 0 is taken as 0
         d_pre = d_vec * (cache.layer_pres[layer] > 0.0)
         below = cache.layer_acts[layer - 1] if layer > 0 else cache.pooled
-        dense[f"W{layer}"] = _outer_total(d_pre, below, one)
-        dense[f"b{layer}"] = _total(d_pre, one)
+        sums[f"W{layer}"] += _outer_total(d_pre, below, one)
+        sums[f"b{layer}"] += _total(d_pre, one)
         d_vec = d_pre @ params[f"W{layer}"]
+    return d_vec
 
-    kept = cache.keep if one else np.logical_or.reduce(cache.keep)
-    rows = cache.hist[kept]
+
+def _attention_backward(params, beta, net, p, d_vec, sums):
+    """The gradients through one user's :func:`_attention` net,
+    ``([q, 1], hidden, scores, weights, mask)``, of target rows ``p``,
+    given ``d_vec`` at the pooled rows: the attention tensors' go into
+    ``sums``; returns ``(d_target, d_history)`` over every history row.
+    The beta exponent couples all softmax weights, ``w_r * d_r - beta *
+    g_r * <d, w>`` with g the plain softmax. The products' gradients fold
+    through ``M = d_pre @ [q, 1]``, whose ones column gives the bias
+    gradient; the history rows get ``d_pre^T`` times the target-scaled
+    attention weights."""
+    hist_ones, hidden, scores, weights, keep = net
+    q, one = hist_ones[:, :-1], p.ndim == 1
+    w_att = params["att_weight"]
+    k_att, k = w_att.shape
+    dp = d_vec * p
+    d_scores = softmax_beta_vjp(scores, weights, beta, dp @ q.T, keep)
+    sums["att_out"] += _total(hidden @ d_scores[..., None], one)[:, 0]
+    # d_pre = att_out * d_scores where a unit is on, which is where its
+    # ReLU output is positive, as where its pre-activation is; only the
+    # mask times d_scores is formed, and att_out, constant along the
+    # history, is applied to the small factors on either side
+    rows_pre = (hidden > 0.0).astype(np.float64)
+    rows_pre *= d_scores[..., None, :]
+    rows_pre = rows_pre.reshape(math.prod(hidden.shape[:-1]), q.shape[0])
+    m = (rows_pre @ hist_ones).reshape(p.shape[:-1] + (k_att, k + 1))
+    m *= params["att_out"][:, None]
+    sums["att_weight"] += _total(m[..., :k] * p[..., None, :], one)
+    sums["att_bias"] += _total(m[..., k], one)
+    # direct path through the weights, then the attention path
+    d_target = d_vec * (weights @ q) + (m[..., :k] * w_att).sum(axis=-2)
+    w_scaled = ((w_att * params["att_out"][:, None])
+                * p[..., None, :]).reshape(-1, k)
+    return d_target, (_outer_total(weights, dp, one)
+                      + rows_pre.T @ w_scaled)
+
+
+def _block_backward(params, config, block, dlogit, sums):
+    """One block's gradients: the whole-tensor ones into ``sums``, and
+    ``(index, values, uses)`` entries per row tensor for :func:`_merge_rows`;
+    a history row is used by its users' candidates but its own."""
+    d_vec = _head_backward(params, config, block, dlogit, sums)
+    p = params["target_embed"].take(block.items, axis=0)
+    starts, inside = np.cumsum(block.sizes) - block.sizes, block.inside
     if config.uses_attention:
-        # pooled = sum_t w_t v_t; masked rows carry w_t = 0 throughout
-        w_att = params["att_weight"]
-        k_att, k = w_att.shape
-        hidden = cache.att_hidden
-        dp = d_vec * p
-        d_scores = softmax_beta_vjp(cache.scores, cache.weights, config.beta,
-                                    dp @ q.T, cache.keep)
-        dense["att_out"] = _total(hidden @ d_scores[..., None], one)[:, 0]
-        # d_pre = att_out * d_scores where a unit is on, which is where its
-        # ReLU output is positive, as where its pre-activation is; only
-        # the mask times d_scores is formed, and att_out, constant along
-        # the history, is applied to the small factors on either side
-        rows_pre = (hidden > 0.0).astype(np.float64)
-        rows_pre *= d_scores[..., None, :]
-        rows_pre = rows_pre.reshape(math.prod(hidden.shape[:-1]),
-                                    q.shape[0])
-        # M from one GEMM, with the bias gradient in its ones column
-        m = (rows_pre @ cache.hist_ones).reshape(p.shape[:-1] + (k_att, k + 1))
-        m *= params["att_out"][:, None]
-        dense["att_weight"] = _total(m[..., :k] * p[..., None, :], one)
-        dense["att_bias"] = _total(m[..., k], one)
-        # direct path through the weights, then the attention path
-        d_target = (d_vec * (cache.weights @ q)
-                    + (m[..., :k] * w_att).sum(axis=-2))
-        w_scaled = ((w_att * params["att_out"][:, None])
-                    * p[..., None, :]).reshape(-1, k)
-        d_history = (_outer_total(cache.weights, dp, one)
-                     + rows_pre.T @ w_scaled)[kept]
+        d_target = np.empty(p.shape)
+        d_history = np.empty((p.shape[1], block.hist.size))
+        at = np.cumsum(block.lengths) - block.lengths
+        for net, start, c, n, a in zip(block.nets, starts, block.sizes,
+                                       block.lengths, at):
+            rows = slice(start, start + c)
+            d_target[rows], d_history[:, a:a + n].T[...] = _attention_backward(
+                params, config.beta, net, p[rows], d_vec[rows], sums)
+        own = np.zeros((p.shape[1], inside.sum()))
     else:
-        d_pool = cache.pool_scale * d_vec
-        d_target = d_pool * cache.hist_sum
-        # each candidate adds its d_pool * p to every row it keeps
+        d_pool = block.pool_scale * d_vec
+        d_target = d_pool * block.hist_sum
+        # each history row collects the d_pool * p of its user's
+        # candidates, but for a candidate inside it, its own row
         spread = d_pool * p
-        d_history = (np.repeat(spread[None], rows.size, axis=0) if one
-                     else np.dot(cache.keep[:, kept].T, spread))
+        d_history = np.repeat(np.add.reduceat(spread, starts, axis=0).T,
+                              block.lengths, axis=1)
+        own = -spread[inside].T
+    once = np.ones(block.items.size)
+    return {"target_embed": [(block.items, d_target.T, once)],
+            "history_embed": [
+                (block.hist, d_history, np.repeat(block.sizes, block.lengths)),
+                (block.items[inside], own, -once[inside])],
+            "user_bias": [(block.users[block.owner], dlogit, once)],
+            "item_bias": [(block.items, dlogit, once)]}
 
-    if one:
-        d_items = d_user = float(dlogit)
-    else:
-        d_items, d_user = dlogit, dlogit.sum()
-    return Grads(rows={"target_embed": (cache.items, d_target),
-                       "history_embed": (rows, d_history),
-                       "user_bias": (cache.user, d_user),
-                       "item_bias": (cache.items, d_items)},
-                 dense=dense)
+
+def _merge_rows(entries, size):
+    """The rows in ``range(size)`` to which a list of ``(index, values,
+    uses)`` entries gives positive uses, ascending, with their values and
+    uses summed in order. Values are one per index, or ``(width,
+    indices)``, a row per index."""
+    uses = sum(np.bincount(index, weights, size)
+               for index, _, weights in entries)
+    rows = np.flatnonzero(uses > 0)
+    sums = sum(np.stack([np.bincount(index, column, size)[rows]
+                         for column in np.atleast_2d(values)], axis=1)
+               for index, values, _ in entries)
+    return rows, sums if np.ndim(entries[0][1]) > 1 else sums[:, 0], \
+        uses[rows]
+
+
+def _kept_squares(params, block):
+    """Each candidate's squared target row plus the squared history rows
+    it keeps in its pool: its embedding penalty."""
+    square = (params["history_embed"] ** 2).sum(axis=1)
+    per_user = np.bincount(np.repeat(np.arange(block.users.size),
+                                     block.lengths), square[block.hist],
+                           block.users.size)
+    return ((params["target_embed"][block.items] ** 2).sum(axis=1)
+            + per_user[block.owner] - np.where(block.inside,
+                                               square[block.items], 0.0))
 
 
 def _total(x, one):

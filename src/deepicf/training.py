@@ -20,8 +20,8 @@ import numpy as np
 
 from deepicf.data import sample_training_instances
 from deepicf.errors import ConfigError, TrainingDiverged
-from deepicf.model import (ModelParams, Variant, backward, fism_config,
-                           init_params, predict_logit)
+from deepicf.model import (ModelParams, Variant, _kept_squares, backward,
+                           fism_config, init_params, predict_logit)
 from deepicf.numerics import bce_from_logit, rng_from_seed
 
 log = logging.getLogger(__name__)
@@ -47,51 +47,17 @@ class AdagradState(ModelParams):
         self.epsilon = float(epsilon)
 
 
-def _sum_rows(pairs, row_shape):
-    """Merge ``(rows, values)`` pairs into one pair with unique rows, each
-    the sum of its values in order of appearance.
-
-    Values are added one pair at a time, so no batch-sized copy of the
-    history gradients is built. Each is added entry by entry into the
-    flat sum: ``np.add.at`` over whole rows is several times slower.
-    """
-    index = [np.atleast_1d(rows) for rows, _ in pairs]
-    unique, inverse = np.unique(np.concatenate(index), return_inverse=True)
-    width = math.prod(row_shape)
-    summed = np.zeros(unique.size * width)
-    columns = np.arange(width)
-    start = 0
-    for rows, (_, values) in zip(index, pairs):
-        at = inverse[start:start + rows.size, None] * width + columns
-        np.add.at(summed, at.ravel(), np.ravel(values))
-        start += rows.size
-    return unique, summed.reshape((unique.size,) + row_shape)
-
-
-def apply_batch(state, params, batch):
-    """One Adagrad step on the summed gradients of a list of :class:`Grads`:
-    acc += g^2 then theta -= lr*g/(sqrt(acc)+eps), elementwise over exactly
-    the entries the batch touched.
-
-    The gradients of one item, whose item bias gradient is a float, are
-    applied as they are, since they hold each row once. Any other batch
-    first sums the rows each sparse tensor received (a candidate that
-    repeats in a group, or a row that several groups touch), so every
-    touched row is updated once. The whole-tensor gradients are the tail
-    of the layout, updated as one vector.
-    """
-    if len(batch) == 1 and isinstance(batch[0].rows["item_bias"][1], float):
-        rows, dense = batch[0].rows, batch[0].dense.flat
-    else:
-        rows = {name: _sum_rows([g.rows[name] for g in batch],
-                                params[name].shape[1:])
-                for name in batch[0].rows}
-        dense = sum(g.dense.flat for g in batch)
+def apply_batch(state, params, grads):
+    """One Adagrad step on a batch's summed :class:`Grads`, each row once:
+    acc += g^2 then theta -= lr*g/(sqrt(acc)+eps), elementwise over
+    exactly the entries the batch touched; the whole-tensor gradients,
+    the tail of the layout, as one vector."""
     lr, eps = state.lr, state.epsilon
-    for name, (index, g) in rows.items():
+    for name, (index, g) in grads.rows.items():
         acc = state[name][index] + g * g
         state[name][index] = acc
         params[name][index] -= lr * g / (np.sqrt(acc) + eps)
+    dense = grads.dense.flat
     if dense.size:
         acc = state.flat[-dense.size:]
         acc += dense * dense
@@ -99,15 +65,12 @@ def apply_batch(state, params, batch):
 
 
 def loss_with_reg(logit, label, params, config, cache=None):
-    """Loss of one instance, or of each candidate of a group, elementwise:
-    binary cross-entropy plus the L2 penalty.
-
-    By default the penalty covers only the tower weight matrices, which is
-    where overfitting concentrates; with ``reg_embeddings`` enabled (and a
-    forward cache available) each candidate's target row and the history
-    rows it keeps are penalized too. Returns (loss, dloss_dlogit), shaped
-    like the logit; regularization gradients are added separately by
-    :func:`add_l2_grads`.
+    """Loss of one instance, or of each instance of a batch, elementwise:
+    binary cross-entropy plus the L2 penalty, which covers the tower
+    weight matrices, where overfitting concentrates, and with
+    ``reg_embeddings`` (and a forward cache) each instance's target row
+    and the history rows it keeps. Returns (loss, dloss_dlogit), shaped
+    like the logit; :func:`add_l2_grads` adds the penalty's gradients.
     """
     loss, dlogit = bce_from_logit(logit, label)
     lam = config.l2
@@ -115,103 +78,89 @@ def loss_with_reg(logit, label, params, config, cache=None):
         for layer in range(config.num_layers):
             w = params[f"W{layer}"]
             loss += lam * float((w * w).sum())
-        if config.reg_embeddings and cache is not None:
+        if config.reg_embeddings and isinstance(cache, list):
+            loss += lam * np.concatenate([_kept_squares(params, block)
+                                          for block in cache])
+        elif config.reg_embeddings and cache is not None:
             p, q = cache.target, cache.hist_embed
             loss += lam * (p * p).sum(axis=-1)
             loss += lam * (cache.keep @ (q * q).sum(axis=-1))
     return loss, dlogit
 
 
-def add_l2_grads(grads, params, config, cache=None):
+def add_l2_grads(grads, params, config):
     """Add 2*lambda*theta to the gradients covered by the L2 policy, once
-    for each instance whose loss carries the penalty: each candidate of
-    ``cache`` counts for the tower weights, for its own target row entry,
-    and for every history row it keeps. Without a cache the gradients are
-    those of one item."""
+    for each instance whose loss carries the penalty: the tower weights
+    once per instance, a target or history row once per instance that
+    scores with it, as ``grads.uses`` counts them; one item uses each of
+    its rows once."""
     lam = config.l2
     if lam <= 0.0:
         return grads
-    group = cache is not None and cache.keep.ndim > 1
-    count = cache.keep.shape[0] if group else 1
+    uses = grads.uses
+    count = 1 if uses is None else int(uses["target_embed"].sum())
     for layer in range(config.num_layers):
         name = f"W{layer}"
         grad = grads.dense[name]
         grad += 2.0 * lam * count * params[name]
     if config.reg_embeddings:
-        kept_by = 1.0
-        if group:
-            # the number of candidates that keep each kept history row
-            kept_by = cache.keep.sum(axis=0)
-            kept_by = kept_by[kept_by > 0][:, None]
-        for name, uses in (("target_embed", 1.0), ("history_embed", kept_by)):
+        for name in ("target_embed", "history_embed"):
             rows, values = grads.rows[name]
-            grads.rows[name] = (rows, values + 2.0 * lam * uses * params[name][rows])
+            kept_by = 1.0 if uses is None else uses[name]
+            grads.rows[name] = (rows, values + 2.0 * lam * kept_by
+                                * params[name][rows])
     return grads
 
 
-def _user_groups(instances, stream, start, stop):
-    """The instances ``stream[start:stop]`` grouped by user, in order of
-    first appearance: ``(positions, user, items, labels)`` per group. A
-    group of one instance keeps its item and label as plain ints; a larger
-    group carries them as arrays, in stream order."""
-    groups = {}
-    for at in range(start, min(stop, len(stream))):
-        groups.setdefault(stream[at][0], []).append(at)
-    for user, at in groups.items():
-        if len(at) == 1:
-            yield at, user, stream[at[0]][1], stream[at[0]][2]
-        else:
-            block = instances[at]
-            yield at, user, block[:, 1], block[:, 2]
-
-
 def train_epoch(params, config, split, opt_state, rng):
-    """One pass over freshly sampled, shuffled training instances.
-
-    The stream is cut into update batches of ``batch_size`` instances.
-    Parameters are fixed within a batch, so its instances are grouped by
-    user: one forward pass scores a user's candidates, and one analytic
-    backward pass returns their summed gradients, to which one Adagrad
-    step per batch applies. Returns the mean per-instance loss. A
-    non-finite logit or loss aborts immediately, naming the first
+    """One pass over freshly sampled, shuffled training instances, cut
+    into update batches of ``batch_size``. Parameters are fixed within a
+    batch, so one of more than one instance is one block of users, as
+    ranking scores them: one forward pass scores it and one analytic
+    backward pass returns its summed gradients, for one Adagrad step. A
+    batch of one takes the one-item passes. Returns the mean per-instance
+    loss. A non-finite logit or loss aborts immediately, naming the first
     offending instance in stream order in the exception.
     """
     instances = sample_training_instances(split.train, config.num_negatives, rng)
     if instances.shape[0] == 0:
         return 0.0
     histories = split.train.item_arrays()
-    stream = instances.tolist()
-    total = 0.0
-    for start in range(0, len(stream), config.batch_size):
-        batch, failed = [], []
-        for at, user, items, labels in _user_groups(
-                instances, stream, start, start + config.batch_size):
+    size = config.batch_size
+    stream = instances.tolist() if size == 1 else None
+    total, order = 0.0, [0]
+    for start in range(0, len(instances), size):
+        if stream is not None:
+            user, item, label = stream[start]
             logit, cache = predict_logit(params, config, histories[user],
-                                         user, items)
-            loss, dlogit = loss_with_reg(logit, labels, params, config, cache)
-            group_loss = loss if len(at) == 1 else float(loss.sum())
-            if not math.isfinite(group_loss):
-                # a non-finite logit gives a non-finite loss, while finite
-                # losses may sum to inf, as the epoch total may
-                bad = np.flatnonzero(~np.isfinite(loss))
-                if bad.size:
-                    failed.append((at[bad[0]],
-                                   float(np.reshape(logit, -1)[bad[0]])))
-            if failed:
-                continue
-            total += group_loss
-            batch.append(add_l2_grads(backward(params, config, cache, dlogit),
-                                      params, config, cache))
-        if failed:
-            at, logit = min(failed)
-            u, i, label = stream[at]
-            what = "logit" if not math.isfinite(logit) else "loss"
-            raise TrainingDiverged(
-                f"non-finite {what} on instance (user={u}, item={i}, "
-                f"label={label}): logit={logit!r}",
-                instance=(u, i, label), logit=logit)
-        apply_batch(opt_state, params, batch)
-    return total / len(stream)
+                                         user, item)
+        else:
+            order = np.argsort(instances[start:start + size, 0], kind="stable")
+            user, item, label = instances[start + order].T
+            users, sizes = np.unique(user, return_counts=True)
+            logit, cache = predict_logit(
+                params, config, [histories[u] for u in users.tolist()],
+                users, item, sizes)
+        loss, dlogit = loss_with_reg(logit, label, params, config, cache)
+        batch_loss = loss if stream is not None else float(loss.sum())
+        if not math.isfinite(batch_loss):
+            # a non-finite logit gives a non-finite loss, while finite
+            # losses may sum to inf, as the epoch total may
+            bad = np.flatnonzero(~np.isfinite(loss))
+            if bad.size:
+                first = bad[np.argmin(np.take(order, bad))]
+                logit = float(np.reshape(logit, -1)[first])
+                u, i, label = instances[start + order[first]].tolist()
+                what = "logit" if not math.isfinite(logit) else "loss"
+                raise TrainingDiverged(
+                    f"non-finite {what} on instance (user={u}, item={i}, "
+                    f"label={label}): logit={logit!r}",
+                    instance=(u, i, label), logit=logit)
+        total += batch_loss
+        apply_batch(opt_state, params,
+                    add_l2_grads(backward(params, config, cache, dlogit),
+                                 params, config))
+    return total / len(instances)
 
 
 @dataclass

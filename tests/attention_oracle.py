@@ -1,6 +1,6 @@
-"""The history-major attention formula, kept as the oracle of the
-candidate-major ``deepicf.model.forward`` and ``deepicf.model.backward``
-of DeepICF_A.
+"""The history-major attention formula, kept as the oracle of DeepICF_A's
+candidate-major forward and backward passes in ``deepicf.model``, of one
+item and of a block's user.
 
 Here the pre-activations are laid out ``(..., n, k')``, one row per
 history item, and computed as ``q @ (p[..., :, None] * W_att.T) + b``: a

@@ -1,19 +1,40 @@
-"""The per-instance training loop, kept as the oracle of the grouped
+"""The per-instance training loop, kept as the oracle of the blocked
 ``deepicf.training.train_epoch``.
 
 Each instance runs its own forward pass, loss, backward pass and L2 terms
 through the one-item paths of the package, and ``batch_size`` of their
-gradients make one Adagrad step. Install it in place of the grouped loop
-with ``monkeypatch.setattr(deepicf.training, "train_epoch", train_epoch)``
-so that ``fit`` drives it.
+gradients, summed here entry by entry in stream order, make one Adagrad
+step. Install it in place of the blocked loop with
+``monkeypatch.setattr(deepicf.training, "train_epoch", train_epoch)`` so
+that ``fit`` drives it.
 """
 
 import math
 
+import numpy as np
+
 from deepicf.data import sample_training_instances
 from deepicf.errors import TrainingDiverged
-from deepicf.model import backward, predict_logit
+from deepicf.model import Grads, ModelParams, backward, predict_logit
 from deepicf.training import add_l2_grads, apply_batch, loss_with_reg
+
+
+def summed(params, batch):
+    """One :class:`Grads` holding the sum of the one-item gradients in
+    ``batch``: each row that any of them touched, once, in ascending
+    order, summed in a table of the tensor's full size."""
+    rows = {}
+    for name in batch[0].rows:
+        full = np.zeros(params[name].shape)
+        for grads in batch:
+            np.add.at(full, *grads.rows[name])
+        index = np.unique(np.concatenate(
+            [np.atleast_1d(grads.rows[name][0]) for grads in batch]))
+        rows[name] = (index, full[index])
+    dense = batch[0].dense
+    return Grads(rows=rows, dense=ModelParams(
+        dense.layout, sum((grads.dense.flat for grads in batch),
+                          np.zeros(dense.flat.size))))
 
 
 def train_epoch(params, config, split, opt_state, rng):
@@ -43,8 +64,8 @@ def train_epoch(params, config, split, opt_state, rng):
         batch.append(add_l2_grads(backward(params, config, cache, dlogit),
                                   params, config))
         if len(batch) >= config.batch_size:
-            apply_batch(opt_state, params, batch)
+            apply_batch(opt_state, params, summed(params, batch))
             batch = []
     if batch:
-        apply_batch(opt_state, params, batch)
+        apply_batch(opt_state, params, summed(params, batch))
     return total / instances.shape[0]

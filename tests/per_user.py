@@ -8,8 +8,8 @@ score as it does. Gains are added in user order, as ``evaluate`` adds
 them.
 
 :func:`forward_scorer_factory` is the oracle's scorer of a trained model:
-each user's candidates go through one ``predict_logit`` call, the
-per-user forward pass, and not through the blocked scoring under test.
+each candidate goes through one one-item ``predict_logit`` call, and not
+through the blocked scoring under test.
 """
 
 import numpy as np
@@ -21,13 +21,15 @@ from deepicf.model import predict_logit
 
 def forward_scorer_factory(params, config, split):
     """Scorer factory that scores a user's candidates against its
-    training history with one :func:`deepicf.model.predict_logit` call."""
+    training history with one :func:`deepicf.model.predict_logit` call
+    per candidate."""
     histories = split.train.item_arrays()
 
     def factory(user):
         def scorer(items):
-            return predict_logit(params, config, histories[user], user,
-                                 np.asarray(items, dtype=np.int64))[0]
+            return np.array([predict_logit(params, config, histories[user],
+                                           user, item)[0]
+                             for item in np.asarray(items).tolist()])
         return scorer
     return factory
 

@@ -531,14 +531,13 @@ class TestBlockEvaluate:
         cands = all_candidates(split)
         users = np.arange(split.train.num_users)
         blocks = []
-        kernel = "_attend_block" if cfg.uses_attention else "_pool_block"
-        real = getattr(model, kernel)
+        real = model._score_block
 
         def counted(*args):
             blocks.append((args[4].size, args[5].size))
             return real(*args)
 
-        monkeypatch.setattr(model, kernel, counted)
+        monkeypatch.setattr(model, "_score_block", counted)
         # one block, then blocks whose boundaries fall inside the split;
         # at the small budgets every variant scores a user's candidates in
         # pieces, each a user of its own

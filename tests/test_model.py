@@ -17,6 +17,15 @@ from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
                        params_from_flat)
 
 
+def predict(params, config, history, user, items):
+    """``predict_logit`` on one item, or on an array of candidates as a
+    batch of one user."""
+    if np.ndim(items):
+        return predict_logit(params, config, [history], [user], items,
+                             [np.size(items)])
+    return predict_logit(params, config, history, user, items)
+
+
 def tiny_params(config, num_users, num_items, rng, scale=0.4):
     """Parameters at O(1) scale so finite differences sit far above the
     float64 noise floor."""
@@ -498,7 +507,7 @@ class TestBackward:
         assert d_item_bias == pytest.approx(-1.67e-5, rel=1e-2)
         assert d_item_bias == pytest.approx(want, rel=1e-12)
 
-    # a group's summed loss: 5 repeats, and 2 and 0 sit in the history,
+    # a batch's summed loss: 5 repeats, and 2 and 0 sit in the history,
     # each masked out of its own pool only
     @pytest.mark.parametrize("variant,layers", [
         (Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 1)])
@@ -514,14 +523,14 @@ class TestBackward:
 
         def loss_of(theta):
             view = params_from_flat(theta, cfg, num_users, num_items)
-            logit, _ = predict_logit(view, cfg, hist, user, items)
+            logit, _ = predict(view, cfg, hist, user, items)
             return bce_from_logit(logit, labels)[0].sum()
 
-        logit, cache = predict_logit(p, cfg, hist, user, items)
+        logit, cache = predict(p, cfg, hist, user, items)
         _, dlogit = bce_from_logit(logit, labels)
         grads = backward(p, cfg, cache, dlogit)
-        assert grads.rows["target_embed"][0].tolist() == items.tolist()
-        assert sorted(grads.rows["history_embed"][0].tolist()) == [0, 2, 4, 7]
+        assert grads.rows["target_embed"][0].tolist() == [0, 2, 5, 8]
+        assert grads.rows["history_embed"][0].tolist() == [0, 2, 4, 7]
         analytic = flatten_grads(grads, cfg, num_users, num_items)
         numeric = finite_diff_grad(loss_of, flat, h=1e-5)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
@@ -541,10 +550,10 @@ class TestBackward:
 
         def loss_of(theta):
             view = params_from_flat(theta, cfg, num_users, num_items)
-            logit, _ = predict_logit(view, cfg, [], 1, items)
+            logit, _ = predict(view, cfg, [], 1, items)
             return bce_from_logit(logit, labels)[0].sum()
 
-        logit, cache = predict_logit(p, cfg, [], 1, items)
+        logit, cache = predict(p, cfg, [], 1, items)
         grads = backward(p, cfg, cache, bce_from_logit(logit, labels)[1])
         rows, values = grads.rows["history_embed"]
         assert rows.size == 0 and values.shape == (0, cfg.k)
@@ -556,13 +565,14 @@ class TestBackward:
     def test_row_masked_by_every_candidate_gets_no_gradient(self):
         cfg = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3)
         p, _ = tiny_params(cfg, 2, 6, rng_from_seed(12))
-        _, cache = predict_logit(p, cfg, [1, 3, 4], 0, np.array([3, 3]))
+        _, cache = predict(p, cfg, [1, 3, 4], 0, np.array([3, 3]))
         grads = backward(p, cfg, cache, np.array([0.5, -0.25]))
         rows, values = grads.rows["history_embed"]
         assert rows.tolist() == [1, 4] and values.shape == (2, 4)
-        assert grads.rows["target_embed"][0].tolist() == [3, 3]
-        assert grads.rows["item_bias"][1].tolist() == [0.5, -0.25]
-        assert grads.rows["user_bias"][1] == 0.25
+        assert grads.rows["target_embed"][0].tolist() == [3]
+        assert grads.rows["item_bias"][0].tolist() == [3]
+        assert grads.rows["item_bias"][1].tolist() == [0.25]
+        assert grads.rows["user_bias"][1].tolist() == [0.25]
 
     @pytest.mark.parametrize("variant,layers,beta", [
         (Variant.FISM, 0, 0.5),
@@ -619,9 +629,9 @@ ATTENTION_CASES = {
 
 
 class TestCandidateMajorAttention:
-    """The candidate-major ``forward`` and ``backward`` of DeepICF_A
-    against the history-major formula they replace, kept in
-    tests/attention_oracle.py."""
+    """The candidate-major forward and backward passes of DeepICF_A, of
+    one item and of a batch of one user's candidates, against the
+    history-major formula they replace, kept in tests/attention_oracle.py."""
 
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
@@ -635,25 +645,37 @@ class TestCandidateMajorAttention:
         hist, user, items = ATTENTION_CASES[case]
         if case == "log-domain-row":
             p["att_out"] *= 400.0
-        logit, cache = predict_logit(p, cfg, hist, user, items)
+        logit, cache = predict(p, cfg, hist, user, items)
         want = history_major.forward(p, cfg, hist, user, items)
         live = np.where(want.keep, np.abs(want.scores), 0.0)
         assert (live.max() > 30.0) == (case == "log-domain-row")
         if case == "only-row-is-itself":
             assert not want.keep[0].any() and not want.weights[0].any()
-        assert cache.att_hidden.shape == (np.shape(items) + (4, len(hist)))
-        assert _rel_err(np.swapaxes(cache.att_hidden, -1, -2),
-                        want.att_hidden) < 1e-12
-        for name in ("scores", "weights", "pooled", "logit"):
-            assert _rel_err(getattr(cache, name), getattr(want, name)) < 1e-12
-        assert np.array_equal(cache.keep, want.keep)
+        if np.ndim(items):
+            # the batch's one block, and its user's net
+            [block] = cache
+            hist_ones, hidden, scores, weights, keep = block.nets[0]
+            got = dict(scores=scores, weights=weights, pooled=block.pooled,
+                       logit=block.logit)
+            keep = np.ones(want.keep.shape, bool) if keep is None else keep
+        else:
+            hidden, keep = cache.att_hidden, cache.keep
+            got = {name: getattr(cache, name)
+                   for name in ("scores", "weights", "pooled", "logit")}
+        assert hidden.shape == (np.shape(items) + (4, len(hist)))
+        assert _rel_err(np.swapaxes(hidden, -1, -2), want.att_hidden) < 1e-12
+        for name, value in got.items():
+            assert _rel_err(value, getattr(want, name)) < 1e-12
+        assert np.array_equal(keep, want.keep)
 
         dlogit = bce_from_logit(logit, 1)[1]
         grads = backward(p, cfg, cache, dlogit)
         oracle = history_major.backward(p, cfg, want, dlogit)
         # relative to the whole gradient, as the finite-difference checks
         # are: a sum that cancels to far below its terms, such as one
-        # entry of the bias gradient, keeps only its terms' absolute error
+        # entry of the bias gradient, keeps only its terms' absolute error;
+        # the oracle's rows repeat with the candidates, so both sides are
+        # summed into whole tensors
         want_grads = dict(oracle.dense)
         want_grads.update((name, value) for name, (_, value)
                           in oracle.rows.items())
@@ -662,8 +684,12 @@ class TestCandidateMajorAttention:
         for name, value in oracle.dense.items():
             assert _rel_err(grads.dense[name], value, scale) < 1e-12, name
         for name, (rows, value) in oracle.rows.items():
-            assert np.array_equal(grads.rows[name][0], rows), name
-            assert _rel_err(grads.rows[name][1], value, scale) < 1e-12, name
+            assert np.array_equal(np.unique(grads.rows[name][0]),
+                                  np.unique(rows)), name
+            full = [np.zeros(p[name].shape) for _ in range(2)]
+            np.add.at(full[0], *grads.rows[name])
+            np.add.at(full[1], rows, value)
+            assert _rel_err(*full, scale) < 1e-12, name
 
 
 class TestScoreBlocks:
@@ -682,12 +708,10 @@ class TestScoreBlocks:
         p, _ = tiny_params(cfg, 3, 60, rng_from_seed(41, cfg.variant.value))
         hist = np.arange(0, 60, 3)
         items = np.arange(60)[::-1].copy()     # a third are history rows
-        whole = predict_logit(p, cfg, hist, 2, items)[0]
+        whole = [predict_logit(p, cfg, hist, 2, item)[0]
+                 for item in items.tolist()]
         alone = score_items(p, cfg, hist, 2, items)
         np.testing.assert_allclose(alone, whole, rtol=1e-12, atol=1e-12)
-        # DeepICF_A's pooling is forward's own attention net; FISM and
-        # DeepICF sum the history with reduceat, not forward's matmul
-        assert np.array_equal(alone, whole) or not cfg.uses_attention
         k, n, tower = cfg.k, hist.size, 2 * sum(cfg.layer_sizes)
         if cfg.uses_attention:
             # a candidate costs its target row, pooled row, tower and six
@@ -704,8 +728,7 @@ class TestScoreBlocks:
             # its row of the incidence
             per_cand = 8 * (3 * k + tower + 4)
             once = 8 * k * (n + 2) + 60
-        kernel = "_attend_block" if cfg.uses_attention else "_pool_block"
-        real_kernel, real_attention = getattr(model, kernel), model._attention
+        real_kernel, real_attention = model._score_block, model._attention
         pieces, calls = [], []
 
         def counted_kernel(*args):
@@ -716,7 +739,7 @@ class TestScoreBlocks:
             calls.append(len(args[2]))
             return real_attention(*args)
 
-        monkeypatch.setattr(model, kernel, counted_kernel)
+        monkeypatch.setattr(model, "_score_block", counted_kernel)
         monkeypatch.setattr(model, "_attention", counted_attention)
         # as few pieces of near-equal size as fit, each of at least two
         # candidates and each a block of its own
@@ -760,8 +783,9 @@ class TestScoreBlocks:
             for h, c in zip(histories, sizes)])
         users = np.arange(12)
         whole = model._score_users(p, cfg, histories, users, items, sizes)
-        scores = predict_logit(p, cfg, histories[9], 9, items[450:650])[1]
-        assert (np.abs(scores.scores).max() > 30.0) == (att_scale > 1.0)
+        top = max(np.abs(predict_logit(p, cfg, histories[9], 9, item)[1]
+                         .scores).max() for item in items[450:650].tolist())
+        assert (top > 30.0) == (att_scale > 1.0)
         monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
         tracemalloc.start()
         try:
@@ -791,8 +815,9 @@ class TestScoreBlocks:
         sizes = [c.size for c in cands]
         items = np.concatenate(cands)
         whole = model._score_users(p, cfg, histories, users, items, sizes)
-        loose = np.concatenate([predict_logit(p, cfg, h, int(u), c)[0]
-                                for h, u, c in zip(histories, users, cands)])
+        loose = [predict_logit(p, cfg, h, int(u), item)[0]
+                 for h, u, c in zip(histories, users, cands)
+                 for item in c.tolist()]
         assert np.abs(whole - loose).max() < 1e-12
         # a user costs its gathered history rows and two sums, its row of
         # the incidence, and per candidate three rows of k, two of each
@@ -801,14 +826,14 @@ class TestScoreBlocks:
         cost = [8 * (6 * (n + 2) + per_item * c) + num_items
                 for n, c in zip(lengths, sizes)]
         seen, pieces = [], []
-        real = model._pool_block
+        real = model._score_block
 
         def counted(*args):
             seen.append(args[4].size)
             pieces.extend(args[6].tolist())
             return real(*args)
 
-        monkeypatch.setattr(model, "_pool_block", counted)
+        monkeypatch.setattr(model, "_score_block", counted)
         # at the cost of the first two users, the fifth alone is over
         # budget and is cut into two pieces, the first a block of its own;
         # at a budget of one byte every user is cut into pieces of two,

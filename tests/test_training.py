@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import deepicf.training
+from deepicf import model
 from deepicf.data import leave_one_out_split, sample_training_instances
 from deepicf.errors import ConfigError, TrainingDiverged
 from deepicf.model import (ModelConfig, Variant, backward, init_params,
                            predict_logit)
 from deepicf.numerics import bce_from_logit, rng_from_seed
-from deepicf.training import (ADAGRAD_EPSILON, AdagradState, _sum_rows,
-                              add_l2_grads, apply_batch, fit, loss_with_reg,
+from deepicf.training import (ADAGRAD_EPSILON, AdagradState, add_l2_grads,
+                              apply_batch, fit, loss_with_reg,
                               pretrain_and_init, train_epoch)
 
 import per_instance
@@ -18,9 +19,10 @@ from conftest import make_dataset, synthetic_dataset
 from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
                        params_from_flat)
 
-# Grouping an update batch by user changes only the order in which the
-# batch's gradients are summed, so they agree with the per-instance sums
-# to this relative tolerance.
+# Scoring an update batch as one block of users changes only the order in
+# which the batch's gradients and pooled sums are added up (a history
+# summed once per user, a candidate's own row taken back out), so they
+# agree with the per-instance sums to this relative tolerance.
 SUM_ORDER_RTOL = 1e-12
 
 
@@ -37,6 +39,19 @@ def assert_params_close(got, want, rtol):
     for name, value in want.items():
         err = np.abs(got[name] - value).max()
         assert err <= rtol * np.abs(value).max(), (name, err)
+
+
+def as_block(instances):
+    """``(histories, users, items, sizes, labels)`` of ``(user, history,
+    item, label)`` instances, laid out user by user as ``predict_logit``
+    takes a batch."""
+    users = sorted({user for user, *_ in instances})
+    ordered = sorted(instances, key=lambda instance: instance[0])
+    histories = {user: hist for user, hist, *_ in instances}
+    return ([histories[user] for user in users], np.array(users),
+            np.array([item for *_, item, _ in ordered]),
+            [sum(user == other for other, *_ in instances) for user in users],
+            np.array([label for *_, label in ordered]))
 
 
 def one_param_setup(grad_value):
@@ -57,23 +72,23 @@ class TestAdagrad:
     def test_first_step_magnitude_is_about_lr(self):
         _, params, state, grads = one_param_setup(2.0)
         before = float(params["target_embed"][0, 0])
-        apply_batch(state, params, [grads])
+        apply_batch(state, params, grads)
         delta = float(params["target_embed"][0, 0]) - before
         assert delta == pytest.approx(-0.01 * 2.0 / (2.0 + 1e-8), rel=1e-9)
 
     def test_zero_gradient_changes_nothing(self):
         _, params, state, grads = one_param_setup(0.0)
         before = params["target_embed"].copy()
-        apply_batch(state, params, [grads])
+        apply_batch(state, params, grads)
         assert np.array_equal(params["target_embed"], before)
         assert np.array_equal(state["target_embed"], np.zeros_like(before))
 
     def test_repeated_gradient_damps(self):
         _, params, state, grads = one_param_setup(2.0)
         x0 = float(params["target_embed"][0, 0])
-        apply_batch(state, params, [grads])
+        apply_batch(state, params, grads)
         x1 = float(params["target_embed"][0, 0])
-        apply_batch(state, params, [grads])
+        apply_batch(state, params, grads)
         x2 = float(params["target_embed"][0, 0])
         assert abs(x2 - x1) < abs(x1 - x0)
 
@@ -98,7 +113,7 @@ class TestAdagrad:
     def test_untouched_rows_keep_their_state(self):
         _, params, state, grads = one_param_setup(1.0)
         other_row = params["target_embed"][1].copy()
-        apply_batch(state, params, [grads])
+        apply_batch(state, params, grads)
         assert np.array_equal(params["target_embed"][1], other_row)
         assert np.array_equal(state["target_embed"][1], np.zeros(1))
 
@@ -113,7 +128,7 @@ class TestAdagrad:
         for name in ("W0", "b0"):
             grads.dense[name][...] = 0.0
         before = params.clone()
-        apply_batch(state, params, [grads])
+        apply_batch(state, params, grads)
         for name in ("W0", "b0"):
             assert np.array_equal(params[name], before[name])
             assert np.array_equal(state[name], np.zeros_like(before[name]))
@@ -124,22 +139,36 @@ class TestAdagrad:
                 params[name],
                 before[name] - cfg.lr * g / (np.sqrt(g * g) + state.epsilon))
 
+    # the rows a batch merges: a target or a bias per candidate, a
+    # history row per user holding it, given as columns
     @pytest.mark.parametrize("row_shape", [(), (5,)])
     def test_row_sums_equal_row_by_row_sums(self, row_shape):
         rng = rng_from_seed(3)
-        index = [np.array([4, 1, 4]), 1, np.array([0, 4, 6]), 6]
-        pairs = [(rows, rng.normal(size=np.shape(rows) + row_shape))
-                 for rows in index]
-        unique, inverse = np.unique(np.hstack(index), return_inverse=True)
+        index = np.array([4, 1, 4, 1, 0, 4, 6, 6, 4, 4, 4, 4, 4, 4, 4])
+        values = rng.normal(size=index.shape + row_shape)
+        unique, inverse = np.unique(index, return_inverse=True)
         want = np.zeros((unique.size,) + row_shape)
-        start = 0
-        for rows, values in pairs:
-            size = np.size(rows)
-            np.add.at(want, inverse[start:start + size], values)
-            start += size
-        rows, got = _sum_rows(pairs, row_shape)
+        np.add.at(want, inverse, values)
+        once = np.ones(index.size)
+        rows, got, uses = model._merge_rows([(index, values.T, once)], 9)
         assert np.array_equal(rows, unique)
         assert np.array_equal(got, want)
+        assert uses.tolist() == [1, 2, 10, 2]
+        # entries in parts: each part's sums, added up part by part; a row
+        # whose uses cancel is left out
+        rows, got, _ = model._merge_rows(
+            [(index[:5], values[:5].T, once[:5]),
+             (index[5:], values[5:].T, once[5:]),
+             (np.array([3]), values[:1].T, np.array([0.0]))], 9)
+        want = np.zeros((unique.size,) + row_shape)
+        np.add.at(want, inverse[:5], values[:5])
+        part = np.zeros((unique.size,) + row_shape)
+        np.add.at(part, inverse[5:], values[5:])
+        assert np.array_equal(rows, unique)
+        assert np.array_equal(got, want + part)
+        rows, got, _ = model._merge_rows([(index[:0], values[:0].T,
+                                           once[:0])], 9)
+        assert rows.size == 0 and got.shape == (0,) + row_shape
 
 
 class TestLossWithReg:
@@ -307,16 +336,23 @@ class TestTrainEpoch:
         instances = [(0, [0, 1, 4], 2, 1), (1, [1, 4, 5, 7], 2, 0),
                      (0, [0, 1, 4], 5, 0), (2, [0, 4, 8], 5, 1),
                      (1, [1, 4, 5, 7], 3, 1)]
-        batch, total = [], np.zeros_like(flat)
+        total, magnitude = np.zeros_like(flat), np.zeros_like(flat)
         for user, hist, item, label in instances:
             logit, cache = predict_logit(params, cfg, hist, user, item)
             grads = backward(params, cfg, cache, bce_from_logit(logit, label)[1])
-            batch.append(grads)
-            total += flatten_grads(grads, cfg, num_users, num_items)
+            one = flatten_grads(grads, cfg, num_users, num_items)
+            total, magnitude = total + one, magnitude + np.abs(one)
+        *block, labels = as_block(instances)
+        logit, cache = predict_logit(params, cfg, *block)
+        grads = backward(params, cfg, cache, bce_from_logit(logit, labels)[1])
+        summed = flatten_grads(grads, cfg, num_users, num_items)
+        assert np.all(np.abs(summed - total) <= SUM_ORDER_RTOL * magnitude)
+        # the step on the block's gradients, each row once, is the dense
+        # step on their flat layout, an untouched entry's zero included
         state = AdagradState(params, lr=lr)
-        apply_batch(state, params, batch)
-        acc = total * total
-        want = flat - lr * total / (np.sqrt(acc) + state.epsilon)
+        apply_batch(state, params, grads)
+        acc = summed * summed
+        want = flat - lr * summed / (np.sqrt(acc) + state.epsilon)
         assert np.array_equal(flatten_params(params, cfg), want)
         assert np.array_equal(flatten_params(state, cfg), acc)
 
@@ -344,13 +380,74 @@ def adagrad_rtol(cfg):
     return SUM_ORDER_RTOL * cfg.lr / ADAGRAD_EPSILON
 
 
+def epochs_at_unit_epsilon(cfg, split, epoch_of):
+    """Parameters and losses of two epochs of ``epoch_of`` with Adagrad
+    epsilon = 1, from the seed-6 initialization."""
+    params = init_params(cfg, split.train.num_users, split.train.num_items,
+                         rng_from_seed(6))
+    state = AdagradState(params, lr=cfg.lr, epsilon=1.0)
+    losses = [epoch_of(params, cfg, split, state, rng_from_seed(6, e))
+              for e in (1, 2)]
+    return params, losses
+
+
 GROUP_CASES = [(Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 1)]
+
+
+# no L2, L2 on the tower weights, and L2 on the embeddings too
+REGS, REG_IDS = [False, "tower", True], ["l2=0", "l2", "l2+emb"]
 
 
 def group_config(variant, layers, reg, **kwargs):
     return ModelConfig(variant=variant, k=4, k_prime=3, num_layers=layers,
                        alpha=0.0 if variant is Variant.DEEPICF_A else 0.5,
-                       l2=0.01 if reg else 0.0, reg_embeddings=reg, **kwargs)
+                       l2=0.01 if reg else 0.0, reg_embeddings=reg is True,
+                       **kwargs)
+
+
+def few_user_split():
+    """Three users whose batches hold dozens of instances each: training
+    histories of 40 rows, of one row (whose positive keeps none) and of
+    eight rows."""
+    return leave_one_out_split(make_dataset(
+        [[(i, i) for i in range(0, 82, 2)], [(1, 0), (3, 1)],
+         [(i, i) for i in range(5, 50, 5)]], num_items=90),
+        seed=1, num_negatives=10)
+
+
+def many_user_split():
+    """100 users of two or three training rows: a batch of 256 holds one
+    to three instances of most of them."""
+    return leave_one_out_split(
+        synthetic_dataset(num_users=100, num_items=60, min_len=3, max_len=5,
+                          seed=5), seed=1, num_negatives=10)
+
+
+def assert_grads_close(got, want, cfg, num_users, num_items):
+    """Each trained tensor's part of the flat gradient ``got`` within
+    SUM_ORDER_RTOL of ``want``'s, relative to that part's largest entry."""
+    start = 0
+    for name, shape, trained in model.param_layout(cfg, num_users,
+                                                   num_items):
+        if trained:
+            part = slice(start, start + math.prod(shape))
+            err = np.abs(got[part] - want[part]).max()
+            assert err <= SUM_ORDER_RTOL * np.abs(want[part]).max(), name
+            start = part.stop
+
+
+# (user, history, item, label) instances of a 3-user block: user 1's
+# candidate 5 repeats, and 2 and 0 sit in its history, each masking its
+# own row; user 0's one-row history is its positive's own, so that pool
+# is empty; user 2 holds 40 rows, two of them shared with user 1 and two
+# of them its own candidates; targets 2, 5 and 6 recur across users
+BLOCK_HISTORIES = {0: [6], 1: [0, 2, 4, 7], 2: [0, 2] + list(range(9, 47))}
+BLOCK_INSTANCES = [(user, BLOCK_HISTORIES[user], item, label)
+                   for user, item, label in [
+                       (1, 2, 1), (2, 46, 1), (0, 6, 1), (1, 5, 0),
+                       (2, 5, 0), (1, 8, 0), (0, 9, 0), (1, 5, 0),
+                       (2, 2, 1), (1, 0, 1), (2, 6, 0), (1, 3, 0),
+                       (2, 5, 0)]]
 
 
 class TestGroupedTraining:
@@ -360,85 +457,114 @@ class TestGroupedTraining:
             synthetic_dataset(num_users=12, num_items=60, seed=5),
             seed=1, num_negatives=10)
 
-    @pytest.mark.parametrize("reg", [False, True], ids=["l2=0", "l2+emb"])
+    @pytest.fixture()
+    def splits(self, split):
+        """Batches of about 20 instances per user, of dozens, and of one
+        to three."""
+        return [split, few_user_split(), many_user_split()]
+
+    @pytest.mark.parametrize("reg", REGS, ids=REG_IDS)
     @pytest.mark.parametrize("batch_size", [1, 256])
     @pytest.mark.parametrize("variant,layers", GROUP_CASES)
-    def test_fit_matches_per_instance_oracle(self, split, variant, layers,
+    def test_fit_matches_per_instance_oracle(self, splits, variant, layers,
                                              batch_size, reg):
         cfg = group_config(variant, layers, reg, lr=0.05, num_negatives=3,
                            epochs=2, seed=6, batch_size=batch_size)
-        params, report = fit(cfg, split)
-        want, want_report = fit_per_instance(cfg, split)
-        # batches of one sum nothing; larger ones reorder the sums
-        rtol = SUM_ORDER_RTOL if batch_size == 1 else adagrad_rtol(cfg)
-        assert_params_close(params, want, rtol)
-        losses = [e.loss for e in report.epochs]
-        want_losses = [e.loss for e in want_report.epochs]
-        assert losses[0] == pytest.approx(want_losses[0], rel=SUM_ORDER_RTOL)
-        assert losses == pytest.approx(want_losses, rel=rtol)
+        for split in splits:
+            params, report = fit(cfg, split)
+            want, want_report = fit_per_instance(cfg, split)
+            # batches of one sum nothing; larger ones reorder the sums
+            rtol = SUM_ORDER_RTOL if batch_size == 1 else adagrad_rtol(cfg)
+            assert_params_close(params, want, rtol)
+            losses = [e.loss for e in report.epochs]
+            want_losses = [e.loss for e in want_report.epochs]
+            assert losses[0] == pytest.approx(want_losses[0],
+                                              rel=SUM_ORDER_RTOL)
+            assert losses == pytest.approx(want_losses, rel=rtol)
 
     # with epsilon = 1 a step scales a rounding difference in g by at most
     # lr, so two epochs of batches of 256 hold the sums' own tolerance
-    @pytest.mark.parametrize("reg", [False, True], ids=["l2=0", "l2+emb"])
+    @pytest.mark.parametrize("reg", REGS, ids=REG_IDS)
     @pytest.mark.parametrize("variant,layers", GROUP_CASES)
     def test_epochs_match_oracle_where_steps_do_not_amplify(
-            self, split, variant, layers, reg):
+            self, splits, variant, layers, reg):
         cfg = group_config(variant, layers, reg, lr=0.05, num_negatives=3,
                            seed=6, batch_size=256)
-        runs = []
-        for epoch_of in (train_epoch, per_instance.train_epoch):
-            params = init_params(cfg, split.train.num_users,
-                                 split.train.num_items, rng_from_seed(6))
-            state = AdagradState(params, lr=cfg.lr, epsilon=1.0)
-            losses = [epoch_of(params, cfg, split, state, rng_from_seed(6, e))
-                      for e in (1, 2)]
-            runs.append((params, losses))
-        (params, losses), (want, want_losses) = runs
-        assert_params_close(params, want, SUM_ORDER_RTOL)
-        assert losses == pytest.approx(want_losses, rel=SUM_ORDER_RTOL)
+        for split in splits:
+            (params, losses), (want, want_losses) = [
+                epochs_at_unit_epsilon(cfg, split, epoch_of)
+                for epoch_of in (train_epoch, per_instance.train_epoch)]
+            assert_params_close(params, want, SUM_ORDER_RTOL)
+            assert losses == pytest.approx(want_losses, rel=SUM_ORDER_RTOL)
 
-    @pytest.mark.parametrize("reg", [False, True], ids=["l2=0", "l2+emb"])
+    # a piece of a user or of a block scores and differentiates as the
+    # whole does, up to the order of the sums
+    @pytest.mark.parametrize("variant,layers", GROUP_CASES)
+    def test_cut_batches_match_one_block(self, split, variant, layers,
+                                         monkeypatch):
+        cfg = group_config(variant, layers, True, lr=0.05, num_negatives=3,
+                           seed=6, batch_size=256)
+        blocks = []
+        real = model._score_users
+
+        def counted(*args):
+            got = real(*args)
+            blocks.append(len(args[-1]))
+            return got
+
+        monkeypatch.setattr(model, "_score_users", counted)
+        whole, whole_losses = epochs_at_unit_epsilon(cfg, split, train_epoch)
+        assert max(blocks) == 1
+        blocks.clear()
+        monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", 1)
+        params, losses = epochs_at_unit_epsilon(cfg, split, train_epoch)
+        assert min(blocks) > 12
+        assert_params_close(params, whole, SUM_ORDER_RTOL)
+        assert losses == pytest.approx(whole_losses, rel=SUM_ORDER_RTOL)
+
+    @pytest.mark.parametrize("reg", REGS, ids=REG_IDS)
     @pytest.mark.parametrize("variant,layers", GROUP_CASES)
     def test_group_sums_the_per_instance_gradients(self, variant, layers,
                                                    reg):
-        num_users, num_items = 3, 9
+        num_users, num_items = 3, 48
         cfg = group_config(variant, layers, reg)
         rng = rng_from_seed(17, variant.value)
         params = init_params(cfg, num_users, num_items, rng)
         flat = rng.normal(0.0, 0.4, size=flatten_params(params, cfg).size)
         params = params_from_flat(flat, cfg, num_users, num_items)
-        hist, user = np.array([0, 2, 4, 7]), 1
-        # 5 repeats; 2 and 0 sit in the history, each masking its own row
-        items = np.array([2, 5, 8, 5, 0, 3])
-        labels = np.array([1, 0, 0, 0, 1, 0])
 
-        singles, total, magnitude, want_loss = [], 0.0, 0.0, 0.0
-        for item, label in zip(items.tolist(), labels.tolist()):
+        singles, total, want_loss = [], 0.0, 0.0
+        for user, hist, item, label in BLOCK_INSTANCES:
             logit, cache = predict_logit(params, cfg, hist, user, item)
             loss, dlogit = loss_with_reg(logit, label, params, cfg, cache)
             grads = add_l2_grads(backward(params, cfg, cache, dlogit),
                                  params, cfg)
             singles.append(grads)
-            one = flatten_grads(grads, cfg, num_users, num_items)
-            total, magnitude = total + one, magnitude + np.abs(one)
+            total = total + flatten_grads(grads, cfg, num_users, num_items)
             want_loss += loss
 
-        logit, cache = predict_logit(params, cfg, hist, user, items)
+        *block, labels = as_block(BLOCK_INSTANCES)
+        logit, cache = predict_logit(params, cfg, *block)
         loss, dlogit = loss_with_reg(logit, labels, params, cfg, cache)
         grads = add_l2_grads(backward(params, cfg, cache, dlogit),
-                             params, cfg, cache)
-        rows = grads.rows["history_embed"][0]
-        assert np.unique(rows).size == rows.size
-        got = flatten_grads(grads, cfg, num_users, num_items)
-        assert np.all(np.abs(got - total) <= SUM_ORDER_RTOL * magnitude)
+                             params, cfg)
+        for rows, _ in grads.rows.values():
+            assert np.array_equal(rows, np.unique(rows))
+        # exactly the history rows some candidate keeps in its pool
+        assert grads.rows["history_embed"][0].tolist() == sorted(
+            {row for _, hist, item, _ in BLOCK_INSTANCES for row in hist
+             if row != item})
+        assert_grads_close(flatten_grads(grads, cfg, num_users, num_items),
+                           total, cfg, num_users, num_items)
         assert loss.sum() == pytest.approx(want_loss, rel=SUM_ORDER_RTOL)
-        # one step on the group's gradients alone sums the repeated
-        # candidate's rows as one on the per-instance gradients does;
-        # epsilon = 1 keeps the step from scaling up rounding differences
+        # one step on the block's gradients is one on the per-instance
+        # sums; epsilon = 1 keeps the step from scaling up rounding
+        # differences
         stepped = []
-        for batch in ([grads], singles):
+        for summed in (grads, per_instance.summed(params, singles)):
             theta = params.clone()
-            apply_batch(AdagradState(theta, lr=0.05, epsilon=1.0), theta, batch)
+            apply_batch(AdagradState(theta, lr=0.05, epsilon=1.0), theta,
+                        summed)
             stepped.append(theta)
         assert_params_close(*stepped, SUM_ORDER_RTOL)
 
@@ -447,30 +573,29 @@ class TestGroupedTraining:
     @pytest.mark.parametrize("variant,layers", GROUP_CASES)
     def test_group_regularized_loss_matches_finite_differences(
             self, variant, layers):
-        num_users, num_items = 3, 9
+        num_users, num_items = 3, 48
         cfg = group_config(variant, layers, reg=True)
         rng = rng_from_seed(23, variant.value)
         params = init_params(cfg, num_users, num_items, rng)
         flat = rng.normal(0.0, 0.4, size=flatten_params(params, cfg).size)
         params = params_from_flat(flat, cfg, num_users, num_items)
-        hist, user = np.array([0, 2, 4, 7]), 2
-        items, labels = np.array([2, 5, 5, 0, 8]), np.array([1, 0, 0, 1, 0])
+        *block, labels = as_block(BLOCK_INSTANCES)
 
         def loss_of(theta):
             view = params_from_flat(theta, cfg, num_users, num_items)
-            logit, cache = predict_logit(view, cfg, hist, user, items)
+            logit, cache = predict_logit(view, cfg, *block)
             return loss_with_reg(logit, labels, view, cfg, cache)[0].sum()
 
-        logit, cache = predict_logit(params, cfg, hist, user, items)
+        logit, cache = predict_logit(params, cfg, *block)
         _, dlogit = loss_with_reg(logit, labels, params, cfg, cache)
         grads = add_l2_grads(backward(params, cfg, cache, dlogit), params,
-                             cfg, cache)
+                             cfg)
         analytic = flatten_grads(grads, cfg, num_users, num_items)
         numeric = finite_diff_grad(loss_of, flat, h=1e-5)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
         assert np.abs(analytic - numeric).max() / scale < 1e-4
 
-    # every negative's loss is about 1e308, so two in one group sum to inf
+    # every negative's loss is about 1e308, so two in one batch sum to inf
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finite_losses_summing_to_inf_do_not_diverge(self, split):
         cfg = ModelConfig(variant=Variant.FISM, k=4, lr=0.1, num_negatives=2,
@@ -488,13 +613,12 @@ class TestGroupedTraining:
     def test_divergence_names_the_first_instance_in_stream_order(self, split):
         stream = sample_training_instances(split.train, 2,
                                            rng_from_seed(4)).tolist()
-        first_user = stream[0][0]
         # an item whose first instance in the stream belongs to another
-        # user than the stream's first, while a later one belongs to that
-        # first user, whose group is scored first
+        # user than the lowest-index one with an instance of it in the
+        # first batch, which the block lays out first
         for bad in range(split.train.num_items):
             users = [u for u, i, _ in stream[:256] if i == bad]
-            if users and users[0] != first_user and first_user in users:
+            if users and users[0] != min(users):
                 break
         else:
             pytest.fail("no item splits its instances that way")
@@ -511,6 +635,41 @@ class TestGroupedTraining:
             named[batch_size] = err.value
         at = next(t for t, (_, i, _) in enumerate(stream) if i == bad)
         assert named[256].instance == named[1].instance == tuple(stream[at])
+        assert str(named[256]) == str(named[1])
+
+    # an inf in one user's history row poisons only the pools of the
+    # users that hold it; lr = 0 keeps every parameter, so that both
+    # paths meet the same logits
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("variant,layers", GROUP_CASES)
+    def test_history_row_divergence_names_the_same_instance(
+            self, split, variant, layers):
+        stream = sample_training_instances(split.train, 2,
+                                           rng_from_seed(4)).tolist()
+        holders = {}
+        for u in range(split.train.num_users):
+            for row in split.train.history_items(u).tolist():
+                holders.setdefault(row, []).append(u)
+        # a row of one user only, whose first instance comes after other
+        # users' in the first batch
+        row, user = next(
+            (row, users[0]) for row, users in sorted(holders.items())
+            if len(users) == 1
+            and next(t for t, (u, _, _) in enumerate(stream)
+                     if u == users[0]) > 10)
+        named = {}
+        for batch_size in (1, 256):
+            cfg = group_config(variant, layers, False, lr=0.0,
+                               num_negatives=2, seed=2, batch_size=batch_size)
+            params = init_params(cfg, split.train.num_users,
+                                 split.train.num_items, rng_from_seed(0))
+            params["history_embed"][row, 0] = np.inf
+            state = AdagradState(params, lr=cfg.lr)
+            with pytest.raises(TrainingDiverged) as err:
+                train_epoch(params, cfg, split, state, rng_from_seed(4))
+            named[batch_size] = err.value
+        first = next(t for t, (u, _, _) in enumerate(stream) if u == user)
+        assert named[256].instance == named[1].instance == tuple(stream[first])
         assert str(named[256]) == str(named[1])
 
 

@@ -165,7 +165,7 @@ def cmd_recommend(args):
         # a candidate lies outside the history, so it keeps every row
         for item in candidates[order].tolist():
             print(f"# attention {train.item_ids[item]}")
-            weights = forward(params, config, hist, user, item).weights
+            weights = forward(params, config, hist, user, item).net[3]
             for j, weight in zip(hist.tolist(), weights.tolist()):
                 print(f"{train.item_ids[j]}\t{weight:.6f}")
     return 0

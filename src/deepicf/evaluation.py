@@ -123,6 +123,8 @@ def evaluate(scorer_factory, split, k=10):
     result is a pure function of (factory, split, k).
     """
     num_users = split.train.num_users
+    if num_users == 0:
+        raise EvalError("the split has no users to evaluate")
     scorers = [scorer_factory(user) for user in range(num_users)]
     negatives = [np.asarray(row, dtype=np.int64)
                  for row in split.eval_negatives]

@@ -5,16 +5,17 @@ All three variants share the same skeleton: elementwise products between
 the target-item embedding and each history-item embedding, a pooling step
 (alpha-normalized averaging, or an attention network with a beta-smoothed
 softmax), an optional ReLU tower over the pooled vector, and a linear
-prediction layer with user and item biases. :func:`forward` scores one user's history against one item, the path of
-training at ``batch_size = 1``. Everything else is scored in blocks of
-users, cut by one byte count, :func:`_block_cost`: ranking keeps a
-block's logits, and a training batch keeps its :class:`BlockCache` for
-:func:`backward`, which returns the gradients of the summed loss of one
-item or of a batch, each row once. The attention variant lays its hidden
-units out candidate-major, ``(..., k', n)`` for ``n`` history rows, from
-one GEMM; :func:`_attention` holds that net and
-:func:`_attention_backward` its gradients, each once for one item and for
-a user's candidates.
+prediction layer with user and item biases. :func:`forward` scores one
+user's history against one item, the path of training at batch size 1.
+Everything else is scored in blocks of users, cut by one byte count,
+:func:`_block_cost`: ranking keeps a block's logits, and a training batch
+keeps its :class:`BlockCache` for :func:`backward`, which returns the
+gradients of the summed loss of one item or of a batch, each row once.
+The attention variant lays its hidden units out candidate-major,
+``(..., k', n)`` for ``n`` history rows, from one GEMM: :func:`_attention`
+gathers a user's history and forms that net, which
+:func:`_attention_backward` takes back, alike for one item and for a
+user's candidates.
 
 The tensors of a variant are declared once, by :func:`param_layout`, and
 :class:`ModelParams` lays them out in one vector: the parameters, the
@@ -274,10 +275,7 @@ class ForwardCache:
     target: np.ndarray           # (k,) target embedding
     pool_scale: object           # (1,) |kept history|^-alpha, or 1.0
     hist_sum: np.ndarray | None  # (k,) sum of the kept history rows
-    hist_ones: np.ndarray | None  # (n, k+1) hist_embed and a ones column
-    att_hidden: np.ndarray | None  # (k', n) attention ReLU outputs
-    scores: np.ndarray | None    # (n,) attention scores
-    weights: np.ndarray | None   # (n,) beta-softmax weights, 0 where masked
+    net: tuple | None            # the attention net, as _attention gives it
     pooled: np.ndarray           # (k,)
     layer_pres: list             # per tower layer, (d_l,)
     layer_acts: list
@@ -295,37 +293,35 @@ def forward(params, config, history, user, item):
         raise ModelError(f"user index {user} outside [0, {params.num_users})")
     hist = np.asarray(history, dtype=np.int64)
     keep = hist != item
-    q = params["history_embed"].take(hist, axis=0)
     p = params["target_embed"][item]
-    hist_sum = hist_ones = att_hidden = scores = weights = None
+    hist_sum = net = None
     if config.uses_attention:
         scale = 1.0
-        hist_ones = np.empty((hist.size, q.shape[1] + 1))
-        hist_ones[:, :-1] = q
-        hist_ones[:, -1] = 1.0
-        att_hidden, scores, weights, pooled = _attention(
-            params, config.beta, p, hist_ones, keep)
+        net, pooled = _attention(params, config.beta, p, hist, keep)
+        q = net[0][:, :-1]
         pooled *= p
     else:
         # alpha=0 is plain sum pooling; an empty set pools to zero, with
         # the normalizer defined as 1 to avoid 0**-alpha
         scale = (1.0 if config.alpha == 0.0 else
                  np.maximum(keep.sum(axis=-1, keepdims=True), 1) ** -config.alpha)
+        q = params["history_embed"].take(hist, axis=0)
         hist_sum = keep @ q
         pooled = scale * (p * hist_sum)
     pres, acts, logit = _head(params, config, pooled, user, item)
     return ForwardCache(
         user=user, item=item, hist=hist, keep=keep, hist_embed=q, target=p,
-        pool_scale=scale, hist_sum=hist_sum, hist_ones=hist_ones,
-        att_hidden=att_hidden, scores=scores, weights=weights, pooled=pooled,
+        pool_scale=scale, hist_sum=hist_sum, net=net, pooled=pooled,
         layer_pres=pres, layer_acts=acts, logit=logit)
 
 
-def _attention(params, beta, p, hist_ones, keep, scratch=None, pooled=None):
+def _attention(params, beta, p, hist, keep, scratch=None, pooled=None):
     """The attention net of one user's candidates, given their target
-    rows ``p`` (``(..., k)``) and the history with a ones column,
-    ``[q, 1]``: ``(hidden, scores, weights, pooled)``. The targets fold
-    into the attention weights beside the bias, so that one GEMM against
+    rows ``p`` (``(..., k)``) and the user's history indices ``hist``:
+    ``(net, pooled)``, with ``net = ([q, 1], hidden, scores, weights,
+    keep)`` as :func:`_attention_backward` takes it. The history rows
+    ``q`` are gathered beside a ones column, and the targets fold into
+    the attention weights beside the bias, so that one GEMM against
     ``[q, 1]`` gives every pre-activation ``W_att (p * q_t) + b``,
     ``(..., k', n)``, rectified in place. The weights leave out the
     entries where ``keep`` is False (None keeps all); ``pooled``, the
@@ -335,7 +331,10 @@ def _attention(params, beta, p, hist_ones, keep, scratch=None, pooled=None):
     they are given."""
     w_att = params["att_weight"]
     k_att, k = w_att.shape
-    n = hist_ones.shape[0]
+    n = hist.size
+    hist_ones = np.empty((n, k + 1))
+    hist_ones[:, :k] = params["history_embed"].take(hist, axis=0)
+    hist_ones[:, k] = 1.0
     lead = p.shape[:-1] + (k_att,)
     rows = math.prod(lead)
     if scratch is None:
@@ -350,8 +349,8 @@ def _attention(params, beta, p, hist_ones, keep, scratch=None, pooled=None):
     scores = params["att_out"] @ hidden
     weights = (softmax_beta(scores, beta, keep) if n
                else np.zeros(scores.shape))
-    pooled = np.matmul(weights, hist_ones[:, :-1], out=pooled)
-    return hidden, scores, weights, pooled
+    pooled = np.matmul(weights, hist_ones[:, :k], out=pooled)
+    return (hist_ones, hidden, scores, weights, keep), pooled
 
 
 def _head(params, config, pooled, user, items):
@@ -378,9 +377,9 @@ def _head(params, config, pooled, user, items):
 
 def _check_range(kind, index, bound):
     """A :class:`ModelError` naming the lowest index if it is negative, or
-    else the highest, unless every index lies in ``[0, bound)``."""
+    else the highest, unless every index (if any) lies in ``[0, bound)``."""
     low, high = ((index, index) if isinstance(index, int)
-                 else (index.min(), index.max()))
+                 else (index.min(initial=0), index.max(initial=0)))
     if low < 0 or high >= bound:
         raise ModelError(f"{kind} index {low if low < 0 else high} outside "
                          f"[0, {bound})")
@@ -406,6 +405,8 @@ def score_items(params, config, history, user, items):
     :func:`_score_users` gives them for a block of one user; used by the
     recommender and by a scorer called on its own."""
     items = np.atleast_1d(np.asarray(items, dtype=np.int64))
+    if items.ndim != 1:
+        raise ModelError(f"candidate items have shape {items.shape}, not 1-D")
     return _score_users(params, config, [history], [user], items,
                         [items.size])
 
@@ -417,8 +418,9 @@ def _score_users(params, config, histories, users, items, sizes,
     ``histories[b]`` (which holds an item at most once) with itself masked
     out, in blocks whose arrays stay within ``SCORE_BLOCK_BYTES`` by
     :func:`_block_cost`. Each :class:`BlockCache`, attention nets and all,
-    is appended to a list ``blocks``. Beside the blocks, a call holds its
-    logits and one copy of ``history_embed``.
+    is appended to a list ``blocks``. Every index is range-checked. Beside
+    the blocks, a call holds its logits and, but for DeepICF_A, one
+    item-major copy of ``history_embed``.
 
     A user's logits do not depend on the block: its pooling is its own,
     the prediction layer is one dot product per row, and the tower's
@@ -432,21 +434,18 @@ def _score_users(params, config, histories, users, items, sizes,
     _check_range("user", users, params.num_users)
     _check_range("item", items, params.num_items)
     histories = [np.asarray(h, dtype=np.int64) for h in histories]
+    _check_range("history item", np.concatenate(histories), params.num_items)
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
     entry, sizes, cost = _block_cost(config, lengths,
                                      np.asarray(sizes, dtype=np.int64),
                                      params.num_items)
     histories = [histories[b] for b in entry.tolist()]
     users = users[entry]
-    k = config.k
-    if config.uses_attention:
-        table = np.empty((params.num_items, k + 1))
-        table[:, :k] = params["history_embed"]
-        table[:, k] = 1.0
-    else:
-        # the history table item-major, so that a block gathers each
-        # user's rows as columns and sums them along contiguous memory
-        table = np.ascontiguousarray(params["history_embed"].T)
+    # FISM's and DeepICF's history table item-major, so that a block
+    # gathers each user's rows as columns and sums them along contiguous
+    # memory; DeepICF_A's attention gathers its own rows
+    table = (None if config.uses_attention
+             else np.ascontiguousarray(params["history_embed"].T))
     cost_ends, row_ends = np.cumsum(cost), np.cumsum(sizes)
     logits, start = np.empty(items.size), 0
     while start < users.size:
@@ -535,13 +534,13 @@ class BlockCache:
 
 def _score_block(params, config, table, histories, users, items, sizes,
                  train=False):
-    """One pass of :func:`_score_users` over a block of users, given the
-    history table, item-major or with a ones column for DeepICF_A. FISM
-    and DeepICF sum each history with one ``np.add.reduceat``, and a
-    candidate inside it (:func:`_owners`) subtracts its own row and one
-    from its count. DeepICF_A calls :func:`_attention` once per user,
-    masked only where a candidate is inside the history, into a scratch
-    vector, or to ``train`` into arrays kept in ``nets``."""
+    """One pass of :func:`_score_users` over a block of users. FISM and
+    DeepICF sum each history with one ``np.add.reduceat`` over the
+    item-major history ``table``, and a candidate inside it
+    (:func:`_owners`) subtracts its own row and one from its count.
+    DeepICF_A calls :func:`_attention` once per user, masked only where a
+    candidate is inside the history, into a scratch vector, or to
+    ``train`` into arrays kept in ``nets``."""
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
     hist = np.concatenate(histories)
     owner, inside = _owners(params.num_items, hist, lengths, items, sizes)
@@ -556,11 +555,10 @@ def _score_block(params, config, table, histories, users, items, sizes,
             rows = slice(start, start + c)
             keep = (user_hist != items[rows, None] if inside[rows].any()
                     else None)
-            hist_ones = table.take(user_hist, axis=0)
-            net = _attention(params, config.beta, p[rows], hist_ones, keep,
-                             scratch, pooled[rows])
+            net, _ = _attention(params, config.beta, p[rows], user_hist,
+                                keep, scratch, pooled[rows])
             if train:
-                nets.append((hist_ones, *net[:3], keep))
+                nets.append(net)
         pooled *= p
     else:
         hist_sum = np.zeros((users.size, config.k))
@@ -613,9 +611,8 @@ def backward(params, config, cache, dlogit):
         d_vec = _head_backward(params, config, cache, dlogit, sums)
         rows = cache.hist[cache.keep]
         if config.uses_attention:
-            d_target, d_history = _attention_backward(params, config.beta, (
-                cache.hist_ones, cache.att_hidden, cache.scores, cache.weights,
-                cache.keep), p, d_vec, sums)
+            d_target, d_history = _attention_backward(
+                params, config.beta, cache.net, p, d_vec, sums)
             d_history = d_history[cache.keep]
         else:
             d_pool = cache.pool_scale * d_vec

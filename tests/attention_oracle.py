@@ -43,7 +43,9 @@ def pre_activations(params, hist_embed, target):
 def forward(params, config, history, user, items):
     """The attention variant's forward pass, in the history-major layout:
     a namespace with the fields of ``deepicf.model.ForwardCache`` that
-    the attention variant fills, plus ``att_pre``."""
+    the attention variant fills but ``net``, whose pieces it names apart
+    (``att_hidden``, laid out ``(..., n, k')``, ``scores`` and
+    ``weights``), plus ``att_pre``."""
     hist = np.asarray(history, dtype=np.int64)
     keep = hist != np.asarray(items)[..., None]
     q = params["history_embed"][hist]

@@ -161,6 +161,12 @@ class TestEvaluate:
             evaluate(lambda user: bad if user == 0 else table, split)
         assert str(alone.value) == str(got.value) == message
 
+    def test_split_without_users_is_an_eval_error(self):
+        empty = LooSplit(make_dataset([], num_items=5),
+                         np.empty(0, dtype=np.int64), [])
+        with pytest.raises(EvalError, match="split has no users"):
+            evaluate(lambda user: table_scorer(np.zeros(5)), empty)
+
     def test_repeat_runs_identical(self, small_split):
         factory = item_pop_scorer(small_split.train)
         a = evaluate(factory, small_split, k=10)

@@ -283,7 +283,7 @@ class TestForwardPieces:
                         att_weight=[[0.3, 0.2], [-0.1, 0.4]],
                         att_bias=np.zeros(2), att_out=[1.0, -2.0])
         _, cache = predict_logit(p, cfg, [1, 2], 0, 0)
-        assert np.allclose(cache.weights, [0.5, 0.5], atol=1e-15)
+        assert np.allclose(cache.net[3], [0.5, 0.5], atol=1e-15)
         assert np.allclose(cache.pooled, [0.5, -1.0], atol=1e-15)
 
     def test_pool_attention_zero_scorer_is_uniform(self):
@@ -293,7 +293,7 @@ class TestForwardPieces:
                         att_weight=rng.normal(size=(2, 3)),
                         att_bias=np.zeros(2), att_out=np.zeros(2))
         _, cache = predict_logit(p, cfg, [1, 2, 3, 4], 0, 0)
-        assert np.allclose(cache.weights, 0.25, atol=1e-15)
+        assert np.allclose(cache.net[3], 0.25, atol=1e-15)
 
     def test_pool_attention_matches_straight_line_recompute(self):
         rng = rng_from_seed(8)
@@ -313,7 +313,7 @@ class TestForwardPieces:
                         history_embed={1 + t: row for t, row in enumerate(v)},
                         att_weight=w, att_bias=b, att_out=h)
         _, cache = predict_logit(p, cfg, [1, 2, 3, 4, 5], 0, 0)
-        got_w = cache.weights
+        got_w = cache.net[3]
         assert (got_w >= 0).all()
         assert np.abs(got_w - weights).max() < 1e-12
         assert np.abs(cache.pooled - expect).max() < 1e-12
@@ -421,6 +421,24 @@ class TestPredict:
         for item in (-1, 3):
             with pytest.raises(ModelError, match=f"item index {item} "):
                 score_items(p, cfg, [0], 0, [1, item])
+
+    @pytest.mark.parametrize("variant", [Variant.FISM, Variant.DEEPICF_A])
+    def test_history_indices_out_of_range_raise(self, variant):
+        # history item -1 must not score as the last item, nor item 5
+        # escape as an IndexError
+        cfg = ModelConfig(variant=variant, k=3, k_prime=2)
+        p, _ = tiny_params(cfg, 1, 5, rng_from_seed(9))
+        assert score_items(p, cfg, [4], 0, [0]).shape == (1,)
+        for index in (-1, 5):
+            with pytest.raises(ModelError,
+                               match=f"^history item index {index} outside"):
+                score_items(p, cfg, [1, index], 0, [0, 2])
+
+    def test_two_dimensional_candidates_raise(self):
+        cfg = ModelConfig(variant=Variant.FISM, k=2)
+        p = init_params(cfg, 1, 4, rng_from_seed(0))
+        with pytest.raises(ModelError, match=r"shape \(2, 1\), not 1-D"):
+            score_items(p, cfg, [0], 0, [[1], [2]])
 
     @pytest.mark.parametrize("variant,layers,beta", [
         (Variant.FISM, 0, 0.5), (Variant.DEEPICF, 2, 0.5),
@@ -651,17 +669,15 @@ class TestCandidateMajorAttention:
         assert (live.max() > 30.0) == (case == "log-domain-row")
         if case == "only-row-is-itself":
             assert not want.keep[0].any() and not want.weights[0].any()
-        if np.ndim(items):
-            # the batch's one block, and its user's net
-            [block] = cache
-            hist_ones, hidden, scores, weights, keep = block.nets[0]
-            got = dict(scores=scores, weights=weights, pooled=block.pooled,
-                       logit=block.logit)
-            keep = np.ones(want.keep.shape, bool) if keep is None else keep
-        else:
-            hidden, keep = cache.att_hidden, cache.keep
-            got = {name: getattr(cache, name)
-                   for name in ("scores", "weights", "pooled", "logit")}
+        # the net of the one item, or of the batch's one block's user
+        [block] = cache if np.ndim(items) else [cache]
+        [net] = block.nets if np.ndim(items) else [cache.net]
+        hist_ones, hidden, scores, weights, keep = net
+        got = dict(scores=scores, weights=weights, pooled=block.pooled,
+                   logit=block.logit)
+        keep = np.ones(want.keep.shape, bool) if keep is None else keep
+        assert np.array_equal(hist_ones[:, :-1], p["history_embed"][hist])
+        assert (hist_ones[:, -1] == 1.0).all()
         assert hidden.shape == (np.shape(items) + (4, len(hist)))
         assert _rel_err(np.swapaxes(hidden, -1, -2), want.att_hidden) < 1e-12
         for name, value in got.items():
@@ -763,8 +779,8 @@ class TestScoreBlocks:
     @pytest.mark.parametrize("att_scale", [1.0, 30.0])
     def test_attention_peak_stays_within_budget(self, att_scale,
                                                 monkeypatch):
-        # tracemalloc sees numpy's buffers; the call may hold the budget
-        # beside its copy of the history table with a ones column. User 9
+        # tracemalloc sees numpy's buffers; the whole call, its logits and
+        # copies of its arguments included, stays within the budget. User 9
         # alone needs a (200, 4, 300) attention array of 1.9 MB; at
         # att_scale 30 the scores leave the softmax's direct branch
         num_items, k, budget = 400, 8, 256 << 10
@@ -784,7 +800,7 @@ class TestScoreBlocks:
         users = np.arange(12)
         whole = model._score_users(p, cfg, histories, users, items, sizes)
         top = max(np.abs(predict_logit(p, cfg, histories[9], 9, item)[1]
-                         .scores).max() for item in items[450:650].tolist())
+                         .net[2]).max() for item in items[450:650].tolist())
         assert (top > 30.0) == (att_scale > 1.0)
         monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
         tracemalloc.start()
@@ -794,7 +810,7 @@ class TestScoreBlocks:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= budget + 8 * num_items * (k + 1)
+        assert peak <= budget
         # user 9's pieces round its weighted sums, an inner dimension of
         # 300, differently in the last place
         np.testing.assert_allclose(got, whole, rtol=1e-12, atol=1e-12)

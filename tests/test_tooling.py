@@ -1,6 +1,7 @@
 """Checks on the benchmark harness, which read its files without
 importing them: its traced names resolve, and the package reproduces the
-training losses it records."""
+training losses it records. Beside them, a lint of the package's
+sources that needs no linter installed: no import is left unused."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ from deepicf.data import leave_one_out_split, parse_interactions
 from deepicf.training import fit
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "deepicf"
 RUN_PY = PERFBENCH / "run.py"
 
 # names the traced run still lists though the package has dropped them
@@ -69,3 +71,38 @@ def test_training_losses_match_the_benchmark_record(tmp_path):
             want = expected[workload][variant]
             assert abs(loss - want) <= tolerance * max(1.0, abs(want)), (
                 workload, variant, loss, want)
+
+
+def unused_imports(source):
+    """The names that ``source`` imports at module level but neither reads
+    nor lists in its ``__all__``: ``(name, line)`` pairs."""
+    tree = ast.parse(source)
+    imported, exported = {}, set()
+    for node in tree.body:
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((name, line) for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+def test_unused_import_check_finds_one():
+    assert unused_imports("from __future__ import annotations\n"
+                          "import math\nimport numpy as np\n"
+                          "from os import path, sep\n"
+                          "__all__ = ['sep']\nx = np.zeros(1)\n") == [
+        ("math", 2), ("path", 4)]
+
+
+def test_every_module_level_import_is_used():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 5
+    assert {name: names for name, names in found.items() if names} == {}

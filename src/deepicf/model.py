@@ -288,9 +288,7 @@ def forward(params, config, history, user, item):
     influence its own score: the pairwise products are pooled by the
     |set|^-alpha normalized sum or by the attention net (alpha = 0; they
     enter it linearly, so they are never formed), then go through the
-    tower and the prediction layer. The callers range-check the item."""
-    if not 0 <= user < params.num_users:
-        raise ModelError(f"user index {user} outside [0, {params.num_users})")
+    tower and the prediction layer. The callers range-check every index."""
     hist = np.asarray(history, dtype=np.int64)
     keep = hist != item
     p = params["target_embed"][item]
@@ -315,7 +313,7 @@ def forward(params, config, history, user, item):
         layer_pres=pres, layer_acts=acts, logit=logit)
 
 
-def _attention(params, beta, p, hist, keep, scratch=None, pooled=None):
+def _attention(params, beta, p, hist, keep):
     """The attention net of one user's candidates, given their target
     rows ``p`` (``(..., k)``) and the user's history indices ``hist``:
     ``(net, pooled)``, with ``net = ([q, 1], hidden, scores, weights,
@@ -325,10 +323,7 @@ def _attention(params, beta, p, hist, keep, scratch=None, pooled=None):
     ``[q, 1]`` gives every pre-activation ``W_att (p * q_t) + b``,
     ``(..., k', n)``, rectified in place. The weights leave out the
     entries where ``keep`` is False (None keeps all); ``pooled``, the
-    weighted history sums, is not yet scaled by the targets. ``scratch``,
-    of ``size(p) / k * k' * (k + 1 + n)`` float64s or more, holds the
-    folded weights and ``hidden``, and ``pooled`` is written into, if
-    they are given."""
+    weighted history sums, is not yet scaled by the targets."""
     w_att = params["att_weight"]
     k_att, k = w_att.shape
     n = hist.size
@@ -336,21 +331,16 @@ def _attention(params, beta, p, hist, keep, scratch=None, pooled=None):
     hist_ones[:, :k] = params["history_embed"].take(hist, axis=0)
     hist_ones[:, k] = 1.0
     lead = p.shape[:-1] + (k_att,)
-    rows = math.prod(lead)
-    if scratch is None:
-        scratch = np.empty(rows * (k + 1 + n))
-    folded = scratch[:rows * (k + 1)].reshape(lead + (k + 1,))
+    folded = np.empty(lead + (k + 1,))
     np.einsum("...i,ji->...ji", p, w_att, out=folded[..., :k])
     folded[..., k] = params["att_bias"]
-    hidden = np.matmul(folded.reshape(rows, k + 1), hist_ones.T,
-                       out=scratch[rows * (k + 1):rows * (k + 1 + n)]
-                       .reshape(rows, n)).reshape(lead + (n,))
+    hidden = (folded.reshape(-1, k + 1) @ hist_ones.T).reshape(lead + (n,))
     relu(hidden, out=hidden)
     scores = params["att_out"] @ hidden
     weights = (softmax_beta(scores, beta, keep) if n
                else np.zeros(scores.shape))
-    pooled = np.matmul(weights, hist_ones[:, :k], out=pooled)
-    return (hist_ones, hidden, scores, weights, keep), pooled
+    return ((hist_ones, hidden, scores, weights, keep),
+            weights @ hist_ones[:, :k])
 
 
 def _head(params, config, pooled, user, items):
@@ -392,7 +382,10 @@ def predict_logit(params, config, history, user, items, sizes=None):
     :func:`_score_users` takes it (``history`` holds the users'
     histories): an array of logits and the list of the batch's blocks."""
     if sizes is None:
+        history = np.asarray(history, dtype=np.int64)
+        _check_range("user", operator.index(user), params.num_users)
         _check_range("item", operator.index(items), params.num_items)
+        _check_range("history item", history, params.num_items)
         cache = forward(params, config, history, user, items)
         return cache.logit, cache
     blocks = []
@@ -419,8 +412,7 @@ def _score_users(params, config, histories, users, items, sizes,
     out, in blocks whose arrays stay within ``SCORE_BLOCK_BYTES`` by
     :func:`_block_cost`. Each :class:`BlockCache`, attention nets and all,
     is appended to a list ``blocks``. Every index is range-checked. Beside
-    the blocks, a call holds its logits and, but for DeepICF_A, one
-    item-major copy of ``history_embed``.
+    the blocks, a call holds its logits.
 
     A user's logits do not depend on the block: its pooling is its own,
     the prediction layer is one dot product per row, and the tower's
@@ -441,11 +433,6 @@ def _score_users(params, config, histories, users, items, sizes,
                                      params.num_items)
     histories = [histories[b] for b in entry.tolist()]
     users = users[entry]
-    # FISM's and DeepICF's history table item-major, so that a block
-    # gathers each user's rows as columns and sums them along contiguous
-    # memory; DeepICF_A's attention gathers its own rows
-    table = (None if config.uses_attention
-             else np.ascontiguousarray(params["history_embed"].T))
     cost_ends, row_ends = np.cumsum(cost), np.cumsum(sizes)
     logits, start = np.empty(items.size), 0
     while start < users.size:
@@ -453,7 +440,7 @@ def _score_users(params, config, histories, users, items, sizes,
             cost_ends, cost_ends[start] - cost[start] + SCORE_BLOCK_BYTES,
             side="right")))
         rows = slice(row_ends[start] - sizes[start], row_ends[stop - 1])
-        block = _score_block(params, config, table, histories[start:stop],
+        block = _score_block(params, config, histories[start:stop],
                              users[start:stop], items[rows],
                              sizes[start:stop], blocks is not None)
         logits[rows] = block.logit
@@ -476,9 +463,9 @@ def _block_cost(config, lengths, sizes, num_items):
     k, tower = config.k, 2 * sum(config.layer_sizes)
     if config.uses_attention:
         # a user: its history's indices and [q, 1]; a candidate: its
-        # target and pooled rows, the tower, six scalars and the scratch's
-        # folded weights, and per history row its scratch attention row,
-        # six float64s of the softmax and a mask byte
+        # target and pooled rows, the tower, six scalars and its folded
+        # attention weights, and per history row its attention units, six
+        # float64s of the softmax and a mask byte
         once = 8 * (k + 2) * lengths
         per_item = 8 * (2 * k + tower + 6 + config.k_prime * (k + 1))
         per_pair = 8 * config.k_prime + 8 * 6 + 1
@@ -532,15 +519,15 @@ class BlockCache:
     logit: np.ndarray            # (C,)
 
 
-def _score_block(params, config, table, histories, users, items, sizes,
+def _score_block(params, config, histories, users, items, sizes,
                  train=False):
     """One pass of :func:`_score_users` over a block of users. FISM and
-    DeepICF sum each history with one ``np.add.reduceat`` over the
-    item-major history ``table``, and a candidate inside it
+    DeepICF sum each history with one ``np.add.reduceat`` over an
+    item-major copy of ``history_embed``, and a candidate inside it
     (:func:`_owners`) subtracts its own row and one from its count.
     DeepICF_A calls :func:`_attention` once per user, masked only where a
-    candidate is inside the history, into a scratch vector, or to
-    ``train`` into arrays kept in ``nets``."""
+    candidate is inside the history, and keeps each net in ``nets`` to
+    ``train``."""
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
     hist = np.concatenate(histories)
     owner, inside = _owners(params.num_items, hist, lengths, items, sizes)
@@ -548,26 +535,25 @@ def _score_block(params, config, table, histories, users, items, sizes,
     scale, hist_sum, nets = 1.0, None, []
     if config.uses_attention:
         p, pooled = pooled, np.empty(pooled.shape)
-        scratch = None if train else np.empty(
-            config.k_prime * int((sizes * (config.k + 1 + lengths)).max()))
         for user_hist, start, c in zip(histories, np.cumsum(sizes) - sizes,
                                        sizes):
             rows = slice(start, start + c)
             keep = (user_hist != items[rows, None] if inside[rows].any()
                     else None)
-            net, _ = _attention(params, config.beta, p[rows], user_hist,
-                                keep, scratch, pooled[rows])
+            net, pooled[rows] = _attention(params, config.beta, p[rows],
+                                           user_hist, keep)
             if train:
                 nets.append(net)
         pooled *= p
     else:
         hist_sum = np.zeros((users.size, config.k))
         # only the users with a history, since reduceat would give an
-        # empty one the next user's first row
+        # empty one the next user's first row; item-major, each user's
+        # rows are columns, summed along contiguous memory
         full = lengths > 0
         hist_sum[full] = np.add.reduceat(
-            table.take(hist, axis=1), (np.cumsum(lengths) - lengths)[full],
-            axis=1).T
+            np.ascontiguousarray(params["history_embed"].T).take(hist, axis=1),
+            (np.cumsum(lengths) - lengths)[full], axis=1).T
         hist_sum = hist_sum[owner]
         hist_sum[inside] -= params["history_embed"].take(items[inside], axis=0)
         pooled *= hist_sum

@@ -540,7 +540,7 @@ class TestBlockEvaluate:
         real = model._score_block
 
         def counted(*args):
-            blocks.append((args[4].size, args[5].size))
+            blocks.append((args[3].size, args[4].size))
             return real(*args)
 
         monkeypatch.setattr(model, "_score_block", counted)

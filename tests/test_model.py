@@ -425,14 +425,18 @@ class TestPredict:
     @pytest.mark.parametrize("variant", [Variant.FISM, Variant.DEEPICF_A])
     def test_history_indices_out_of_range_raise(self, variant):
         # history item -1 must not score as the last item, nor item 5
-        # escape as an IndexError
+        # escape as an IndexError, through a block or the one-item path
         cfg = ModelConfig(variant=variant, k=3, k_prime=2)
         p, _ = tiny_params(cfg, 1, 5, rng_from_seed(9))
         assert score_items(p, cfg, [4], 0, [0]).shape == (1,)
+        assert isinstance(predict_logit(p, cfg, [4], 0, 1)[0], float)
         for index in (-1, 5):
             with pytest.raises(ModelError,
                                match=f"^history item index {index} outside"):
                 score_items(p, cfg, [1, index], 0, [0, 2])
+            with pytest.raises(ModelError,
+                               match=f"^history item index {index} outside"):
+                predict_logit(p, cfg, [1, index], 0, 2)
 
     def test_two_dimensional_candidates_raise(self):
         cfg = ModelConfig(variant=Variant.FISM, k=2)
@@ -731,10 +735,10 @@ class TestScoreBlocks:
         k, n, tower = cfg.k, hist.size, 2 * sum(cfg.layer_sizes)
         if cfg.uses_attention:
             # a candidate costs its target row, pooled row, tower and six
-            # scalars, its scratch rows of folded weights and attention
-            # outputs, and per history row six softmax float64s and a
-            # mask byte; the user costs its history's indices, its [q, 1]
-            # and its row of the incidence
+            # scalars, its folded attention weights and its attention
+            # units, and per history row six softmax float64s and a mask
+            # byte; the user costs its history's indices, its [q, 1] and
+            # its row of the incidence
             per_cand = (8 * (2 * k + tower + 6)
                         + 8 * cfg.k_prime * (k + 1 + n) + (8 * 6 + 1) * n)
             once = 8 * n + 8 * (k + 1) * n + 60
@@ -748,7 +752,7 @@ class TestScoreBlocks:
         pieces, calls = [], []
 
         def counted_kernel(*args):
-            pieces.append(args[6].tolist())
+            pieces.append(args[5].tolist())
             return real_kernel(*args)
 
         def counted_attention(*args):
@@ -815,6 +819,44 @@ class TestScoreBlocks:
         # 300, differently in the last place
         np.testing.assert_allclose(got, whole, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("variant,layers", [
+        (Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 0),
+        (Variant.DEEPICF_A, 3)])
+    def test_ranking_and_training_score_alike(self, variant, layers,
+                                              monkeypatch):
+        # a training batch keeps its blocks and ranking drops them, and
+        # the logits are the same to the bit, in one block of users with
+        # an empty history, a one-row history and candidates inside their
+        # histories, and where the costliest user is cut into pieces
+        cfg = ModelConfig(variant=variant, k=6, k_prime=4, num_layers=layers,
+                          alpha=0.0 if variant is Variant.DEEPICF_A else 0.5)
+        num_items = 60
+        p, _ = tiny_params(cfg, 7, num_items,
+                           rng_from_seed(45, cfg.variant.value))
+        rng = rng_from_seed(46)
+        users = np.array([6, 0, 3, 5, 1])
+        lengths = [20, 0, 1, 33, 12]
+        histories = [rng.choice(num_items, size=n, replace=False)
+                     for n in lengths]
+        cands = [np.concatenate((hist[::3], rng.choice(num_items, size=c)))
+                 for hist, c in zip(histories, [30, 9, 2, 40, 3])]
+        sizes = [c.size for c in cands]
+        items = np.concatenate(cands)
+        cost = model._block_cost(cfg, np.array(lengths), np.array(sizes),
+                                 num_items)[2]
+        for budget, whole in ((model.SCORE_BLOCK_BYTES, True),
+                              (int(cost.max()) - 1, False)):
+            monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
+            ranked = model._score_users(p, cfg, histories, users, items,
+                                        sizes)
+            trained, blocks = predict_logit(p, cfg, histories, users, items,
+                                            sizes)
+            assert np.array_equal(ranked, trained)
+            pieces = [block.users.size for block in blocks]
+            assert (pieces == [users.size]) == whole
+            assert sum(pieces) == users.size + (not whole)
+            assert max(pieces) > 1
+
     def check_user_blocks(self, cfg, monkeypatch):
         num_items = 60
         p, _ = tiny_params(cfg, 7, num_items,
@@ -845,8 +887,8 @@ class TestScoreBlocks:
         real = model._score_block
 
         def counted(*args):
-            seen.append(args[4].size)
-            pieces.extend(args[6].tolist())
+            seen.append(args[3].size)
+            pieces.extend(args[5].tolist())
             return real(*args)
 
         monkeypatch.setattr(model, "_score_block", counted)

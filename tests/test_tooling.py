@@ -1,7 +1,8 @@
 """Checks on the benchmark harness, which read its files without
 importing them: its traced names resolve, and the package reproduces the
 training losses it records. Beside them, a lint of the package's
-sources that needs no linter installed: no import is left unused."""
+sources that needs no linter installed: no import and no function
+parameter is left unused."""
 
 import ast
 import importlib
@@ -20,6 +21,9 @@ RUN_PY = PERFBENCH / "run.py"
 
 # names the traced run still lists though the package has dropped them
 DROPPED = {("deepicf.training", "adagrad_step")}
+# parameters a protocol requires of a function that has no use for them:
+# ItemPop's scorer factory takes the user it scores alike for everyone
+UNREAD = {("evaluation.py", "factory", "user")}
 
 
 def run_py_constant(name):
@@ -106,3 +110,39 @@ def test_every_module_level_import_is_used():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert len(found) > 5
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unused_parameters(source):
+    """The parameters of each function that ``source`` defines which the
+    function's body, nested functions included, never reads: ``(function,
+    parameter)`` pairs."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = (args.posonlyargs + args.args + args.kwonlyargs
+                      + [arg for arg in (args.vararg, args.kwarg) if arg])
+            read = {name.id for statement in node.body
+                    for name in ast.walk(statement)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Load)}
+            found += [(node.name, arg.arg) for arg in params
+                      if arg.arg not in read]
+    return sorted(found)
+
+
+def test_unused_parameter_check_finds_one():
+    assert unused_parameters(
+        "def f(a, b, *rest, c=1, **extra):\n"
+        "    def g(d):\n        return b + d\n"
+        "    a = rest\n    return g(c), extra\n"
+        "class K:\n    def m(self, e):\n        return self\n") == [
+        ("f", "a"), ("m", "e")]
+
+
+def test_every_function_parameter_is_read():
+    found = {(path.name, function, name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for function, name in unused_parameters(
+                 path.read_text(encoding="utf-8"))}
+    assert found == UNREAD

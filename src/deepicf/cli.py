@@ -20,7 +20,7 @@ from deepicf.errors import CheckpointError, DataError, DeepIcfError, TrainingDiv
 from deepicf.evaluation import (evaluate, item_knn_fit_and_score,
                                 item_pop_scorer, model_scorer_factory,
                                 rank_order)
-from deepicf.model import Variant, forward, score_items
+from deepicf.model import Variant, predict_logit, score_items
 from deepicf.training import EVAL_K, fit, pretrain_and_init
 
 log = logging.getLogger("deepicf")
@@ -162,11 +162,16 @@ def cmd_recommend(args):
         item = int(candidates[pos])
         print(f"{rank}\t{train.item_ids[item]}\t{scores[pos]:.6f}")
     if config.variant is Variant.DEEPICF_A and hist.size:
-        # a candidate lies outside the history, so it keeps every row
-        for item in candidates[order].tolist():
+        # the nets of the block kernel that scores the items; none is in
+        # the history, so every net keeps every row
+        top = candidates[order]
+        _, blocks = predict_logit(params, config, [hist], [user], top,
+                                  [top.size])
+        weights = np.concatenate([net[3] for block in blocks
+                                  for net in block.nets])
+        for item, row in zip(top.tolist(), weights.tolist()):
             print(f"# attention {train.item_ids[item]}")
-            weights = forward(params, config, hist, user, item).net[3]
-            for j, weight in zip(hist.tolist(), weights.tolist()):
+            for j, weight in zip(hist.tolist(), row):
                 print(f"{train.item_ids[j]}\t{weight:.6f}")
     return 0
 

@@ -188,6 +188,10 @@ _DENSE_ROWS = 512
 # Users in one float32 product: float32 holds every integer up to 2**24
 # exactly, and no count in a product exceeds its number of users.
 _EXACT_USERS = 1 << 24
+# The most bytes the ItemKNN fit may give its (items, items) counts: 2 GiB,
+# a quarter of an 8 GB machine. np.zeros of more can succeed lazily and the
+# process then be killed, with no message, while the fit fills it.
+KNN_COUNT_BYTES = 2 << 30
 
 
 def dense_users(lengths, num_items):
@@ -205,9 +209,10 @@ class ItemKnnModel:
     user's score for a candidate sums the similarities to every other item
     in the user's history.
 
-    The similarity matrix is held dense: on real logs the co-occurrence
-    counts are nearly full. Each user adds its history's pairs to the
-    counts by whichever method is cheaper for its length n:
+    The co-occurrence counts are held dense, as on real logs they are
+    nearly full, in the smallest unsigned type that holds the number of
+    users, within ``KNN_COUNT_BYTES``. Each user adds its history's pairs
+    to the counts by whichever method is cheaper for its length n:
 
     - a user with n above ``DENSE_SHARE`` of the catalog (see
       :func:`dense_users`) is a row of a 0/1 float32 incidence ``X``, and
@@ -218,25 +223,31 @@ class ItemKnnModel:
     - row ``i`` of every other user's counts is one ``bincount`` over the
       histories that hold ``i``.
 
-    Each column is then scaled by ``1/sqrt(|users(j)|)`` and the diagonal
-    zeroed; the row factor ``1/sqrt(|users(i)|)`` is applied at scoring
-    time.
+    The diagonal is zeroed, and a score takes each count times its
+    column's ``1/sqrt(|users(j)|)``, sums them, then applies the row's.
     """
 
     def __init__(self, train):
         self.train = train
         num_items = train.num_items
+        dtype = np.min_scalar_type(train.num_users)
+        need = num_items ** 2 * dtype.itemsize
+        if need > KNN_COUNT_BYTES:
+            raise EvalError(
+                f"ItemKNN over {num_items} items needs {need} bytes of"
+                f" co-occurrence counts, over its budget of"
+                f" {KNN_COUNT_BYTES} bytes")
         hists = train.item_arrays()
         dense = dense_users([h.size for h in hists], num_items)
         holders = [[] for _ in range(num_items)]
         for hist in itertools.compress(hists, ~dense):
             for item in hist.tolist():
                 holders[item].append(hist)
-        sim = np.zeros((num_items, num_items))
+        counts = np.zeros((num_items, num_items), dtype=dtype)
         for item, hists_of in enumerate(holders):
             if hists_of:
-                sim[item] = np.bincount(np.concatenate(hists_of),
-                                        minlength=num_items)
+                counts[item] = np.bincount(np.concatenate(hists_of),
+                                           minlength=num_items)
         long_users = np.flatnonzero(dense)
         for first in range(0, long_users.size, _EXACT_USERS):
             users = long_users[first:first + _EXACT_USERS]
@@ -245,18 +256,18 @@ class ItemKnnModel:
                 incidence[row, hists[user]] = 1.0
             for start in range(0, num_items, _DENSE_ROWS):
                 rows = slice(start, start + _DENSE_ROWS)
-                sim[rows] += incidence[:, rows].T @ incidence
-        counts = train.item_counts()
+                counts[rows] += (incidence[:, rows].T @ incidence).astype(dtype)
+        np.fill_diagonal(counts, 0)
+        popularity = train.item_counts()
         inv_sqrt = np.zeros(num_items)
-        active = counts > 0
-        inv_sqrt[active] = 1.0 / np.sqrt(counts[active])
-        sim *= inv_sqrt
-        np.fill_diagonal(sim, 0.0)
-        self._sim = sim
+        active = popularity > 0
+        inv_sqrt[active] = 1.0 / np.sqrt(popularity[active])
+        self._counts = counts
         self._inv_sqrt = inv_sqrt
 
     def similarity(self, i, j):
-        return float(self._sim[i, j] * self._inv_sqrt[i])
+        return float(self._counts[i, j] * self._inv_sqrt[j]
+                     * self._inv_sqrt[i])
 
     def scorer_factory(self):
         def factory(user):
@@ -264,9 +275,10 @@ class ItemKnnModel:
 
             def scorer(items):
                 items = np.asarray(items, dtype=np.int64)
-                # one flat gather of the (items, hist) block of the matrix
-                flat = items[:, None] * self._sim.shape[1] + hist
-                return self._sim.take(flat).sum(axis=1) * self._inv_sqrt[items]
+                # one flat gather of the (items, hist) block of the counts
+                flat = items[:, None] * self._counts.shape[1] + hist
+                return ((self._counts.take(flat) * self._inv_sqrt[hist])
+                        .sum(axis=1) * self._inv_sqrt[items])
             return scorer
         return factory
 

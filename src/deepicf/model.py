@@ -5,9 +5,9 @@ All three variants share the same skeleton: elementwise products between
 the target-item embedding and each history-item embedding, a pooling step
 (alpha-normalized averaging, or an attention network with a beta-smoothed
 softmax), an optional ReLU tower over the pooled vector, and a linear
-prediction layer with user and item biases. :func:`forward` scores one
-user's history against one item, the path of training at batch size 1.
-Everything else is scored in blocks of users, cut by one byte count,
+prediction layer with user and item biases. :func:`predict_logit` scores
+one user's history against one item, the path of training at batch size
+1. Everything else is scored in blocks of users, cut by one byte count,
 :func:`_block_cost`: ranking keeps a block's logits, and a training batch
 keeps its :class:`BlockCache` for :func:`backward`, which returns the
 gradients of the summed loss of one item or of a batch, each row once.
@@ -279,38 +279,6 @@ class ForwardCache:
     pooled: np.ndarray           # (k,)
     layer_pres: list             # per tower layer, (d_l,)
     layer_acts: list
-    logit: float
-
-
-def forward(params, config, history, user, item):
-    """The forward pass of every variant, for one user's training history
-    and one item, masked out of the history so that a leaked copy cannot
-    influence its own score: the pairwise products are pooled by the
-    |set|^-alpha normalized sum or by the attention net (alpha = 0; they
-    enter it linearly, so they are never formed), then go through the
-    tower and the prediction layer. The callers range-check every index."""
-    hist = np.asarray(history, dtype=np.int64)
-    keep = hist != item
-    p = params["target_embed"][item]
-    hist_sum = net = None
-    if config.uses_attention:
-        scale = 1.0
-        net, pooled = _attention(params, config.beta, p, hist, keep)
-        q = net[0][:, :-1]
-        pooled *= p
-    else:
-        # alpha=0 is plain sum pooling; an empty set pools to zero, with
-        # the normalizer defined as 1 to avoid 0**-alpha
-        scale = (1.0 if config.alpha == 0.0 else
-                 np.maximum(keep.sum(axis=-1, keepdims=True), 1) ** -config.alpha)
-        q = params["history_embed"].take(hist, axis=0)
-        hist_sum = keep @ q
-        pooled = scale * (p * hist_sum)
-    pres, acts, logit = _head(params, config, pooled, user, item)
-    return ForwardCache(
-        user=user, item=item, hist=hist, keep=keep, hist_embed=q, target=p,
-        pool_scale=scale, hist_sum=hist_sum, net=net, pooled=pooled,
-        layer_pres=pres, layer_acts=acts, logit=logit)
 
 
 def _attention(params, beta, p, hist, keep):
@@ -377,20 +345,40 @@ def _check_range(kind, index, bound):
 
 def predict_logit(params, config, history, user, items, sizes=None):
     """Forward pass with range-checked indices: ``(logit, cache)``. Of one
-    user, given its stored training history, and one item: a float and a
-    :class:`ForwardCache`. With ``sizes``, of a training batch laid out as
-    :func:`_score_users` takes it (``history`` holds the users'
+    user, given its stored training history, and one item, masked out of
+    the history so that a leaked copy cannot influence its own score: a
+    float and a :class:`ForwardCache`. With ``sizes``, of a training batch
+    laid out as :func:`_score_users` takes it (``history`` holds the users'
     histories): an array of logits and the list of the batch's blocks."""
-    if sizes is None:
-        history = np.asarray(history, dtype=np.int64)
-        _check_range("user", operator.index(user), params.num_users)
-        _check_range("item", operator.index(items), params.num_items)
-        _check_range("history item", history, params.num_items)
-        cache = forward(params, config, history, user, items)
-        return cache.logit, cache
-    blocks = []
-    return _score_users(params, config, history, user, items, sizes,
-                        blocks), blocks
+    if sizes is not None:
+        blocks = []
+        return _score_users(params, config, history, user, items, sizes,
+                            blocks), blocks
+    hist = np.asarray(history, dtype=np.int64)
+    _check_range("user", operator.index(user), params.num_users)
+    _check_range("item", operator.index(items), params.num_items)
+    _check_range("history item", hist, params.num_items)
+    keep = hist != items
+    p = params["target_embed"][items]
+    hist_sum = net = None
+    if config.uses_attention:
+        scale = 1.0
+        net, pooled = _attention(params, config.beta, p, hist, keep)
+        q = net[0][:, :-1]
+        pooled *= p
+    else:
+        # alpha=0 is plain sum pooling; an empty set pools to zero, with
+        # the normalizer defined as 1 to avoid 0**-alpha
+        scale = (1.0 if config.alpha == 0.0 else
+                 np.maximum(keep.sum(axis=-1, keepdims=True), 1) ** -config.alpha)
+        q = params["history_embed"].take(hist, axis=0)
+        hist_sum = keep @ q
+        pooled = scale * (p * hist_sum)
+    pres, acts, logit = _head(params, config, pooled, user, items)
+    return logit, ForwardCache(
+        user=user, item=items, hist=hist, keep=keep, hist_embed=q, target=p,
+        pool_scale=scale, hist_sum=hist_sum, net=net, pooled=pooled,
+        layer_pres=pres, layer_acts=acts)
 
 
 def score_items(params, config, history, user, items):

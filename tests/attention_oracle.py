@@ -45,7 +45,7 @@ def forward(params, config, history, user, items):
     a namespace with the fields of ``deepicf.model.ForwardCache`` that
     the attention variant fills but ``net``, whose pieces it names apart
     (``att_hidden``, laid out ``(..., n, k')``, ``scores`` and
-    ``weights``), plus ``att_pre``."""
+    ``weights``), plus ``att_pre`` and the ``logit``."""
     hist = np.asarray(history, dtype=np.int64)
     keep = hist != np.asarray(items)[..., None]
     q = params["history_embed"][hist]

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import os
 import subprocess
@@ -8,13 +9,16 @@ import numpy as np
 import pytest
 
 import deepicf
+from deepicf import cli, data
 from deepicf.checkpoint import load_checkpoint, save_checkpoint
 from deepicf.cli import main
-from deepicf.data import load_split
+from deepicf.data import InteractionDataset, load_split
+from deepicf.errors import TrainingDiverged
 from deepicf.evaluation import rank_test_item
 from deepicf.model import ModelConfig, Variant, init_params
 from deepicf.numerics import rng_from_seed
 
+import attention_oracle
 from conftest import synthetic_lines
 
 BASE_CONFIG = """\
@@ -165,6 +169,34 @@ class TestTrainCommand:
         assert a != b
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_saves_the_last_finite_epoch(self, workdir, caplog,
+                                                    monkeypatch):
+        # the first steps make the embeddings overflow
+        cfg_file = workdir / "diverge.cfg"
+        cfg_file.write_text(BASE_CONFIG.replace("lr = 0.05", "lr = 1e300"))
+        original, raised = cli.fit, []
+
+        def fit(*args, **kwargs):
+            try:
+                return original(*args, **kwargs)
+            except TrainingDiverged as err:
+                raised.append(err)
+                raise
+        monkeypatch.setattr(cli, "fit", fit)
+        path = workdir / "d.ckpt"
+        with caplog.at_level("ERROR"):
+            rc = main(["train", "--config", str(cfg_file), "--split",
+                       str(workdir / "sp"), "--checkpoint", str(path)])
+        assert rc == 1
+        [err] = raised
+        assert (f"training diverged at epoch {err.epoch}" in caplog.text
+                and f"saved last finite epoch to {path}" in caplog.text)
+        params = load_checkpoint(path)[0]
+        assert np.isfinite(params.flat).all()
+        assert np.array_equal(params.flat, err.last_params.flat)
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def trained(self, workdir):
@@ -215,6 +247,27 @@ class TestEvalCommand:
         assert rc == 1
         assert "checkpoint is for" in capsys.readouterr().err
 
+    def test_model_scorer_needs_a_checkpoint(self, workdir, capsys):
+        rc = main(["eval", "--split", str(workdir / "sp")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--checkpoint is required for the model scorer" in err
+
+    def test_itemknn_over_its_budget_names_the_bytes(self, workdir, capsys,
+                                                     monkeypatch):
+        split = load_split(workdir / "sp")
+        need = split.train.num_items ** 2      # uint8 counts of 25 users
+        monkeypatch.setattr(deepicf.evaluation, "KNN_COUNT_BYTES", need - 1)
+        rc = main(["eval", "--split", str(workdir / "sp"),
+                   "--scorer", "itemknn"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (f"ItemKNN over {split.train.num_items} items needs {need}"
+                f" bytes of co-occurrence counts, over its budget of"
+                f" {need - 1} bytes") in err
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_rejected_before_ranking(self, workdir, capsys, k):
         rc = exit_code(["eval", "--split", str(workdir / "sp"),
@@ -259,14 +312,19 @@ class TestRecommendCommand:
         lines = capsys.readouterr().out.splitlines()
         blocks = [i for i, l in enumerate(lines) if l.startswith("# attention")]
         assert len(blocks) == 2
+        hist = split.train.history_items(2)
         for start in blocks:
             weights = []
             for line in lines[start + 1:]:
                 if line.startswith("#"):
                     break
                 weights.append(float(line.split("\t")[1]))
-            assert len(weights) == split.train.history_items(2).size
+            assert len(weights) == hist.size
             assert abs(sum(weights) - 1.0) < 1e-4  # printed at 6 decimals
+            # the history-major formula's weights, to the printed digits
+            item = split.train.item_index[lines[start].split()[-1]]
+            want = attention_oracle.forward(params, cfg, hist, 2, item).weights
+            assert np.abs(np.array(weights) - want).max() <= 5e-7 + 1e-12
 
     def test_tied_scores_list_lower_index_first(self, workdir, capsys):
         # a model of zeros scores every item alike
@@ -322,6 +380,30 @@ class TestRecommendCommand:
         err = capsys.readouterr().err
         assert "unknown user 'nobody'" in err
         assert "u0" in err
+
+    def test_user_holding_every_item_is_an_error(self, workdir, capsys,
+                                                 monkeypatch):
+        # a saved split cannot hold one, since its test item lies outside
+        # the history; an in-memory split can
+        split = load_split(workdir / "sp")
+        train = split.train
+        every = np.arange(train.num_items)
+        full = InteractionDataset(
+            train.user_ids, train.item_ids,
+            [every] + train.item_arrays()[1:],
+            [every] + [train.history_times(u)
+                       for u in range(1, train.num_users)])
+        monkeypatch.setattr(data, "load_split", lambda prefix:
+                            dataclasses.replace(split, train=full))
+        cfg = ModelConfig(variant=Variant.FISM, k=4)
+        save_checkpoint(workdir / "f.ckpt", init_params(
+            cfg, train.num_users, train.num_items, rng_from_seed(0)), cfg)
+        rc = main(["recommend", train.user_ids[0], "--checkpoint",
+                   str(workdir / "f.ckpt"), "--split", str(workdir / "sp")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"user {train.user_ids[0]!r} interacted with every item" in err
 
     def test_shape_mismatch_names_both_shapes(self, workdir, capsys):
         split = load_split(workdir / "sp")

@@ -78,6 +78,17 @@ def test_bad_value_reports_line():
         parse("variant = FISM\nk = eight")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("k 8", "line 2: expected key = value"),
+    ("pretrain = maybe", "line 2: bad value for 'pretrain': not a boolean:"
+     " 'maybe'"),
+])
+def test_malformed_line_is_named(line, message):
+    with pytest.raises(ConfigError) as err:
+        parse(f"variant = FISM\n{line}")
+    assert str(err.value) == f"<config>: {message}"
+
+
 def test_unknown_variant_lists_valid_ones():
     with pytest.raises(ConfigError, match="FISM, DeepICF, DeepICF_A"):
         parse("variant = SVD")

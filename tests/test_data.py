@@ -68,6 +68,12 @@ class TestParse:
         assert str(err.value) == (
             f"line 2: timestamp {2 ** 63} outside [0, 2**63)")
 
+    def test_unknown_format_is_an_error(self):
+        with pytest.raises(DataError) as err:
+            parse("u\ta\t1\t1\n", fmt="csv")
+        assert str(err.value) == ("unknown format 'csv'; expected one of"
+                                  " ['double_colon', 'tab']")
+
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="empty"):
             parse("\n\n")
@@ -153,6 +159,11 @@ class TestLeaveOneOut:
         # item space is untouched by the drop
         assert split.train.num_items == ds.num_items
 
+    def test_no_user_to_split_is_an_error(self):
+        ds = make_dataset([[(0, 1)], [(1, 1)], []])
+        with pytest.raises(DataError, match="no user has >= 2 interactions"):
+            leave_one_out_split(ds, seed=0, num_negatives=0)
+
     def test_small_candidate_pool_is_an_error_naming_the_user(self):
         ds = make_dataset([[(i, i) for i in range(10)]], num_items=50)
         with pytest.raises(DataError, match="u0"):
@@ -207,6 +218,30 @@ class TestSampling:
         negs = stream[stream[:, 2] == 0][:, 1]
         assert negs.size == 28
         assert np.all(negs == 7)
+
+    # a user with no history, beside one with a history; and a user who
+    # holds all but one of 1,000 items, whose rejection draws run out of
+    # budget (1 in 1,000 succeeds, 1 in 100 would be needed)
+    @pytest.mark.parametrize("histories, num_items, free", [
+        ([[], [(0, 1), (1, 2)]], 5, [2, 3, 4]),
+        ([[(i, i) for i in range(999)]], 1000, [999]),
+    ], ids=["empty-history", "past-the-rejection-budget"])
+    def test_negatives_lie_outside_the_history(self, histories, num_items,
+                                               free):
+        ds = make_dataset(histories, num_items=num_items)
+        stream = sample_training_instances(ds, 3, rng_from_seed(0))
+        positives = sum(map(len, histories))
+        assert stream.shape == (4 * positives, 3)
+        negatives = stream[stream[:, 2] == 0]
+        assert set(negatives[:, 1].tolist()) <= set(free)
+        # every instance is the last user's, the one with a history
+        assert (stream[:, 0] == len(histories) - 1).all()
+
+    def test_negative_count_is_an_error(self):
+        ds = make_dataset([[(0, 1), (1, 2)]])
+        with pytest.raises(DataError, match="num_negatives must be >= 0,"
+                           " got -1"):
+            sample_training_instances(ds, -1, rng_from_seed(0))
 
     def test_no_pool_at_all_is_an_error(self):
         ds = make_dataset([[(i, i) for i in range(5)]], num_items=5)
@@ -547,7 +582,11 @@ class TestSplitFiles:
          "line {}: bad split record"),
         (lambda lines: lines.__setitem__(-1, lines[-1].replace("=", "=-")),
          "line {}: bad split record"),
-    ], ids=["missing", "text-after", "extra-field", "negative"])
+        # no users between the two headers
+        (lambda lines: lines.__delitem__(slice(1, lines.index("#items"))),
+         "empty idmap section"),
+    ], ids=["missing", "text-after", "extra-field", "negative",
+            "empty-section"])
     def test_idmap_record_defects(self, saved_split, edit, message):
         prefix, _ = saved_split
         _edit_split_file(prefix, "idmap", edit)
@@ -821,6 +860,8 @@ class TestFastReaders:
         "split-record-twice": ("idmap", lambda lines: lines.append(
             lines[-1])),
         "whitespace-line": ("test", lambda lines: lines.insert(3, " ")),
+        "idmap-blank-lines": ("idmap", lambda lines: lines.__setitem__(
+            slice(None), [""] + lines[:2] + ["", ""] + lines[2:])),
     }
 
     @pytest.mark.parametrize("case", sorted(ODD_SPLITS))
@@ -833,12 +874,15 @@ class TestFastReaders:
     def test_valid_odd_splits_load(self, saved_split):
         prefix, split = saved_split
         for case in ("blank-lines-only-valid", "underscore-and-arabic-digits",
-                     "ragged-negatives", "non-integer-rating", "empty-train"):
+                     "ragged-negatives", "non-integer-rating", "empty-train",
+                     "idmap-blank-lines"):
             _edit_split_file(prefix, *self.ODD_SPLITS[case])
         # an empty .train is a whole split only if its record says so
         _edit_split_file(prefix, "idmap", lambda lines: lines.__setitem__(
             -1, re.sub("train=[0-9]+", "train=0", lines[-1])))
         loaded = load_split(prefix)
+        assert (loaded.train.user_ids, loaded.train.item_ids) == (
+            split.train.user_ids, split.train.item_ids)
         assert loaded.eval_negatives[2].tolist() == (
             split.eval_negatives[2][:-2].tolist())
         assert loaded.train.num_interactions == 0

@@ -289,9 +289,10 @@ class TestItemKnn:
         want = [sum(model.similarity(int(c), int(j)) for j in hist if j != c)
                 for c in cands]
         assert np.abs(got - np.array(want)).max() < 1e-12
-        # the same sums as the (items, hist) block picked with np.ix_
-        block = model._sim[np.ix_(cands, hist)].sum(axis=1)
-        assert np.array_equal(got, block * model._inv_sqrt[cands])
+        # the same sums as the (items, hist) block of the counts picked
+        # with np.ix_, each count times its column's factor
+        block = model._counts[np.ix_(cands, hist)] * model._inv_sqrt[hist]
+        assert np.array_equal(got, block.sum(axis=1) * model._inv_sqrt[cands])
 
     def test_matches_set_oracle(self):
         # item 6 is untouched; in row 0, items 3 and 4 tie
@@ -350,6 +351,9 @@ class TestItemKnn:
     @example(log=([[0, 1, 2, 3], [4], [], [1, 2]], 40))
     @example(log=([[0, 1], [1, 2, 3], list(range(10))], 10))  # all dense
     @example(log=([[0], [1], [0], [2]], 4))                  # one item each
+    # 255 users fill a uint8 count, by the product and by the bincounts
+    @example(log=([[0, 1]] * 255, 2))
+    @example(log=([[0, 1]] * 255, 30))
     def test_routed_fit_matches_float64_product(self, log):
         histories, num_items = log
         ds = make_dataset([[(i, t) for t, i in enumerate(h)]
@@ -360,14 +364,42 @@ class TestItemKnn:
         counts = incidence.sum(axis=0)
         inv_sqrt = np.zeros(num_items)
         inv_sqrt[counts > 0] = 1.0 / np.sqrt(counts[counts > 0])
-        exact = (incidence.T @ incidence) * inv_sqrt
+        exact = incidence.T @ incidence
         np.fill_diagonal(exact, 0.0)
-        assert np.array_equal(ItemKnnModel(ds)._sim, exact)
+
+        def assert_exact(model):
+            assert model._counts.dtype == np.min_scalar_type(len(histories))
+            assert np.array_equal(model._counts, exact)
+            # the column-scaled counts, to the bit
+            assert np.array_equal(model._counts * model._inv_sqrt,
+                                  exact * inv_sqrt)
+        assert_exact(ItemKnnModel(ds))
         # with item blocks of 3 rows and products of 2 users
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evaluation, "_DENSE_ROWS", 3)
             patch.setattr(evaluation, "_EXACT_USERS", 2)
-            assert np.array_equal(ItemKnnModel(ds)._sim, exact)
+            assert_exact(ItemKnnModel(ds))
+
+    @pytest.mark.parametrize("budget", [1599, 1600])
+    def test_counts_over_the_budget_are_refused(self, monkeypatch, budget):
+        # three users take uint8 counts: 40 * 40 bytes
+        ds = make_dataset([[(0, 1), (1, 2)], [(1, 1)], [(2, 1), (0, 2)]],
+                          num_items=40)
+        monkeypatch.setattr(evaluation, "KNN_COUNT_BYTES", budget)
+        if budget >= 1600:
+            assert ItemKnnModel(ds)._counts.nbytes == budget
+            return
+        with pytest.raises(EvalError) as err:
+            ItemKnnModel(ds)
+        assert str(err.value) == ("ItemKNN over 40 items needs 1600 bytes of"
+                                  " co-occurrence counts, over its budget of"
+                                  " 1599 bytes")
+
+    def test_a_50000_item_catalog_is_refused_before_allocating(self):
+        # 2.5 GB of uint8 counts, which np.zeros might grant lazily
+        ds = make_dataset([[(0, 1), (49_999, 2)]], num_items=50_000)
+        with pytest.raises(EvalError, match="needs 2500000000 bytes"):
+            ItemKnnModel(ds)
 
     @pytest.mark.parametrize("num_items,longest_sparse", [
         (1, 0), (9, 0), (10, 1), (30, 3), (31, 3), (100, 10), (3706, 370),

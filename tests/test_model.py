@@ -109,6 +109,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(variant=Variant.DEEPICF_A, alpha=0.3)
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(k=0), "embedding size must be positive, got 0"),
+        (dict(num_layers=1, layer_sizes=(0,)),
+         r"layer sizes must be positive, got \(0,\)"),
+        (dict(variant=Variant.DEEPICF_A, k_prime=0),
+         "attention size must be positive, got 0"),
+        (dict(alpha=1.5), r"alpha must be in \[0, 1\], got 1.5"),
+        (dict(beta=-0.1), r"beta must be in \[0, 1\], got -0.1"),
+        (dict(beta=1.5), r"beta must be in \[0, 1\], got 1.5"),
+        (dict(l2=-1e-6), "lambda must be >= 0, got -1e-06"),
+        (dict(lr=-0.01), "lr must be >= 0, got -0.01"),
+        (dict(num_negatives=-1), "NS must be >= 0, got -1"),
+        (dict(epochs=-1), "epochs must be >= 0, got -1"),
+        (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+    ])
+    def test_out_of_range_value_is_named(self, changes, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ModelConfig(**{"variant": Variant.DEEPICF, **changes})
+
     def test_layer_sizes_must_match_depth(self):
         with pytest.raises(ConfigError):
             ModelConfig(variant=Variant.DEEPICF, num_layers=2,
@@ -133,6 +152,12 @@ class TestInit:
         assert np.array_equal(p["att_bias"], np.zeros(4))
         assert [p[f"W{l}"].shape for l in range(2)] == [(5, 6), (3, 5)]
         assert p["output_weights"].shape == (3,)
+
+    @pytest.mark.parametrize("num_users, num_items", [(0, 4), (3, 0)])
+    def test_no_users_or_items_is_an_error(self, num_users, num_items):
+        cfg = ModelConfig(variant=Variant.FISM, k=2)
+        with pytest.raises(ModelError, match="at least one user and one item"):
+            init_params(cfg, num_users, num_items, rng_from_seed(0))
 
     def test_fism_output_weights_are_ones(self):
         cfg = ModelConfig(variant=Variant.FISM, k=5)
@@ -181,6 +206,20 @@ class TestModelParams:
             assert "W0" in message and "(3, 3)" in message
             assert str(np.shape(value)) in message
         assert np.array_equal(p.flat, before)
+
+    # the layout below holds 2 * 12 embedding, 2 + 4 bias, 3 output and
+    # 9 + 3 tower entries
+    @pytest.mark.parametrize("flat", [
+        np.zeros(44), np.zeros(45, np.float32), np.zeros((1, 45))],
+        ids=["short", "float32", "2-D"])
+    def test_wrong_flat_is_refused(self, flat):
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=3, num_layers=1,
+                          layer_sizes=(3,))
+        layout = param_layout(cfg, 2, 4)
+        assert model.ModelParams(layout, np.zeros(45)).flat.size == 45
+        with pytest.raises(ModelError, match="layout needs 45 float64"
+                           " entries, got "):
+            model.ModelParams(layout, flat)
 
     def test_clone_is_independent(self):
         cfg = ModelConfig(variant=Variant.DEEPICF_A, k=3, k_prime=2,
@@ -438,6 +477,15 @@ class TestPredict:
                                match=f"^history item index {index} outside"):
                 predict_logit(p, cfg, [1, index], 0, 2)
 
+    @pytest.mark.parametrize("variant,layers", [
+        (Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 1)])
+    def test_no_candidates_score_to_nothing(self, variant, layers):
+        cfg = ModelConfig(variant=variant, k=3, k_prime=2, num_layers=layers)
+        p, _ = tiny_params(cfg, 2, 5, rng_from_seed(1))
+        assert score_items(p, cfg, [1, 4], 0, []).shape == (0,)
+        # and a block with no users at all
+        assert model._score_users(p, cfg, [], [], [], []).shape == (0,)
+
     def test_two_dimensional_candidates_raise(self):
         cfg = ModelConfig(variant=Variant.FISM, k=2)
         p = init_params(cfg, 1, 4, rng_from_seed(0))
@@ -678,7 +726,7 @@ class TestCandidateMajorAttention:
         [net] = block.nets if np.ndim(items) else [cache.net]
         hist_ones, hidden, scores, weights, keep = net
         got = dict(scores=scores, weights=weights, pooled=block.pooled,
-                   logit=block.logit)
+                   logit=logit)
         keep = np.ones(want.keep.shape, bool) if keep is None else keep
         assert np.array_equal(hist_ones[:, :-1], p["history_embed"][hist])
         assert (hist_ones[:, -1] == 1.0).all()

@@ -1,6 +1,6 @@
 """Checks on the benchmark harness, which read its files without
 importing them: its traced names resolve, and the package reproduces the
-training losses it records. Beside them, a lint of the package's
+training losses and ranking metrics it records. Beside them, a lint of the package's
 sources that needs no linter installed: no import and no function
 parameter is left unused."""
 
@@ -11,8 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from deepicf.checkpoint import load_checkpoint
 from deepicf.config import parse_config_lines
 from deepicf.data import leave_one_out_split, parse_interactions
+from deepicf.evaluation import (evaluate, item_knn_fit_and_score,
+                                item_pop_scorer, metrics_at_k,
+                                model_scorer_factory, rank_test_item)
 from deepicf.training import fit
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -75,6 +81,55 @@ def test_training_losses_match_the_benchmark_record(tmp_path):
             want = expected[workload][variant]
             assert abs(loss - want) <= tolerance * max(1.0, abs(want)), (
                 workload, variant, loss, want)
+
+
+def test_ranking_metrics_match_the_benchmark_record(tmp_path):
+    """On ``gen.py``'s full log, ItemKNN and ItemPop on every slice of
+    users that ``Bench.rank`` ranks, and the three variants from the
+    generator's checkpoints on the first slice, give the HR and NDCG
+    that ``expected.json`` records within ``run.py``'s tolerance."""
+    seed = run_py_constant("DEFAULT_SEED")
+    subprocess.run([sys.executable, str(PERFBENCH / "gen.py"), "--seed",
+                    str(seed), "--out", str(tmp_path)],
+                   check=True, capture_output=True)
+    with open(tmp_path / "ratings.dat", encoding="utf-8") as f:
+        split = leave_one_out_split(parse_interactions(f, fmt="double_colon"),
+                                    seed)
+    cutoff, chunks = run_py_constant("CUTOFF"), run_py_constant("CHUNKS")
+    # every CHUNKS-th user in (history length, index) order
+    lengths = [hist.size for hist in split.train.item_arrays()]
+    by_length = np.lexsort((np.arange(len(lengths)), lengths))
+    slices = [np.sort(by_length[c::chunks]).tolist() for c in range(chunks)]
+
+    def metrics(ranks):
+        """(HR, NDCG) of a slice's ranks, summed in its user order as
+        ``evaluate`` sums them."""
+        hits = gain = 0
+        for rank in ranks:
+            hit, ndcg = metrics_at_k(rank, cutoff)
+            hits += hit
+            gain += ndcg
+        return hits / len(ranks), gain / len(ranks)
+
+    got = {}
+    for label, factory in (
+            ("ItemKNN", item_knn_fit_and_score(split.train)[1]),
+            ("ItemPop", item_pop_scorer(split.train))):
+        ranks = [rank for _, rank in evaluate(factory, split, cutoff).per_user]
+        got[label] = [metrics([ranks[u] for u in users]) for users in slices]
+    for variant in run_py_constant("VARIANTS"):
+        params, config = load_checkpoint(tmp_path / f"{variant}.ckpt")[:2]
+        factory = model_scorer_factory(params, config, split)
+        got[variant] = [metrics([
+            rank_test_item(factory(u), split.test_items[u],
+                           split.eval_negatives[u]) for u in slices[0]])]
+    expected = json.loads((PERFBENCH / "expected.json").read_text())["rank"]
+    tolerance = run_py_constant("TOLERANCE")
+    assert len(got["ItemKNN"]) == len(expected["ItemKNN"]) == chunks
+    for label, pairs in got.items():
+        for chunk, (pair, want) in enumerate(zip(pairs, expected[label])):
+            assert all(abs(a - b) <= tolerance * max(1.0, abs(b))
+                       for a, b in zip(pair, want)), (label, chunk, pair, want)
 
 
 def unused_imports(source):

@@ -5,7 +5,8 @@ import pytest
 
 import deepicf.training
 from deepicf import model
-from deepicf.data import leave_one_out_split, sample_training_instances
+from deepicf.data import (LooSplit, leave_one_out_split,
+                          sample_training_instances)
 from deepicf.errors import ConfigError, TrainingDiverged
 from deepicf.model import (ModelConfig, Variant, backward, init_params,
                            predict_logit)
@@ -245,6 +246,20 @@ class TestTrainEpoch:
         train_epoch(params, cfg, split, state, rng_from_seed(1))
         for old, new in zip(before, params.values()):
             assert np.array_equal(old, new)
+
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_no_instances_leave_the_params_alone(self, batch_size):
+        # two users without a training history sample nothing
+        empty = LooSplit(train=make_dataset([[], []], num_items=4),
+                         test_items=np.array([0, 1]),
+                         eval_negatives=[np.array([2]), np.array([3])])
+        cfg = ModelConfig(variant=Variant.DEEPICF, k=3, num_layers=1,
+                          batch_size=batch_size)
+        params = init_params(cfg, 2, 4, rng_from_seed(0))
+        before = params.flat.copy()
+        state = AdagradState(params, lr=cfg.lr)
+        assert train_epoch(params, cfg, empty, state, rng_from_seed(1)) == 0.0
+        assert np.array_equal(params.flat, before)
 
     def test_epoch_is_deterministic(self, split):
         cfg = ModelConfig(variant=Variant.DEEPICF_A, k=6, k_prime=4,

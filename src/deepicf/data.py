@@ -8,7 +8,6 @@ single-threaded.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import io
@@ -169,8 +168,9 @@ def _split_by_user(users, *columns, num_users):
     """Rows grouped by user, in row order within a user: for each column,
     one array per user (views into one array)."""
     order = np.argsort(users, kind="stable")
-    cuts = np.cumsum(np.bincount(users, minlength=num_users))[:-1]
-    return [np.split(c[order], cuts) for c in columns]
+    ends = np.cumsum(np.bincount(users, minlength=num_users)).tolist()
+    cuts = list(map(slice, [0, *ends[:-1]], ends))
+    return [list(map(c[order].__getitem__, cuts)) for c in columns]
 
 
 _LOG_CHUNK_LINES = 1 << 14
@@ -188,11 +188,15 @@ def parse_interactions(lines, fmt="tab"):
     A raw id may not hold a tab, which the split's ``.idmap`` file uses as
     its separator.
 
-    ``lines`` (an open file, a list or any iterator of lines) is read in
-    chunks of lines, each checked a column at a time; a chunk that fails
-    a check is read row by row to name its first defective line. A byte
-    that is not UTF-8, read through :func:`open_text`, is its line's
-    first defect.
+    An open file (anything with a ``read`` method) is read in blocks of
+    about ``_READ_CHARS`` characters of whole lines, each line ended by
+    ``"\\n"`` (a file opened in text mode reads ``"\\r\\n"`` and ``"\\r"``
+    as ``"\\n"``); a list or any other iterator of lines is read in
+    chunks of ``_LOG_CHUNK_LINES`` lines. A block's fields are found in
+    its UTF-8 bytes and each column is checked at once; a block that
+    fails a check, or holds text that only the row reader reads, is read
+    row by row to name its first defective line. A byte that is not
+    UTF-8, read through :func:`open_text`, is its line's first defect.
     """
     try:
         sep = SEPARATORS[fmt]
@@ -200,17 +204,18 @@ def parse_interactions(lines, fmt="tab"):
         raise DataError(
             f"unknown format {fmt!r}; expected one of {sorted(SEPARATORS)}")
     source = getattr(lines, "name", None)
-    user_index, item_index = {}, {}
+    indexes = user_index, item_index = {}, {}
     users, items, times = [], [], []
-    lines, lineno = iter(lines), 1
-    while chunk := list(islice(lines, _LOG_CHUNK_LINES)):
-        user_raw, item_raw, ts = (_log_columns(chunk, sep)
-                                  or _log_rows(chunk, lineno, sep, source))
-        lineno += len(chunk)
-        del chunk
-        times.append(ts)
-        users.append(_codes(user_raw, user_index))
-        items.append(_codes(item_raw, item_index))
+    lineno = 1
+    for text, chunk in _log_blocks(lines):
+        block = None if text is None else _log_bytes(text, sep, indexes)
+        if block is None:
+            block = _log_rows(text.split("\n") if chunk is None else chunk,
+                              lineno, sep, source, indexes)
+        lineno += text.count("\n") if chunk is None else len(chunk)
+        users.append(block[0])
+        items.append(block[1])
+        times.append(block[2])
     raw = sum(map(len, users))
     if raw == 0:
         raise DataError("empty input: no interactions found")
@@ -250,45 +255,109 @@ def parse_interactions(lines, fmt="tab"):
     return ds
 
 
-def _log_columns(chunk, sep):
-    """The raw user ids, raw item ids and timestamps of a chunk of log
-    lines: the chunk is split into fields with one ``str.split``, and each
-    column is checked at once. None if a line breaks a rule, or holds a
-    tab or NUL that could hide one, or a byte that is not UTF-8."""
-    rows = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
-    n = len(rows)
-    if not n:
-        return [], [], np.empty(0, dtype=np.int64)
-    # Rows are joined by a NUL field. With no other tab or NUL in the
-    # chunk, every fifth field is a NUL only if each row has four.
-    text = "\t\0\t".join(rows)
-    del rows
-    if text.count("\0") != n - 1 or not_utf8(text):
-        return None
-    if sep != "\t":
-        if text.count("\t") != 2 * (n - 1):
-            return None
-        text = text.replace(sep, "\t")
-    fields = text.split("\t")
-    del text
-    if len(fields) != 5 * n - 1 or fields[4::5].count("\0") != n - 1:
-        return None
-    user_raw, item_raw = fields[0::5], fields[1::5]
-    if "" in user_raw or "" in item_raw:
+def _log_blocks(lines):
+    """The blocks of a log as ``(text, chunk)``: a file's text with
+    ``chunk`` None, or a chunk of listed lines and their text joined by
+    ``"\\n"``, None if a line end inside a listed line would split it."""
+    if hasattr(lines, "read"):
+        while text := lines.read(_READ_CHARS):
+            yield text + lines.readline(), None
+        return
+    lines = iter(lines)
+    while chunk := list(islice(lines, _LOG_CHUNK_LINES)):
+        text = "\n".join(chunk)
+        ends = len(chunk) - 1 + sum(map(str.endswith, chunk, repeat("\n")))
+        yield (text if text.count("\n") == ends else None), chunk
+
+
+# Masks that keep the first 0 to 8 bytes of a little-endian uint64 word
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _log_bytes(text, sep, indexes):
+    """The user codes, item codes and timestamps of a block of log lines,
+    read a column at a time from its UTF-8 bytes; the raw user and item
+    ids new to ``indexes`` (the two raw id -> code dicts) are entered in
+    order of first appearance. None, with ``indexes`` as they were, if a
+    line breaks a rule or its timestamp is not 1 to 18 ASCII digits, or
+    if the block holds a NUL, a lone surrogate or, with ``"::"``, a tab.
+    A carriage return before a line end is read into the timestamp, which
+    it refuses."""
+    if "\0" in text or sep != "\t" and "\t" in text:
         return None
     try:
-        # float() and int() are the row rules' own tests of a field
-        collections.deque(map(float, fields[2::5]), maxlen=0)
-        ts = np.fromiter(map(int, fields[3::5]), np.int64, n)
-    except (ValueError, OverflowError):
+        # a line end after the last line, then zeros for a word at each byte
+        raw = text.encode() + b"\n" + bytes(8)
+    except UnicodeEncodeError:
         return None
-    return (user_raw, item_raw, ts) if ts.min() >= 0 else None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    words = np.ndarray((chars.size - 7,), "<u8", raw, strides=(1,))
+    ends = np.flatnonzero(chars == 10)
+    starts = np.r_[0, ends[:-1] + 1]
+    seps = chars == ord(sep[0])
+    seps = np.flatnonzero(seps[:-1] & seps[1:] if len(sep) == 2 else seps)
+    rows = ends > starts                # a blank line holds no row
+    if seps.size != 3 * np.count_nonzero(rows):
+        return None
+    # each field's first byte and length, a row of fields per column
+    seps = seps.reshape(-1, 3).T
+    first = np.vstack([starts[rows], seps + len(sep)])
+    length = np.vstack([seps, ends[rows]]) - first
+    # With three separators to a row in all, a row whose fields all hold a
+    # byte holds its own three, two bytes apart at least: a ":::" holds two
+    # "::" one byte apart. Blank lines alone go to the row reader.
+    if not (length.size and (length > 0).all()):
+        return None
+    # each timestamp digit by digit, highest place first; int64 holds 18
+    last = first[3] + length[3] - 1
+    times = np.zeros(length.shape[1], dtype=np.int64)
+    for place in range(int(length[3].max()) - 1, -1, -1):
+        digits = chars[last - place] - 48
+        digits[length[3] <= place] = 0
+        if place >= 18 or digits.max() > 9:
+            return None
+        times *= 10
+        times += digits
+    ratings, _ = _distinct_fields(raw, words, first[2], length[2])
+    try:
+        list(map(float, ratings))   # the row rules' own test of a rating
+    except ValueError:
+        return None
+    codes = []
+    for k, index in enumerate(indexes):
+        ids, numbers = _distinct_fields(raw, words, first[k], length[k])
+        codes.append(np.array([index.setdefault(i, len(index)) for i in ids],
+                              dtype=np.int64)[numbers])
+    return codes[0], codes[1], times
 
 
-def _log_rows(chunk, lineno, sep, source):
-    """The columns :func:`_log_columns` gives, read one row at a time from
+def _distinct_fields(raw, words, first, length):
+    """The distinct fields ``raw[first:first + length]`` of a block, in
+    order of first appearance and decoded, and each row's number in that
+    order. A field is keyed by the ``words`` (the 8 bytes read at each
+    offset of ``raw``) from its start on, each masked to the field's
+    bytes; with no NUL in ``raw``, only equal fields share a key."""
+    keys = [words[first + np.minimum(length, 8 * k)]
+            & _BYTE_MASKS[np.clip(length - 8 * k, 0, 8)]
+            for k in range(-(-int(length.max()) // 8))]
+    # one word sorts fastest unstably; equal keys are side by side anyway
+    order = np.lexsort(keys) if len(keys) > 1 else keys[0].argsort()
+    new = np.r_[True, np.any([np.diff(k[order]) != 0 for k in keys], axis=0)]
+    group = np.empty(order.size, dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    # each field's first row, by key, then by row
+    seen = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_row = np.argsort(seen)
+    seen = seen[by_row]
+    return [raw[a:a + n].decode() for a, n in zip(
+        first[seen].tolist(), length[seen].tolist())], by_row.argsort()[group]
+
+
+def _log_rows(chunk, lineno, sep, source, indexes):
+    """The columns :func:`_log_bytes` gives, read one row at a time from
     a chunk whose first line is ``lineno``; the first line that breaks a
     rule is a :class:`DataError` naming it."""
+    user_index, item_index = indexes
     users, items, times = [], [], []
     for lineno, line in enumerate(chunk, start=lineno):
         line = line.rstrip("\r\n")
@@ -315,19 +384,10 @@ def _log_rows(chunk, lineno, sep, source):
         if "\t" in user_raw or "\t" in item_raw:
             raw_id = user_raw if "\t" in user_raw else item_raw
             raise DataError(f"{where}: raw id {raw_id!r} holds a tab")
-        users.append(user_raw)
-        items.append(item_raw)
+        users.append(user_index.setdefault(user_raw, len(user_index)))
+        items.append(item_index.setdefault(item_raw, len(item_index)))
         times.append(ts)
-    return users, items, np.array(times, dtype=np.int64)
-
-
-def _codes(raw_ids, index):
-    """Dense codes of ``raw_ids``; ids not yet in ``index`` are added to
-    it in order of first appearance."""
-    for raw_id in dict.fromkeys(raw_ids):
-        index.setdefault(raw_id, len(index))
-    return np.fromiter(map(index.__getitem__, raw_ids), np.int64,
-                       len(raw_ids))
+    return np.array([users, items, times], dtype=np.int64)
 
 
 @dataclass

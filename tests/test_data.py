@@ -711,8 +711,12 @@ def _assert_split_readers_agree(prefix, read_chars=_READ_CHARS):
 _LOG_ODD_FIELDS = ["", " ", " u1", "u1 ", ":u", "u:", ":::", "a\tb", "4\t5",
                    "\0", "ü", "nan", "inf", "1_0", "1,5", "+5", " 7 ", "-1",
                    "1.0", "٣", "0x1", str(2 ** 63 - 1), str(2 ** 63),
-                   str(2 ** 64), "\udcff", "u\udcff"]
+                   str(2 ** 64), "\udcff", "u\udcff", "u1\0", "2:"]
 _LOG_ENDINGS = ["\n", "\r\n", "\r", ""]
+# Ids that fill or cross the 8-byte words the byte reader keys ids by:
+# 8 and 9 bytes, two that differ only past their eighth byte, and five
+# characters of two bytes each.
+_WIDE_IDS = ["abcdefgh", "abcdefghi", "catalog3705", "catalog3706", "üüüüü"]
 _LOG_FIELD_EDITS = st.tuples(st.just("field"), st.integers(0, 7),
                              st.integers(0, 3),
                              st.sampled_from(_LOG_ODD_FIELDS))
@@ -730,9 +734,9 @@ def raw_logs(draw):
     """A few well-formed log rows (fields and line endings), then up to
     four edits that may break them."""
     rows = draw(st.lists(st.tuples(
-        st.sampled_from(["u1", "u2", "7", "ü"]),
-        st.sampled_from(["i1", "i2", "i3", "a:b"]),
-        st.sampled_from(["1", "4", "5"]),
+        st.sampled_from(["u1", "u2", "7", "ü", *_WIDE_IDS]),
+        st.sampled_from(["i1", "i2", "i3", "a:b", *_WIDE_IDS]),
+        st.sampled_from(["1", "4", "5", "4.0000000001"]),
         st.integers(0, 30).map(str)).map(list), min_size=1, max_size=8))
     endings = ["\n"] * len(rows)
     for edit in draw(st.lists(_LOG_EDITS, max_size=4)):
@@ -943,31 +947,54 @@ class TestFastReaders:
         ("u\ti\t5\t\u0663\nv\ti\t5\t1_0\n", "tab"),
         (f"u\ti\t5\t3\n\n\nv\tj\t1\t{2 ** 63}\n", "tab"),
         ("\n\n\nu\ti\t5\t3\n\n\n\n", "tab"),
+        ("u\ti\t5\t3\nu\0\ti\t5\t4\nu\ti\0\t2\t1\n", "tab"),  # NUL-padded ids
+        ("u::i::5::3\nv::j::5::2:\n", "double_colon"),
+        ("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in [
+            ("abcdefgh", "abcdefghi", 5, 3), ("abcdefghi", "catalog3705", 4, 2),
+            ("catalog3705", "üüüüü", 1, 7), ("abcdefghi", "abcdefgh", 2, 1),
+            ("catalog3706", "catalog3705", 3, 3), ("üüüüü", "üüüü", 1, 1)]),
+         "double_colon"),
+        # listed lines: a line end inside a line, which joining a chunk's
+        # lines must not read as two lines, and a carriage return
+        (["u\ti\t5\t3", "u\tab\ncd\t5\t3", "v\tj\t6\t4"], "tab"),
+        (["u\ti\t5\t3\nv\tj\t6\t4"], "tab"),
+        (["u\ti\t5\t3\rv\tj\t6\t4\n", "w\tk\t1\t2\n"], "tab"),
+        (["u::i::5::3\n\n", "v::j::6::4\n", "\n", "w::k::1::2"],
+         "double_colon"),
     ])
     def test_raw_log_cases_agree(self, tmp_path, text, fmt):
         self.check_log(tmp_path, text, fmt)
 
     @staticmethod
-    def check_log(tmp_path, text, fmt):
-        """The log ``text`` agrees when read from a file and from a
-        StringIO, which keeps carriage returns, in chunks of every size."""
+    def check_log(tmp_path, log, fmt):
+        """The log agrees with the line reader's result. Text is read from
+        a file and from a StringIO, which keeps carriage returns, in blocks
+        of every size, and as the list of the StringIO's lines in chunks
+        of every size; a list is read as it is, in chunks of every size."""
         sep = data.SEPARATORS[fmt]
         path = tmp_path / "log.dat"
-        path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
 
         def from_file(reader):
             with open_text(path) as f:
                 return reader(f)
 
-        for chunk_lines in _LOG_CHUNK_LINES:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(data, "_LOG_CHUNK_LINES", chunk_lines)
-                for read in (from_file,
-                             lambda reader: reader(io.StringIO(text))):
-                    _assert_readers_agree(
-                        _dataset_key, read,
-                        lambda f: parse_interactions(f, fmt),
-                        lambda f: parse_log_lines(f, sep))
+        files, lines = [], log
+        if isinstance(log, str):
+            path.write_bytes(log.encode("utf-8", errors="surrogateescape"))
+            files = [from_file, lambda reader: reader(io.StringIO(log))]
+            lines = list(io.StringIO(log))
+        for name, sizes, reads in (
+                ("_READ_CHARS", _READ_CHARS, files),
+                ("_LOG_CHUNK_LINES", _LOG_CHUNK_LINES,
+                 [lambda reader: reader(lines)])):
+            for size in sizes:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(data, name, size)
+                    for read in reads:
+                        _assert_readers_agree(
+                            _dataset_key, read,
+                            lambda f: parse_interactions(f, fmt),
+                            lambda f: parse_log_lines(f, sep))
 
     def test_bad_log_row_before_undecodable_bytes_is_named(self, tmp_path):
         # the bytes lie past the first 8 KB that a text reader decodes
@@ -979,9 +1006,9 @@ class TestFastReaders:
         path.write_bytes(b"\n".join(lines))
         message = (f"{path}: line 2: expected user'\\t'item'\\t'rating"
                    "'\\t'timestamp, got 'oops'")
-        for chunk_lines in _LOG_CHUNK_LINES:
+        for read_chars in _READ_CHARS:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(data, "_LOG_CHUNK_LINES", chunk_lines)
+                patch.setattr(data, "_READ_CHARS", read_chars)
                 for reader in (parse_interactions,
                                lambda f: parse_log_lines(f, "\t")):
                     with open_text(path) as f, pytest.raises(DataError) as err:
@@ -1008,6 +1035,21 @@ class TestFastReaders:
             [line.replace("::", "\t") for line in lines], fmt="tab")
         assert _dataset_key(from_file) == _dataset_key(from_list)
         assert from_file.raw_interactions == len(lines) - 1
+        # ids past one 8-byte word, and ids of more bytes than characters,
+        # as a file, as lines that keep their line ends and as bare lines
+        wide = [line.replace("u", "catalog37", 1).replace("\ti", "\tüüüüü", 1)
+                .replace("\t", "::") for line in synthetic_lines(num_users=40)]
+        path.write_text("".join(line + "\n" for line in wide),
+                        encoding="utf-8")
+        with open_text(path) as f:
+            parsed = [parse_interactions(f, fmt="double_colon")]
+        with open_text(path) as f:
+            parsed.append(parse_interactions(iter(f), fmt="double_colon"))
+        parsed.append(parse_interactions(wide, fmt="double_colon"))
+        expected = _dataset_key(parse_log_lines(wide, "::"))
+        assert [_dataset_key(ds) for ds in parsed] == [expected] * 3
+        assert min(len(uid.encode()) for uid in expected[0]) > 8
+        assert all(len(iid.encode()) > len(iid) for iid in expected[1])
 
     def test_one_shot_iterator_reads_as_a_list(self, monkeypatch):
         monkeypatch.setattr(data, "_LOG_CHUNK_LINES", 3)

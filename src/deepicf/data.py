@@ -17,7 +17,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -173,10 +173,22 @@ def _split_by_user(users, *columns, num_users):
     return [list(map(c[order].__getitem__, cuts)) for c in columns]
 
 
-_LOG_CHUNK_LINES = 1 << 14
+# Characters of a log or split file read at a time. A whole ML-1M
+# ``.train`` table (32 MB) sits just under glibc's ceiling for its moving
+# mmap threshold: freeing it raised the threshold to its size, after which
+# the freed arrays of later set-ups stayed on the heap or not by chance,
+# and peak RSS differed by some 30 MB from one process to the next.
+_READ_CHARS = 1 << 21
 
 
-def parse_interactions(lines, fmt="tab"):
+def _read_blocks(f):
+    """The text of the open file ``f`` in blocks of about ``_READ_CHARS``
+    characters of whole lines."""
+    while text := f.read(_READ_CHARS):
+        yield text + f.readline()
+
+
+def parse_interactions(f, fmt="tab"):
     """Parse an interaction log into an :class:`InteractionDataset`.
 
     Each line is ``user<sep>item<sep>rating<sep>timestamp`` with the
@@ -184,35 +196,37 @@ def parse_interactions(lines, fmt="tab"):
     (user, item) pairs collapse to the entry with the latest timestamp
     (later lines win ties). Dense indices follow first appearance order.
     Blank lines are ignored; anything else malformed is an error naming
-    the line number, after the file name when ``lines`` is an open file.
-    A raw id may not hold a tab, which the split's ``.idmap`` file uses as
-    its separator.
+    the line number, after the file's name when it has one. A raw id may
+    not hold a tab, which the split's ``.idmap`` file uses as its
+    separator.
 
-    An open file (anything with a ``read`` method) is read in blocks of
-    about ``_READ_CHARS`` characters of whole lines, each line ended by
+    ``f`` is an open text file or an :class:`io.StringIO`, read in blocks
+    of about ``_READ_CHARS`` characters of whole lines, each line ended by
     ``"\\n"`` (a file opened in text mode reads ``"\\r\\n"`` and ``"\\r"``
-    as ``"\\n"``); a list or any other iterator of lines is read in
-    chunks of ``_LOG_CHUNK_LINES`` lines. A block's fields are found in
-    its UTF-8 bytes and each column is checked at once; a block that
-    fails a check, or holds text that only the row reader reads, is read
-    row by row to name its first defective line. A byte that is not
-    UTF-8, read through :func:`open_text`, is its line's first defect.
+    as ``"\\n"``). A block's fields are found in its UTF-8 bytes and each
+    column is checked at once; a block that fails a check, or holds text
+    that only the row reader reads, is read row by row to name its first
+    defective line. A byte that is not UTF-8, read through
+    :func:`open_text`, is its line's first defect.
     """
+    if not hasattr(f, "read"):
+        raise TypeError(
+            f"parse_interactions reads an open text file or an io.StringIO,"
+            f" not {type(f).__name__}")
     try:
         sep = SEPARATORS[fmt]
     except KeyError:
         raise DataError(
             f"unknown format {fmt!r}; expected one of {sorted(SEPARATORS)}")
-    source = getattr(lines, "name", None)
+    source = getattr(f, "name", None)
     indexes = user_index, item_index = {}, {}
     users, items, times = [], [], []
     lineno = 1
-    for text, chunk in _log_blocks(lines):
-        block = None if text is None else _log_bytes(text, sep, indexes)
+    for text in _read_blocks(f):
+        block = _log_bytes(text, sep, indexes)
         if block is None:
-            block = _log_rows(text.split("\n") if chunk is None else chunk,
-                              lineno, sep, source, indexes)
-        lineno += text.count("\n") if chunk is None else len(chunk)
+            block = _log_rows(text.split("\n"), lineno, sep, source, indexes)
+        lineno += text.count("\n")
         users.append(block[0])
         items.append(block[1])
         times.append(block[2])
@@ -253,21 +267,6 @@ def parse_interactions(lines, fmt="tab"):
         ds.raw_interactions, ds.num_users, ds.num_items, ds.num_interactions,
         sum(a.size < 2 for a in ds.item_arrays()))
     return ds
-
-
-def _log_blocks(lines):
-    """The blocks of a log as ``(text, chunk)``: a file's text with
-    ``chunk`` None, or a chunk of listed lines and their text joined by
-    ``"\\n"``, None if a line end inside a listed line would split it."""
-    if hasattr(lines, "read"):
-        while text := lines.read(_READ_CHARS):
-            yield text + lines.readline(), None
-        return
-    lines = iter(lines)
-    while chunk := list(islice(lines, _LOG_CHUNK_LINES)):
-        text = "\n".join(chunk)
-        ends = len(chunk) - 1 + sum(map(str.endswith, chunk, repeat("\n")))
-        yield (text if text.count("\n") == ends else None), chunk
 
 
 # Masks that keep the first 0 to 8 bytes of a little-endian uint64 word
@@ -353,13 +352,13 @@ def _distinct_fields(raw, words, first, length):
         first[seen].tolist(), length[seen].tolist())], by_row.argsort()[group]
 
 
-def _log_rows(chunk, lineno, sep, source, indexes):
+def _log_rows(lines, lineno, sep, source, indexes):
     """The columns :func:`_log_bytes` gives, read one row at a time from
-    a chunk whose first line is ``lineno``; the first line that breaks a
-    rule is a :class:`DataError` naming it."""
+    a block's lines, the first of which is line ``lineno``; the first line
+    that breaks a rule is a :class:`DataError` naming it."""
     user_index, item_index = indexes
     users, items, times = [], [], []
-    for lineno, line in enumerate(chunk, start=lineno):
+    for lineno, line in enumerate(lines, start=lineno):
         line = line.rstrip("\r\n")
         if not line:
             continue
@@ -831,14 +830,6 @@ def _load_user_rows(path, rows, history, num_users, num_items,
     return [row[:n] for row, n in zip(items[by_user], counts[by_user].tolist())]
 
 
-# Characters of a split file read at a time. A whole ML-1M ``.train``
-# table (32 MB) sits just under glibc's ceiling for its moving mmap
-# threshold: freeing it raised the threshold to its size, after which the
-# freed arrays of later set-ups stayed on the heap or not by chance, and
-# peak RSS differed by some 30 MB from one process to the next.
-_READ_CHARS = 1 << 21
-
-
 class _SplitFile:
     """The rows of tab-separated integers in a split file, read in blocks
     of about _READ_CHARS characters of whole lines.
@@ -858,8 +849,7 @@ class _SplitFile:
     def blocks(self):
         """Each block's values end to end, and the count in each row."""
         with open_text(self.path) as f:
-            while self.stop is None and (text := f.read(_READ_CHARS)):
-                text += f.readline()
+            for text in _read_blocks(f):
                 table = _loadtxt(text)
                 if table is None or table.shape[1] not in self.widths:
                     rows = []
@@ -877,6 +867,8 @@ class _SplitFile:
                     values = table.ravel()
                     lengths = np.full(len(table), table.shape[1])
                 yield values, lengths
+                if self.stop is not None:
+                    return
 
     def line(self, row):
         """The number and text of the ``row``-th row's line, found by

@@ -1,3 +1,4 @@
+import io
 import os
 from pathlib import Path
 
@@ -22,7 +23,8 @@ def synthetic_lines(num_users=30, num_items=300, min_len=5, max_len=12,
 
 
 def synthetic_dataset(**kwargs):
-    return parse_interactions(iter(synthetic_lines(**kwargs)), fmt="tab")
+    return parse_interactions(io.StringIO("\n".join(synthetic_lines(**kwargs))),
+                              fmt="tab")
 
 
 def make_dataset(histories, num_items=None):

@@ -74,6 +74,14 @@ class TestParse:
         assert str(err.value) == ("unknown format 'csv'; expected one of"
                                   " ['double_colon', 'tab']")
 
+    @pytest.mark.parametrize("given", [
+        ["u\ti\t1\t1"], iter(["u\ti\t1\t1"]), "ratings.dat"],
+        ids=["list", "iterator", "path"])
+    def test_only_an_open_file_is_read(self, given):
+        with pytest.raises(TypeError) as err:
+            parse_interactions(given)
+        assert "an open text file or an io.StringIO" in str(err.value)
+
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="empty"):
             parse("\n\n")
@@ -485,9 +493,9 @@ class TestSplitFiles:
         assert "#items" in idmap
 
     def test_tab_and_double_colon_agree(self):
-        tab = parse_interactions(iter(synthetic_lines(seed=3, sep="\t")), "tab")
-        colon = parse_interactions(iter(synthetic_lines(seed=3, sep="::")),
-                                   "double_colon")
+        tab = parse("\n".join(synthetic_lines(seed=3, sep="\t")), "tab")
+        colon = parse("\n".join(synthetic_lines(seed=3, sep="::")),
+                      "double_colon")
         assert tab.user_ids == colon.user_ids
         assert tab.item_ids == colon.item_ids
         for u in range(tab.num_users):
@@ -608,7 +616,7 @@ class TestSplitFiles:
         odd = "#rows train=1 test=1 negatives=1"
         lines = [f"{odd}\ti{i}\t1\t{i}" for i in range(3)]
         lines += ["u\ti3\t1\t0", "u\ti0\t1\t1"]
-        split = leave_one_out_split(parse_interactions(lines), seed=1,
+        split = leave_one_out_split(parse("\n".join(lines)), seed=1,
                                     num_negatives=1)
         save_split(split, tmp_path / "sp")
         assert load_split(tmp_path / "sp").train.user_ids == [odd, "u"]
@@ -697,7 +705,6 @@ def _assert_readers_agree(key, read, public, oracle):
 
 # Blocks of one line, and of a few lines, put a block edge on every line.
 _READ_CHARS = (data._READ_CHARS, 1, 37)
-_LOG_CHUNK_LINES = (data._LOG_CHUNK_LINES, 1, 3)
 
 
 def _assert_split_readers_agree(prefix, read_chars=_READ_CHARS):
@@ -954,47 +961,35 @@ class TestFastReaders:
             ("catalog3705", "üüüüü", 1, 7), ("abcdefghi", "abcdefgh", 2, 1),
             ("catalog3706", "catalog3705", 3, 3), ("üüüüü", "üüüü", 1, 1)]),
          "double_colon"),
-        # listed lines: a line end inside a line, which joining a chunk's
-        # lines must not read as two lines, and a carriage return
-        (["u\ti\t5\t3", "u\tab\ncd\t5\t3", "v\tj\t6\t4"], "tab"),
-        (["u\ti\t5\t3\nv\tj\t6\t4"], "tab"),
-        (["u\ti\t5\t3\rv\tj\t6\t4\n", "w\tk\t1\t2\n"], "tab"),
-        (["u::i::5::3\n\n", "v::j::6::4\n", "\n", "w::k::1::2"],
-         "double_colon"),
+        # a lone carriage return inside a line, and blank lines after rows
+        ("u\ti\t5\t3\rv\tj\t6\t4\nw\tk\t1\t2\n", "tab"),
+        ("u::i::5::3\n\nv::j::6::4\n\nw::k::1::2", "double_colon"),
     ])
     def test_raw_log_cases_agree(self, tmp_path, text, fmt):
         self.check_log(tmp_path, text, fmt)
 
     @staticmethod
     def check_log(tmp_path, log, fmt):
-        """The log agrees with the line reader's result. Text is read from
-        a file and from a StringIO, which keeps carriage returns, in blocks
-        of every size, and as the list of the StringIO's lines in chunks
-        of every size; a list is read as it is, in chunks of every size."""
+        """The log agrees with the line reader's result, read from a file
+        and from a StringIO, which keeps carriage returns, in blocks of
+        every size."""
         sep = data.SEPARATORS[fmt]
         path = tmp_path / "log.dat"
+        path.write_bytes(log.encode("utf-8", errors="surrogateescape"))
 
         def from_file(reader):
             with open_text(path) as f:
                 return reader(f)
 
-        files, lines = [], log
-        if isinstance(log, str):
-            path.write_bytes(log.encode("utf-8", errors="surrogateescape"))
-            files = [from_file, lambda reader: reader(io.StringIO(log))]
-            lines = list(io.StringIO(log))
-        for name, sizes, reads in (
-                ("_READ_CHARS", _READ_CHARS, files),
-                ("_LOG_CHUNK_LINES", _LOG_CHUNK_LINES,
-                 [lambda reader: reader(lines)])):
-            for size in sizes:
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(data, name, size)
-                    for read in reads:
-                        _assert_readers_agree(
-                            _dataset_key, read,
-                            lambda f: parse_interactions(f, fmt),
-                            lambda f: parse_log_lines(f, sep))
+        for read_chars in _READ_CHARS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(data, "_READ_CHARS", read_chars)
+                for read in (from_file,
+                             lambda reader: reader(io.StringIO(log))):
+                    _assert_readers_agree(
+                        _dataset_key, read,
+                        lambda f: parse_interactions(f, fmt),
+                        lambda f: parse_log_lines(f, sep))
 
     def test_bad_log_row_before_undecodable_bytes_is_named(self, tmp_path):
         # the bytes lie past the first 8 KB that a text reader decodes
@@ -1031,46 +1026,62 @@ class TestFastReaders:
         path.write_text("\n".join(lines), encoding="utf-8")
         with open_text(path) as f:
             from_file = parse_interactions(f, fmt="double_colon")
-        from_list = parse_interactions(
-            [line.replace("::", "\t") for line in lines], fmt="tab")
-        assert _dataset_key(from_file) == _dataset_key(from_list)
+        from_text = parse("\n".join(lines).replace("::", "\t"), fmt="tab")
+        assert _dataset_key(from_file) == _dataset_key(from_text)
         assert from_file.raw_interactions == len(lines) - 1
         # ids past one 8-byte word, and ids of more bytes than characters,
-        # as a file, as lines that keep their line ends and as bare lines
+        # as a file, and as text with and without a last line end
         wide = [line.replace("u", "catalog37", 1).replace("\ti", "\tüüüüü", 1)
                 .replace("\t", "::") for line in synthetic_lines(num_users=40)]
         path.write_text("".join(line + "\n" for line in wide),
                         encoding="utf-8")
         with open_text(path) as f:
             parsed = [parse_interactions(f, fmt="double_colon")]
-        with open_text(path) as f:
-            parsed.append(parse_interactions(iter(f), fmt="double_colon"))
-        parsed.append(parse_interactions(wide, fmt="double_colon"))
+        parsed.append(parse("".join(line + "\n" for line in wide),
+                            fmt="double_colon"))
+        parsed.append(parse("\n".join(wide), fmt="double_colon"))
         expected = _dataset_key(parse_log_lines(wide, "::"))
         assert [_dataset_key(ds) for ds in parsed] == [expected] * 3
         assert min(len(uid.encode()) for uid in expected[0]) > 8
         assert all(len(iid.encode()) > len(iid) for iid in expected[1])
 
-    def test_one_shot_iterator_reads_as_a_list(self, monkeypatch):
-        monkeypatch.setattr(data, "_LOG_CHUNK_LINES", 3)
+    def test_defect_past_the_first_block_names_its_line(self, monkeypatch):
+        monkeypatch.setattr(data, "_READ_CHARS", 40)
         lines = synthetic_lines(seed=5)
-        assert _dataset_key(parse_interactions(iter(lines))) == (
-            _dataset_key(parse_interactions(lines)))
-        lines[7] = "u\ti\t1"   # past the first chunks
-        messages = []
-        for given_lines in (iter(lines), lines):
-            with pytest.raises(DataError) as err:
-                parse_interactions(given_lines)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("line 8: expected user")
+        lines[7] = "u\ti\t1"
+        assert len("\n".join(lines[:7])) > 2 * 40   # past the first blocks
+        with pytest.raises(DataError) as err:
+            parse("\n".join(lines))
+        assert str(err.value).startswith("line 8: expected user")
+
+    def test_split_reader_stops_at_the_defect(self, saved_split,
+                                              monkeypatch):
+        # one line to a block: the defect on line 2 is the last line read
+        prefix, _ = saved_split
+        path = prefix.parent / "sp.test"
+        lines = path.read_text().split("\n")
+        lines[1] = "oops"
+        path.write_text("\n".join(lines))
+        monkeypatch.setattr(data, "_READ_CHARS", 1)
+        read = []
+        read_blocks = data._read_blocks
+
+        def counted(f):
+            for text in read_blocks(f):
+                read.append((f.name, text))
+                yield text
+        monkeypatch.setattr(data, "_read_blocks", counted)
+        with pytest.raises(DataError, match="line 2: bad row 'oops'"):
+            load_split(prefix)
+        assert [text for name, text in read if name == str(path)] == [
+            lines[0] + "\n", "oops\n"]
 
     def test_writer_matches_reference_bytes(self, tmp_path):
         times = [0, 9, 10, 9999, 10000, 123456789, 10 ** 15, 2 ** 63 - 1]
         users = ["ü:1", ":u", "u:", "用户", "a::b"]
         lines = [f"{uid}\titem:{(3 * u + k) % 11}é\t1\t{times[(u + k) % 8]}"
                  for u, uid in enumerate(users) for k in range(6)]
-        split = leave_one_out_split(parse_interactions(lines), seed=5,
+        split = leave_one_out_split(parse("\n".join(lines)), seed=5,
                                     num_negatives=3)
         save_split(split, tmp_path / "fast")
         save_split_rows(split, tmp_path / "rows")

@@ -73,7 +73,10 @@ def parse_config_lines(lines, source="<config>"):
         raise ConfigError(f"{source}: missing required key 'variant'")
     if "layer_sizes" in fields and "num_layers" not in fields:
         fields["num_layers"] = len(fields["layer_sizes"])
-    return ModelConfig(**fields)
+    try:
+        return ModelConfig(**fields)
+    except ConfigError as err:
+        raise ConfigError(f"{source}: {err}") from err
 
 
 def load_config(path):

@@ -232,7 +232,8 @@ def parse_interactions(f, fmt="tab"):
         times.append(block[2])
     raw = sum(map(len, users))
     if raw == 0:
-        raise DataError("empty input: no interactions found")
+        prefix = f"{source}: " if source else ""
+        raise DataError(f"{prefix}empty input: no interactions found")
 
     # Each array is dropped once used, which keeps the peak memory low.
     num_items = len(item_index)

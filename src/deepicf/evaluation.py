@@ -3,10 +3,10 @@ the ItemPop and ItemKNN heuristic baselines.
 
 Scorers take an array of item indices and return an array of scores.
 :func:`evaluate` lays every user's candidates out once, the test item
-before its negatives, and fills their scores: each run of
-:class:`ModelScorer` objects over one model in one
-:func:`deepicf.model._score_users` call, any other scorer on its own
-user's candidates. Every rank then comes from one count over all users.
+before its negatives, and fills their scores: in one
+:func:`deepicf.model._score_users` call when every scorer is a
+:class:`ModelScorer` over one model, else each scorer on its own user's
+candidates. Every rank then comes from one count over all users.
 Per-user evaluations are independent; the aggregate is a mean and does
 not depend on order.
 """
@@ -116,11 +116,11 @@ def evaluate(scorer_factory, split, k=10):
     """Average per-user metrics over every user in the split.
 
     ``scorer_factory(user)`` must return a scorer over item index arrays.
-    Each run of consecutive :class:`ModelScorer` objects over one model is
-    scored in one :func:`deepicf.model._score_users` call, and any other
-    scorer is called once, on its own user's candidates. Either way a
-    user's rank is the one :func:`rank_test_item` gives its scorer. The
-    result is a pure function of (factory, split, k).
+    When every scorer is a :class:`ModelScorer` over one model, as those
+    of a :func:`model_scorer_factory` are, all users are scored in one
+    :func:`deepicf.model._score_users` call, else each scorer on its own
+    user's candidates; a user's rank is the one :func:`rank_test_item`
+    gives its scorer. The result is a pure function of (factory, split, k).
     """
     num_users = split.train.num_users
     if num_users == 0:
@@ -134,25 +134,16 @@ def evaluate(scorer_factory, split, k=10):
     # each user's test item goes in front of its negatives
     candidates = np.insert(np.concatenate(negatives),
                            starts - np.arange(num_users), split.test_items)
-    scores = np.empty(candidates.size)
-    start = 0
-    while start < num_users:
-        first, stop = scorers[start], start + 1
-        model = first.model if isinstance(first, ModelScorer) else None
-        while (model is not None and stop < num_users
-               and isinstance(scorers[stop], ModelScorer)
-               and scorers[stop].model is model):
-            stop += 1
-        rows = slice(starts[start], ends[stop - 1])
-        if model is None:
-            scores[rows] = _scores_of(first, candidates[rows])
-        else:
-            params, config, histories = model
-            users = [scorer.user for scorer in scorers[start:stop]]
-            scores[rows] = _score_users(
-                params, config, [histories[u] for u in users], users,
-                candidates[rows], sizes[start:stop])
-        start = stop
+    model = scorers[0].model if isinstance(scorers[0], ModelScorer) else None
+    if all(isinstance(s, ModelScorer) and s.model is model for s in scorers):
+        params, config, histories = model
+        users = [scorer.user for scorer in scorers]
+        scores = _score_users(params, config, [histories[u] for u in users],
+                              users, candidates, sizes)
+    else:
+        scores = np.concatenate([
+            _scores_of(scorer, candidates[start:end])
+            for scorer, start, end in zip(scorers, starts, ends)])
     ranks, ties = _count_ranks(candidates, scores, starts)
     per_user = list(enumerate(ranks.tolist()))
     hits = gain = 0

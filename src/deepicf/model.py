@@ -117,16 +117,22 @@ class ModelConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if self.l2 < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.l2}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        for key, value in (("lambda", self.l2), ("lr", self.lr)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
         if self.num_negatives < 0:
             raise ConfigError(f"NS must be >= 0, got {self.num_negatives}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.pretrain_epochs is not None and self.pretrain_epochs < 0:
+            raise ConfigError(
+                f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
 
     @property
     def output_dim(self):

@@ -62,7 +62,8 @@ def parse_log_lines(lines, sep):
             hist[i] = ts
 
     if raw == 0:
-        raise DataError("empty input: no interactions found")
+        prefix = f"{source}: " if source else ""
+        raise DataError(f"{prefix}empty input: no interactions found")
     return InteractionDataset(list(histories), list(item_index),
                               [list(h) for h in histories.values()],
                               [list(h.values()) for h in histories.values()],

@@ -89,6 +89,14 @@ def test_malformed_line_is_named(line, message):
     assert str(err.value) == f"<config>: {message}"
 
 
+def test_out_of_range_value_names_the_file(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("variant = FISM\nk = 0\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: embedding size must be positive, got 0"
+
+
 def test_unknown_variant_lists_valid_ones():
     with pytest.raises(ConfigError, match="FISM, DeepICF, DeepICF_A"):
         parse("variant = SVD")

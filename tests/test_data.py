@@ -82,9 +82,15 @@ class TestParse:
             parse_interactions(given)
         assert "an open text file or an io.StringIO" in str(err.value)
 
-    def test_empty_input_rejected(self):
+    def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             parse("\n\n")
+        path = tmp_path / "empty.dat"
+        path.write_text("\n\n")
+        with open_text(path) as f, pytest.raises(DataError) as err:
+            parse_interactions(f)
+        assert str(err.value) == (
+            f"{path}: empty input: no interactions found")
 
     def test_thin_users_flagged_in_log(self, caplog):
         with caplog.at_level("INFO"):

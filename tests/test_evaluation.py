@@ -755,6 +755,37 @@ class TestBlockEvaluate:
         assert model.score_items(params, cfg, items[6], 6,
                                  cands[6]).shape == (1,)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_one_model_is_one_score_users_call(self, variant, monkeypatch):
+        # the ranking throughput rests on scoring every user of a model
+        # factory in one call; a scorer of another kind in the factory
+        # makes every scorer be called on its own
+        split = edge_split()
+        layers = {} if variant is Variant.FISM else dict(num_layers=2)
+        cfg = block_config(dict(variant=variant, **layers))
+        params = random_params(cfg, split, 32)
+        want = per_user.evaluate(
+            per_user.forward_scorer_factory(params, cfg, split), split, k=5)
+        factory = model_scorer_factory(params, cfg, split)
+        calls = []
+        real = evaluation._score_users
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return real(*args)
+
+        def wrapped(user):
+            scorer = factory(user)
+            return (lambda items: scorer(items)) if user == 0 else scorer
+
+        monkeypatch.setattr(evaluation, "_score_users", counted)
+        assert split.train.num_users >= 2
+        assert_same_report(evaluate(factory, split, k=5), want)
+        assert calls == [split.train.num_users]
+        calls.clear()
+        assert_same_report(evaluate(wrapped, split, k=5), want)
+        assert calls == []
+
     def test_mixed_scorers_match_oracle(self):
         split = edge_split()
         fism = block_config(dict(variant=Variant.FISM, alpha=0.5))

@@ -123,6 +123,11 @@ class TestConfig:
         (dict(num_negatives=-1), "NS must be >= 0, got -1"),
         (dict(epochs=-1), "epochs must be >= 0, got -1"),
         (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+        (dict(l2=math.nan), "lambda must be finite, got nan"),
+        (dict(lr=math.nan), "lr must be finite, got nan"),
+        (dict(lr=math.inf), "lr must be finite, got inf"),
+        (dict(eval_every=-1), "eval_every must be >= 0, got -1"),
+        (dict(pretrain_epochs=-5), "pretrain_epochs must be >= 0, got -5"),
     ])
     def test_out_of_range_value_is_named(self, changes, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):

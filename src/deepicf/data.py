@@ -568,10 +568,17 @@ def save_split(split, prefix):
     line per user, .negatives the per-user negative lists, and .idmap the
     raw-to-dense id tables with ``#users`` / ``#items`` section headers.
     The .idmap, written last, ends with the split record: the row counts
-    of the other three files, which :func:`load_split` checks.
+    of the other three files, which :func:`load_split` checks. A user
+    without negatives is a :class:`DataError` before any file is written,
+    since its .negatives row could not be read back.
     """
     prefix = str(prefix)
     tr = split.train
+    for user, row in enumerate(split.eval_negatives):
+        if not len(row):
+            raise DataError(f"user {tr.user_ids[user]!r} has no evaluation"
+                            f" negatives; a split needs at least one per"
+                            f" user to be saved")
     items, ends = _flatten(tr.item_arrays())
     times, _ = _flatten([tr.history_times(u) for u in range(tr.num_users)])
     owners = np.repeat(np.arange(tr.num_users), np.diff(ends, prepend=0))

@@ -266,10 +266,11 @@ class ItemKnnModel:
 
             def scorer(items):
                 items = np.asarray(items, dtype=np.int64)
-                # one flat gather of the (items, hist) block of the counts
-                flat = items[:, None] * self._counts.shape[1] + hist
-                return ((self._counts.take(flat) * self._inv_sqrt[hist])
-                        .sum(axis=1) * self._inv_sqrt[items])
+                # the (items, hist) block of the counts: the candidates'
+                # rows, whole and contiguous, then the history's columns
+                block = self._counts.take(items, axis=0).take(hist, axis=1)
+                return ((block * self._inv_sqrt[hist]).sum(axis=1)
+                        * self._inv_sqrt[items])
             return scorer
         return factory
 

@@ -11,6 +11,11 @@ one user's history against one item, the path of training at batch size
 :func:`_block_cost`: ranking keeps a block's logits, and a training batch
 keeps its :class:`BlockCache` for :func:`backward`, which returns the
 gradients of the summed loss of one item or of a batch, each row once.
+A block pays for its own rows: its history sums, its embedding penalty
+and its merged gradients read and write only the rows that it names.
+What grows with the catalog is the block's ``(users, items)`` incidence,
+and in a block with at least as many history rows as items, one
+item-major copy of ``history_embed``.
 The attention variant lays its hidden units out candidate-major,
 ``(..., k', n)`` for ``n`` history rows, from one GEMM: :func:`_attention`
 gathers a user's history and forms that net, which
@@ -516,9 +521,12 @@ class BlockCache:
 def _score_block(params, config, histories, users, items, sizes,
                  train=False):
     """One pass of :func:`_score_users` over a block of users. FISM and
-    DeepICF sum each history with one ``np.add.reduceat`` over an
-    item-major copy of ``history_embed``, and a candidate inside it
-    (:func:`_owners`) subtracts its own row and one from its count.
+    DeepICF sum each history with one ``np.add.reduceat`` over the
+    block's rows laid out item-major: its gathered rows transposed or,
+    where it holds at least as many history rows as the table has items,
+    gathered from a transposed copy of ``history_embed``. A candidate
+    inside a history (:func:`_owners`) subtracts its own row and one from
+    its count.
     DeepICF_A calls :func:`_attention` once per user, masked only where a
     candidate is inside the history, and keeps each net in ``nets`` to
     ``train``."""
@@ -543,10 +551,13 @@ def _score_block(params, config, histories, users, items, sizes,
         hist_sum = np.zeros((users.size, config.k))
         # only the users with a history, since reduceat would give an
         # empty one the next user's first row; item-major, each user's
-        # rows are columns, summed along contiguous memory
+        # rows are columns, summed along contiguous memory, and the two
+        # ways to lay them out give equal arrays, so equal sums
+        table = params["history_embed"]
         full = lengths > 0
         hist_sum[full] = np.add.reduceat(
-            np.ascontiguousarray(params["history_embed"].T).take(hist, axis=1),
+            table.take(hist, axis=0).T.copy() if hist.size < table.shape[0]
+            else np.ascontiguousarray(table.T).take(hist, axis=1),
             (np.cumsum(lengths) - lengths)[full], axis=1).T
         hist_sum = hist_sum[owner]
         hist_sum[inside] -= params["history_embed"].take(items[inside], axis=0)
@@ -607,8 +618,8 @@ def backward(params, config, cache, dlogit):
     parts = [_block_backward(params, config, block, part, sums)
              for block, part in zip(cache, np.split(dlogit, np.cumsum(
                  [block.items.size for block in cache])[:-1]))]
-    rows = {name: _merge_rows(sum((part[name] for part in parts), []),
-                              params[name].shape[0]) for name in parts[0]}
+    rows = {name: _merge_rows(sum((part[name] for part in parts), []))
+            for name in parts[0]}
     return Grads(rows={name: merged[:2] for name, merged in rows.items()},
                  dense=dense, uses={name: rows[name][2][:, None] for name
                                     in ("target_embed", "history_embed")})
@@ -703,31 +714,50 @@ def _block_backward(params, config, block, dlogit, sums):
             "item_bias": [(block.items, dlogit, once)]}
 
 
-def _merge_rows(entries, size):
-    """The rows in ``range(size)`` to which a list of ``(index, values,
-    uses)`` entries gives positive uses, ascending, with their values and
-    uses summed in order. Values are one per index, or ``(width,
-    indices)``, a row per index."""
-    uses = sum(np.bincount(index, weights, size)
-               for index, _, weights in entries)
-    rows = np.flatnonzero(uses > 0)
-    sums = sum(np.stack([np.bincount(index, column, size)[rows]
-                         for column in np.atleast_2d(values)], axis=1)
-               for index, values, _ in entries)
-    return rows, sums if np.ndim(entries[0][1]) > 1 else sums[:, 0], \
-        uses[rows]
+def _merge_rows(entries):
+    """The rows to which a list of ``(index, values, uses)`` entries gives
+    positive uses, ascending, with their values and uses summed in order.
+    Values are one per index, or ``(width, indices)``, a row per index.
+    The rows are those the entries name, so that the cost follows the
+    entries and not the table: each entry's values go by one
+    ``np.bincount`` into a bin per row and column, which sums them in
+    input order, as one catalog-length count per column would."""
+    keys = np.sort(np.concatenate([index for index, _, _ in entries]))
+    head = np.empty(keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    rows = keys[head]
+    shape = np.shape(entries[0][1])[:-1]
+    width = math.prod(shape)
+    uses = sums = 0
+    for index, values, weights in entries:
+        at = np.searchsorted(rows, index)
+        uses = uses + np.bincount(at, weights, rows.size)
+        if shape:
+            # each value's bin, by row and column, laid out in memory as
+            # the values are
+            at = np.add(at * width, np.arange(width)[:, None],
+                        out=np.empty_like(values, dtype=np.int64)).ravel("K")
+        sums = sums + np.bincount(at, values.ravel("K"), rows.size * width)
+    sums = sums.reshape((rows.size,) + shape)
+    kept = uses > 0
+    return rows[kept], sums[kept], uses[kept]
 
 
 def _kept_squares(params, block):
     """Each candidate's squared target row plus the squared history rows
-    it keeps in its pool: its embedding penalty."""
-    square = (params["history_embed"] ** 2).sum(axis=1)
+    it keeps in its pool: its embedding penalty. Only the block's own
+    rows are squared."""
+    table = params["history_embed"]
     per_user = np.bincount(np.repeat(np.arange(block.users.size),
-                                     block.lengths), square[block.hist],
+                                     block.lengths),
+                           (table.take(block.hist, axis=0) ** 2).sum(axis=1),
                            block.users.size)
+    own = np.zeros(block.items.size)
+    own[block.inside] = (table.take(block.items[block.inside], axis=0)
+                         ** 2).sum(axis=1)
     return ((params["target_embed"][block.items] ** 2).sum(axis=1)
-            + per_user[block.owner] - np.where(block.inside,
-                                               square[block.items], 0.0))
+            + per_user[block.owner] - own)
 
 
 def _total(x, one):

@@ -72,7 +72,7 @@ def bce_from_logit(logit, label):
     """
     if isinstance(logit, np.ndarray):
         y = np.asarray(label)
-        if not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise ValueError(f"labels must be 0 or 1, got {label!r}")
         loss = (np.maximum(logit, 0.0) - logit * y
                 + np.log1p(np.exp(-np.abs(logit))))

@@ -485,6 +485,21 @@ class TestSplitFiles:
                                   split.eval_negatives[u])
         check_split(loaded)
 
+    def test_split_without_negatives_is_refused_before_writing(
+            self, tmp_path):
+        ds = make_dataset([[(0, 1), (1, 2), (2, 3)], [(3, 1), (1, 2)]],
+                          num_items=5)
+        with pytest.raises(DataError, match="^user 'u0' has no evaluation"
+                                            " negatives"):
+            save_split(leave_one_out_split(ds, seed=1, num_negatives=0),
+                       tmp_path / "none")
+        assert list(tmp_path.iterdir()) == []
+        # one negative each is the least that reads back
+        split = leave_one_out_split(ds, seed=1, num_negatives=1)
+        save_split(split, tmp_path / "one")
+        loaded = load_split(tmp_path / "one")
+        assert _split_key(loaded) == _split_key(split)
+
     def test_file_shapes(self, tmp_path):
         ds = synthetic_dataset(num_users=20, num_items=300, seed=1)
         split = leave_one_out_split(ds, seed=2)

@@ -7,10 +7,11 @@ import pytest
 
 from deepicf import model
 from deepicf.errors import ConfigError, ModelError
-from deepicf.model import (ModelConfig, Variant, backward, init_params,
-                           param_layout, predict_logit, score_items,
-                           tower_layer_sizes)
+from deepicf.model import (ModelConfig, ModelParams, Variant, backward,
+                           init_params, param_layout, predict_logit,
+                           score_items, tower_layer_sizes)
 from deepicf.numerics import bce_from_logit, rng_from_seed
+from deepicf.training import loss_with_reg
 
 import attention_oracle as history_major
 from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
@@ -880,35 +881,90 @@ class TestScoreBlocks:
         # a training batch keeps its blocks and ranking drops them, and
         # the logits are the same to the bit, in one block of users with
         # an empty history, a one-row history and candidates inside their
-        # histories, and where the costliest user is cut into pieces
+        # histories, and where the costliest user is cut into pieces; over
+        # 60 items the whole block holds 66 history rows, at least one per
+        # item, and over 400 fewer: the two sides of FISM's and DeepICF's
+        # item-major switch
         cfg = ModelConfig(variant=variant, k=6, k_prime=4, num_layers=layers,
                           alpha=0.0 if variant is Variant.DEEPICF_A else 0.5)
-        num_items = 60
-        p, _ = tiny_params(cfg, 7, num_items,
-                           rng_from_seed(45, cfg.variant.value))
-        rng = rng_from_seed(46)
-        users = np.array([6, 0, 3, 5, 1])
-        lengths = [20, 0, 1, 33, 12]
-        histories = [rng.choice(num_items, size=n, replace=False)
-                     for n in lengths]
-        cands = [np.concatenate((hist[::3], rng.choice(num_items, size=c)))
-                 for hist, c in zip(histories, [30, 9, 2, 40, 3])]
+        roomy = model.SCORE_BLOCK_BYTES
+        for num_items in (60, 400):
+            p, _ = tiny_params(cfg, 7, num_items,
+                               rng_from_seed(45, cfg.variant.value))
+            rng = rng_from_seed(46)
+            users = np.array([6, 0, 3, 5, 1])
+            lengths = [20, 0, 1, 33, 12]
+            histories = [rng.choice(60, size=n, replace=False)
+                         for n in lengths]
+            cands = [np.concatenate((hist[::3], rng.choice(60, size=c)))
+                     for hist, c in zip(histories, [30, 9, 2, 40, 3])]
+            sizes = [c.size for c in cands]
+            items = np.concatenate(cands)
+            monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", roomy)
+            cost = model._block_cost(cfg, np.array(lengths), np.array(sizes),
+                                     num_items)[2]
+            for budget, whole in ((roomy, True),
+                                  (int(cost.max()) - 1, False)):
+                monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
+                ranked = model._score_users(p, cfg, histories, users, items,
+                                            sizes)
+                trained, blocks = predict_logit(p, cfg, histories, users,
+                                                items, sizes)
+                assert np.array_equal(ranked, trained)
+                pieces = [block.users.size for block in blocks]
+                assert (pieces == [users.size]) == whole
+                assert sum(pieces) == users.size + (not whole)
+                assert max(pieces) > 1
+                if whole:
+                    assert ((blocks[0].hist.size >= num_items)
+                            == (num_items == 60))
+
+    @pytest.mark.parametrize("variant,layers", [
+        (Variant.FISM, 0), (Variant.DEEPICF, 2)])
+    def test_item_major_switch_keeps_every_bit(self, variant, layers):
+        # one block of 50 history rows, over a 40-item table (the rows
+        # gathered from the transposed table) and over the same table
+        # with 60 unused items more (the table's rows gathered, then
+        # transposed): the same history sums, logits, embedding penalties
+        # and gradients, to the bit
+        cfg = ModelConfig(variant=variant, k=6, num_layers=layers, alpha=0.5,
+                          l2=0.01, reg_embeddings=True)
+        wide, _ = tiny_params(cfg, 5, 100, rng_from_seed(47))
+        narrow = ModelParams(param_layout(cfg, 5, 40))
+        for name, value in wide.items():
+            narrow[name] = value[:40] if value.shape[0] == 100 else value
+        rng = rng_from_seed(48)
+        users = np.array([0, 2, 3, 4])
+        histories = [rng.choice(40, size=n, replace=False)
+                     for n in (17, 0, 1, 32)]
+        cands = [np.concatenate((hist[::4], rng.choice(40, size=c)))
+                 for hist, c in zip(histories, [9, 3, 2, 20])]
         sizes = [c.size for c in cands]
         items = np.concatenate(cands)
-        cost = model._block_cost(cfg, np.array(lengths), np.array(sizes),
-                                 num_items)[2]
-        for budget, whole in ((model.SCORE_BLOCK_BYTES, True),
-                              (int(cost.max()) - 1, False)):
-            monkeypatch.setattr(model, "SCORE_BLOCK_BYTES", budget)
-            ranked = model._score_users(p, cfg, histories, users, items,
-                                        sizes)
-            trained, blocks = predict_logit(p, cfg, histories, users, items,
-                                            sizes)
-            assert np.array_equal(ranked, trained)
-            pieces = [block.users.size for block in blocks]
-            assert (pieces == [users.size]) == whole
-            assert sum(pieces) == users.size + (not whole)
-            assert max(pieces) > 1
+        labels = rng.integers(0, 2, size=items.size)
+        got = []
+        for p in (narrow, wide):
+            logit, blocks = predict_logit(p, cfg, histories, users, items,
+                                          sizes)
+            (block,) = blocks
+            assert block.inside.any() and block.hist.size == 50
+            # the embedding penalty from the squares of the whole table
+            square = (p["history_embed"] ** 2).sum(axis=1)
+            full = ((p["target_embed"][items] ** 2).sum(axis=1)
+                    + np.bincount(np.repeat(np.arange(users.size),
+                                            block.lengths),
+                                  square[block.hist], users.size)[block.owner]
+                    - np.where(block.inside, square[items], 0.0))
+            kept = model._kept_squares(p, block)
+            assert kept.tobytes() == full.tobytes()
+            loss, dlogit = loss_with_reg(logit, labels, p, cfg, blocks)
+            grads = backward(p, cfg, blocks, dlogit)
+            got.append([block.hist_sum, logit, kept, loss]
+                       + [part for rows in grads.rows.values()
+                          for part in rows]
+                       + [grads.dense.flat, *grads.uses.values()])
+        for a, b in zip(*got):
+            assert a.tobytes() == b.tobytes()
 
     def check_user_blocks(self, cfg, monkeypatch):
         num_items = 60

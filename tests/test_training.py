@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import deepicf.training
 from deepicf import model
@@ -15,6 +17,7 @@ from deepicf.training import (ADAGRAD_EPSILON, AdagradState, add_l2_grads,
                               apply_batch, fit, loss_with_reg,
                               pretrain_and_init, train_epoch)
 
+import catalog_merge
 import per_instance
 from conftest import make_dataset, synthetic_dataset
 from gradcheck import (finite_diff_grad, flatten_grads, flatten_params,
@@ -151,7 +154,7 @@ class TestAdagrad:
         want = np.zeros((unique.size,) + row_shape)
         np.add.at(want, inverse, values)
         once = np.ones(index.size)
-        rows, got, uses = model._merge_rows([(index, values.T, once)], 9)
+        rows, got, uses = model._merge_rows([(index, values.T, once)])
         assert np.array_equal(rows, unique)
         assert np.array_equal(got, want)
         assert uses.tolist() == [1, 2, 10, 2]
@@ -160,7 +163,7 @@ class TestAdagrad:
         rows, got, _ = model._merge_rows(
             [(index[:5], values[:5].T, once[:5]),
              (index[5:], values[5:].T, once[5:]),
-             (np.array([3]), values[:1].T, np.array([0.0]))], 9)
+             (np.array([3]), values[:1].T, np.array([0.0]))])
         want = np.zeros((unique.size,) + row_shape)
         np.add.at(want, inverse[:5], values[:5])
         part = np.zeros((unique.size,) + row_shape)
@@ -168,8 +171,42 @@ class TestAdagrad:
         assert np.array_equal(rows, unique)
         assert np.array_equal(got, want + part)
         rows, got, _ = model._merge_rows([(index[:0], values[:0].T,
-                                           once[:0])], 9)
+                                           once[:0])])
         assert rows.size == 0 and got.shape == (0,) + row_shape
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from([(), (1,), (16,), (33,)]),
+           parts=st.lists(st.tuples(
+               st.lists(st.tuples(st.integers(0, 11), st.integers(-2, 3)),
+                        max_size=40),
+               st.booleans()), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(shape=(16,), parts=[([], False)], seed=0)
+    @example(shape=(), parts=[([(5, 1), (5, 1), (2, 1)], False),
+                              ([(2, -1), (5, -1)], True), ([], True)], seed=1)
+    @example(shape=(33,), parts=[([(7, 1), (7, -1), (7, 0)], True),
+                                 ([(7, 2), (0, 1)], False)], seed=2)
+    def test_merge_equals_catalog_merge_to_the_bit(self, shape, parts, seed):
+        # (index, uses) pairs: indices repeat within and across entries,
+        # uses cancel to 0 and entries may be empty; values span many
+        # magnitudes, so that a change in the order of any bin's sum shows
+        # in its bits, and come laid out row- or column-major, as the
+        # backward pass gives them
+        rng = np.random.default_rng(seed)
+        entries = []
+        for pairs, column_major in parts:
+            index = np.array([i for i, _ in pairs], dtype=np.int64)
+            size = index.shape + shape
+            values = (rng.normal(size=size)
+                      * 10.0 ** rng.integers(-12, 12, size=size)).T
+            entries.append((index, values if column_major
+                            else np.ascontiguousarray(values),
+                            np.array([u for _, u in pairs], dtype=np.float64)))
+        want = catalog_merge.merge_rows(entries, 12)
+        got = model._merge_rows(entries)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 class TestLossWithReg:

@@ -575,8 +575,10 @@ def _score_block(params, config, histories, users, items, sizes,
 class Grads:
     """Gradients keyed by tensor name. ``rows`` maps the embedding tables
     and bias vectors to ``(rows, values)`` over the rows touched, each
-    once (one item gives a plain index and float biases); ``dense`` holds
-    the rest as a :class:`ModelParams` over the tail of the layout.
+    once, where ``values`` broadcast to ``(rows, k)`` or ``(rows,)``: one
+    item gives a plain index and float biases, and a FISM or DeepICF
+    item one ``(k,)`` row for all the history rows it keeps. ``dense``
+    holds the rest as a :class:`ModelParams` over the tail of the layout.
     ``uses`` counts a batch's candidates per table row, in columns."""
 
     rows: dict
@@ -608,8 +610,9 @@ def backward(params, config, cache, dlogit):
         else:
             d_pool = cache.pool_scale * d_vec
             d_target = d_pool * cache.hist_sum
-            # the item adds its d_pool * p to every row it keeps
-            d_history = np.repeat((d_pool * p)[None], rows.size, axis=0)
+            # the item adds its d_pool * p to every row it keeps: one row,
+            # which broadcasts over them
+            d_history = d_pool * p
         d_item = float(dlogit)
         return Grads(rows={"target_embed": (cache.item, d_target),
                            "history_embed": (rows, d_history),
@@ -718,16 +721,28 @@ def _merge_rows(entries):
     """The rows to which a list of ``(index, values, uses)`` entries gives
     positive uses, ascending, with their values and uses summed in order.
     Values are one per index, or ``(width, indices)``, a row per index.
-    The rows are those the entries name, so that the cost follows the
-    entries and not the table: each entry's values go by one
-    ``np.bincount`` into a bin per row and column, which sums them in
-    input order, as one catalog-length count per column would."""
-    keys = np.sort(np.concatenate([index for index, _, _ in entries]))
+    Each sum is one ``np.bincount`` bin, which adds its values in input
+    order. Entries that hold at least as many indices as the ``span`` of
+    rows up to the highest they name count each column into ``span``
+    bins; fewer are counted over only the rows they name, so that the
+    cost follows the entries and not the table: their values go by one
+    ``np.bincount`` into a bin per row and column."""
+    keys = np.concatenate([index for index, _, _ in entries])
+    span = int(keys.max(initial=-1)) + 1
+    shape = np.shape(entries[0][1])[:-1]
+    if keys.size >= span:
+        uses = sum(np.bincount(index, weights, span)
+                   for index, _, weights in entries)
+        rows = np.flatnonzero(uses > 0)
+        sums = sum(np.stack([np.bincount(index, column, span)[rows]
+                             for column in np.atleast_2d(values)], axis=-1)
+                   for index, values, _ in entries)
+        return rows, sums.reshape((rows.size,) + shape), uses[rows]
+    keys.sort()
     head = np.empty(keys.size, dtype=bool)
     head[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     rows = keys[head]
-    shape = np.shape(entries[0][1])[:-1]
     width = math.prod(shape)
     uses = sums = 0
     for index, values, weights in entries:

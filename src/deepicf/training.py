@@ -51,12 +51,24 @@ def apply_batch(state, params, grads):
     """One Adagrad step on a batch's summed :class:`Grads`, each row once:
     acc += g^2 then theta -= lr*g/(sqrt(acc)+eps), elementwise over
     exactly the entries the batch touched; the whole-tensor gradients,
-    the tail of the layout, as one vector."""
+    the tail of the layout, as one vector. A row tensor's accumulator rows
+    are gathered once and scattered once, and their copy then becomes the
+    step; a one-row gradient broadcasts over its rows. A float gradient,
+    one item's bias, steps in float arithmetic, whose correctly rounded
+    sqrt gives numpy's bits."""
     lr, eps = state.lr, state.epsilon
     for name, (index, g) in grads.rows.items():
-        acc = state[name][index] + g * g
+        if isinstance(g, float):
+            acc = state[name].item(index) + g * g
+            state[name][index] = acc
+            params[name][index] -= lr * g / (math.sqrt(acc) + eps)
+            continue
+        acc = state[name].take(index, axis=0)
+        acc += g * g
         state[name][index] = acc
-        params[name][index] -= lr * g / (np.sqrt(acc) + eps)
+        np.sqrt(acc, out=acc)
+        acc += eps
+        params[name][index] -= np.divide(lr * g, acc, out=acc)
     dense = grads.dense.flat
     if dense.size:
         acc = state.flat[-dense.size:]

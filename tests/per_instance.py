@@ -22,7 +22,8 @@ from deepicf.training import add_l2_grads, apply_batch, loss_with_reg
 def summed(params, batch):
     """One :class:`Grads` holding the sum of the one-item gradients in
     ``batch``: each row that any of them touched, once, in ascending
-    order, summed in a table of the tensor's full size."""
+    order, summed in a table of the tensor's full size, into which a
+    one-row history gradient is added at each row it names."""
     rows = {}
     for name in batch[0].rows:
         full = np.zeros(params[name].shape)

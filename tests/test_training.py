@@ -180,31 +180,63 @@ class TestAdagrad:
                st.lists(st.tuples(st.integers(0, 11), st.integers(-2, 3)),
                         max_size=40),
                st.booleans()), min_size=1, max_size=4),
+           spread=st.sampled_from([1, 8]),
            seed=st.integers(0, 2 ** 32 - 1))
-    @example(shape=(16,), parts=[([], False)], seed=0)
+    @example(shape=(16,), parts=[([], False)], spread=1, seed=0)
     @example(shape=(), parts=[([(5, 1), (5, 1), (2, 1)], False),
-                              ([(2, -1), (5, -1)], True), ([], True)], seed=1)
+                              ([(2, -1), (5, -1)], True), ([], True)],
+             spread=1, seed=1)
     @example(shape=(33,), parts=[([(7, 1), (7, -1), (7, 0)], True),
-                                 ([(7, 2), (0, 1)], False)], seed=2)
-    def test_merge_equals_catalog_merge_to_the_bit(self, shape, parts, seed):
+                                 ([(7, 2), (0, 1)], False)], spread=8, seed=2)
+    @example(shape=(16,), parts=[([(i % 3, 1) for i in range(20)], True),
+                                 ([(1, -1), (2, 2)], False)], spread=1, seed=3)
+    def test_merge_equals_catalog_merge_to_the_bit(self, shape, parts, spread,
+                                                   seed):
         # (index, uses) pairs: indices repeat within and across entries,
         # uses cancel to 0 and entries may be empty; values span many
         # magnitudes, so that a change in the order of any bin's sum shows
         # in its bits, and come laid out row- or column-major, as the
-        # backward pass gives them
+        # backward pass gives them. Indices 1 or 8 apart put the count of
+        # indices on either side of the span of rows up to the highest,
+        # so that the draws merge both ways
         rng = np.random.default_rng(seed)
         entries = []
         for pairs, column_major in parts:
-            index = np.array([i for i, _ in pairs], dtype=np.int64)
+            index = np.array([i * spread for i, _ in pairs], dtype=np.int64)
             size = index.shape + shape
             values = (rng.normal(size=size)
                       * 10.0 ** rng.integers(-12, 12, size=size)).T
             entries.append((index, values if column_major
                             else np.ascontiguousarray(values),
                             np.array([u for _, u in pairs], dtype=np.float64)))
-        want = catalog_merge.merge_rows(entries, 12)
+        want = catalog_merge.merge_rows(entries, 12 * spread)
         got = model._merge_rows(entries)
         for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("row_shape", [(), (16,)])
+    def test_span_switch_keeps_every_bit(self, row_shape):
+        # a batch's history entry names few rows many times, as many
+        # instances of a user name its history, and merges by counting
+        # over the span of rows; a far row with no uses makes the span
+        # longer than the entries and sends the same sums through the
+        # rows the entries name: the same rows, sums and uses, to the bit
+        rng = rng_from_seed(9)
+        index = rng.integers(0, 40, size=300)
+        values = rng.normal(size=index.shape + row_shape) * 10.0 ** \
+            rng.integers(-12, 12, size=index.shape + row_shape)
+        entries = [(index, values.T, np.ones(index.size)),
+                   (index[:30], -values[:30].T, -np.ones(30)),
+                   (index[::-7], values[::-7].T * 3.0, np.ones(43))]
+        far = (np.array([10 ** 6]), np.zeros(row_shape + (1,)),
+               np.zeros(1))
+        counted = model._merge_rows(entries)
+        named = model._merge_rows(entries + [far])
+        assert index.size >= index.max() + 1
+        assert (len(counted[0]) == len(named[0])
+                and 10 ** 6 not in named[0].tolist())
+        for a, b in zip(counted, named):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
@@ -232,7 +264,9 @@ class TestLossWithReg:
         grads = backward(params, cfg, cache, 0.0)
         add_l2_grads(grads, params, cfg)
         assert np.array_equal(grads.rows["target_embed"][1], np.zeros(3))
-        assert np.array_equal(grads.rows["history_embed"][1], np.zeros((2, 3)))
+        rows, values = grads.rows["history_embed"]
+        assert np.array_equal(np.broadcast_to(values, (rows.size, 3)),
+                              np.zeros((2, 3)))
         # tower weights do receive the 2*lambda*W term
         assert np.allclose(grads.dense["W0"],
                            0.4 * params["W0"], atol=1e-15)

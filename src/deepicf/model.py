@@ -11,8 +11,9 @@ one user's history against one item, the path of training at batch size
 :func:`_block_cost`: ranking keeps a block's logits, and a training batch
 keeps its :class:`BlockCache` for :func:`backward`, which returns the
 gradients of the summed loss of one item or of a batch, each row once.
-A block pays for its own rows: its history sums, its embedding penalty
-and its merged gradients read and write only the rows that it names.
+A block pays for its own rows: its history sums and its embedding
+penalty read only the rows that it names, and its gradient merge counts
+into no more bins per column than it holds indices.
 What grows with the catalog is the block's ``(users, items)`` incidence,
 and in a block with at least as many history rows as items, one
 item-major copy of ``history_embed``.
@@ -721,32 +722,29 @@ def _merge_rows(entries):
     """The rows to which a list of ``(index, values, uses)`` entries gives
     positive uses, ascending, with their values and uses summed in order.
     Values are one per index, or ``(width, indices)``, a row per index.
-    Each sum is one ``np.bincount`` bin, which adds its values in input
-    order. Entries that hold at least as many indices as the ``span`` of
-    rows up to the highest they name count each column into ``span``
-    bins; fewer are counted over only the rows they name, so that the
-    cost follows the entries and not the table: their values go by one
-    ``np.bincount`` into a bin per row and column."""
+    Each entry's values go by one ``np.bincount`` into a bin per row and
+    column, which sums them in input order, as one catalog-length count
+    per column would. Entries that hold at least as many indices as the
+    span of rows up to the highest they name are binned by index over
+    that span; fewer are binned over only the rows they name, found by a
+    sort and a search, so that the cost follows the entries and not the
+    table."""
     keys = np.concatenate([index for index, _, _ in entries])
     span = int(keys.max(initial=-1)) + 1
+    by_index = keys.size >= span
+    if by_index:
+        rows = np.arange(span)
+    else:
+        keys.sort()
+        head = np.empty(keys.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        rows = keys[head]
     shape = np.shape(entries[0][1])[:-1]
-    if keys.size >= span:
-        uses = sum(np.bincount(index, weights, span)
-                   for index, _, weights in entries)
-        rows = np.flatnonzero(uses > 0)
-        sums = sum(np.stack([np.bincount(index, column, span)[rows]
-                             for column in np.atleast_2d(values)], axis=-1)
-                   for index, values, _ in entries)
-        return rows, sums.reshape((rows.size,) + shape), uses[rows]
-    keys.sort()
-    head = np.empty(keys.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    rows = keys[head]
     width = math.prod(shape)
     uses = sums = 0
     for index, values, weights in entries:
-        at = np.searchsorted(rows, index)
+        at = index if by_index else np.searchsorted(rows, index)
         uses = uses + np.bincount(at, weights, rows.size)
         if shape:
             # each value's bin, by row and column, laid out in memory as

@@ -17,7 +17,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -43,18 +43,36 @@ class InteractionDataset:
                  raw_interactions=0):
         if len(items_per_user) != len(user_ids):
             raise DataError("one history per user required")
-        self.user_ids = list(user_ids)
-        self.item_ids = list(item_ids)
-        self.user_index = {uid: u for u, uid in enumerate(self.user_ids)}
-        self.item_index = {iid: i for i, iid in enumerate(self.item_ids)}
+        self._fill(user_ids, item_ids,
+                   [np.asarray(a, dtype=np.int64) for a in items_per_user],
+                   [np.asarray(a, dtype=np.int64) for a in times_per_user],
+                   raw_interactions)
         if len(self.user_index) != len(self.user_ids):
             raise DataError("duplicate raw user ids")
         if len(self.item_index) != len(self.item_ids):
             raise DataError("duplicate raw item ids")
-        self._items = [np.asarray(a, dtype=np.int64) for a in items_per_user]
-        self._times = [np.asarray(a, dtype=np.int64) for a in times_per_user]
-        self.raw_interactions = int(raw_interactions)
         self._check_histories()
+
+    @classmethod
+    def _checked(cls, user_ids, item_ids, items_per_user, times_per_user,
+                 raw_interactions=0):
+        """The dataset of int64 history arrays whose rows a reader has just
+        checked against every rule of the constructor, built without
+        checking them again."""
+        dataset = cls.__new__(cls)
+        dataset._fill(user_ids, item_ids, items_per_user, times_per_user,
+                      raw_interactions)
+        return dataset
+
+    def _fill(self, user_ids, item_ids, items_per_user, times_per_user,
+              raw_interactions):
+        self.user_ids = list(user_ids)
+        self.item_ids = list(item_ids)
+        self.user_index = {uid: u for u, uid in enumerate(self.user_ids)}
+        self.item_index = {iid: i for i, iid in enumerate(self.item_ids)}
+        self._items = list(items_per_user)
+        self._times = list(times_per_user)
+        self.raw_interactions = int(raw_interactions)
 
     def _check_histories(self):
         """Per user, in user order: items and timestamps of one shape,
@@ -168,9 +186,15 @@ def _split_by_user(users, *columns, num_users):
     """Rows grouped by user, in row order within a user: for each column,
     one array per user (views into one array)."""
     order = np.argsort(users, kind="stable")
-    ends = np.cumsum(np.bincount(users, minlength=num_users)).tolist()
-    cuts = list(map(slice, [0, *ends[:-1]], ends))
-    return [list(map(c[order].__getitem__, cuts)) for c in columns]
+    ends = np.cumsum(np.bincount(users, minlength=num_users))
+    return [_cut(c[order], ends) for c in columns]
+
+
+def _cut(values, ends):
+    """``values`` cut into the views that end at ``ends``, one after
+    another."""
+    ends = ends.tolist()
+    return list(map(values.__getitem__, map(slice, [0, *ends[:-1]], ends)))
 
 
 # Characters of a log or split file read at a time. A whole ML-1M
@@ -260,8 +284,8 @@ def parse_interactions(f, fmt="tab"):
         pair_keys // num_items, pair_keys % num_items, latest,
         num_users=len(user_index))
     del pair_keys, latest
-    ds = InteractionDataset(list(user_index), list(item_index), hist_items,
-                            hist_times, raw_interactions=raw)
+    ds = InteractionDataset._checked(user_index, item_index, hist_items,
+                                     hist_times, raw_interactions=raw)
     log.info(
         "parsed %d raw interactions: %d users, %d items, %d after dedup"
         " (%d users with <2 interactions cannot be split)",
@@ -410,48 +434,67 @@ def leave_one_out_split(dataset, seed, num_negatives=NUM_EVAL_NEGATIVES):
     the larger item index so the split is a pure function of
     ``(dataset, seed)``. Negatives are drawn uniformly without replacement
     from the items the user never interacted with.
+
+    Every step is an array pass over all users but the draws: one
+    ``rng.choice(pool_size, num_negatives, replace=False)`` per user, in
+    user order, which draws what ``rng.choice(pool, ...)`` over the
+    explicit pool would (numpy 2.4.6) as positions in that pool. The
+    ``j``-th item outside a sorted history ``h`` is ``j + #{i : h[i] - i
+    <= j}``, one ``searchsorted`` for all users' positions. A negative
+    ``num_negatives`` is a :class:`DataError`.
     """
-    kept = [u for u in range(dataset.num_users)
-            if dataset.history_items(u).size >= 2]
-    dropped = dataset.num_users - len(kept)
+    if num_negatives < 0:
+        raise DataError(f"num_negatives must be >= 0, got {num_negatives}")
+    num_items = dataset.num_items
+    items, ends = _flatten(dataset.item_arrays())
+    times, _ = _flatten(dataset._times)
+    lengths = np.diff(ends, prepend=0)
+    kept = lengths >= 2
+    dropped = int(np.count_nonzero(~kept))
     if dropped:
         log.info("dropped %d users with <2 interactions", dropped)
-    if not kept:
+        rows = np.repeat(kept, lengths)
+        items, times, lengths = items[rows], times[rows], lengths[kept]
+    if not lengths.size:
         raise DataError("no user has >= 2 interactions; nothing to split")
+    user_ids = list(compress(dataset.user_ids, kept.tolist()))
+    pools = num_items - lengths
+    short = pools < num_negatives
+    if short.any():
+        user = int(short.argmax())
+        raise DataError(
+            f"user {user_ids[user]!r} has only {pools[user]} "
+            f"non-interacted items; {num_negatives} negatives required")
 
-    user_ids = [dataset.user_ids[u] for u in kept]
-    items_per_user, times_per_user = [], []
-    test_items = np.empty(len(kept), dtype=np.int64)
-    negatives = []
+    # latest interaction wins; ties go to the larger item index
+    starts = np.cumsum(lengths) - lengths
+    latest = np.repeat(np.maximum.reduceat(times, starts), lengths)
+    test_items = np.maximum.reduceat(np.where(times == latest, items, -1),
+                                     starts)
+    del latest
+    rest = items != np.repeat(test_items, lengths)
+    cuts = np.cumsum(lengths - 1)
+    train = InteractionDataset._checked(
+        user_ids, dataset.item_ids, _cut(items[rest], cuts),
+        _cut(times[rest], cuts), dataset.raw_interactions)
+    del rest, times
+
     rng = rng_from_seed(seed, "loo-negatives")
-
-    for new_u, u in enumerate(kept):
-        items = dataset.history_items(u)
-        times = dataset.history_times(u)
-        # latest interaction wins; ties go to the larger item index
-        order = np.lexsort((items, times))
-        held = order[-1]
-        test_items[new_u] = items[held]
-        keep_mask = np.ones(items.size, dtype=bool)
-        keep_mask[held] = False
-        items_per_user.append(items[keep_mask])
-        times_per_user.append(times[keep_mask])
-
-        observed = np.zeros(dataset.num_items, dtype=bool)
-        observed[items] = True
-        pool = np.flatnonzero(~observed)
-        if pool.size < num_negatives:
-            raise DataError(
-                f"user {user_ids[new_u]!r} has only {pool.size} "
-                f"non-interacted items; {num_negatives} negatives required")
-        negatives.append(
-            rng.choice(pool, size=num_negatives, replace=False).astype(np.int64))
-
-    train = InteractionDataset(user_ids, dataset.item_ids, items_per_user,
-                               times_per_user,
-                               raw_interactions=dataset.raw_interactions)
+    negatives = np.empty((len(user_ids), num_negatives), dtype=np.int64)
+    for row, pool in zip(negatives, pools.tolist()):
+        row[:] = rng.choice(pool, size=num_negatives, replace=False)
+    # each user's sorted history as keys u * num_items + h[i] - i
+    keys = np.repeat(np.arange(len(user_ids)) * num_items, lengths)
+    keys += items
+    keys.sort()
+    keys -= np.arange(keys.size)
+    keys += np.repeat(starts, lengths)
+    negatives += np.searchsorted(
+        keys, negatives + np.arange(len(user_ids))[:, None] * num_items,
+        side="right")
+    negatives -= starts[:, None]
     return LooSplit(train=train, test_items=test_items,
-                    eval_negatives=negatives)
+                    eval_negatives=list(negatives))
 
 
 def sample_training_instances(train, num_negatives, rng):
@@ -569,32 +612,45 @@ def save_split(split, prefix):
     raw-to-dense id tables with ``#users`` / ``#items`` section headers.
     The .idmap, written last, ends with the split record: the row counts
     of the other three files, which :func:`load_split` checks. A user
-    without negatives is a :class:`DataError` before any file is written,
-    since its .negatives row could not be read back.
+    without negatives, or with a negative item index, is a
+    :class:`DataError` before any file is written, since its row could
+    not be read back.
+
+    The integer files are written as bytes by :func:`_decimal_lines`: the
+    .train rows ``_WRITE_ROWS`` at a time, the .test rows at once, and the
+    .negatives rows at once as one block padded past each row's end.
     """
     prefix = str(prefix)
     tr = split.train
-    for user, row in enumerate(split.eval_negatives):
-        if not len(row):
-            raise DataError(f"user {tr.user_ids[user]!r} has no evaluation"
-                            f" negatives; a split needs at least one per"
-                            f" user to be saved")
+    users = np.arange(tr.num_users)
+    test_items = np.asarray(split.test_items, dtype=np.int64)
+    counts = np.fromiter(map(len, split.eval_negatives), np.int64)
+    flat = _joined(split.eval_negatives).astype(np.int64, copy=False)
+    found = _first_flagged((
+        (counts == 0, "has no evaluation negatives; a split needs at least"
+                      " one per user to be saved"),
+        ((test_items < 0) | _owners(np.cumsum(counts), flat < 0),
+         "has a negative item index"),
+    ))
+    if found:
+        raise DataError("user {!r} {}".format(tr.user_ids[found[0]],
+                                              found[1]))
+    # the rows of negatives as one block, padded with -1
+    negatives = np.full((counts.size, counts.max(initial=0)), -1, np.int64)
+    negatives[np.arange(negatives.shape[1]) < counts[:, None]] = flat
+    del flat
     items, ends = _flatten(tr.item_arrays())
-    times, _ = _flatten([tr.history_times(u) for u in range(tr.num_users)])
-    owners = np.repeat(np.arange(tr.num_users), np.diff(ends, prepend=0))
-    with atomic_write(prefix + ".train") as f:
+    times, _ = _flatten(tr._times)
+    owners = np.repeat(users, np.diff(ends, prepend=0))
+    with atomic_write(prefix + ".train", "wb") as f:
         for start in range(0, items.size, _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
             f.write(_decimal_lines(owners[block], items[block],
                                    np.ones_like(items[block]), times[block]))
-    users = range(tr.num_users)
-    with atomic_write(prefix + ".test") as f:
-        f.write("".join(map("{}\t{}\n".format, users, np.asarray(
-            split.test_items, dtype=np.int64).tolist())))
-    negatives = ("\t".join(map(str, np.asarray(row, dtype=np.int64).tolist()))
-                 for row in split.eval_negatives)
-    with atomic_write(prefix + ".negatives") as f:
-        f.write("".join(map("{}\t{}\n".format, users, negatives)))
+    with atomic_write(prefix + ".test", "wb") as f:
+        f.write(_decimal_lines(users, test_items))
+    with atomic_write(prefix + ".negatives", "wb") as f:
+        f.write(_decimal_lines(users, negatives))
     with atomic_write(prefix + ".idmap") as f:
         for header, ids in (("#users", tr.user_ids), ("#items", tr.item_ids)):
             f.write(header + "\n")
@@ -602,34 +658,60 @@ def save_split(split, prefix):
         f.write(_RECORD_FORMAT.format(items.size, tr.num_users, tr.num_users))
 
 
-# "0000" to "9999" in ASCII, four bytes to an entry
-_FOUR_DIGITS = np.frombuffer(
-    "".join(f"{v:04d}" for v in range(10000)).encode(), dtype=np.uint32)
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+# "0000" to "9999" in ASCII, four bytes to an entry; then the same with
+# NUL for each leading zero, and "\0\0\00" for 0; then four NULs
+_DIGITS = np.frombuffer("".join(f"{v:04d}" for v in range(10000)).encode(),
+                        dtype=np.uint8).reshape(-1, 4)
+_DIGITS = np.concatenate([_DIGITS, _DIGITS, np.zeros((1, 4), np.uint8)])
+_DIGITS[10000:11000, 0] = _DIGITS[10000:10100, 1] = _DIGITS[10000:10010, 2] = 0
+_DIGITS = _DIGITS.view(np.uint32).ravel()
 
 
 def _decimal_lines(*columns):
-    """One line per row of the equal-length non-negative int64 ``columns``:
-    their decimal values, tab-separated; what ``f"{a}\\t{b}\\n"`` gives
-    per row, built with array operations."""
-    parts = []
-    for values in columns:
-        groups = -(-len(str(int(values.max(initial=0)))) // 4)
-        digits = np.empty((values.size, groups), dtype=np.uint32)
-        rest = values
-        for g in range(groups - 1, -1, -1):
-            high = rest // 10000
-            digits[:, g] = _FOUR_DIGITS.take(rest - high * 10000)
-            rest = high
-        digits = digits.view(np.uint8)
-        # NUL out the zeros before each value's first digit
-        lead = 4 * groups - 1 - np.searchsorted(_POWERS_OF_TEN, values,
-                                                side="right")
-        digits *= np.arange(4 * groups) >= lead[:, None]
-        parts += [digits, np.full((values.size, 1), ord("\t"), np.uint8)]
-    parts[-1][:] = ord("\n")
-    chars = np.concatenate(parts, axis=1).ravel()
-    return chars[chars != 0].tobytes().decode("ascii")
+    """One line per row of the int64 ``columns``, as ASCII bytes: their
+    decimal values, tab-separated; what ``f"{a}\\t{b}\\n"`` gives per
+    row, built with array operations. A column is one non-negative value
+    per row, or a ``(rows, width)`` block of them in which a negative cell
+    is padding that writes nothing, not even its tab.
+
+    A cell is its tab, then its value in groups of four digits from
+    ``_DIGITS``: a group with digits above it takes all four, the highest
+    group takes NUL for its leading zeros, and a group above the highest
+    (or a pad's) four NULs. The NULs then go."""
+    blocks = [c if c.ndim > 1 else c[:, None] for c in columns]
+    tops = [-(-len(str(int(c.max(initial=0)))) // 4) for c in blocks]
+    rows = len(blocks[0])
+    lines = np.empty((rows, 1 + sum(c.shape[1] * (1 + 4 * top)
+                                    for c, top in zip(blocks, tops))),
+                     dtype=np.uint8)
+    end = 0
+    for values, block, top in zip(columns, blocks, tops):
+        start, end = end, end + block.shape[1] * (1 + 4 * top)
+        cells = lines[:, start:end].reshape(rows, block.shape[1], 1 + 4 * top)
+        cells[..., 0] = ord("\t")
+        rest, blank = block, None
+        if values.ndim > 1:
+            blank = block < 0
+            rest = np.where(blank, 0, block)
+            cells[blank, 0] = 0
+        # lowest group first; the highest has no digits above it
+        for g in range(top - 1, -1, -1):
+            if g:
+                high = rest // 10000
+                index = rest - high * 10000
+                lead = high == 0
+                np.add(index, 10000, out=index, where=lead)
+            else:
+                index = rest + 10000
+            if blank is not None:
+                np.add(index, 10000, out=index, where=blank)
+            cells[..., 1 + 4 * g:5 + 4 * g] = _DIGITS.take(index).view(
+                np.uint8).reshape(*index.shape, 4)
+            if g:
+                rest, blank = high, lead
+    lines[:, 0] = 0
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().translate(None, b"\0")
 
 
 # The split record, the last line of a .idmap file: the row counts of
@@ -739,7 +821,8 @@ def load_split(prefix):
     hist_items, hist_times = _split_by_user(users, items, times,
                                             num_users=num_users)
     del users, items, times
-    train = InteractionDataset(user_ids, item_ids, hist_items, hist_times)
+    train = InteractionDataset._checked(user_ids, item_ids, hist_items,
+                                        hist_times)
 
     test_items = np.concatenate(_load_user_rows(
         prefix + ".test", record["test"], history, num_users, num_items))

@@ -173,6 +173,14 @@ def item_pop_scorer(train):
 # the ML-1M-shaped benchmark log: fits at shares of 0.05 to 0.10 took
 # about the same time, and at 0.03 and 0.15 longer.
 DENSE_SHARE = 0.1
+# A user whose history holds more than this share of the catalog is
+# scored from its candidates' whole count rows, then the history's
+# columns; any other by one flat gather of the (candidates, history)
+# counts. Chosen from the measured crossover of the two: 100 random
+# candidates over random uint16 counts, the whole rows were faster above
+# about 130-190 history items at 3,706 items, 250-500 at 6,000 and 400-550
+# at 9,916.
+ROW_GATHER_SHARE = 0.05
 # Item rows of the dense product made at a time: 7.6 MB of float32 at
 # ML-1M's 3,706 items.
 _DENSE_ROWS = 512
@@ -215,7 +223,11 @@ class ItemKnnModel:
       histories that hold ``i``.
 
     The diagonal is zeroed, and a score takes each count times its
-    column's ``1/sqrt(|users(j)|)``, sums them, then applies the row's.
+    column's ``1/sqrt(|users(j)|)``, sums them, then applies the row's. A
+    user gathers its (candidates, history) counts by one flat ``take``,
+    or, with a history over ``ROW_GATHER_SHARE`` of the catalog, by the
+    candidates' whole rows and then the history's columns: the same
+    counts in the same order, so the same scores to the bit.
     """
 
     def __init__(self, train):
@@ -261,14 +273,22 @@ class ItemKnnModel:
                      * self._inv_sqrt[i])
 
     def scorer_factory(self):
+        num_items = self._inv_sqrt.size
+
         def factory(user):
             hist = self.train.history_items(user)
+            whole_rows = hist.size > ROW_GATHER_SHARE * num_items
 
             def scorer(items):
                 items = np.asarray(items, dtype=np.int64)
-                # the (items, hist) block of the counts: the candidates'
-                # rows, whole and contiguous, then the history's columns
-                block = self._counts.take(items, axis=0).take(hist, axis=1)
+                # the (items, hist) block of the counts, in the same order
+                # either way
+                if whole_rows:
+                    block = self._counts.take(items, axis=0).take(hist,
+                                                                  axis=1)
+                else:
+                    block = self._counts.take(items[:, None] * num_items
+                                              + hist)
                 return ((block * self._inv_sqrt[hist]).sum(axis=1)
                         * self._inv_sqrt[items])
             return scorer

@@ -1,3 +1,4 @@
+import copy
 import filecmp
 import io
 import re
@@ -19,6 +20,7 @@ from deepicf.numerics import rng_from_seed
 from conftest import (check_split, make_dataset, save_split_rows,
                       synthetic_dataset, synthetic_lines)
 from line_readers import load_split_lines, parse_log_lines
+import per_user_split
 
 
 def parse(text, fmt="tab"):
@@ -151,6 +153,27 @@ class TestInteractionDataset:
         assert str(err.value) == message
 
 
+@st.composite
+def split_cases(draw):
+    """A dataset, a seed and a negative count for the split: users of 0,
+    1, 2 or many interactions with timestamps that tie, over a catalog
+    that leaves the longest history a pool of one item fewer than the
+    negatives, exactly as many, or more."""
+    num_negatives = draw(st.sampled_from([0, 1, 99]))
+    lengths = draw(st.lists(st.sampled_from([0, 1, 2, 3, 40]), min_size=1,
+                            max_size=8))
+    spare = draw(st.sampled_from([-1, 0, 0, 1, 30]))
+    num_items = max(max(lengths) + num_negatives + spare, max(lengths), 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    histories = [list(zip(rng.choice(num_items, size=n, replace=False)
+                          .tolist(),
+                          rng.integers(0, draw(st.sampled_from([1, 3, 100])),
+                                       size=n).tolist()))
+                 for n in lengths]
+    return (make_dataset(histories, num_items=num_items),
+            draw(st.integers(0, 2 ** 16)), num_negatives)
+
+
 class TestLeaveOneOut:
     def test_latest_interaction_held_out(self):
         ds = make_dataset([[(0, 1), (1, 2), (2, 3)]])
@@ -194,6 +217,53 @@ class TestLeaveOneOut:
             full = set(split.train.history_items(u).tolist())
             full.add(int(split.test_items[u]))
             assert not full.intersection(negs.tolist())
+
+    def test_negative_count_is_an_error(self):
+        ds = make_dataset([[(0, 1), (1, 2)]], num_items=5)
+        with pytest.raises(DataError, match="num_negatives must be >= 0,"
+                           " got -1"):
+            leave_one_out_split(ds, seed=0, num_negatives=-1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=split_cases())
+    def test_split_matches_the_per_user_split(self, case):
+        dataset, seed, num_negatives = case
+        got, want = (_outcome(split, dataset, seed, num_negatives)
+                     for split in (leave_one_out_split,
+                                   per_user_split.leave_one_out_split))
+        assert got[0] == want[0], (got, want)
+        if got[0] == "raised":
+            assert got[1:] == want[1:]
+            return
+        got, want = got[1], want[1]
+        for attr in ("user_ids", "item_ids", "raw_interactions"):
+            assert getattr(got.train, attr) == getattr(want.train, attr)
+        arrays = [(got.test_items, want.test_items)]
+        for u in range(want.train.num_users):
+            arrays += [(got.train.history_items(u),
+                        want.train.history_items(u)),
+                       (got.train.history_times(u),
+                        want.train.history_times(u)),
+                       (got.eval_negatives[u], want.eval_negatives[u])]
+        assert len(got.eval_negatives) == want.train.num_users
+        for a, b in arrays:
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("size, count", [
+        (1, 0), (1, 1), (2, 2), (99, 99), (100, 99), (3000, 99), (3706, 1),
+        (40, 39), (9916, 99)])
+    def test_draws_by_pool_size_match_draws_from_the_pool(self, size, count):
+        # the identity the split's draws rest on: a pool's choice is the
+        # pool at the positions drawn from its size
+        pool = np.sort(rng_from_seed(size).choice(2 * size + 3, size=size,
+                                                  replace=False))
+        for seed in range(5):
+            a, b = rng_from_seed(seed, "loo"), rng_from_seed(seed, "loo")
+            for _ in range(3):
+                assert np.array_equal(
+                    a.choice(pool, size=count, replace=False),
+                    pool[b.choice(pool.size, size=count, replace=False)])
 
     def test_split_is_deterministic_byte_for_byte(self, tmp_path):
         ds = synthetic_dataset(num_users=20, num_items=300, seed=2)
@@ -499,6 +569,21 @@ class TestSplitFiles:
         save_split(split, tmp_path / "one")
         loaded = load_split(tmp_path / "one")
         assert _split_key(loaded) == _split_key(split)
+
+    @pytest.mark.parametrize("part", ["test", "negatives"])
+    def test_negative_item_is_refused_before_writing(self, tmp_path, part):
+        # the writer pads a row of negatives with -1, so a negative item
+        # would vanish from its row; it is refused, naming the user
+        split = leave_one_out_split(synthetic_dataset(num_users=4), seed=1,
+                                    num_negatives=3)
+        if part == "test":
+            split.test_items[2] = -4
+        else:
+            split.eval_negatives[2] = np.array([5, -1, 7])
+        with pytest.raises(DataError, match="^user 'u2' has a negative item"
+                                            " index$"):
+            save_split(split, tmp_path / "sp")
+        assert list(tmp_path.iterdir()) == []
 
     def test_file_shapes(self, tmp_path):
         ds = synthetic_dataset(num_users=20, num_items=300, seed=1)
@@ -1104,11 +1189,18 @@ class TestFastReaders:
                  for u, uid in enumerate(users) for k in range(6)]
         split = leave_one_out_split(parse("\n".join(lines)), seed=5,
                                     num_negatives=3)
-        save_split(split, tmp_path / "fast")
-        save_split_rows(split, tmp_path / "rows")
-        for part in ("train", "test", "negatives", "idmap"):
-            assert ((tmp_path / f"fast.{part}").read_bytes()
-                    == (tmp_path / f"rows.{part}").read_bytes()), part
+        # and with ragged rows of 1 to 3 negatives, the longest not first
+        ragged = copy.copy(split)
+        ragged.eval_negatives = [row[:1 + u % 3] for u, row in
+                                 enumerate(split.eval_negatives)]
+        assert len({len(row) for row in ragged.eval_negatives}) == 3
+        for name, case in (("even", split), ("ragged", ragged)):
+            save_split(case, tmp_path / f"{name}-fast")
+            save_split_rows(case, tmp_path / f"{name}-rows")
+            for part in ("train", "test", "negatives", "idmap"):
+                assert ((tmp_path / f"{name}-fast.{part}").read_bytes()
+                        == (tmp_path / f"{name}-rows.{part}").read_bytes()), \
+                    (name, part)
 
     def test_decimal_lines_match_fstrings(self):
         values = sorted({0, 1, 2 ** 63 - 1} | {
@@ -1116,4 +1208,17 @@ class TestFastReaders:
             for v in (10 ** k - 1, 10 ** k, 10 ** k + 1)})
         column = np.array(values, dtype=np.int64)
         expected = "".join(f"{a}\t{b}\n" for a, b in zip(values, values[::-1]))
-        assert data._decimal_lines(column, column[::-1].copy()) == expected
+        assert data._decimal_lines(column, column[::-1].copy()) == \
+            expected.encode()
+        # a block whose negative cells pad a row past its end, wherever
+        # the row ends
+        width = 5
+        block = np.stack([np.roll(column, k)[:width]
+                          for k in range(column.size)])
+        ends = np.arange(column.size) % (width + 1)
+        block[np.arange(width) >= ends[:, None]] = -1
+        expected = "".join(
+            "\t".join(map(str, [a, *row[:n].tolist()])) + "\n"
+            for a, row, n in zip(values, block, ends.tolist()))
+        assert data._decimal_lines(column, block) == expected.encode()
+        assert data._decimal_lines(column[:0], block[:0]) == b""

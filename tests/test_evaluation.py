@@ -294,6 +294,30 @@ class TestItemKnn:
         block = model._counts[np.ix_(cands, hist)] * model._inv_sqrt[hist]
         assert np.array_equal(got, block.sum(axis=1) * model._inv_sqrt[cands])
 
+    def test_row_gather_switch_keeps_every_bit(self, monkeypatch):
+        # histories of 1 to 30 of 40 items: at a share of 0 every user is
+        # scored from whole count rows, at 1 by the flat gather, and at the
+        # default share (2 items here) some of each; candidates inside
+        # and outside each history give the same scores to the bit
+        rng = rng_from_seed(61)
+        ds = make_dataset([list(zip(rng.choice(40, size=n, replace=False)
+                                    .tolist(), range(n)))
+                           for n in (1, 2, 3, 10, 30, 2, 17)], num_items=40)
+        _, factory = item_knn_fit_and_score(ds)
+        cands = [np.concatenate((ds.history_items(u)[:2],
+                                 rng.choice(40, size=25)))
+                 for u in range(ds.num_users)]
+        lengths = np.array([h.size for h in ds.item_arrays()])
+        default = evaluation.ROW_GATHER_SHARE
+        assert (lengths > default * 40).any()
+        assert (lengths <= default * 40).any()
+        scores = {}
+        for share in (0.0, 1.0, default):
+            monkeypatch.setattr(evaluation, "ROW_GATHER_SHARE", share)
+            scores[share] = [factory(u)(c).tobytes()
+                             for u, c in enumerate(cands)]
+        assert scores[0.0] == scores[1.0] == scores[default]
+
     def test_matches_set_oracle(self):
         # item 6 is untouched; in row 0, items 3 and 4 tie
         hand = [[0, 1, 3], [0, 1], [0, 1, 4], [0, 1], [3, 2, 5], [4, 2]]

@@ -7,6 +7,7 @@ parameter is left unused."""
 
 import ast
 import functools
+import hashlib
 import importlib
 import json
 import os
@@ -20,7 +21,8 @@ import pytest
 import bench_fits
 from bench_fits import run_py_constant
 from deepicf.checkpoint import load_checkpoint
-from deepicf.data import leave_one_out_split, parse_interactions
+from deepicf.data import (leave_one_out_split, parse_interactions,
+                          save_split)
 from deepicf.evaluation import (evaluate, item_knn_fit_and_score,
                                 item_pop_scorer, metrics_at_k,
                                 model_scorer_factory, rank_test_item)
@@ -61,6 +63,18 @@ PINNED_PARAMS = {
         "9668963ea8a52cba221f0903a69283d621a656e007d7ad8ff7dfc841da13447c",
     ("train-minibatch", "DeepICF_A"):
         "c4936c20318bc2cd36b4a3b728e55079b15ae06a1d8b43cb827083edf8c34ebd",
+}
+# the sha256 of each file of the seed-1 split of `gen.py`'s full log, as
+# `save_split` writes it
+PINNED_SPLIT = {
+    "train":
+        "68a348dff6267efbac662909eb582f5c77c6fbb15452d390864d4414cb22d594",
+    "test":
+        "ac5627f4f3bf67f66722c41928d1b4d849046cdbb68bf6ea6aeadf3f399b80e2",
+    "negatives":
+        "db1cea45ed597b1b9aa1a19efed921549952c334dc929c6b175885b59180487f",
+    "idmap":
+        "edb838b31534574f3358e9c65525a9851da9d10f56bf6ac5d7af3a8f921de99e",
 }
 # parameters a protocol requires of a function that has no use for them:
 # ItemPop's scorer factory takes the user it scores alike for everyone
@@ -154,18 +168,40 @@ def test_training_parameters_match_the_pinned_bytes(train_sample):
                    for key in PINNED_PARAMS}
 
 
-def test_ranking_metrics_match_the_benchmark_record(tmp_path):
+@pytest.fixture(scope="module")
+def full_log(tmp_path_factory):
+    """The directory of ``gen.py``'s full log and checkpoints at the
+    benchmark's seed."""
+    out = tmp_path_factory.mktemp("full-log")
+    subprocess.run([sys.executable, str(PERFBENCH / "gen.py"), "--seed",
+                    str(run_py_constant("DEFAULT_SEED")), "--out", str(out)],
+                   check=True, capture_output=True)
+    return out
+
+
+def _full_split(full_log):
+    with open(full_log / "ratings.dat", encoding="utf-8") as f:
+        return leave_one_out_split(parse_interactions(f, fmt="double_colon"),
+                                   run_py_constant("DEFAULT_SEED"))
+
+
+def test_split_files_match_the_pinned_bytes(full_log, tmp_path):
+    """The leave-one-out split of ``gen.py``'s full log at seed 1, saved,
+    gives files whose bytes hash to ``PINNED_SPLIT``: the held-out items,
+    every negative drawn and every byte written stay as they were."""
+    assert run_py_constant("DEFAULT_SEED") == PINNED_SEED
+    save_split(_full_split(full_log), tmp_path / "split")
+    assert {part: hashlib.sha256(
+        (tmp_path / f"split.{part}").read_bytes()).hexdigest()
+        for part in PINNED_SPLIT} == PINNED_SPLIT
+
+
+def test_ranking_metrics_match_the_benchmark_record(full_log):
     """On ``gen.py``'s full log, ItemKNN and ItemPop on every slice of
     users that ``Bench.rank`` ranks, and the three variants from the
     generator's checkpoints on the first slice, give the HR and NDCG
     that ``expected.json`` records within ``run.py``'s tolerance."""
-    seed = run_py_constant("DEFAULT_SEED")
-    subprocess.run([sys.executable, str(PERFBENCH / "gen.py"), "--seed",
-                    str(seed), "--out", str(tmp_path)],
-                   check=True, capture_output=True)
-    with open(tmp_path / "ratings.dat", encoding="utf-8") as f:
-        split = leave_one_out_split(parse_interactions(f, fmt="double_colon"),
-                                    seed)
+    split = _full_split(full_log)
     cutoff, chunks = run_py_constant("CUTOFF"), run_py_constant("CHUNKS")
     # every CHUNKS-th user in (history length, index) order
     lengths = [hist.size for hist in split.train.item_arrays()]
@@ -189,7 +225,7 @@ def test_ranking_metrics_match_the_benchmark_record(tmp_path):
         ranks = [rank for _, rank in evaluate(factory, split, cutoff).per_user]
         got[label] = [metrics([ranks[u] for u in users]) for users in slices]
     for variant in run_py_constant("VARIANTS"):
-        params, config = load_checkpoint(tmp_path / f"{variant}.ckpt")[:2]
+        params, config = load_checkpoint(full_log / f"{variant}.ckpt")[:2]
         factory = model_scorer_factory(params, config, split)
         got[variant] = [metrics([
             rank_test_item(factory(u), split.test_items[u],

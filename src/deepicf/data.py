@@ -276,8 +276,14 @@ def parse_interactions(f, fmt="tab"):
     del times
     first, pair_keys = order[starts], pair_keys[starts]
     del order, starts
-    by_line = np.argsort(first)
-    del first
+    # back in line order: each pair's number, put at its first line, is
+    # read out past a row-sized mask of those lines
+    kept = np.zeros(raw, dtype=bool)
+    kept[first] = True
+    by_line = np.empty(raw, dtype=np.int64)
+    by_line[first] = np.arange(first.size)
+    by_line = by_line[kept]
+    del first, kept
     pair_keys, latest = pair_keys[by_line], latest[by_line]
     del by_line
     hist_items, hist_times = _split_by_user(
@@ -342,11 +348,15 @@ def _log_bytes(text, sep, indexes):
             return None
         times *= 10
         times += digits
-    ratings, _ = _distinct_fields(raw, words, first[2], length[2])
-    try:
-        list(map(float, ratings))   # the row rules' own test of a rating
-    except ValueError:
-        return None
+    # a rating of one ASCII digit is a number; any other takes the row
+    # rules' own test, float(), once per distinct field
+    if not ((length[2] == 1).all()
+            and (chars[first[2]] - 48 <= 9).all()):
+        ratings, _ = _distinct_fields(raw, words, first[2], length[2])
+        try:
+            list(map(float, ratings))
+        except ValueError:
+            return None
     codes = []
     for k, index in enumerate(indexes):
         ids, numbers = _distinct_fields(raw, words, first[k], length[k])
@@ -882,12 +892,16 @@ def _load_user_rows(path, rows, history, num_users, num_items,
     items[real] = np.delete(values, starts)
 
     # A row whose user or items are out of range is flagged by that rule
-    # first, whatever the masks after it give.
+    # first, whatever the masks after it give; in a row of items in range,
+    # the -1 padding sorts first. The overlap check searches the history
+    # for each row's items in ascending order, so its keys ascend with the
+    # users.
     owners = np.clip(users, 0, num_users - 1)
-    held = _in_sorted(history, owners[:, None] * num_items + items)
+    ordered = items if single else np.sort(items, axis=1)
+    held = _in_sorted(history, owners[:, None] * num_items + ordered)
     if not single:
-        held |= items == test_items[owners, None]
-    held &= real
+        held |= ordered == test_items[owners, None]
+    held &= ordered >= 0
     rules = [
         ((counts != 1) if single else (counts < 1), lambda row, line:
          f"expected {'one item' if single else 'items'}"
@@ -904,14 +918,13 @@ def _load_user_rows(path, rows, history, num_users, num_items,
              if not 0 <= i < num_items), num_items)),
     ]
     if not single:
-        ordered = np.sort(items, axis=1)   # padding first
         rules.append((((ordered[:, 1:] == ordered[:, :-1])
                        & (ordered[:, 1:] >= 0)).any(axis=1),
                       lambda row, line: "duplicate evaluation negatives"))
     rules.append((held.any(axis=1), lambda row, line: (
         f"test item {items[row, 0]} in training history" if single
         else "negatives overlap history or test item:"
-        f" {sorted(items[row][held[row]].tolist())}")))
+        f" {ordered[row][held[row]].tolist()}")))
     file.raise_first(rules)
     missing = np.flatnonzero(np.bincount(users, minlength=num_users) == 0)
     if missing.size:

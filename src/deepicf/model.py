@@ -21,7 +21,9 @@ The attention variant lays its hidden units out candidate-major,
 ``(..., k', n)`` for ``n`` history rows, from one GEMM: :func:`_attention`
 gathers a user's history and forms that net, which
 :func:`_attention_backward` takes back, alike for one item and for a
-user's candidates.
+user's candidates. A training batch cuts every user's hidden units from
+one float64 scratch vector, which :func:`backward` overwrites with the
+ReLU mask times the score gradients, so a cache serves one backward pass.
 
 The tensors of a variant are declared once, by :func:`param_layout`, and
 :class:`ModelParams` lays them out in one vector: the parameters, the
@@ -286,14 +288,16 @@ class ForwardCache:
     hist_embed: np.ndarray       # (n, k) gathered history embeddings
     target: np.ndarray           # (k,) target embedding
     pool_scale: object           # (1,) |kept history|^-alpha, or 1.0
-    hist_sum: np.ndarray | None  # (k,) sum of the kept history rows
+    hist_sum: np.ndarray         # (k,) sum of the kept history rows,
+                                 # weighted by the attention (DeepICF_A)
     net: tuple | None            # the attention net, as _attention gives it
     pooled: np.ndarray           # (k,)
     layer_pres: list             # per tower layer, (d_l,)
     layer_acts: list
+    spent: bool = False          # backward has run on it
 
 
-def _attention(params, beta, p, hist, keep):
+def _attention(params, beta, p, hist, keep, out=None):
     """The attention net of one user's candidates, given their target
     rows ``p`` (``(..., k)``) and the user's history indices ``hist``:
     ``(net, pooled)``, with ``net = ([q, 1], hidden, scores, weights,
@@ -301,7 +305,8 @@ def _attention(params, beta, p, hist, keep):
     ``q`` are gathered beside a ones column, and the targets fold into
     the attention weights beside the bias, so that one GEMM against
     ``[q, 1]`` gives every pre-activation ``W_att (p * q_t) + b``,
-    ``(..., k', n)``, rectified in place. The weights leave out the
+    ``(..., k', n)``, rectified in place: into ``out``, a float64 vector
+    of that size, or else into a fresh array. The weights leave out the
     entries where ``keep`` is False (None keeps all); ``pooled``, the
     weighted history sums, is not yet scaled by the targets."""
     w_att = params["att_weight"]
@@ -311,10 +316,15 @@ def _attention(params, beta, p, hist, keep):
     hist_ones[:, :k] = params["history_embed"].take(hist, axis=0)
     hist_ones[:, k] = 1.0
     lead = p.shape[:-1] + (k_att,)
+    rows = math.prod(lead)
     folded = np.empty(lead + (k + 1,))
     np.einsum("...i,ji->...ji", p, w_att, out=folded[..., :k])
     folded[..., k] = params["att_bias"]
-    hidden = (folded.reshape(-1, k + 1) @ hist_ones.T).reshape(lead + (n,))
+    # the shapes spelt out, as no -1 can stand for a row count of units
+    # over an empty history
+    hidden = np.matmul(folded.reshape(rows, k + 1), hist_ones.T,
+                       out=(np.empty(rows * n) if out is None else out)
+                       .reshape(rows, n)).reshape(lead + (n,))
     relu(hidden, out=hidden)
     scores = params["att_out"] @ hidden
     weights = (softmax_beta(scores, beta, keep) if n
@@ -355,29 +365,35 @@ def _check_range(kind, index, bound):
                          f"[0, {bound})")
 
 
-def predict_logit(params, config, history, user, items, sizes=None):
+def predict_logit(params, config, history, user, items, sizes=None,
+                  scratch=None):
     """Forward pass with range-checked indices: ``(logit, cache)``. Of one
     user, given its stored training history, and one item, masked out of
     the history so that a leaked copy cannot influence its own score: a
     float and a :class:`ForwardCache`. With ``sizes``, of a training batch
     laid out as :func:`_score_users` takes it (``history`` holds the users'
-    histories): an array of logits and the list of the batch's blocks."""
+    histories): an array of logits and the list of the batch's blocks,
+    whose DeepICF_A hidden units are cut from ``scratch``, a float64
+    vector of at least ``k'`` times the sum of ``sizes`` times the
+    history lengths entries, or from a fresh one. Either cache serves one
+    :func:`backward` pass, and the batch's units last until the next
+    batch cut from the same ``scratch``."""
     if sizes is not None:
         blocks = []
         return _score_users(params, config, history, user, items, sizes,
-                            blocks), blocks
+                            blocks, scratch), blocks
     hist = np.asarray(history, dtype=np.int64)
     _check_range("user", operator.index(user), params.num_users)
     _check_range("item", operator.index(items), params.num_items)
     _check_range("history item", hist, params.num_items)
     keep = hist != items
     p = params["target_embed"][items]
-    hist_sum = net = None
+    net = None
     if config.uses_attention:
         scale = 1.0
-        net, pooled = _attention(params, config.beta, p, hist, keep)
+        net, hist_sum = _attention(params, config.beta, p, hist, keep)
         q = net[0][:, :-1]
-        pooled *= p
+        pooled = p * hist_sum
     else:
         # alpha=0 is plain sum pooling; an empty set pools to zero, with
         # the normalizer defined as 1 to avoid 0**-alpha
@@ -405,14 +421,18 @@ def score_items(params, config, history, user, items):
 
 
 def _score_users(params, config, histories, users, items, sizes,
-                 blocks=None):
+                 blocks=None, scratch=None):
     """Logits of many users' candidates, end to end: ``items`` holds
     ``sizes[b]`` candidates of user ``users[b]``, each scored against
     ``histories[b]`` (which holds an item at most once) with itself masked
     out, in blocks whose arrays stay within ``SCORE_BLOCK_BYTES`` by
     :func:`_block_cost`. Each :class:`BlockCache`, attention nets and all,
-    is appended to a list ``blocks``. Every index is range-checked. Beside
-    the blocks, a call holds its logits.
+    is appended to a list ``blocks``, the nets' hidden units cut in turn
+    from ``scratch`` (allocated if None) as :func:`predict_logit` sizes
+    it. Every index is range-checked, and ``sizes`` must give each user a
+    count and sum to the candidates. Beside the blocks, a call holds its
+    logits; ranking's attention units are fresh arrays, one user's at a
+    time.
 
     A user's logits do not depend on the block: its pooling is its own,
     the prediction layer is one dot product per row, and the tower's
@@ -421,6 +441,13 @@ def _score_users(params, config, histories, users, items, sizes,
     DeepICF_A's pieces of a user, while its history is under 32 rows."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes.shape != users.shape or len(histories) != users.size
+            or sizes.min(initial=0) < 0 or sizes.sum() != items.size):
+        raise ModelError(
+            f"{users.size} users with {len(histories)} histories and "
+            f"candidate counts {sizes.tolist()} do not lay out "
+            f"{items.size} candidates")
     if items.size == 0:
         return np.empty(0)
     _check_range("user", users, params.num_users)
@@ -428,11 +455,20 @@ def _score_users(params, config, histories, users, items, sizes,
     histories = [np.asarray(h, dtype=np.int64) for h in histories]
     _check_range("history item", np.concatenate(histories), params.num_items)
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
-    entry, sizes, cost = _block_cost(config, lengths,
-                                     np.asarray(sizes, dtype=np.int64),
+    if blocks is not None and config.uses_attention:
+        need = config.k_prime * int(sizes @ lengths)
+        if scratch is None:
+            scratch = np.empty(need)
+        elif scratch.size < need:
+            raise ModelError(f"the batch's attention units need {need} "
+                             f"scratch entries, got {scratch.size}")
+    entry, sizes, cost = _block_cost(config, lengths, sizes,
                                      params.num_items)
     histories = [histories[b] for b in entry.tolist()]
     users = users[entry]
+    # each piece's attention units, cut in turn from the scratch
+    units = ([None] * users.size if scratch is None else np.split(
+        scratch, np.cumsum(config.k_prime * sizes * lengths[entry]))[:-1])
     cost_ends, row_ends = np.cumsum(cost), np.cumsum(sizes)
     logits, start = np.empty(items.size), 0
     while start < users.size:
@@ -442,7 +478,7 @@ def _score_users(params, config, histories, users, items, sizes,
         rows = slice(row_ends[start] - sizes[start], row_ends[stop - 1])
         block = _score_block(params, config, histories[start:stop],
                              users[start:stop], items[rows],
-                             sizes[start:stop], blocks is not None)
+                             sizes[start:stop], units[start:stop])
         logits[rows] = block.logit
         if blocks is not None:
             blocks.append(block)
@@ -511,16 +547,17 @@ class BlockCache:
     owner: np.ndarray            # (C,) the block row of each one's user
     inside: np.ndarray           # (C,) True where it is in that history
     pool_scale: object           # (C, 1) |kept history|^-alpha, or 1.0
-    hist_sum: np.ndarray | None  # (C, k) kept history sums (FISM, DeepICF)
+    hist_sum: np.ndarray         # (C, k) kept history sums, weighted by
+                                 # the attention (DeepICF_A)
     nets: list                   # per user, its attention net (DeepICF_A)
     pooled: np.ndarray           # (C, k)
     layer_pres: list             # per tower layer, (C, d_l)
     layer_acts: list
     logit: np.ndarray            # (C,)
+    spent: bool = False          # backward has run on it
 
 
-def _score_block(params, config, histories, users, items, sizes,
-                 train=False):
+def _score_block(params, config, histories, users, items, sizes, units):
     """One pass of :func:`_score_users` over a block of users. FISM and
     DeepICF sum each history with one ``np.add.reduceat`` over the
     block's rows laid out item-major: its gathered rows transposed or,
@@ -529,25 +566,26 @@ def _score_block(params, config, histories, users, items, sizes,
     inside a history (:func:`_owners`) subtracts its own row and one from
     its count.
     DeepICF_A calls :func:`_attention` once per user, masked only where a
-    candidate is inside the history, and keeps each net in ``nets`` to
-    ``train``."""
+    candidate is inside the history. To train, ``units`` gives each user
+    a vector to write its hidden units into, and each net is kept in
+    ``nets``; to rank, it holds None for each."""
     lengths = np.array([hist.size for hist in histories], dtype=np.int64)
     hist = np.concatenate(histories)
     owner, inside = _owners(params.num_items, hist, lengths, items, sizes)
     pooled = params["target_embed"].take(items, axis=0)
-    scale, hist_sum, nets = 1.0, None, []
+    scale, nets = 1.0, []
     if config.uses_attention:
-        p, pooled = pooled, np.empty(pooled.shape)
-        for user_hist, start, c in zip(histories, np.cumsum(sizes) - sizes,
-                                       sizes):
+        p, hist_sum = pooled, np.empty(pooled.shape)
+        for user_hist, start, c, out in zip(
+                histories, np.cumsum(sizes) - sizes, sizes, units):
             rows = slice(start, start + c)
             keep = (user_hist != items[rows, None] if inside[rows].any()
                     else None)
-            net, pooled[rows] = _attention(params, config.beta, p[rows],
-                                           user_hist, keep)
-            if train:
+            net, hist_sum[rows] = _attention(params, config.beta, p[rows],
+                                             user_hist, keep, out)
+            if out is not None:
                 nets.append(net)
-        pooled *= p
+        pooled = p * hist_sum
     else:
         hist_sum = np.zeros((users.size, config.k))
         # only the users with a history, since reduceat would give an
@@ -594,19 +632,29 @@ def backward(params, config, cache, dlogit):
     :func:`_attention_backward`. A target row collects the gradient of
     each candidate of its item, a history row that of each candidate that
     keeps it in its pool: in a block, its users' sums of ``d_pool * p``,
-    less that of any candidate whose own row it is."""
+    less that of any candidate whose own row it is. The pass spends the
+    cache: DeepICF_A's hidden units are overwritten, and a second pass
+    over it is a :class:`ModelError`."""
+    one = isinstance(cache, ForwardCache)
+    caches = [cache] if one else cache
+    if any(each.spent for each in caches):
+        raise ModelError("backward has already run on this cache, whose "
+                         "attention units it overwrites")
+    for each in caches:
+        each.spent = True
     # the layout past the embedding tables and bias vectors, and its views
     # in a plain dict, to which += adds in place with no copy
     dense = params.zeroed_tail(4 if config.trains_output_weights
                                else len(params.layout))
     sums = dict(dense)
-    if isinstance(cache, ForwardCache):
+    if one:
         p = cache.target
         d_vec = _head_backward(params, config, cache, dlogit, sums)
         rows = cache.hist[cache.keep]
         if config.uses_attention:
             d_target, d_history = _attention_backward(
-                params, config.beta, cache.net, p, d_vec, sums)
+                params, config.beta, cache.net, p, d_vec, cache.hist_sum,
+                sums)
             d_history = d_history[cache.keep]
         else:
             d_pool = cache.pool_scale * d_vec
@@ -647,11 +695,13 @@ def _head_backward(params, config, cache, dlogit, sums):
     return d_vec
 
 
-def _attention_backward(params, beta, net, p, d_vec, sums):
+def _attention_backward(params, beta, net, p, d_vec, hist_sum, sums):
     """The gradients through one user's :func:`_attention` net,
-    ``([q, 1], hidden, scores, weights, mask)``, of target rows ``p``,
-    given ``d_vec`` at the pooled rows: the attention tensors' go into
+    ``([q, 1], hidden, scores, weights, mask)``, of target rows ``p``
+    with weighted history sums ``hist_sum`` (``weights @ q``), given
+    ``d_vec`` at the pooled rows: the attention tensors' go into
     ``sums``; returns ``(d_target, d_history)`` over every history row.
+    ``hidden`` is overwritten, with the masked score gradients.
     The beta exponent couples all softmax weights, ``w_r * d_r - beta *
     g_r * <d, w>`` with g the plain softmax. The products' gradients fold
     through ``M = d_pre @ [q, 1]``, whose ones column gives the bias
@@ -666,9 +716,10 @@ def _attention_backward(params, beta, net, p, d_vec, sums):
     sums["att_out"] += _total(hidden @ d_scores[..., None], one)[:, 0]
     # d_pre = att_out * d_scores where a unit is on, which is where its
     # ReLU output is positive, as where its pre-activation is; only the
-    # mask times d_scores is formed, and att_out, constant along the
-    # history, is applied to the small factors on either side
-    rows_pre = (hidden > 0.0).astype(np.float64)
+    # mask times d_scores is formed, over the units themselves, and
+    # att_out, constant along the history, is applied to the small
+    # factors on either side
+    rows_pre = np.greater(hidden, 0.0, out=hidden)
     rows_pre *= d_scores[..., None, :]
     rows_pre = rows_pre.reshape(math.prod(hidden.shape[:-1]), q.shape[0])
     m = (rows_pre @ hist_ones).reshape(p.shape[:-1] + (k_att, k + 1))
@@ -676,7 +727,7 @@ def _attention_backward(params, beta, net, p, d_vec, sums):
     sums["att_weight"] += _total(m[..., :k] * p[..., None, :], one)
     sums["att_bias"] += _total(m[..., k], one)
     # direct path through the weights, then the attention path
-    d_target = d_vec * (weights @ q) + (m[..., :k] * w_att).sum(axis=-2)
+    d_target = d_vec * hist_sum + (m[..., :k] * w_att).sum(axis=-2)
     w_scaled = ((w_att * params["att_out"][:, None])
                 * p[..., None, :]).reshape(-1, k)
     return d_target, (_outer_total(weights, dp, one)
@@ -698,7 +749,8 @@ def _block_backward(params, config, block, dlogit, sums):
                                        block.lengths, at):
             rows = slice(start, start + c)
             d_target[rows], d_history[:, a:a + n].T[...] = _attention_backward(
-                params, config.beta, net, p[rows], d_vec[rows], sums)
+                params, config.beta, net, p[rows], d_vec[rows],
+                block.hist_sum[rows], sums)
         own = np.zeros((p.shape[1], inside.sum()))
     else:
         d_pool = block.pool_scale * d_vec

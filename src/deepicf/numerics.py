@@ -116,9 +116,13 @@ def softmax_beta(scores, beta, mask=None):
     # the largest kept |s| of a row picks its branch, and is NaN or inf
     # where a kept score is not finite; one pass over all rows finds
     # the common case, every row direct
-    if beta < 1.0 and _top(s, mask, None) <= _DIRECT_SCORE_BOUND:
-        e = (np.exp(s) if mask is None
-             else np.exp(s, out=np.zeros(s.shape), where=mask))
+    if beta < 1.0 and _all_direct(s, mask):
+        if mask is None:
+            e = np.exp(s)
+        else:
+            # a left-out entry is exp(-inf), an exact 0
+            e = np.where(mask, s, -np.inf)
+            np.exp(e, out=e)
         e /= _nonzero(e.sum(axis=-1, keepdims=True)) ** beta
         return e
     top = _top(s, mask)
@@ -139,6 +143,14 @@ def softmax_beta(scores, beta, mask=None):
     np.copyto(logw, 0.0, where=live == -np.inf)
     np.copyto(logw, weights, where=direct)
     return logw
+
+
+def _all_direct(s, mask):
+    """Whether every row's largest kept |s| is within the direct
+    branch's bound: read off all the scores where they are all within it,
+    as they mostly are, and off the kept ones only otherwise."""
+    return (_top(s, None, None) <= _DIRECT_SCORE_BOUND
+            or mask is not None and _top(s, mask, None) <= _DIRECT_SCORE_BOUND)
 
 
 def _top(s, mask, axis=-1):
@@ -182,11 +194,17 @@ def softmax_beta_vjp(scores, weights, beta, d_weights, mask=None):
     else:
         s = np.asarray(scores, dtype=np.float64)
         g = weights / _nonzero(weights.sum(axis=-1, keepdims=True))
-        if not _top(s, mask, None) <= _DIRECT_SCORE_BOUND:
+        if not _all_direct(s, mask):
             g = np.where(_top(s, mask) <= _DIRECT_SCORE_BOUND, g, _softmax(
                 s if mask is None else np.where(mask, s, -np.inf)))
-    inner = (d * weights).sum(axis=-1, keepdims=True)
-    return weights * d - beta * g * inner
+    # the products d * w once, as the gradient's first term, from which
+    # beta * g * <d, w> is taken in place
+    grad = weights * d
+    inner = grad.sum(axis=-1, keepdims=True)
+    coupled = beta * g
+    coupled *= inner
+    grad -= coupled
+    return grad
 
 
 def relu(x, out=None):

@@ -129,10 +129,12 @@ def train_epoch(params, config, split, opt_state, rng):
     into update batches of ``batch_size``. Parameters are fixed within a
     batch, so one of more than one instance is one block of users, as
     ranking scores them: one forward pass scores it and one analytic
-    backward pass returns its summed gradients, for one Adagrad step. A
-    batch of one takes the one-item passes. Returns the mean per-instance
-    loss. A non-finite logit or loss aborts immediately, naming the first
-    offending instance in stream order in the exception.
+    backward pass returns its summed gradients, for one Adagrad step.
+    DeepICF_A's batches cut their attention units from one scratch vector
+    of the epoch, :func:`_attention_scratch`. A batch of one takes the
+    one-item passes. Returns the mean per-instance loss. A non-finite
+    logit or loss aborts immediately, naming the first offending instance
+    in stream order in the exception.
     """
     instances = sample_training_instances(split.train, config.num_negatives, rng)
     if instances.shape[0] == 0:
@@ -140,6 +142,8 @@ def train_epoch(params, config, split, opt_state, rng):
     histories = split.train.item_arrays()
     size = config.batch_size
     stream = instances.tolist() if size == 1 else None
+    scratch = (_attention_scratch(config, histories, instances[:, 0], size)
+               if stream is None and config.uses_attention else None)
     total, order = 0.0, [0]
     for start in range(0, len(instances), size):
         if stream is not None:
@@ -152,7 +156,7 @@ def train_epoch(params, config, split, opt_state, rng):
             users, sizes = np.unique(user, return_counts=True)
             logit, cache = predict_logit(
                 params, config, [histories[u] for u in users.tolist()],
-                users, item, sizes)
+                users, item, sizes, scratch)
         loss, dlogit = loss_with_reg(logit, label, params, config, cache)
         batch_loss = loss if stream is not None else float(loss.sum())
         if not math.isfinite(batch_loss):
@@ -173,6 +177,18 @@ def train_epoch(params, config, split, opt_state, rng):
                     add_l2_grads(backward(params, config, cache, dlogit),
                                  params, config))
     return total / len(instances)
+
+
+def _attention_scratch(config, histories, users, batch_size):
+    """The vector that every batch of an epoch, instances of ``users`` cut
+    into batches of ``batch_size``, cuts its attention units from: ``k'``
+    entries per history row of each instance, for the batch that needs
+    most. Made once, its pages are touched by the first batches and then
+    reused, where a fresh array per batch would be mapped and unmapped."""
+    lengths = np.fromiter(map(len, histories), np.int64, len(histories))
+    per_batch = np.add.reduceat(lengths[users],
+                                np.arange(0, users.size, batch_size))
+    return np.empty(config.k_prime * int(per_batch.max()))
 
 
 @dataclass

@@ -60,6 +60,31 @@ class TestParse:
         with pytest.raises(DataError, match="line 1"):
             parse("u\ta\tnotanumber\t1\n")
 
+    # a block of one-digit ratings skips float(); any other rating is
+    # accepted or refused as float() decides, alone or among such rows
+    @pytest.mark.parametrize("rating", [
+        "4.5", "1e0", "nan", " 3", "10", "-1", "1_0", "x", "7", "0", "\u0663",
+        "\x0b", ";", "/", "1.", "+5", "5 ", "0x1"])
+    @pytest.mark.parametrize("fmt", ["tab", "double_colon"])
+    def test_rating_is_read_as_float_reads_it(self, rating, fmt):
+        try:
+            float(rating)
+            valid = True
+        except ValueError:
+            valid = False
+        sep = data.SEPARATORS[fmt]
+        for rows in ([("u", "a", rating, "3")],
+                     [("u", "a", "5", "3"), ("v", "a", rating, "2"),
+                      ("v", "b", "1", "4")]):
+            text = "".join(sep.join(row) + "\n" for row in rows)
+            if valid:
+                assert parse(text, fmt).raw_interactions == len(rows)
+            else:
+                with pytest.raises(DataError) as err:
+                    parse(text, fmt)
+                assert str(err.value).startswith(
+                    f"line {len(rows) // 2 + 1}: bad rating/timestamp")
+
     def test_negative_timestamp_rejected(self):
         with pytest.raises(DataError, match="negative timestamp"):
             parse("u\ta\t1\t-4\n")

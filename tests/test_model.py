@@ -492,6 +492,29 @@ class TestPredict:
         # and a block with no users at all
         assert model._score_users(p, cfg, [], [], [], []).shape == (0,)
 
+    @pytest.mark.parametrize("variant", [Variant.FISM, Variant.DEEPICF_A])
+    def test_batch_sizes_must_lay_out_the_candidates(self, variant):
+        # a count per user, none negative, summing to the candidates:
+        # otherwise a block reads past its candidates, leaves logits
+        # unwritten or cuts a wrong share of the attention scratch
+        cfg = ModelConfig(variant=variant, k=3, k_prime=2)
+        p, _ = tiny_params(cfg, 3, 8, rng_from_seed(2))
+        histories = [[1, 4], [0, 5, 6]]
+        for users, items, sizes in (
+                ([0], np.arange(6), [1]), ([0], np.arange(3), [4]),
+                ([0], np.arange(2), [-1]), ([0, 1], np.arange(1), [2, -1]),
+                ([0, 1], np.arange(3), [3]), ([0, 1], np.arange(0), [0, 1]),
+                ([0, 1], np.arange(3), [[1, 2]])):
+            with pytest.raises(ModelError, match="do not lay out"):
+                predict_logit(p, cfg, histories[:len(users)], users, items,
+                              sizes)
+        with pytest.raises(ModelError, match="do not lay out"):
+            predict_logit(p, cfg, histories, [0], np.arange(3), [3])
+        logit, _ = predict_logit(p, cfg, histories, [0, 1], np.arange(3),
+                                 [0, 3])
+        assert np.array_equal(logit, score_items(p, cfg, histories[1], 1,
+                                                 np.arange(3)))
+
     def test_two_dimensional_candidates_raise(self):
         cfg = ModelConfig(variant=Variant.FISM, k=2)
         p = init_params(cfg, 1, 4, rng_from_seed(0))
@@ -638,6 +661,57 @@ class TestBackward:
         numeric = finite_diff_grad(loss_of, flat, h=1e-5)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
         assert np.abs(analytic - numeric).max() / scale < 1e-6
+
+    @pytest.mark.parametrize("variant,layers", [
+        (Variant.FISM, 0), (Variant.DEEPICF, 2), (Variant.DEEPICF_A, 1)])
+    def test_block_cache_backward_runs_once(self, variant, layers):
+        # backward overwrites DeepICF_A's attention units with its masked
+        # score gradients, so a cache, of a block or of one item, serves
+        # one pass, and the pass it serves is the one a fresh cache gives
+        cfg = ModelConfig(variant=variant, k=4, k_prime=3, num_layers=layers)
+        p, _ = tiny_params(cfg, 3, 9, rng_from_seed(13, variant.value))
+        histories, users = [[0, 2, 4, 7], [], [5]], [0, 1, 2]
+        items, sizes = np.array([2, 5, 8, 3, 5, 6]), [3, 1, 2]
+        dlogit = np.linspace(-0.5, 0.5, items.size)
+        first = []
+        for _ in range(2):
+            _, blocks = predict_logit(p, cfg, histories, users, items, sizes)
+            first.append(backward(p, cfg, blocks, dlogit))
+            with pytest.raises(ModelError, match="already run"):
+                backward(p, cfg, blocks, dlogit)
+            with pytest.raises(ModelError, match="already run"):
+                backward(p, cfg, blocks[:1], dlogit)
+        assert np.array_equal(first[0].dense.flat, first[1].dense.flat)
+        for name, (rows, values) in first[0].rows.items():
+            assert np.array_equal(first[1].rows[name][0], rows)
+            assert np.array_equal(first[1].rows[name][1], values)
+        _, cache = predict_logit(p, cfg, histories[0], 0, 2)
+        backward(p, cfg, cache, 0.5)
+        with pytest.raises(ModelError, match="already run"):
+            backward(p, cfg, cache, 0.5)
+
+    def test_attention_scratch_holds_the_units(self):
+        # a training batch cuts each user's attention units, in turn, from
+        # the scratch it is given, which must hold them all
+        cfg = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3)
+        p, _ = tiny_params(cfg, 3, 9, rng_from_seed(14))
+        histories, users = [[0, 2, 4, 7], [], [5]], [0, 1, 2]
+        items, sizes = np.array([2, 5, 8, 3, 5, 6]), [3, 1, 2]
+        need = 3 * (3 * 4 + 1 * 0 + 2 * 1)
+        with pytest.raises(ModelError, match=f"need {need} scratch entries"):
+            predict_logit(p, cfg, histories, users, items, sizes,
+                          np.empty(need - 1))
+        scratch = np.full(need + 5, np.nan)
+        logit, blocks = predict_logit(p, cfg, histories, users, items, sizes,
+                                      scratch)
+        fresh, _ = predict_logit(p, cfg, histories, users, items, sizes)
+        assert logit.tobytes() == fresh.tobytes()
+        hidden = [net[1] for net in blocks[0].nets]
+        assert [h.shape for h in hidden] == [(3, 3, 4), (1, 3, 0), (2, 3, 1)]
+        assert np.array_equal(np.concatenate([h.ravel() for h in hidden]),
+                              scratch[:need])
+        assert all(np.shares_memory(h, scratch) for h in hidden[::2])
+        assert np.isnan(scratch[need:]).all()
 
     def test_row_masked_by_every_candidate_gets_no_gradient(self):
         cfg = ModelConfig(variant=Variant.DEEPICF_A, k=4, k_prime=3)

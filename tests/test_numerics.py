@@ -152,6 +152,32 @@ class TestSoftmaxBeta:
         assert np.array_equal(got[1], softmax_beta(s[1], beta))
         assert np.isnan(got[2:]).all()
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_left_out_scores_do_not_choose_the_branch(self, beta):
+        # every kept score is within the direct bound, and only left-out
+        # ones lie past it or are not finite: every row takes the direct
+        # branch, exp(s) / S ** beta, and its vjp reads g off the weights
+        rng = np.random.default_rng(3)
+        s = rng.uniform(-5.0, 5.0, size=(4, 6))
+        mask = np.ones(s.shape, dtype=bool)
+        for r, c, value in ((0, 2, 500.0), (1, 4, np.nan), (2, 0, -np.inf)):
+            s[r, c], mask[r, c] = value, False
+        cot = rng.normal(size=s.shape)
+        got = softmax_beta(s, beta, mask)
+        got_vjp = softmax_beta_vjp(s, got, beta, cot, mask)
+        for r in range(4):
+            keep = mask[r]
+            e = np.exp(s[r, keep])
+            want = np.zeros(6)
+            want[keep] = e / e.sum() ** beta
+            assert np.array_equal(got[r], want)
+            g = want[keep] / want[keep].sum()
+            d = cot[r, keep]
+            want_vjp = np.zeros(6)
+            want_vjp[keep] = (want[keep] * d
+                              - beta * g * (d * want[keep]).sum())
+            assert np.array_equal(got_vjp[r], want_vjp)
+
     def test_rejects_empty_and_bad_beta(self):
         with pytest.raises(ValueError):
             softmax_beta([], 1.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -509,6 +510,49 @@ def many_user_split():
                           seed=5), seed=1, num_negatives=10)
 
 
+class MixedBatches:
+    """A split and an instance stream whose batches of 256 hold the block
+    kernel's edge cases: user 0 has no history, user 1 one row (its item
+    3 pools nothing), user 2 40 rows and user 3 eight. ``BATCHES`` gives
+    each batch's instances per user, shuffled within the batch, with
+    items and labels drawn from the epoch's generator: the first batch
+    holds user 0 and one candidate of user 1, and the second needs the
+    most attention scratch, ``SCRATCH_ROWS`` history rows."""
+
+    HISTORIES = [[], [3], list(range(0, 80, 2)), list(range(5, 45, 5))]
+    BATCHES = [(20, 1, 20, 215), (0, 0, 200, 56), (1, 3, 0, 96)]
+    SCRATCH_ROWS = 200 * 40 + 56 * 8
+    NUM_ITEMS = 90
+
+    def __init__(self):
+        train = make_dataset([[(i, t) for t, i in enumerate(h)]
+                              for h in self.HISTORIES],
+                             num_items=self.NUM_ITEMS)
+        users = len(self.HISTORIES)
+        self.split = LooSplit(train=train, test_items=np.full(users, 89),
+                              eval_negatives=[np.array([88])] * users)
+
+    def install(self, monkeypatch):
+        """Give this split's epochs the stream, in the blocked loop and in
+        the per-instance oracle alike."""
+        for module in (deepicf.training, per_instance):
+            real = module.sample_training_instances
+
+            def sample(train, num_negatives, rng, real=real):
+                if train is not self.split.train:
+                    return real(train, num_negatives, rng)
+                return np.concatenate([self.batch(counts, rng)
+                                       for counts in self.BATCHES])
+
+            monkeypatch.setattr(module, "sample_training_instances", sample)
+
+    def batch(self, counts, rng):
+        users = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        return np.column_stack([
+            users, rng.integers(0, self.NUM_ITEMS, users.size),
+            rng.integers(0, 2, users.size)])
+
+
 def assert_grads_close(got, want, cfg, num_users, num_items):
     """Each trained tensor's part of the flat gradient ``got`` within
     SUM_ORDER_RTOL of ``want``'s, relative to that part's largest entry."""
@@ -553,10 +597,12 @@ class TestGroupedTraining:
     @pytest.mark.parametrize("batch_size", [1, 256])
     @pytest.mark.parametrize("variant,layers", GROUP_CASES)
     def test_fit_matches_per_instance_oracle(self, splits, variant, layers,
-                                             batch_size, reg):
+                                             batch_size, reg, monkeypatch):
         cfg = group_config(variant, layers, reg, lr=0.05, num_negatives=3,
                            epochs=2, seed=6, batch_size=batch_size)
-        for split in splits:
+        mixed = MixedBatches()
+        mixed.install(monkeypatch)
+        for split in splits + [mixed.split]:
             params, report = fit(cfg, split)
             want, want_report = fit_per_instance(cfg, split)
             # batches of one sum nothing; larger ones reorder the sums
@@ -567,6 +613,43 @@ class TestGroupedTraining:
             assert losses[0] == pytest.approx(want_losses[0],
                                               rel=SUM_ORDER_RTOL)
             assert losses == pytest.approx(want_losses, rel=rtol)
+
+    def test_one_attention_scratch_per_epoch(self, monkeypatch):
+        # every DeepICF_A batch of an epoch cuts its units from the one
+        # vector made for the epoch, sized for its costliest batch; FISM
+        # and batches of one make none
+        mixed = MixedBatches()
+        mixed.install(monkeypatch)
+        made, given = [], []
+        real_scratch = deepicf.training._attention_scratch
+        real_predict = deepicf.training.predict_logit
+
+        def scratch_spy(*args):
+            made.append(real_scratch(*args))
+            return made[-1]
+
+        def predict_spy(*args):
+            given.append((len(made), args[6] if len(args) > 6 else None))
+            return real_predict(*args)
+
+        monkeypatch.setattr(deepicf.training, "_attention_scratch",
+                            scratch_spy)
+        monkeypatch.setattr(deepicf.training, "predict_logit", predict_spy)
+        cfg = group_config(Variant.DEEPICF_A, 1, False, lr=0.05, epochs=3,
+                           seed=6, batch_size=256)
+        fit(cfg, mixed.split)
+        assert [scratch.size for scratch in made] == (
+            [cfg.k_prime * MixedBatches.SCRATCH_ROWS] * 3)
+        assert [epoch for epoch, _ in given] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert all(scratch is made[epoch - 1] for epoch, scratch in given)
+        made.clear()
+        given.clear()
+        fit(replace(cfg, variant=Variant.FISM, num_layers=0, layer_sizes=(),
+                    alpha=0.5), mixed.split)
+        fit(replace(cfg, batch_size=1, epochs=1), mixed.split)
+        assert made == []
+        assert len(given) == 9 + sum(map(sum, MixedBatches.BATCHES))
+        assert all(scratch is None for _, scratch in given)
 
     # with epsilon = 1 a step scales a rounding difference in g by at most
     # lr, so two epochs of batches of 256 hold the sums' own tolerance
@@ -595,7 +678,7 @@ class TestGroupedTraining:
 
         def counted(*args):
             got = real(*args)
-            blocks.append(len(args[-1]))
+            blocks.append(len(args[6]))
             return got
 
         monkeypatch.setattr(model, "_score_users", counted)

@@ -276,14 +276,8 @@ def parse_interactions(f, fmt="tab"):
     del times
     first, pair_keys = order[starts], pair_keys[starts]
     del order, starts
-    # back in line order: each pair's number, put at its first line, is
-    # read out past a row-sized mask of those lines
-    kept = np.zeros(raw, dtype=bool)
-    kept[first] = True
-    by_line = np.empty(raw, dtype=np.int64)
-    by_line[first] = np.arange(first.size)
-    by_line = by_line[kept]
-    del first, kept
+    by_line = np.argsort(first)
+    del first
     pair_keys, latest = pair_keys[by_line], latest[by_line]
     del by_line
     hist_items, hist_times = _split_by_user(

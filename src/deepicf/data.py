@@ -36,66 +36,64 @@ class InteractionDataset:
 
     User and item indices are contiguous in ``[0, num_users)`` and
     ``[0, num_items)``; within a user a given item appears at most once.
-    Histories keep (item, timestamp) pairs in insertion order.
+    Histories keep (item, timestamp) pairs in insertion order. They are
+    held flat and read-only: ``items`` and ``times`` are every history end
+    to end in user order, as int64, and user ``u``'s history ends at
+    ``ends[u]``.
     """
 
     def __init__(self, user_ids, item_ids, items_per_user, times_per_user,
                  raw_interactions=0):
-        if len(items_per_user) != len(user_ids):
-            raise DataError("one history per user required")
-        self._fill(user_ids, item_ids,
-                   [np.asarray(a, dtype=np.int64) for a in items_per_user],
-                   [np.asarray(a, dtype=np.int64) for a in times_per_user],
-                   raw_interactions)
+        for histories, what in ((items_per_user, "history"),
+                                (times_per_user, "list of timestamps")):
+            if len(histories) != len(user_ids):
+                raise DataError(f"one {what} per user required")
+        items, ends = _flatten(items_per_user)
+        times, time_ends = _flatten(times_per_user)
+        self._fill(user_ids, item_ids, items, times, ends, raw_interactions)
         if len(self.user_index) != len(self.user_ids):
             raise DataError("duplicate raw user ids")
         if len(self.item_index) != len(self.item_ids):
             raise DataError("duplicate raw item ids")
-        self._check_histories()
-
-    @classmethod
-    def _checked(cls, user_ids, item_ids, items_per_user, times_per_user,
-                 raw_interactions=0):
-        """The dataset of int64 history arrays whose rows a reader has just
-        checked against every rule of the constructor, built without
-        checking them again."""
-        dataset = cls.__new__(cls)
-        dataset._fill(user_ids, item_ids, items_per_user, times_per_user,
-                      raw_interactions)
-        return dataset
-
-    def _fill(self, user_ids, item_ids, items_per_user, times_per_user,
-              raw_interactions):
-        self.user_ids = list(user_ids)
-        self.item_ids = list(item_ids)
-        self.user_index = {uid: u for u, uid in enumerate(self.user_ids)}
-        self.item_index = {iid: i for i, iid in enumerate(self.item_ids)}
-        self._items = list(items_per_user)
-        self._times = list(times_per_user)
-        self.raw_interactions = int(raw_interactions)
-
-    def _check_histories(self):
-        """Per user, in user order: items and timestamps of one shape,
-        then the history rules of :func:`_history_rules`. The first user
-        that breaks a rule is reported, with the first rule it breaks in
-        that order."""
-        items, item_ends = _flatten(self._items)
-        times, time_ends = _flatten(self._times)
-        owners = np.repeat(np.arange(self.num_users),
-                           np.diff(item_ends, prepend=0))
+        # the first user, in user order, with items and timestamps of two
+        # lengths or that breaks a rule of _history_rules, and the first
+        # rule it breaks in that order
+        lengths = np.diff(ends, prepend=0)
         _, (bad_item, repeated, negative) = _history_rules(
-            owners, items, times, self.num_items)
+            np.repeat(np.arange(self.num_users), lengths), items, times,
+            self.num_items)
         found = _first_flagged((
-            (np.fromiter((a.shape != b.shape for a, b in
-                          zip(self._items, self._times)), bool,
-                         self.num_users),
+            (lengths != np.diff(time_ends, prepend=0),
              "items/timestamps length mismatch"),
-            (_owners(item_ends, bad_item), "item index out of range"),
-            (_owners(item_ends, repeated), "duplicate item in history"),
+            (_owners(ends, bad_item), "item index out of range"),
+            (_owners(ends, repeated), "duplicate item in history"),
             (_owners(time_ends, negative), "negative timestamp"),
         ))
         if found:
             raise DataError("user {}: {}".format(*found))
+
+    @classmethod
+    def _checked(cls, user_ids, item_ids, items, times, ends,
+                 raw_interactions=0):
+        """The dataset of the int64 history columns ``items`` and
+        ``times``, grouped by user and ending at ``ends``, whose rows a
+        reader has just checked against every rule of the constructor,
+        built without checking them again."""
+        dataset = cls.__new__(cls)
+        dataset._fill(user_ids, item_ids, items, times, ends,
+                      raw_interactions)
+        return dataset
+
+    def _fill(self, user_ids, item_ids, items, times, ends, raw_interactions):
+        self.user_ids = list(user_ids)
+        self.item_ids = list(item_ids)
+        self.user_index = {uid: u for u, uid in enumerate(self.user_ids)}
+        self.item_index = {iid: i for i, iid in enumerate(self.item_ids)}
+        self.items, self.times, self.ends = items, times, ends
+        for column in (items, times, ends):
+            column.flags.writeable = False
+        self._views = None
+        self.raw_interactions = int(raw_interactions)
 
     @property
     def num_users(self):
@@ -107,33 +105,38 @@ class InteractionDataset:
 
     @property
     def num_interactions(self):
-        return sum(a.size for a in self._items)
+        return self.items.size
+
+    def _span(self, user):
+        return slice(self.ends[user - 1] if user else 0, self.ends[user])
 
     def history_items(self, user):
-        return self._items[user]
+        return self.items[self._span(user)]
 
     def history_times(self, user):
-        return self._times[user]
+        return self.times[self._span(user)]
 
     def item_arrays(self):
-        """Per-user item index arrays, indexable by dense user id."""
-        return self._items
+        """Per-user item index arrays (views of ``items``), indexable by
+        dense user id: one tuple, cut on the first call and shared by every
+        caller after it."""
+        if self._views is None:
+            ends = self.ends.tolist()
+            self._views = tuple(map(self.items.__getitem__,
+                                    map(slice, [0, *ends[:-1]], ends)))
+        return self._views
 
     def item_counts(self):
         """Training interaction count per item (ItemPop's scoring signal)."""
-        if self.num_interactions == 0:
-            return np.zeros(self.num_items, dtype=np.int64)
-        return np.bincount(np.concatenate(self._items),
-                           minlength=self.num_items)
+        return np.bincount(self.items, minlength=self.num_items)
 
 
 def _flatten(arrays):
-    """The values of ``arrays`` end to end, and where each array ends."""
-    if not arrays:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ends = np.cumsum(np.fromiter((a.size for a in arrays), np.int64,
-                                 len(arrays)))
-    return np.concatenate([a.ravel() for a in arrays]), ends
+    """The values of ``arrays`` as int64, end to end, and where each array
+    ends."""
+    arrays = [np.asarray(a, dtype=np.int64).ravel() for a in arrays]
+    return _joined(arrays), np.cumsum([a.size for a in arrays],
+                                      dtype=np.int64)
 
 
 def _owners(ends, flags):
@@ -182,19 +185,12 @@ def _first_flagged(rules):
         return row, next(message for mask, message in rules if mask[row])
 
 
-def _split_by_user(users, *columns, num_users):
-    """Rows grouped by user, in row order within a user: for each column,
-    one array per user (views into one array)."""
+def _by_user(users, *columns, num_users):
+    """The rows of ``columns`` grouped by user, in row order within a
+    user, and where each user's rows end."""
     order = np.argsort(users, kind="stable")
-    ends = np.cumsum(np.bincount(users, minlength=num_users))
-    return [_cut(c[order], ends) for c in columns]
-
-
-def _cut(values, ends):
-    """``values`` cut into the views that end at ``ends``, one after
-    another."""
-    ends = ends.tolist()
-    return list(map(values.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+    return (*(c[order] for c in columns),
+            np.cumsum(np.bincount(users, minlength=num_users)))
 
 
 # Characters of a log or split file read at a time. A whole ML-1M
@@ -280,17 +276,16 @@ def parse_interactions(f, fmt="tab"):
     del first
     pair_keys, latest = pair_keys[by_line], latest[by_line]
     del by_line
-    hist_items, hist_times = _split_by_user(
-        pair_keys // num_items, pair_keys % num_items, latest,
-        num_users=len(user_index))
+    columns = _by_user(pair_keys // num_items, pair_keys % num_items, latest,
+                       num_users=len(user_index))
     del pair_keys, latest
-    ds = InteractionDataset._checked(user_index, item_index, hist_items,
-                                     hist_times, raw_interactions=raw)
+    ds = InteractionDataset._checked(user_index, item_index, *columns,
+                                     raw_interactions=raw)
     log.info(
         "parsed %d raw interactions: %d users, %d items, %d after dedup"
         " (%d users with <2 interactions cannot be split)",
         ds.raw_interactions, ds.num_users, ds.num_items, ds.num_interactions,
-        sum(a.size < 2 for a in ds.item_arrays()))
+        np.count_nonzero(np.diff(ds.ends, prepend=0) < 2))
     return ds
 
 
@@ -428,6 +423,15 @@ class LooSplit:
     test_items: np.ndarray
     eval_negatives: list = field(repr=False)
 
+    def __post_init__(self):
+        counts = (self.train.num_users, len(self.test_items),
+                  len(self.eval_negatives))
+        if counts[1:] != counts[:1] * 2:
+            raise DataError(
+                "a split of {} users holds {} test items and {} rows of"
+                " evaluation negatives; it needs one of each per user"
+                .format(*counts))
+
 
 def leave_one_out_split(dataset, seed, num_negatives=NUM_EVAL_NEGATIVES):
     """Hold out each user's latest interaction and sample fixed negatives.
@@ -450,9 +454,8 @@ def leave_one_out_split(dataset, seed, num_negatives=NUM_EVAL_NEGATIVES):
     if num_negatives < 0:
         raise DataError(f"num_negatives must be >= 0, got {num_negatives}")
     num_items = dataset.num_items
-    items, ends = _flatten(dataset.item_arrays())
-    times, _ = _flatten(dataset._times)
-    lengths = np.diff(ends, prepend=0)
+    items, times = dataset.items, dataset.times
+    lengths = np.diff(dataset.ends, prepend=0)
     kept = lengths >= 2
     dropped = int(np.count_nonzero(~kept))
     if dropped:
@@ -477,10 +480,9 @@ def leave_one_out_split(dataset, seed, num_negatives=NUM_EVAL_NEGATIVES):
                                      starts)
     del latest
     rest = items != np.repeat(test_items, lengths)
-    cuts = np.cumsum(lengths - 1)
     train = InteractionDataset._checked(
-        user_ids, dataset.item_ids, _cut(items[rest], cuts),
-        _cut(times[rest], cuts), dataset.raw_interactions)
+        user_ids, dataset.item_ids, items[rest], times[rest],
+        np.cumsum(lengths - 1), dataset.raw_interactions)
     del rest, times
 
     rng = rng_from_seed(seed, "loo-negatives")
@@ -511,36 +513,32 @@ def sample_training_instances(train, num_negatives, rng):
     remaining draws fall back to uniform sampling over the explicit
     complement. The full stream is shuffled before it is returned, so the
     label ratio is exactly 1:num_negatives per positive.
+
+    The draws are made user by user, in user order, into one array of
+    negatives; the stream before its shuffle holds each user's positives,
+    then its negatives, in user order.
     """
     if num_negatives < 0:
         raise DataError(f"num_negatives must be >= 0, got {num_negatives}")
-    num_items = train.num_items
-    blocks = []
-    for u in range(train.num_users):
-        items = train.history_items(u)
-        n_pos = items.size
-        if n_pos == 0:
-            continue
-        pos = np.empty((n_pos, 3), dtype=np.int64)
-        pos[:, 0] = u
-        pos[:, 1] = items
-        pos[:, 2] = 1
-        blocks.append(pos)
-        if num_negatives == 0:
-            continue
+    num_items, items = train.num_items, train.items
+    if not items.size:
+        return np.empty((0, 3), dtype=np.int64)
+    lengths = np.diff(train.ends, prepend=0)
+    starts = (train.ends - lengths) * num_negatives
+    negatives = np.empty(items.size * num_negatives, dtype=np.int64)
+    for u in np.flatnonzero(lengths) if num_negatives else ():
         member = np.zeros(num_items, dtype=bool)
-        member[items] = True
-        needed = n_pos * num_negatives
-        budget = 100 * num_negatives * n_pos
-        neg_items = np.empty(needed, dtype=np.int64)
+        member[train.history_items(u)] = True
+        drawn = negatives[starts[u]:starts[u] + lengths[u] * num_negatives]
+        needed = drawn.size
+        budget = 100 * needed
         filled = attempts = 0
         while filled < needed and attempts < budget:
             take = min(needed - filled, budget - attempts)
             cand = rng.integers(0, num_items, size=take)
             ok = cand[~member[cand]]
-            m = min(ok.size, needed - filled)
-            neg_items[filled:filled + m] = ok[:m]
-            filled += m
+            drawn[filled:filled + ok.size] = ok
+            filled += ok.size
             attempts += take
         if filled < needed:
             pool = np.flatnonzero(~member)
@@ -548,17 +546,17 @@ def sample_training_instances(train, num_negatives, rng):
                 raise DataError(
                     f"user {train.user_ids[u]!r} interacted with every item;"
                     " no negatives exist")
-            neg_items[filled:] = pool[
-                rng.integers(0, pool.size, size=needed - filled)]
-        neg = np.empty((needed, 3), dtype=np.int64)
-        neg[:, 0] = u
-        neg[:, 1] = neg_items
-        neg[:, 2] = 0
-        blocks.append(neg)
+            drawn[filled:] = pool[rng.integers(0, pool.size,
+                                               size=needed - filled)]
 
-    if not blocks:
-        return np.empty((0, 3), dtype=np.int64)
-    stream = np.concatenate(blocks)
+    stream = np.zeros((items.size * (1 + num_negatives), 3), dtype=np.int64)
+    stream[:, 0] = np.repeat(np.arange(train.num_users),
+                             lengths * (1 + num_negatives))
+    # a user's positives come after the negatives of the users before it
+    positives = np.arange(items.size) + np.repeat(starts, lengths)
+    stream[positives, 1] = items
+    stream[positives, 2] = 1
+    stream[stream[:, 2] == 0, 1] = negatives
     return stream[rng.permutation(stream.shape[0])]
 
 
@@ -643,9 +641,8 @@ def save_split(split, prefix):
     negatives = np.full((counts.size, counts.max(initial=0)), -1, np.int64)
     negatives[np.arange(negatives.shape[1]) < counts[:, None]] = flat
     del flat
-    items, ends = _flatten(tr.item_arrays())
-    times, _ = _flatten(tr._times)
-    owners = np.repeat(users, np.diff(ends, prepend=0))
+    items, times = tr.items, tr.times
+    owners = np.repeat(users, np.diff(tr.ends, prepend=0))
     with atomic_write(prefix + ".train", "wb") as f:
         for start in range(0, items.size, _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
@@ -822,11 +819,9 @@ def load_split(prefix):
     ))
     del bad_item, repeated, negative
     _check_rows(train_file.path, users.size, record["train"])
-    hist_items, hist_times = _split_by_user(users, items, times,
-                                            num_users=num_users)
+    columns = _by_user(users, items, times, num_users=num_users)
     del users, items, times
-    train = InteractionDataset._checked(user_ids, item_ids, hist_items,
-                                        hist_times)
+    train = InteractionDataset._checked(user_ids, item_ids, *columns)
 
     test_items = np.concatenate(_load_user_rows(
         prefix + ".test", record["test"], history, num_users, num_items))

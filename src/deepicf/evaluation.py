@@ -241,7 +241,7 @@ class ItemKnnModel:
                 f" co-occurrence counts, over its budget of"
                 f" {KNN_COUNT_BYTES} bytes")
         hists = train.item_arrays()
-        dense = dense_users([h.size for h in hists], num_items)
+        dense = dense_users(np.diff(train.ends, prepend=0), num_items)
         holders = [[] for _ in range(num_items)]
         for hist in itertools.compress(hists, ~dense):
             for item in hist.tolist():

@@ -142,7 +142,8 @@ def train_epoch(params, config, split, opt_state, rng):
     histories = split.train.item_arrays()
     size = config.batch_size
     stream = instances.tolist() if size == 1 else None
-    scratch = (_attention_scratch(config, histories, instances[:, 0], size)
+    scratch = (_attention_scratch(config, split.train.ends, instances[:, 0],
+                                  size)
                if stream is None and config.uses_attention else None)
     total, order = 0.0, [0]
     for start in range(0, len(instances), size):
@@ -179,14 +180,14 @@ def train_epoch(params, config, split, opt_state, rng):
     return total / len(instances)
 
 
-def _attention_scratch(config, histories, users, batch_size):
+def _attention_scratch(config, ends, users, batch_size):
     """The vector that every batch of an epoch, instances of ``users`` cut
     into batches of ``batch_size``, cuts its attention units from: ``k'``
     entries per history row of each instance, for the batch that needs
-    most. Made once, its pages are touched by the first batches and then
-    reused, where a fresh array per batch would be mapped and unmapped."""
-    lengths = np.fromiter(map(len, histories), np.int64, len(histories))
-    per_batch = np.add.reduceat(lengths[users],
+    most, where the users' histories end at ``ends``. Made once, its pages
+    are touched by the first batches and then reused, where a fresh array
+    per batch would be mapped and unmapped."""
+    per_batch = np.add.reduceat(np.diff(ends, prepend=0)[users],
                                 np.arange(0, users.size, batch_size))
     return np.empty(config.k_prime * int(per_batch.max()))
 

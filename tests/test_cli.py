@@ -390,7 +390,7 @@ class TestRecommendCommand:
         every = np.arange(train.num_items)
         full = InteractionDataset(
             train.user_ids, train.item_ids,
-            [every] + train.item_arrays()[1:],
+            [every, *train.item_arrays()[1:]],
             [every] + [train.history_times(u)
                        for u in range(1, train.num_users)])
         monkeypatch.setattr(data, "load_split", lambda prefix:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from deepicf import data
 from deepicf.config import load_config
-from deepicf.data import (InteractionDataset, leave_one_out_split, load_split,
-                          open_text, parse_interactions,
+from deepicf.data import (InteractionDataset, LooSplit, leave_one_out_split,
+                          load_split, open_text, parse_interactions,
                           sample_training_instances, save_split)
 from deepicf.errors import ConfigError, DataError, DeepIcfError
 from deepicf.numerics import rng_from_seed
@@ -20,6 +20,7 @@ from deepicf.numerics import rng_from_seed
 from conftest import (check_split, make_dataset, save_split_rows,
                       synthetic_dataset, synthetic_lines)
 from line_readers import load_split_lines, parse_log_lines
+import per_user_sample
 import per_user_split
 
 
@@ -171,11 +172,48 @@ class TestInteractionDataset:
         (dict(items_per_user=[[0, 1], [2, 2]],
               times_per_user=[[1, 2], [3, -1]]),
          "user 1: duplicate item in history"),
+        # timestamps for fewer or more users than there are
+        (dict(times_per_user=[[1, 2]]),
+         "one list of timestamps per user required"),
+        (dict(times_per_user=[[1, 2], [3], [4]]),
+         "one list of timestamps per user required"),
     ])
     def test_bad_arguments_raise(self, changes, message):
         with pytest.raises(DataError) as err:
             InteractionDataset(**_dataset_args(**changes))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("source", ["constructor", "parse", "split",
+                                        "load"])
+    def test_histories_are_read_only(self, tmp_path, source):
+        parsed = synthetic_dataset(num_users=4, num_items=30, seed=1)
+        split = leave_one_out_split(parsed, seed=3, num_negatives=2)
+        save_split(split, tmp_path / "sp")
+        ds = {"constructor": InteractionDataset(**_dataset_args()),
+              "parse": parsed, "split": split.train,
+              "load": load_split(tmp_path / "sp").train}[source]
+        counts = ds.item_counts().copy()
+        for view in (ds.history_items(0), ds.history_times(0),
+                     ds.item_arrays()[0], ds.items, ds.times, ds.ends):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 2
+        # nor can a caller swap a history under the others
+        with pytest.raises(TypeError):
+            ds.item_arrays()[0] = np.array([2])
+        assert np.array_equal(ds.item_counts(), counts)
+
+    def test_flat_columns_hold_the_histories(self):
+        ds = InteractionDataset(**_dataset_args(
+            items_per_user=[[2, 0], [], [1]], times_per_user=[[5, 4], [], [6]],
+            user_ids=["u0", "u1", "u2"]))
+        assert ds.items.tolist() == [2, 0, 1]
+        assert ds.times.tolist() == [5, 4, 6]
+        assert ds.ends.tolist() == [2, 2, 3]
+        assert [ds.history_items(u).tolist() for u in range(3)] == [
+            [2, 0], [], [1]]
+        assert [a.tolist() for a in ds.item_arrays()] == [[2, 0], [], [1]]
+        assert ds.item_counts().tolist() == [1, 1, 1]
+        assert all(a.dtype == np.int64 for a in (ds.items, ds.times, ds.ends))
 
 
 @st.composite
@@ -249,6 +287,19 @@ class TestLeaveOneOut:
                            " got -1"):
             leave_one_out_split(ds, seed=0, num_negatives=-1)
 
+    @pytest.mark.parametrize("tests, rows", [
+        ([3], 2), ([3, 4, 5], 2), ([3, 4], 1), ([3, 4], 3), ([], 0)])
+    def test_split_needs_a_test_item_and_negatives_per_user(self, tests,
+                                                            rows):
+        # one test item for two users would rank both against it
+        train = make_dataset([[(0, 1)], [(1, 1)]], num_items=6)
+        with pytest.raises(DataError) as err:
+            LooSplit(train=train, test_items=np.array(tests, dtype=np.int64),
+                     eval_negatives=[np.array([5])] * rows)
+        assert str(err.value) == (
+            f"a split of 2 users holds {len(tests)} test items and {rows}"
+            f" rows of evaluation negatives; it needs one of each per user")
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=split_cases())
     def test_split_matches_the_per_user_split(self, case):
@@ -300,7 +351,43 @@ class TestLeaveOneOut:
                                shallow=False)
 
 
+@st.composite
+def sample_cases(draw):
+    """A training set, a negative count and a seed for the sampler: users
+    of 0, 1, 2, 40 or 400 items, over a catalog that leaves the longest
+    history a pool of no item (no negatives exist), one item, a few or
+    many. A pool of one item beside 400 runs past the rejection budget."""
+    num_negatives = draw(st.sampled_from([0, 1, 4]))
+    lengths = draw(st.lists(st.sampled_from([0, 1, 2, 40, 400]), min_size=1,
+                            max_size=6))
+    num_items = max(lengths) + draw(st.sampled_from([0, 1, 3, 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    histories = [[(i, 0) for i in rng.choice(num_items, size=n,
+                                             replace=False).tolist()]
+                 for n in lengths]
+    return (make_dataset(histories, num_items=num_items), num_negatives,
+            draw(st.integers(0, 2 ** 16)))
+
+
 class TestSampling:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=sample_cases())
+    def test_stream_matches_the_per_user_sampler(self, case):
+        train, num_negatives, seed = case
+        rngs = [rng_from_seed(seed, "sample") for _ in range(2)]
+        got, want = (_outcome(sample, train, num_negatives, rng)
+                     for sample, rng in zip(
+                         (sample_training_instances,
+                          per_user_sample.sample_training_instances), rngs))
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1:] == want[1:]
+        else:
+            assert got[1].dtype == want[1].dtype == np.int64
+            assert np.array_equal(got[1], want[1])
+        # the same draws, in the same order
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
     def test_ratio_is_exact(self):
         ds = make_dataset([[(i, i) for i in range(10)]], num_items=40)
         stream = sample_training_instances(ds, 4, rng_from_seed(0))

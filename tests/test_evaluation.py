@@ -751,7 +751,7 @@ class TestBlockEvaluate:
         # candidate inside its history (users 7 and 9), and k' = 1 with a
         # user of one candidate (user 6), in one block and in pieces
         split = edge_split()
-        items = split.train.item_arrays()
+        items = list(split.train.item_arrays())
         times = [split.train.history_times(u)
                  for u in range(split.train.num_users)]
         items[5], times[5] = items[5][:1], times[5][:1]

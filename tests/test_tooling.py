@@ -3,7 +3,8 @@ importing them: its traced names resolve and the training path calls
 each of them, and the package reproduces the training losses, parameters
 and ranking metrics it records. Beside them, a lint of the package's
 sources that needs no linter installed: no import and no function
-parameter is left unused."""
+parameter is left unused; and a check of the Pinterest-shaped log
+writer."""
 
 import ast
 import functools
@@ -11,6 +12,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +21,10 @@ import numpy as np
 import pytest
 
 import bench_fits
+import pinterest_shape
 from bench_fits import run_py_constant
 from deepicf.checkpoint import load_checkpoint
-from deepicf.data import (leave_one_out_split, parse_interactions,
+from deepicf.data import (leave_one_out_split, open_text, parse_interactions,
                           save_split)
 from deepicf.evaluation import (evaluate, item_knn_fit_and_score,
                                 item_pop_scorer, metrics_at_k,
@@ -308,3 +311,22 @@ def test_every_function_parameter_is_read():
              for function, name in unused_parameters(
                  path.read_text(encoding="utf-8"))}
     assert found == UNREAD
+
+
+def test_pinterest_shaped_log_is_fixed_and_parses(tmp_path):
+    """``pinterest_shape.py`` at a small scale writes the same lines on
+    every run, each ``u<n>::i<n>::1::<ts>``, with histories of 20 to 500
+    distinct items, which the raw-log parser reads."""
+    scale = 0.005
+    path = tmp_path / "pinterest.log"
+    pinterest_shape.main([str(path), "--scale", str(scale)])
+    text = path.read_text(encoding="utf-8")
+    assert text == "".join(pinterest_shape.pinterest_lines(scale))
+    lines = text.splitlines()
+    assert all(re.fullmatch(r"u\d+::i\d+::1::\d+", line) for line in lines)
+    with open_text(path) as f:
+        ds = parse_interactions(f, fmt="double_colon")
+    lengths = np.diff(ds.ends, prepend=0)
+    assert ds.num_users == round(pinterest_shape.USERS * scale)
+    assert ds.num_interactions == ds.raw_interactions == len(lines)
+    assert lengths.min() >= 20 and lengths.max() <= 500
